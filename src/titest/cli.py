@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -38,7 +39,12 @@ from .model import (
     posterior,
 )
 from .rules import DecisionRule, decide
-from .typicality import EnumerationTooLargeError, TypicalityParams, typical_set_census
+from .typicality import (
+    EnumerationTooLargeError,
+    TypicalityParams,
+    resolve_enum_cap,
+    typical_set_census,
+)
 
 __all__ = ["main"]
 
@@ -210,8 +216,8 @@ def _resolve_common(
 
 
 def _check_epsilon(parser: argparse.ArgumentParser, eps: float) -> float:
-    if not eps > 0:
-        parser.error(f"--epsilon must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        parser.error(f"--epsilon must be positive and finite, got {eps}")
     return eps
 
 
@@ -334,8 +340,13 @@ def cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     _require_json_format(common["format"], parser)
     rule = _resolve_rule(args, cfg, parser)
     params = TypicalityParams(epsilon=common["epsilon"], extension=common["m"])
-    census = typical_set_census(model, params)
-    fano = extended_fano_check(model, rule, params)
+    try:
+        cap = resolve_enum_cap()
+    except ValueError as e:  # a bad TI_TEST_ENUM_CAP is a config error
+        print(f"titest: error: {e}", file=sys.stderr)
+        return 2
+    census = typical_set_census(model, params, cap)
+    fano = extended_fano_check(model, rule, params, cap)
     doc = {"census": census.to_json_dict(), "fano": fano.to_json_dict()}
     _emit(_render_json(doc), common["out"])
     return 0

@@ -6,6 +6,15 @@ the decided sequence is jointly typical with the observed one. Reports carry
 two entropy estimators: the primary one averages posterior entropy over
 successful trials, the diagnostic one averages the decided label's surprisal.
 
+Trials run in a block kernel: trial i's uniforms are one row of a (trials,
+k*M) matrix, filled by a single random(k*M) draw from default_rng(
+SeedSequence([seed, i])), where k is 3 for SAP and 2 for the deterministic
+rules. The row's first M uniforms sample x, the next M sample y and the last
+M (SAP only) the decisions; for PCG64 one random(k*M) draw equals k
+sequential random(M) draws, so this is the same stream a trial-at-a-time
+loop consumes. Sampling, decisions, the three-condition judgement and both
+rate estimators then run over whole chunks of rows at once.
+
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
 report is byte-for-byte identical for any worker count.
@@ -28,7 +37,6 @@ from .typicality import (
     SequencePair,
     TypicalityParams,
     _index_blocks,
-    draw_index_pair,
     resolve_enum_cap,
 )
 
@@ -51,6 +59,10 @@ __all__ = [
 ]
 
 Z_95 = 1.96
+
+# Trials per chunk of the block kernel: bounds its uniform matrix and index
+# temporaries, whatever the block length.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -112,40 +124,62 @@ def make_rule_tables(model: DiscreteJointModel, rule: DecisionRule) -> RuleTable
     )
 
 
-def _decide_indices(
-    tables: RuleTables, yi: np.ndarray, rng: np.random.Generator | None
-) -> np.ndarray:
-    if tables.det_choice is not None:
-        return tables.det_choice[yi]
-    if rng is None:
-        raise ValueError("stochastic rule requires an rng")
-    u = rng.random(len(yi))
-    return tables.sap_order[inverse_cdf_pick(tables.sap_cdf[yi], u)]
+def _model_entropies(model: DiscreteJointModel) -> tuple[float, float, float]:
+    """(H(X), H(Y), H(X, Y)), the centres of the three typicality conditions."""
+    return entropy(model.prior), entropy(model.y_marginal), entropy(model.joint.ravel())
 
 
-def _joint_success(
+def _jointly_typical(
     model: DiscreteJointModel,
-    decided_xi: np.ndarray,
+    xi: np.ndarray,
     yi: np.ndarray,
-    epsilon: float,
-    h_x: float,
-    h_y: float,
-    h_xy: float,
-) -> bool:
-    """Three-condition joint typicality of (decided, y) on index arrays.
+    band: float,
+    entropies: tuple[float, float, float],
+) -> np.ndarray:
+    """Three-condition joint typicality of (B, M) index rows, as (B,) bools.
 
-    Same arithmetic and boundary band as typicality.is_jointly_typical; the
-    equivalence is pinned by a test rather than shared code, because this
-    path must stay allocation-light.
+    band is epsilon - BOUNDARY_ATOL; each rate must sit strictly inside it.
+    Same arithmetic as typicality.is_jointly_typical, row by row (pinned by
+    tests rather than shared code).
     """
-    x_rate = -model.log2_prior[decided_xi].mean()
-    if not abs(x_rate - h_x) < epsilon - BOUNDARY_ATOL:
-        return False
-    y_rate = -model.log2_y_marginal[yi].mean()
-    if not abs(y_rate - h_y) < epsilon - BOUNDARY_ATOL:
-        return False
-    joint_rate = -model.log2_joint[decided_xi, yi].mean()
-    return bool(abs(joint_rate - h_xy) < epsilon - BOUNDARY_ATOL)
+    h_x, h_y, h_xy = entropies
+    x_ok = np.abs(-model.log2_prior[xi].mean(axis=1) - h_x) < band
+    y_ok = np.abs(-model.log2_y_marginal[yi].mean(axis=1) - h_y) < band
+    joint_ok = np.abs(-model.log2_joint[xi, yi].mean(axis=1) - h_xy) < band
+    return x_ok & y_ok & joint_ok
+
+
+def _draws_per_symbol(tables: RuleTables) -> int:
+    return 3 if tables.sap_cdf is not None else 2
+
+
+def _trial_kernel(
+    model: DiscreteJointModel,
+    tables: RuleTables,
+    u: np.ndarray,
+    m: int,
+    band: float,
+    entropies: tuple[float, float, float],
+) -> tuple[np.ndarray, ...]:
+    """Trials whose uniforms are the rows of u, shape (B, k*M).
+
+    Returns (xi, yi, decided_xi, success, posterior_entropy_rate,
+    decided_surprisal_rate): three (B, M) index arrays and three (B,) arrays.
+    """
+    xi = inverse_cdf_pick(tables.prior_cdf, u[:, :m])
+    yi = inverse_cdf_pick(tables.lik_cdf[xi], u[:, m : 2 * m])
+    if tables.det_choice is not None:
+        decided = tables.det_choice[yi]
+    else:
+        decided = tables.sap_order[inverse_cdf_pick(tables.sap_cdf[yi], u[:, 2 * m :])]
+    return (
+        xi,
+        yi,
+        decided,
+        _jointly_typical(model, decided, yi, band, entropies),
+        model.posterior_col_entropy[yi].mean(axis=1),
+        -tables.log2_posterior[decided, yi].mean(axis=1),
+    )
 
 
 def run_trial(
@@ -158,27 +192,25 @@ def run_trial(
     """One M-extension trial: sample, decide per symbol, judge typicality.
 
     Draw order within the trial's stream: M uniforms for x, M for y, then
-    (stochastic rules only) M for the decisions.
+    (stochastic rules only) M for the decisions, taken as one draw. A block
+    of one on the same kernel the experiments run.
     """
     if tables is None or tables.rule is not rule:
         tables = make_rule_tables(model, rule)
     m = params.extension
-    xi, yi = draw_index_pair(model, m, rng, tables.prior_cdf, tables.lik_cdf)
-    decided_xi = _decide_indices(tables, yi, rng)
-
-    h_x = entropy(model.prior)
-    h_y = entropy(model.y_marginal)
-    h_xy = entropy(model.joint.ravel())
-    ok = _joint_success(model, decided_xi, yi, params.epsilon, h_x, h_y, h_xy)
-
+    u = rng.random((1, _draws_per_symbol(tables) * m))
+    band = params.epsilon - BOUNDARY_ATOL
+    xi, yi, decided, success, post_rate, dec_rate = _trial_kernel(
+        model, tables, u, m, band, _model_entropies(model)
+    )
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
     return SequenceTrial(
-        pair=SequencePair(tuple(x_labels[xi]), tuple(y_labels[yi])),
-        decided=tuple(int(v) for v in x_labels[decided_xi]),
-        success=ok,
-        posterior_entropy_rate=float(model.posterior_col_entropy[yi].mean()),
-        decided_surprisal_rate=float(-tables.log2_posterior[decided_xi, yi].mean()),
+        pair=SequencePair(tuple(x_labels[xi[0]]), tuple(y_labels[yi[0]])),
+        decided=tuple(int(v) for v in x_labels[decided[0]]),
+        success=bool(success[0]),
+        posterior_entropy_rate=float(post_rate[0]),
+        decided_surprisal_rate=float(dec_rate[0]),
     )
 
 
@@ -195,20 +227,29 @@ def _run_block(
     lo: int,
     hi: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Worker entry point: trials [lo, hi) of the given configuration."""
+    """Worker entry point: trials [lo, hi) of the given configuration.
+
+    Walks the block in chunks of _CHUNK trials: one row of uniforms per
+    trial from its own stream, then the kernel over the whole chunk.
+    """
     model = DiscreteJointModel.from_json_dict(model_doc)
-    rule = DecisionRule(rule_value)
-    params = TypicalityParams(epsilon=epsilon, extension=m)
-    tables = make_rule_tables(model, rule)
+    tables = make_rule_tables(model, DecisionRule(rule_value))
+    band = epsilon - BOUNDARY_ATOL
+    entropies = _model_entropies(model)
     n = hi - lo
     success = np.zeros(n, dtype=bool)
     post_rate = np.zeros(n)
     dec_rate = np.zeros(n)
-    for k in range(n):
-        t = run_trial(model, rule, params, _trial_rng(seed, lo + k), tables)
-        success[k] = t.success
-        post_rate[k] = t.posterior_entropy_rate
-        dec_rate[k] = t.decided_surprisal_rate
+    u = np.empty((min(n, _CHUNK), _draws_per_symbol(tables) * m))
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        rows = u[: stop - start]
+        for row, i in zip(rows, range(lo + start, lo + stop)):
+            _trial_rng(seed, i).random(out=row)
+        _, _, _, ok, post, dec = _trial_kernel(model, tables, rows, m, band, entropies)
+        success[start:stop] = ok
+        post_rate[start:stop] = post
+        dec_rate[start:stop] = dec
     return success, post_rate, dec_rate
 
 
@@ -420,16 +461,14 @@ def _scan_y_space(
         raise EnumerationTooLargeError(
             f"(|X||Y|)^M = {(n_x * n_y) ** m} exceeds the enumeration cap {limit}"
         )
-    h_x = entropy(model.prior)
-    h_y = entropy(model.y_marginal)
-    h_xy = entropy(model.joint.ravel())
+    entropies = _model_entropies(model)
+    h_x, h_y, h_xy = entropies
+    band = eps - BOUNDARY_ATOL
     tables = make_rule_tables(model, rule)
 
     # all x-index combinations once; reused against every y-sequence
     x_combos = np.concatenate(list(_index_blocks(n_x, m)), axis=0)
-    x_rate_ok = (
-        np.abs(-model.log2_prior[x_combos].mean(axis=1) - h_x) < eps - BOUNDARY_ATOL
-    )
+    x_rate_ok = np.abs(-model.log2_prior[x_combos].mean(axis=1) - h_x) < band
 
     p_f = 0.0
     h_e = 0.0
@@ -441,18 +480,17 @@ def _scan_y_space(
             if p_y == 0.0:
                 continue
             h_cond = float(model.posterior_col_entropy[yi].sum())
-            y_ok = abs(-log2_py / m - h_y) < eps - BOUNDARY_ATOL
+            y_ok = abs(-log2_py / m - h_y) < band
             if not y_ok:
                 s = 0.0
             elif tables.det_choice is not None:
-                decided = tables.det_choice[yi]
+                row = yi[None, :]
                 s = float(
-                    _joint_success(model, decided, yi, eps, h_x, h_y, h_xy)
+                    _jointly_typical(model, tables.det_choice[row], row, band, entropies)[0]
                 )
             else:
                 joint_ok = (
-                    np.abs(-model.log2_joint[x_combos, yi].mean(axis=1) - h_xy)
-                    < eps - BOUNDARY_ATOL
+                    np.abs(-model.log2_joint[x_combos, yi].mean(axis=1) - h_xy) < band
                 )
                 keep = x_rate_ok & joint_ok
                 weights = np.exp2(

@@ -86,6 +86,11 @@ class DiscreteJointModel:
                 f"likelihood has shape {lik.shape}, expected "
                 f"({len(x_labels)}, {len(y_labels)})"
             )
+        # NaN slips through every comparison below, so reject it (and inf) first
+        if not np.isfinite(prior).all():
+            raise InvalidDistributionError("prior has non-finite entries")
+        if not np.isfinite(lik).all():
+            raise InvalidDistributionError("likelihood has non-finite entries")
         if (prior < 0).any():
             raise InvalidDistributionError("prior has negative entries")
         if abs(prior.sum() - 1.0) > CONSTRUCT_ATOL:

@@ -7,6 +7,7 @@ at extensions where the linear product would underflow.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
@@ -49,11 +50,19 @@ class EnumerationTooLargeError(RuntimeError):
 
 
 def resolve_enum_cap(cap: int | None = None) -> int:
-    """Explicit cap, else the TI_TEST_ENUM_CAP env var, else the default."""
+    """Explicit cap, else the TI_TEST_ENUM_CAP env var, else the default.
+
+    An env value that is not a positive integer raises ValueError naming the
+    variable.
+    """
     if cap is not None:
         return int(cap)
     env = os.environ.get(ENUM_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -62,8 +71,8 @@ class TypicalityParams:
     extension: int
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not isinstance(self.extension, (int, np.integer)) or self.extension < 1:
             raise ValueError(f"extension must be a positive integer, got {self.extension!r}")
 

@@ -259,6 +259,35 @@ class TestErrorPaths:
     def test_unknown_observation_decide(self, capsys, bsc_file):
         assert run_cli(["decide", "--model-file", bsc_file, "--k", "99"]) == 3
 
+    @pytest.mark.parametrize("command", [
+        ["model"],
+        ["simulate", "--m", "2", "--trials", "10"],
+        ["enumerate", "--m", "2"],
+    ])
+    def test_nan_prior_model_file(self, capsys, tmp_path, command):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"hypothesis_values": [0, 1], "observation_values": [0, 1], '
+            '"prior": [NaN, 0.5], "likelihood": [[1, 0], [0, 1]]}'
+        )
+        assert run_cli([*command, "--model-file", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "non-finite" in err
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "-inf"])
+    def test_non_finite_epsilon(self, capsys, eps):
+        assert run_cli(["simulate", "--coin", "6", "0.4", "--epsilon", eps]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "--epsilon" in err
+
+    def test_bad_enum_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TI_TEST_ENUM_CAP", "abc")
+        assert run_cli(["enumerate", "--coin", "3", "0.4", "--m", "2"]) in (2, 3)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "TI_TEST_ENUM_CAP" in err
+
 
 class TestInstalledEntryPoint:
     def test_console_script(self):

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from titest import (
     DecisionRule,
+    DiscreteJointModel,
     EnumerationTooLargeError,
     SequencePair,
     TypicalityParams,
@@ -13,16 +16,20 @@ from titest import (
     build_coin_model,
     build_constant_model,
     converse_check,
+    decide,
+    entropy,
     exact_failure_probability,
     extended_fano_check,
     info_summary,
     is_jointly_typical,
     make_rule_tables,
+    posterior,
     run_experiment,
     run_trial,
     sweep,
 )
-from titest.experiment import SWEEP_COLUMNS, Z_95
+from titest.experiment import _CHUNK, SWEEP_COLUMNS, Z_95, _run_block
+from titest.typicality import BOUNDARY_ATOL, draw_index_pair
 
 
 def trial_rng(seed, i):
@@ -98,6 +105,91 @@ class TestRunTrial:
             assert lo.pair == hi.pair and lo.decided == hi.decided
             if lo.success:
                 assert hi.success
+
+
+@st.composite
+def small_models(draw):
+    """Random models up to 4 x 4 with exact zeros, ties and unsorted labels."""
+    n_x = draw(st.integers(1, 4))
+    n_y = draw(st.integers(1, 4))
+
+    def weights(n):
+        w = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+        return np.array(w, dtype=float) / sum(w)
+
+    return DiscreteJointModel(
+        hypothesis_values=tuple(draw(st.permutations(range(n_x)))),
+        observation_values=tuple(range(n_y)),
+        prior=weights(n_x),
+        likelihood=np.array([weights(n_y) for _ in range(n_x)]),
+    )
+
+
+def reference_block(model, rule, eps, m, seed, lo, hi):
+    """Trials [lo, hi) one at a time: draw_index_pair, then (SAP only) a
+    third random(M) for the decisions, then a scalar typicality judgement."""
+    h_x = entropy(model.prior)
+    h_y = entropy(model.y_marginal)
+    h_xy = entropy(model.joint.ravel())
+    ascending = np.argsort(model.hypothesis_values)
+    success, post_rate, dec_rate = [], [], []
+    for i in range(lo, hi):
+        rng = trial_rng(seed, i)
+        xi, yi = draw_index_pair(model, m, rng)
+        if rule is DecisionRule.SAP:
+            decided = []
+            for y, u in zip(yi, rng.random(m)):
+                cdf = np.cumsum(model.posterior_matrix[ascending, y])
+                decided.append(ascending[min(int((cdf <= u).sum()), len(cdf) - 1)])
+        else:
+            decided = [
+                model.x_index(decide(rule, posterior(model, model.observation_values[y])))
+                for y in yi
+            ]
+        decided = np.array(decided, dtype=np.intp)
+        band = eps - BOUNDARY_ATOL
+        success.append(
+            abs(-model.log2_prior[decided].mean() - h_x) < band
+            and abs(-model.log2_y_marginal[yi].mean() - h_y) < band
+            and abs(-model.log2_joint[decided, yi].mean() - h_xy) < band
+        )
+        post_rate.append(model.posterior_col_entropy[yi].mean())
+        dec_rate.append(-np.log2(model.posterior_matrix[decided, yi]).mean())
+    return np.array(success), np.array(post_rate), np.array(dec_rate)
+
+
+class TestBlockKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=small_models(),
+        rule=st.sampled_from(list(DecisionRule)),
+        m=st.integers(1, 12),
+        eps=st.sampled_from([0.05, 0.25, 0.6]),
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.integers(0, 10_000),
+        n=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+    )
+    def test_block_equals_trial_at_a_time_reference(self, model, rule, eps, m, seed, lo, n):
+        got = _run_block(model.to_json_dict(), rule.value, eps, m, seed, lo, lo + n)
+        want = reference_block(model, rule, eps, m, seed, lo, lo + n)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        # run_trial is a block of one on the same kernel
+        t = run_trial(model, rule, params(eps, m), trial_rng(seed, lo + n - 1))
+        assert t.success == got[0][-1]
+        assert t.posterior_entropy_rate == got[1][-1]
+        assert t.decided_surprisal_rate == got[2][-1]
+
+    def test_worker_counts_straddling_chunks(self, coin10):
+        docs = [
+            json.dumps(
+                run_experiment(
+                    coin10, DecisionRule.SAP, params(0.25, 10), 517, 31, workers=w
+                ).to_json_dict()
+            )
+            for w in (1, 2, 3)
+        ]
+        assert docs[0] == docs[1] == docs[2]
 
 
 class TestRunExperiment:

@@ -63,6 +63,17 @@ class TestConstruction:
         with pytest.raises(InvalidDistributionError):
             DiscreteJointModel((0, 1), (0, 1), np.array([1.5, -0.5]), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_rejected(self, bad):
+        with pytest.raises(InvalidDistributionError, match="non-finite"):
+            DiscreteJointModel((0, 1), (0, 1), np.array([bad, 0.5]), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_likelihood_rejected(self, bad):
+        lik = np.array([[bad, 0.5], [0.5, 0.5]])
+        with pytest.raises(InvalidDistributionError, match="non-finite"):
+            DiscreteJointModel((0, 1), (0, 1), np.array([0.5, 0.5]), lik)
+
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError):
             DiscreteJointModel((0.5, 1), (0, 1), np.array([0.5, 0.5]), np.eye(2))

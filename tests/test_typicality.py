@@ -28,6 +28,7 @@ from titest import (
     sample_extension,
     typical_set_census,
 )
+from titest.typicality import resolve_enum_cap
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,11 @@ class TestTypes:
             TypicalityParams(epsilon=0.1, extension=0)
         with pytest.raises(ValueError):
             TypicalityParams(epsilon=0.1, extension=2.5)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_params_reject_non_finite_epsilon(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            TypicalityParams(epsilon=eps, extension=4)
 
     def test_pair_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -241,6 +247,12 @@ class TestConditionalMembers:
         monkeypatch.setenv("TI_TEST_ENUM_CAP", "10")
         with pytest.raises(EnumerationTooLargeError):
             conditional_members((0,) * 8, bsc25, params(0.25, 8))
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_cap_env_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("TI_TEST_ENUM_CAP", value)
+        with pytest.raises(ValueError, match="TI_TEST_ENUM_CAP"):
+            resolve_enum_cap()
 
     def test_explicit_cap_argument(self, bsc25):
         with pytest.raises(EnumerationTooLargeError):
