@@ -6,11 +6,11 @@ by the acceptance suite: theta = 0.4, epsilon = 0.25, 10^4 trials per cell.
 """
 
 import argparse
-import csv
 import sys
+from pathlib import Path
 
 from titest import DecisionRule, sweep
-from titest.experiment import SWEEP_COLUMNS
+from titest.experiment import render_sweep_csv
 
 
 def parse_args() -> argparse.Namespace:
@@ -32,10 +32,7 @@ def main() -> int:
         args.n, [args.theta], args.m, [args.epsilon], [DecisionRule.SAP],
         args.trials, args.seed, workers=args.workers,
     )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    Path(args.out).write_text(render_sweep_csv(rows))
     for row in rows:
         acc = row["accuracy_bits"]
         gap = "      (no successes)" if acc is None else f"gap={row['ti_bits'] - acc:+.4f}"

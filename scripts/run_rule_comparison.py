@@ -7,11 +7,11 @@ can invert the order because the estimator conditions on the success event.
 """
 
 import argparse
-import csv
 import sys
+from pathlib import Path
 
 from titest import DecisionRule, sweep
-from titest.experiment import SWEEP_COLUMNS
+from titest.experiment import render_sweep_csv
 
 
 def parse_args() -> argparse.Namespace:
@@ -34,10 +34,7 @@ def main() -> int:
         args.n, [args.theta], [args.m], [args.epsilon], rules,
         args.trials, args.seed, workers=args.workers,
     )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    Path(args.out).write_text(render_sweep_csv(rows))
 
     by_cell = {(r["N"], r["rule"]): r for r in rows}
     names = sorted(rule.value for rule in rules)

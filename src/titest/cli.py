@@ -12,8 +12,6 @@ overlap). All numeric output is rendered to 10 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -23,10 +21,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from .experiment import (
-    SWEEP_COLUMNS,
     achievability_check,
     converse_check,
     extended_fano_check,
+    render_sweep_csv,
     run_experiment,
     sweep,
 )
@@ -84,24 +82,6 @@ def _render_json(doc: Any) -> str:
     return json.dumps(_sig10(doc), indent=2) + "\n"
 
 
-def _render_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        out = []
-        for col in SWEEP_COLUMNS:
-            v = row[col]
-            if v is None:
-                out.append("")
-            elif isinstance(v, float):
-                out.append(f"{v:.10g}")
-            else:
-                out.append(str(v))
-        writer.writerow(out)
-    return buf.getvalue()
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -154,7 +134,7 @@ def _as_int(parser: argparse.ArgumentParser, name: str, value: Any, minimum: int
         n = int(value)
         if isinstance(value, float) and value != n:
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # JSON 1e400 parses to inf
         parser.error(f"{name} must be an integer, got {value!r}")
     if n < minimum:
         parser.error(f"{name} must be >= {minimum}, got {n}")
@@ -164,7 +144,7 @@ def _as_int(parser: argparse.ArgumentParser, name: str, value: Any, minimum: int
 def _as_float(parser: argparse.ArgumentParser, name: str, value: Any) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer
         parser.error(f"{name} must be a number, got {value!r}")
 
 
@@ -308,9 +288,18 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     missing = {"n", "theta", "m", "epsilon", "rules"} - set(grid)
     if missing:
         parser.error(f"grid file {grid_path}: missing axes {sorted(missing)}")
+    for axis in ("n", "theta", "m", "epsilon", "rules"):
+        if not isinstance(grid[axis], list):
+            parser.error(f"grid file {grid_path}: axis {axis!r} must be a list")
 
     n_values = [_as_int(parser, "grid n", v, 1) for v in grid["n"]]
     theta_values = [_as_float(parser, "grid theta", v) for v in grid["theta"]]
+    for n in n_values:  # reject a bad coin point before any experiment runs
+        for theta in theta_values:
+            try:
+                build_coin_model(n, theta)
+            except ValueError as e:
+                parser.error(f"grid file {grid_path}: {e}")
     m_values = [_as_int(parser, "grid m", v, 1) for v in grid["m"]]
     eps_values = [
         _check_epsilon(parser, _as_float(parser, "grid epsilon", v)) for v in grid["epsilon"]
@@ -327,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     )
     fmt = common["format"] or "csv"
     if fmt == "csv":
-        _emit(_render_csv(rows), common["out"])
+        _emit(render_sweep_csv(rows), common["out"])
     else:
         _emit(_render_json(rows), common["out"])
     return 0

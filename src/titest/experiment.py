@@ -22,6 +22,8 @@ report is byte-for-byte identical for any worker count.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,14 +31,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import DiscreteJointModel, build_coin_model, entropy, info_summary, posterior
+from .model import DiscreteJointModel, build_coin_model, info_summary, posterior
 from .rules import DecisionRule, decide, inverse_cdf_pick
 from .typicality import (
-    BOUNDARY_ATOL,
     EnumerationTooLargeError,
     SequencePair,
     TypicalityParams,
     _index_blocks,
+    in_band,
+    jointly_typical_rows,
     resolve_enum_cap,
 )
 
@@ -53,6 +56,7 @@ __all__ = [
     "exact_failure_probability",
     "extended_fano_check",
     "make_rule_tables",
+    "render_sweep_csv",
     "run_experiment",
     "run_trial",
     "sweep",
@@ -81,72 +85,28 @@ class RuleTables:
     det_choice maps a y index to the decided x index for deterministic rules.
     sap_cdf holds, per y index, the posterior CDF over ascending hypothesis
     labels; sap_order maps an ascending-label position back to storage index.
-    Semantics match rules.decide exactly (tested, not assumed).
+    Semantics match rules.decide exactly (tested, not assumed). Tables that
+    depend on the model alone live on the model.
     """
 
     rule: DecisionRule
-    prior_cdf: np.ndarray
-    lik_cdf: np.ndarray
-    log2_posterior: np.ndarray
     det_choice: np.ndarray | None = None
     sap_cdf: np.ndarray | None = None
     sap_order: np.ndarray | None = None
 
 
 def make_rule_tables(model: DiscreteJointModel, rule: DecisionRule) -> RuleTables:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log2_post = np.log2(model.posterior_matrix)
-    prior_cdf = np.cumsum(model.prior)
-    lik_cdf = np.cumsum(model.likelihood, axis=1)
     if rule.is_stochastic:
         order = np.argsort(np.asarray(model.hypothesis_values), kind="stable")
         cdf = np.cumsum(model.posterior_matrix[order, :], axis=0).T.copy()
         # zero-evidence columns are unreachable for sampled y; park them at 1
         cdf[~np.isfinite(cdf)] = 1.0
-        return RuleTables(
-            rule=rule,
-            prior_cdf=prior_cdf,
-            lik_cdf=lik_cdf,
-            log2_posterior=log2_post,
-            sap_cdf=cdf,
-            sap_order=order,
-        )
+        return RuleTables(rule=rule, sap_cdf=cdf, sap_order=order)
     choice = np.zeros(model.n_observations, dtype=np.intp)
     for yi, y in enumerate(model.observation_values):
         if model.y_marginal[yi] > 0:
             choice[yi] = model.x_index(decide(rule, posterior(model, y)))
-    return RuleTables(
-        rule=rule,
-        prior_cdf=prior_cdf,
-        lik_cdf=lik_cdf,
-        log2_posterior=log2_post,
-        det_choice=choice,
-    )
-
-
-def _model_entropies(model: DiscreteJointModel) -> tuple[float, float, float]:
-    """(H(X), H(Y), H(X, Y)), the centres of the three typicality conditions."""
-    return entropy(model.prior), entropy(model.y_marginal), entropy(model.joint.ravel())
-
-
-def _jointly_typical(
-    model: DiscreteJointModel,
-    xi: np.ndarray,
-    yi: np.ndarray,
-    band: float,
-    entropies: tuple[float, float, float],
-) -> np.ndarray:
-    """Three-condition joint typicality of (B, M) index rows, as (B,) bools.
-
-    band is epsilon - BOUNDARY_ATOL; each rate must sit strictly inside it.
-    Same arithmetic as typicality.is_jointly_typical, row by row (pinned by
-    tests rather than shared code).
-    """
-    h_x, h_y, h_xy = entropies
-    x_ok = np.abs(-model.log2_prior[xi].mean(axis=1) - h_x) < band
-    y_ok = np.abs(-model.log2_y_marginal[yi].mean(axis=1) - h_y) < band
-    joint_ok = np.abs(-model.log2_joint[xi, yi].mean(axis=1) - h_xy) < band
-    return x_ok & y_ok & joint_ok
+    return RuleTables(rule=rule, det_choice=choice)
 
 
 def _draws_per_symbol(tables: RuleTables) -> int:
@@ -158,16 +118,15 @@ def _trial_kernel(
     tables: RuleTables,
     u: np.ndarray,
     m: int,
-    band: float,
-    entropies: tuple[float, float, float],
+    epsilon: float,
 ) -> tuple[np.ndarray, ...]:
     """Trials whose uniforms are the rows of u, shape (B, k*M).
 
     Returns (xi, yi, decided_xi, success, posterior_entropy_rate,
     decided_surprisal_rate): three (B, M) index arrays and three (B,) arrays.
     """
-    xi = inverse_cdf_pick(tables.prior_cdf, u[:, :m])
-    yi = inverse_cdf_pick(tables.lik_cdf[xi], u[:, m : 2 * m])
+    xi = inverse_cdf_pick(model.prior_cdf, u[:, :m])
+    yi = inverse_cdf_pick(model.lik_cdf[xi], u[:, m : 2 * m])
     if tables.det_choice is not None:
         decided = tables.det_choice[yi]
     else:
@@ -176,9 +135,9 @@ def _trial_kernel(
         xi,
         yi,
         decided,
-        _jointly_typical(model, decided, yi, band, entropies),
+        jointly_typical_rows(model, decided, yi, epsilon),
         model.posterior_col_entropy[yi].mean(axis=1),
-        -tables.log2_posterior[decided, yi].mean(axis=1),
+        -model.log2_posterior[decided, yi].mean(axis=1),
     )
 
 
@@ -199,9 +158,8 @@ def run_trial(
         tables = make_rule_tables(model, rule)
     m = params.extension
     u = rng.random((1, _draws_per_symbol(tables) * m))
-    band = params.epsilon - BOUNDARY_ATOL
     xi, yi, decided, success, post_rate, dec_rate = _trial_kernel(
-        model, tables, u, m, band, _model_entropies(model)
+        model, tables, u, m, params.epsilon
     )
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
@@ -234,8 +192,6 @@ def _run_block(
     """
     model = DiscreteJointModel.from_json_dict(model_doc)
     tables = make_rule_tables(model, DecisionRule(rule_value))
-    band = epsilon - BOUNDARY_ATOL
-    entropies = _model_entropies(model)
     n = hi - lo
     success = np.zeros(n, dtype=bool)
     post_rate = np.zeros(n)
@@ -246,7 +202,7 @@ def _run_block(
         rows = u[: stop - start]
         for row, i in zip(rows, range(lo + start, lo + stop)):
             _trial_rng(seed, i).random(out=row)
-        _, _, _, ok, post, dec = _trial_kernel(model, tables, rows, m, band, entropies)
+        _, _, _, ok, post, dec = _trial_kernel(model, tables, rows, m, epsilon)
         success[start:stop] = ok
         post_rate[start:stop] = post
         dec_rate[start:stop] = dec
@@ -461,14 +417,11 @@ def _scan_y_space(
         raise EnumerationTooLargeError(
             f"(|X||Y|)^M = {(n_x * n_y) ** m} exceeds the enumeration cap {limit}"
         )
-    entropies = _model_entropies(model)
-    h_x, h_y, h_xy = entropies
-    band = eps - BOUNDARY_ATOL
     tables = make_rule_tables(model, rule)
 
     # all x-index combinations once; reused against every y-sequence
     x_combos = np.concatenate(list(_index_blocks(n_x, m)), axis=0)
-    x_rate_ok = np.abs(-model.log2_prior[x_combos].mean(axis=1) - h_x) < band
+    x_rate_ok = in_band(-model.log2_prior[x_combos].mean(axis=1), model.h_x, eps)
 
     p_f = 0.0
     h_e = 0.0
@@ -480,23 +433,16 @@ def _scan_y_space(
             if p_y == 0.0:
                 continue
             h_cond = float(model.posterior_col_entropy[yi].sum())
-            y_ok = abs(-log2_py / m - h_y) < band
-            if not y_ok:
+            if not in_band(-log2_py / m, model.h_y, eps):
                 s = 0.0
             elif tables.det_choice is not None:
                 row = yi[None, :]
-                s = float(
-                    _jointly_typical(model, tables.det_choice[row], row, band, entropies)[0]
-                )
+                s = float(jointly_typical_rows(model, tables.det_choice[row], row, eps)[0])
             else:
-                joint_ok = (
-                    np.abs(-model.log2_joint[x_combos, yi].mean(axis=1) - h_xy) < band
+                keep = x_rate_ok & in_band(
+                    -model.log2_joint[x_combos, yi].mean(axis=1), model.h_xy, eps
                 )
-                keep = x_rate_ok & joint_ok
-                weights = np.exp2(
-                    tables.log2_posterior[x_combos[keep], yi].sum(axis=1)
-                )
-                s = float(weights.sum())
+                s = float(np.exp2(model.log2_posterior[x_combos[keep], yi].sum(axis=1)).sum())
             p_f += p_y * (1.0 - s)
             h_e += p_y * _binary_entropy(s)
             success_weighted_h += p_y * s * h_cond
@@ -559,13 +505,11 @@ def extended_fano_check(
     """
     m, eps = params.extension, params.epsilon
     p_f, h_e, success_weighted_h = _scan_y_space(model, rule, params, cap)
-    h_x = entropy(model.prior)
-    info = info_summary(model)
-    h_x_given_y = m * info.h_x_given_y
+    h_x_given_y = m * info_summary(model).h_x_given_y
     lhs = h_e + h_x_given_y
     # (1 - P_f) H(X^M|Y^M, E=0) equals the success-weighted sum directly,
     # which stays well-defined even when P_f = 1
-    rhs = 1.0 + success_weighted_h + p_f * m * (h_x + eps)
+    rhs = 1.0 + success_weighted_h + p_f * m * (model.h_x + eps)
     h_success = success_weighted_h / (1.0 - p_f) if p_f < 1.0 else None
     return FanoRecord(
         rule=rule.value,
@@ -662,6 +606,21 @@ SWEEP_COLUMNS = (
     "pf_halfwidth",
     "successes",
 )
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
+
+
+def render_sweep_csv(rows: list[dict]) -> str:
+    """Sweep rows as CSV text: floats to 10 significant digits, None as ''."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows([_csv_cell(row[col]) for col in SWEEP_COLUMNS] for row in rows)
+    return buf.getvalue()
 
 
 def sweep(

@@ -58,8 +58,9 @@ class DiscreteJointModel:
 
     Instances are immutable after construction and safe to share across
     threads or worker processes. The derived tables (joint, marginals, log2
-    lookups, posterior matrix, per-column posterior entropies) are computed
-    once in ``__post_init__`` because every downstream consumer needs them.
+    lookups, posterior matrix, per-column posterior entropies, sampling CDFs,
+    and the entropies H(X), H(Y), H(X,Y)) are computed once in
+    ``__post_init__`` because every downstream consumer needs them.
     """
 
     hypothesis_values: tuple[int, ...]
@@ -69,7 +70,11 @@ class DiscreteJointModel:
 
     def __post_init__(self) -> None:
         for v in (*self.hypothesis_values, *self.observation_values):
-            if int(v) != v:
+            try:
+                is_int = int(v) == v
+            except OverflowError:  # int(inf), e.g. a JSON label 1e400
+                is_int = False
+            if not is_int:
                 raise ValueError(f"labels must be integers, got {v!r}")
         x_labels = tuple(int(v) for v in self.hypothesis_values)
         y_labels = tuple(int(v) for v in self.observation_values)
@@ -119,7 +124,8 @@ class DiscreteJointModel:
         safe_y = np.where(y_marginal > 0, y_marginal, np.nan)
         post = joint / safe_y[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(post > 0, post * np.log2(post), 0.0)
+            log2_post = np.log2(post)
+            plogp = np.where(post > 0, post * log2_post, 0.0)
         h_cols = np.where(np.isnan(post).any(axis=0), np.nan, -plogp.sum(axis=0))
 
         object.__setattr__(self, "hypothesis_values", x_labels)
@@ -133,12 +139,19 @@ class DiscreteJointModel:
         object.__setattr__(self, "log2_joint", _readonly(log2_joint))
         object.__setattr__(self, "posterior_matrix", _readonly(post))
         object.__setattr__(self, "posterior_col_entropy", _readonly(h_cols))
+        object.__setattr__(self, "log2_posterior", _readonly(log2_post))
+        object.__setattr__(self, "prior_cdf", _readonly(np.cumsum(prior)))
+        object.__setattr__(self, "lik_cdf", _readonly(np.cumsum(lik, axis=1)))
+        object.__setattr__(self, "h_x", entropy(prior))
+        object.__setattr__(self, "h_y", entropy(y_marginal))
+        object.__setattr__(self, "h_xy", entropy(joint.ravel()))
         object.__setattr__(self, "_x_index", {v: i for i, v in enumerate(x_labels)})
         object.__setattr__(self, "_y_index", {v: i for i, v in enumerate(y_labels)})
 
     # Derived tables bound in __post_init__ (not dataclass fields): joint,
     # y_marginal, log2_prior, log2_y_marginal, log2_joint, posterior_matrix,
-    # posterior_col_entropy.
+    # log2_posterior, posterior_col_entropy, prior_cdf, lik_cdf (row-wise),
+    # and the entropies h_x, h_y, h_xy that centre the typicality conditions.
 
     @property
     def n_hypotheses(self) -> int:
@@ -303,13 +316,14 @@ def info_summary(model: DiscreteJointModel) -> InfoSummary:
     H(X|Y) is the evidence-weighted entropy of the posterior columns,
     sum_y P(y) H(X|Y=y), which is what makes ti equal the mutual information.
     """
-    h_x = entropy(model.prior)
-    h_y = entropy(model.y_marginal)
-    h_xy = entropy(model.joint.ravel())
     pos = model.y_marginal > 0
     h_x_given_y = float((model.y_marginal[pos] * model.posterior_col_entropy[pos]).sum())
     return InfoSummary(
-        h_x=h_x, h_y=h_y, h_xy=h_xy, h_x_given_y=h_x_given_y, ti=h_x - h_x_given_y
+        h_x=model.h_x,
+        h_y=model.h_y,
+        h_xy=model.h_xy,
+        h_x_given_y=h_x_given_y,
+        ti=model.h_x - h_x_given_y,
     )
 
 

@@ -15,6 +15,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .model import DiscreteJointModel
+from .rules import inverse_cdf_pick
 
 __all__ = [
     "CensusBound",
@@ -26,8 +27,10 @@ __all__ = [
     "TypicalityVerdict",
     "conditional_members",
     "draw_index_pair",
+    "in_band",
     "is_jointly_typical",
     "is_typical",
+    "jointly_typical_rows",
     "resolve_enum_cap",
     "sample_extension",
     "typical_set_census",
@@ -109,31 +112,36 @@ class TypicalityVerdict:
     joint_deviation: float
 
 
-def _strictly_inside(deviation: float, epsilon: float) -> bool:
-    return deviation < epsilon - BOUNDARY_ATOL
+def in_band(rate: float | np.ndarray, h: float, epsilon: float) -> np.bool_ | np.ndarray:
+    """|rate - h| strictly below epsilon, elementwise: one typicality condition.
+
+    The BOUNDARY_ATOL band just inside epsilon counts as outside.
+    """
+    return np.abs(rate - h) < epsilon - BOUNDARY_ATOL
+
+
+def jointly_typical_rows(
+    model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """All three joint-typicality conditions for (B, M) index rows, as (B,) bools."""
+    return (
+        in_band(-model.log2_prior[xi].mean(axis=1), model.h_x, epsilon)
+        & in_band(-model.log2_y_marginal[yi].mean(axis=1), model.h_y, epsilon)
+        & in_band(-model.log2_joint[xi, yi].mean(axis=1), model.h_xy, epsilon)
+    )
 
 
 def draw_index_pair(
-    model: DiscreteJointModel,
-    m: int,
-    rng: np.random.Generator,
-    prior_cdf: np.ndarray | None = None,
-    lik_cdf: np.ndarray | None = None,
+    model: DiscreteJointModel, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index-level sampler behind sample_extension; also used by trials.
+    """Index-level sampler behind sample_extension.
 
     Draw order is part of the determinism contract: m uniforms for the
     hypothesis symbols first, then m uniforms for the observations, each
     mapped through an inverse CDF in the model's storage order.
     """
-    from .rules import inverse_cdf_pick
-
-    if prior_cdf is None:
-        prior_cdf = np.cumsum(model.prior)
-    if lik_cdf is None:
-        lik_cdf = np.cumsum(model.likelihood, axis=1)
-    xi = inverse_cdf_pick(prior_cdf, rng.random(m))
-    yi = inverse_cdf_pick(lik_cdf[xi], rng.random(m))
+    xi = inverse_cdf_pick(model.prior_cdf, rng.random(m))
+    yi = inverse_cdf_pick(model.lik_cdf[xi], rng.random(m))
     return xi, yi
 
 
@@ -171,17 +179,15 @@ def is_typical(
     """
     if len(seq) != params.extension:
         raise ValueError(f"sequence length {len(seq)} != extension {params.extension}")
-    from .model import entropy  # local import keeps module load order simple
-
     if which.upper() == "X":
         rate = float(-model.log2_prior[_x_indices(model, seq)].mean())
-        h = entropy(model.prior)
+        h = model.h_x
     elif which.upper() == "Y":
         rate = float(-model.log2_y_marginal[_y_indices(model, seq)].mean())
-        h = entropy(model.y_marginal)
+        h = model.h_y
     else:
         raise ValueError(f"which must be 'X' or 'Y', got {which!r}")
-    return TypicalityCheck(typical=_strictly_inside(abs(rate - h), params.epsilon), rate=rate)
+    return TypicalityCheck(typical=bool(in_band(rate, h, params.epsilon)), rate=rate)
 
 
 def is_jointly_typical(
@@ -196,22 +202,14 @@ def is_jointly_typical(
     """
     if len(pair.x_seq) != params.extension:
         raise ValueError(f"pair length {len(pair.x_seq)} != extension {params.extension}")
-    from .model import entropy, info_summary
-
     xi = _x_indices(model, pair.x_seq)
     yi = _y_indices(model, pair.y_seq)
     x_rate = float(-model.log2_prior[xi].mean())
     y_rate = float(-model.log2_y_marginal[yi].mean())
     joint_rate = float(-model.log2_joint[xi, yi].mean())
-    h_x = entropy(model.prior)
-    h_y = entropy(model.y_marginal)
-    h_xy = entropy(model.joint.ravel())
-    x_dev = abs(x_rate - h_x)
-    y_dev = abs(y_rate - h_y)
-    j_dev = abs(joint_rate - h_xy)
-    x_ok = _strictly_inside(x_dev, params.epsilon)
-    y_ok = _strictly_inside(y_dev, params.epsilon)
-    j_ok = _strictly_inside(j_dev, params.epsilon)
+    x_ok = bool(in_band(x_rate, model.h_x, params.epsilon))
+    y_ok = bool(in_band(y_rate, model.h_y, params.epsilon))
+    j_ok = bool(in_band(joint_rate, model.h_xy, params.epsilon))
     return TypicalityVerdict(
         x_typical=x_ok,
         y_typical=y_ok,
@@ -219,9 +217,9 @@ def is_jointly_typical(
         x_rate=x_rate,
         y_rate=y_rate,
         joint_rate=joint_rate,
-        x_deviation=x_dev,
-        y_deviation=y_dev,
-        joint_deviation=j_dev,
+        x_deviation=abs(x_rate - model.h_x),
+        y_deviation=abs(y_rate - model.h_y),
+        joint_deviation=abs(joint_rate - model.h_xy),
     )
 
 
@@ -257,22 +255,15 @@ def conditional_members(
             f"|X|^M = {n_x}^{m} exceeds the enumeration cap {limit}; "
             "use Monte Carlo trials instead"
         )
-    from .model import entropy
-
+    eps = params.epsilon
     yi = _y_indices(model, y_seq)
-    h_x = entropy(model.prior)
-    h_y = entropy(model.y_marginal)
-    h_xy = entropy(model.joint.ravel())
-    y_rate = float(-model.log2_y_marginal[yi].mean())
-    if not _strictly_inside(abs(y_rate - h_y), params.epsilon):
+    if not in_band(-model.log2_y_marginal[yi].mean(), model.h_y, eps):
         return []
     x_labels = np.asarray(model.hypothesis_values)
     out: list[tuple[int, ...]] = []
     for combos in _index_blocks(n_x, m):
-        x_rates = -model.log2_prior[combos].mean(axis=1)
-        joint_rates = -model.log2_joint[combos, yi[None, :]].mean(axis=1)
-        keep = (np.abs(x_rates - h_x) < params.epsilon - BOUNDARY_ATOL) & (
-            np.abs(joint_rates - h_xy) < params.epsilon - BOUNDARY_ATOL
+        keep = in_band(-model.log2_prior[combos].mean(axis=1), model.h_x, eps) & in_band(
+            -model.log2_joint[combos, yi[None, :]].mean(axis=1), model.h_xy, eps
         )
         out.extend(tuple(row) for row in x_labels[combos[keep]])
     return out
@@ -339,8 +330,7 @@ def _census_scan(
     for combos in _index_blocks(n_symbols, m):
         keep = np.ones(combos.shape[0], dtype=bool)
         for s, h in zip(per_symbol_surprisals, entropies):
-            rates = s[combos].mean(axis=1)
-            keep &= np.abs(rates - h) < epsilon - BOUNDARY_ATOL
+            keep &= in_band(s[combos].mean(axis=1), h, epsilon)
         if not keep.any():
             continue
         member_surprisal = prob_surprisal[combos[keep]].sum(axis=1)
@@ -365,8 +355,6 @@ def typical_set_census(
     The joint set gets mass and member-probability records. Lower bounds are
     generally expected to hold only for m >= m_min (reported in the record).
     """
-    from .model import entropy
-
     m, eps = params.extension, params.epsilon
     limit = resolve_enum_cap(cap)
     n_x, n_y = model.n_hypotheses, model.n_observations
@@ -380,9 +368,7 @@ def typical_set_census(
                 f"{label} = {candidates} exceeds the enumeration cap {limit}"
             )
 
-    h_x = entropy(model.prior)
-    h_y = entropy(model.y_marginal)
-    h_xy = entropy(model.joint.ravel())
+    h_x, h_y, h_xy = model.h_x, model.h_y, model.h_xy
     s_x = -model.log2_prior
     s_y = -model.log2_y_marginal
     s_joint_flat = -model.log2_joint.ravel()

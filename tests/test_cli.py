@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +190,24 @@ class TestSweepCommand:
     def test_grid_required(self):
         assert run_cli(["sweep", "--trials", "10"]) == 2
 
+    def test_rule_comparison_script_writes_sweep_csv(self, capsys, tmp_path):
+        grid = self.grid(tmp_path, n=[5], m=[10], rules=["map", "eap", "meap", "sap"])
+        argv = ["--trials", "50", "--seed", "2026", "--workers", "1"]
+        assert run_cli(["sweep", "--grid", grid, *argv]) == 0
+        want = capsys.readouterr().out
+        repo = Path(__file__).resolve().parents[1]
+        out = tmp_path / "rules.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        subprocess.run(
+            [sys.executable, str(repo / "scripts" / "run_rule_comparison.py"),
+             "--n", "5", *argv, "--out", str(out)],
+            check=True, capture_output=True, env=env,
+        )
+        assert out.read_bytes() == want.encode()
+
 
 class TestEnumerateCommand:
     def test_bsc_census_and_fano(self, capsys, bsc_file):
@@ -280,6 +300,47 @@ class TestErrorPaths:
         assert run_cli(["simulate", "--coin", "6", "0.4", "--epsilon", eps]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "--epsilon" in err
+
+    @pytest.mark.parametrize("axes", [
+        {"n": [513]},
+        {"n": [0]},
+        {"theta": [1.5]},
+        {"theta": [0.0]},
+        {"n": 5},
+        {"n": [1e400]},
+        {"theta": [10**400]},
+    ], ids=[
+        "n-above-cap", "n-zero", "theta-above-one", "theta-zero", "n-not-list", "n-huge",
+        "theta-huge",
+    ])
+    def test_bad_sweep_grid_value(self, capsys, tmp_path, axes):
+        grid = {"n": [5], "theta": [0.4], "m": [1], "epsilon": [0.25], "rules": ["sap"]}
+        path = tmp_path / "grid.json"
+        # json.dumps writes the float 1e400 (inf) as Infinity; spell it as a number
+        path.write_text(json.dumps({**grid, **axes}).replace("Infinity", "1e400"))
+        assert run_cli(["sweep", "--grid", str(path), "--trials", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
+
+    def test_huge_config_number(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"coin": [6, 0.4], "seed": 1e400}')
+        assert run_cli(["simulate", "--config", str(cfg), "--trials", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err and "--seed" in err
+
+    def test_huge_model_file_label(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"hypothesis_values": [1e400, 1], "observation_values": [0, 1], '
+            '"prior": [0.5, 0.5], "likelihood": [[1, 0], [0, 1]]}'
+        )
+        assert run_cli(["model", "--model-file", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "labels must be integers" in err
 
     def test_bad_enum_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TI_TEST_ENUM_CAP", "abc")

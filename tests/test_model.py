@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -77,6 +79,13 @@ class TestConstruction:
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError):
             DiscreteJointModel((0.5, 1), (0, 1), np.array([0.5, 0.5]), np.eye(2))
+        # JSON 1e400 parses to inf, which int() cannot take
+        doc = json.loads(
+            '{"hypothesis_values": [1e400, 1], "observation_values": [0, 1], '
+            '"prior": [0.5, 0.5], "likelihood": [[1, 0], [0, 1]]}'
+        )
+        with pytest.raises(ValueError, match="labels must be integers"):
+            DiscreteJointModel.from_json_dict(doc)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -87,9 +96,19 @@ class TestConstruction:
             DiscreteJointModel((0, 1), (0, 1, 2), np.array([0.5, 0.5]), np.eye(2))
 
     def test_tables_are_read_only(self, coin10):
-        for arr in (coin10.prior, coin10.joint, coin10.posterior_matrix):
+        for arr in (
+            coin10.prior,
+            coin10.joint,
+            coin10.posterior_matrix,
+            coin10.prior_cdf,
+            coin10.lik_cdf,
+            coin10.log2_posterior,
+        ):
             with pytest.raises(ValueError):
                 arr[0] = 0.123
+        for name in ("h_x", "h_y", "h_xy"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(coin10, name, 0.0)
 
     def test_joint_and_marginal_consistency(self, coin10):
         assert coin10.joint.sum() == pytest.approx(1.0, abs=1e-9)
@@ -186,6 +205,13 @@ class TestInfoSummary:
         )
         want = oracle_info(prior, lik)
         got = info_summary(model)
+        # the model's own entropies and CDFs
+        assert model.h_x == pytest.approx(want["h_x"], abs=1e-9)
+        assert model.h_y == pytest.approx(want["h_y"], abs=1e-9)
+        assert model.h_xy == pytest.approx(want["h_xy"], abs=1e-9)
+        assert (model.h_x, model.h_y, model.h_xy) == (got.h_x, got.h_y, got.h_xy)
+        np.testing.assert_array_equal(model.prior_cdf, np.cumsum(model.prior))
+        np.testing.assert_array_equal(model.lik_cdf, np.cumsum(model.likelihood, axis=1))
         assert got.h_x == pytest.approx(want["h_x"], abs=1e-9)
         assert got.h_y == pytest.approx(want["h_y"], abs=1e-9)
         assert got.h_xy == pytest.approx(want["h_xy"], abs=1e-9)
