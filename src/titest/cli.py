@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -82,11 +84,17 @@ def _render_json(doc: Any) -> str:
     return json.dumps(_sig10(doc), indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _emit(text: str, out: str | None) -> int:
+    """Write the output; the exit code is 2 if --out cannot be written."""
+    if not out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text)
+    except OSError as e:
+        print(f"titest: error: cannot write --out: {e}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -132,7 +140,8 @@ def _pick(args_value: Any, cfg: dict, key: str, default: Any = None) -> Any:
 def _as_int(parser: argparse.ArgumentParser, name: str, value: Any, minimum: int) -> int:
     try:
         n = int(value)
-        if isinstance(value, float) and value != n:
+        # int(True) == 1, but a JSON boolean is not a count
+        if isinstance(value, bool) or isinstance(value, float) and value != n:
             raise ValueError
     except (TypeError, ValueError, OverflowError):  # JSON 1e400 parses to inf
         parser.error(f"{name} must be an integer, got {value!r}")
@@ -143,6 +152,8 @@ def _as_int(parser: argparse.ArgumentParser, name: str, value: Any, minimum: int
 
 def _as_float(parser: argparse.ArgumentParser, name: str, value: Any) -> float:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer
         parser.error(f"{name} must be a number, got {value!r}")
@@ -190,9 +201,23 @@ def _resolve_common(
         "workers": _as_int(
             parser, "--workers", _pick(args.workers, cfg, "workers", DEFAULTS["workers"]), 1
         ),
-        "out": _pick(args.out, cfg, "out"),
+        "out": _check_out(parser, _pick(args.out, cfg, "out")),
         "format": _pick(args.format, cfg, "format"),
     }
+
+
+def _check_out(parser: argparse.ArgumentParser, out: Any) -> Any:
+    """Refuse an --out that cannot be a writable file before any work runs."""
+    if not out:
+        return out
+    try:
+        path = Path(out)
+        ok = not path.is_dir() and os.access(path if path.exists() else path.parent, os.W_OK)
+    except (TypeError, OSError):  # a non-string config value, a name too long
+        ok = False
+    if not ok:
+        parser.error(f"--out {out!r}: not a writable file path")
+    return out
 
 
 def _check_epsilon(parser: argparse.ArgumentParser, eps: float) -> float:
@@ -211,16 +236,7 @@ def cmd_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     model, _ = _resolve_model(args, cfg, parser)
     common = _resolve_common(args, cfg, parser)
     _require_json_format(common["format"], parser)
-    info = info_summary(model)
-    doc = {
-        "h_x": info.h_x,
-        "h_y": info.h_y,
-        "h_xy": info.h_xy,
-        "h_x_given_y": info.h_x_given_y,
-        "ti": info.ti,
-    }
-    _emit(_render_json(doc), common["out"])
-    return 0
+    return _emit(_render_json(asdict(info_summary(model))), common["out"])
 
 
 def cmd_decide(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -246,8 +262,7 @@ def cmd_decide(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "meap": decide(DecisionRule.MEAP, post),
         "sap": decide(DecisionRule.SAP, post, rng),
     }
-    _emit(_render_json(doc), common["out"])
-    return 0
+    return _emit(_render_json(doc), common["out"])
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -267,8 +282,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         "achievability": achievability_check(report, params).to_json_dict(),
         "converse": converse_check(report).to_json_dict(),
     }
-    _emit(_render_json(doc), common["out"])
-    return 0
+    return _emit(_render_json(doc), common["out"])
 
 
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -315,11 +329,8 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         trials, common["seed"], workers=common["workers"],
     )
     fmt = common["format"] or "csv"
-    if fmt == "csv":
-        _emit(render_sweep_csv(rows), common["out"])
-    else:
-        _emit(_render_json(rows), common["out"])
-    return 0
+    text = render_sweep_csv(rows) if fmt == "csv" else _render_json(rows)
+    return _emit(text, common["out"])
 
 
 def cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -337,8 +348,7 @@ def cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     census = typical_set_census(model, params, cap)
     fano = extended_fano_check(model, rule, params, cap)
     doc = {"census": census.to_json_dict(), "fano": fano.to_json_dict()}
-    _emit(_render_json(doc), common["out"])
-    return 0
+    return _emit(_render_json(doc), common["out"])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,13 @@ rate estimators then run over whole chunks of rows at once.
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
 report is byte-for-byte identical for any worker count.
+
+Each experiment splits into one contiguous block of trials per worker. A
+block receives the model, its rule tables and the params; the model pickles
+as its four defining fields and rebuilds its tables on arrival. A
+run_experiment or sweep call maps all of its blocks through one helper: in
+process at workers=1, otherwise through a single process pool for the whole
+call, in submission order.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from contextlib import closing, nullcontext
+from dataclasses import asdict, dataclass
+from itertools import product
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -177,21 +186,19 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_block(
-    model_doc: dict,
-    rule_value: str,
-    epsilon: float,
-    m: int,
+    model: DiscreteJointModel,
+    tables: RuleTables,
+    params: TypicalityParams,
     seed: int,
     lo: int,
     hi: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Worker entry point: trials [lo, hi) of the given configuration.
+    """Trials [lo, hi) of one experiment: (success, post_rate, dec_rate).
 
     Walks the block in chunks of _CHUNK trials: one row of uniforms per
     trial from its own stream, then the kernel over the whole chunk.
     """
-    model = DiscreteJointModel.from_json_dict(model_doc)
-    tables = make_rule_tables(model, DecisionRule(rule_value))
+    m = params.extension
     n = hi - lo
     success = np.zeros(n, dtype=bool)
     post_rate = np.zeros(n)
@@ -202,11 +209,41 @@ def _run_block(
         rows = u[: stop - start]
         for row, i in zip(rows, range(lo + start, lo + stop)):
             _trial_rng(seed, i).random(out=row)
-        _, _, _, ok, post, dec = _trial_kernel(model, tables, rows, m, epsilon)
+        _, _, _, ok, post, dec = _trial_kernel(model, tables, rows, m, params.epsilon)
         success[start:stop] = ok
         post_rate[start:stop] = post
         dec_rate[start:stop] = dec
     return success, post_rate, dec_rate
+
+
+def _map_experiments(
+    experiments: list[tuple[DiscreteJointModel, RuleTables, TypicalityParams]],
+    trials: int,
+    seed: int,
+    workers: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield each experiment's trial-ordered (success, post_rate, dec_rate).
+
+    Every experiment runs trials [0, trials) on the master seed, split into
+    min(workers, trials) contiguous blocks. At workers=1 the blocks run in
+    this process; otherwise the blocks of all experiments go to one process
+    pool, whose map returns them in submission order. An experiment's
+    arrays are yielded as soon as its last block arrives.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    splits = np.linspace(0, trials, min(workers, trials) + 1).astype(int).tolist()
+    bounds = list(zip(splits[:-1], splits[1:]))
+    jobs = [(*exp, seed, lo, hi) for exp in experiments for lo, hi in bounds]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map(_run_block, *zip(*jobs)) if pool else (_run_block(*j) for j in jobs)
+        # closing an abandoned map cancels the blocks that have not started
+        with closing(run) as blocks:
+            for _ in experiments:
+                parts = [next(blocks) for _ in bounds]
+                yield tuple(np.concatenate(a) for a in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -231,25 +268,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         # worker count is an execution detail, deliberately not echoed
-        return {
-            "model_spec": dict(self.model_spec),
-            "rule": self.rule,
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "seed": self.seed,
-            "h_x_bits": self.h_x_bits,
-            "ti_bits": self.ti_bits,
-            "success_count": self.success_count,
-            "failure_count": self.failure_count,
-            "p_f_hat": self.p_f_hat,
-            "p_f_halfwidth": self.p_f_halfwidth,
-            "h_hat_bits": self.h_hat_bits,
-            "h_hat_halfwidth": self.h_hat_halfwidth,
-            "alt_h_hat_bits": self.alt_h_hat_bits,
-            "accuracy_hat_bits": self.accuracy_hat_bits,
-            "zero_success": self.zero_success,
-        }
+        return asdict(self)
 
 
 def run_experiment(
@@ -267,26 +286,22 @@ def run_experiment(
     None (with zero_success set) when nothing succeeds. Half-widths are 95%
     normal intervals: binomial for p_f_hat, sample-std CLT for h_hat.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    doc = model.to_json_dict()
-    args = (doc, rule.value, params.epsilon, params.extension, seed)
-    if workers == 1:
-        blocks = [_run_block(*args, 0, trials)]
-    else:
-        splits = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_block, *args, int(lo), int(hi))
-                for lo, hi in zip(splits[:-1], splits[1:])
-            ]
-            blocks = [f.result() for f in futures]
-    success = np.concatenate([b[0] for b in blocks])
-    post_rate = np.concatenate([b[1] for b in blocks])
-    dec_rate = np.concatenate([b[2] for b in blocks])
+    experiment = (model, make_rule_tables(model, rule), params)
+    (arrays,) = _map_experiments([experiment], trials, seed, workers)
+    return _report(model, rule, params, trials, seed, model_spec, *arrays)
 
+
+def _report(
+    model: DiscreteJointModel,
+    rule: DecisionRule,
+    params: TypicalityParams,
+    trials: int,
+    seed: int,
+    model_spec: dict | None,
+    success: np.ndarray,
+    post_rate: np.ndarray,
+    dec_rate: np.ndarray,
+) -> ExperimentReport:
     info = info_summary(model)
     s = int(success.sum())
     p_f = (trials - s) / trials
@@ -340,19 +355,7 @@ class AchievabilityRecord:
     holds: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "accuracy": self.accuracy,
-            "band_lo": self.band_lo,
-            "band_hi": self.band_hi,
-            "accuracy_ok": self.accuracy_ok,
-            "p_f": self.p_f,
-            "sigma": self.sigma,
-            "p_f_bound": self.p_f_bound,
-            "p_f_ok": self.p_f_ok,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def achievability_check(
@@ -476,18 +479,7 @@ class FanoRecord:
     holds: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "p_f": self.p_f,
-            "h_e_given_y": self.h_e_given_y,
-            "h_x_given_y": self.h_x_given_y,
-            "h_success": self.h_success,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def extended_fano_check(
@@ -540,17 +532,7 @@ class ConverseRecord:
     holds: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "ti": self.ti,
-            "one_over_m": self.one_over_m,
-            "p_f_term": self.p_f_term,
-            "delta": self.delta,
-            "slack": self.slack,
-            "bound": self.bound,
-            "skipped": self.skipped,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def converse_check(report: ExperimentReport) -> ConverseRecord:
@@ -640,38 +622,42 @@ def sweep(
     name) and nested as N, theta, M, epsilon, rule. Every row reuses the
     same master seed so rules and M values are compared on common trial
     streams. An empty axis yields an empty table, not an error.
-    Undefined-accuracy rows carry None in the h_hat-derived columns.
+    Undefined-accuracy rows carry None in the h_hat-derived columns. The
+    whole grid shares one process pool (workers > 1), and on_row sees each
+    row as soon as its experiment's blocks are back.
     """
+    coins = [
+        (n, theta, build_coin_model(n, theta))
+        for n in sorted(n_values) for theta in sorted(theta_values)
+    ]
+    grid = list(product(
+        coins, sorted(m_values), sorted(epsilon_values), sorted(rules, key=lambda r: r.value)
+    ))
+    experiments = [
+        (model, make_rule_tables(model, rule), TypicalityParams(epsilon=eps, extension=m))
+        for (_, _, model), m, eps, rule in grid
+    ]
     rows: list[dict] = []
-    for n in sorted(n_values):
-        for theta in sorted(theta_values):
-            model = build_coin_model(n, theta)
-            spec = {"kind": "coin", "n": int(n), "theta": float(theta)}
-            for m in sorted(m_values):
-                for eps in sorted(epsilon_values):
-                    params = TypicalityParams(epsilon=eps, extension=m)
-                    for rule in sorted(rules, key=lambda r: r.value):
-                        rep = run_experiment(
-                            model, rule, params, trials, seed,
-                            workers=workers, model_spec=spec,
-                        )
-                        row = {
-                            "N": int(n),
-                            "theta": float(theta),
-                            "M": int(m),
-                            "epsilon": float(eps),
-                            "rule": rule.value,
-                            "R": int(trials),
-                            "seed": int(seed),
-                            "ti_bits": rep.ti_bits,
-                            "accuracy_bits": rep.accuracy_hat_bits,
-                            "h_hat_bits": rep.h_hat_bits,
-                            "alt_h_hat_bits": rep.alt_h_hat_bits,
-                            "pf_hat": rep.p_f_hat,
-                            "pf_halfwidth": rep.p_f_halfwidth,
-                            "successes": rep.success_count,
-                        }
-                        rows.append(row)
-                        if on_row is not None:
-                            on_row(row)
+    arrays = _map_experiments(experiments, trials, seed, workers)
+    for ((n, theta, model), m, eps, rule), (_, _, params), arrs in zip(grid, experiments, arrays):
+        rep = _report(model, rule, params, trials, seed, None, *arrs)
+        row = {
+            "N": int(n),
+            "theta": float(theta),
+            "M": int(m),
+            "epsilon": float(eps),
+            "rule": rule.value,
+            "R": int(trials),
+            "seed": int(seed),
+            "ti_bits": rep.ti_bits,
+            "accuracy_bits": rep.accuracy_hat_bits,
+            "h_hat_bits": rep.h_hat_bits,
+            "alt_h_hat_bits": rep.alt_h_hat_bits,
+            "pf_hat": rep.p_f_hat,
+            "pf_halfwidth": rep.p_f_halfwidth,
+            "successes": rep.success_count,
+        }
+        rows.append(row)
+        if on_row is not None:
+            on_row(row)
     return rows

@@ -153,6 +153,13 @@ class DiscreteJointModel:
     # log2_posterior, posterior_col_entropy, prior_cdf, lik_cdf (row-wise),
     # and the entropies h_x, h_y, h_xy that centre the typicality conditions.
 
+    def __reduce__(self):
+        # pickle the four defining fields; unpickling rebuilds (and so
+        # validates and freezes) the derived tables through __post_init__
+        return type(self), (
+            self.hypothesis_values, self.observation_values, self.prior, self.likelihood
+        )
+
     @property
     def n_hypotheses(self) -> int:
         return len(self.hypothesis_values)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -285,8 +285,8 @@ class CensusReport:
     epsilon: float
     sizes: dict
     masses: dict
-    bounds: list[CensusBound] = field(default_factory=list)
     m_min: int = M_MIN_LOWER_BOUNDS
+    bounds: list[CensusBound] = field(default_factory=list)
 
     def bound(self, name: str) -> CensusBound:
         for b in self.bounds:
@@ -295,17 +295,7 @@ class CensusReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "sizes": dict(self.sizes),
-            "masses": dict(self.masses),
-            "m_min": self.m_min,
-            "bounds": [
-                {"name": b.name, "lhs": b.lhs, "rhs": b.rhs, "holds": b.holds}
-                for b in self.bounds
-            ],
-        }
+        return asdict(self)
 
 
 def _census_scan(

@@ -208,6 +208,24 @@ class TestSweepCommand:
         )
         assert out.read_bytes() == want.encode()
 
+    def test_convergence_script_matches_sweep(self, capsys, tmp_path):
+        grid = self.grid(tmp_path, n=[5, 7], m=[1, 3], rules=["sap"])
+        argv = ["--trials", "60", "--seed", "2026"]
+        assert run_cli(["sweep", "--grid", grid, *argv, "--workers", "1"]) == 0
+        want = capsys.readouterr().out
+        repo = Path(__file__).resolve().parents[1]
+        out = tmp_path / "convergence.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        subprocess.run(
+            [sys.executable, str(repo / "scripts" / "run_convergence_sweep.py"),
+             "--n", "5", "7", "--m", "1", "3", *argv, "--workers", "2", "--out", str(out)],
+            check=True, capture_output=True, env=env,
+        )
+        assert out.read_bytes() == want.encode()
+
 
 class TestEnumerateCommand:
     def test_bsc_census_and_fano(self, capsys, bsc_file):
@@ -330,6 +348,51 @@ class TestErrorPaths:
         assert run_cli(["simulate", "--config", str(cfg), "--trials", "10"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err and "--seed" in err
+
+    @pytest.mark.parametrize("cfg", [
+        {"coin": [6, 0.4], "m": True, "trials": True},
+        {"coin": [6, 0.4], "epsilon": True},
+    ], ids=["m-and-trials", "epsilon"])
+    def test_boolean_config_number(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["simulate", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command", [
+        ["model", "--coin", "4", "0.5"],
+        ["sweep", "--trials", "10"],
+    ], ids=["model", "sweep"])
+    def test_out_not_writable(self, capsys, monkeypatch, tmp_path, command, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+        if command[0] == "sweep":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps(
+                {"n": [5], "theta": [0.4], "m": [1], "epsilon": [0.25], "rules": ["sap"]}
+            ))
+            command = [*command, "--grid", str(grid)]
+
+            def no_sweep(*args, **kwargs):
+                raise AssertionError("the grid ran before --out was refused")
+
+            monkeypatch.setattr("titest.cli.sweep", no_sweep)
+        assert run_cli([*command, "--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and "Traceback" not in err
+        assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
+        assert "--out" in err
+
+    def test_out_write_failure(self, capsys, monkeypatch, tmp_path):
+        def full_disk(self, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert run_cli(["model", "--coin", "4", "0.5", "--out", str(tmp_path / "x.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("titest: error:")
 
     def test_huge_model_file_label(self, capsys, tmp_path):
         path = tmp_path / "huge.json"

@@ -28,6 +28,7 @@ from titest import (
     run_trial,
     sweep,
 )
+from titest import experiment
 from titest.experiment import _CHUNK, SWEEP_COLUMNS, Z_95, _run_block
 from titest.typicality import BOUNDARY_ATOL, draw_index_pair
 
@@ -170,7 +171,8 @@ class TestBlockKernel:
         n=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
     )
     def test_block_equals_trial_at_a_time_reference(self, model, rule, eps, m, seed, lo, n):
-        got = _run_block(model.to_json_dict(), rule.value, eps, m, seed, lo, lo + n)
+        tables = make_rule_tables(model, rule)
+        got = _run_block(model, tables, params(eps, m), seed, lo, lo + n)
         want = reference_block(model, rule, eps, m, seed, lo, lo + n)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -410,6 +412,25 @@ class TestSweep:
             (6, 1, "map"), (6, 1, "sap"), (6, 2, "map"), (6, 2, "sap"),
         ]
         assert all(set(SWEEP_COLUMNS) == set(r) for r in rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_pool_per_sweep_and_rows_in_order(self, monkeypatch, workers):
+        pools = []
+
+        class CountingPool(experiment.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        seen = []
+        rows = sweep(
+            [6, 5], [0.4], [2, 1], [0.25], [DecisionRule.SAP, DecisionRule.MAP], 50, 2,
+            workers=workers, on_row=seen.append,
+        )
+        assert len(pools) == (1 if workers > 1 else 0)
+        assert len(rows) == 8
+        assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
 
     def test_empty_axis_gives_empty_table(self):
         assert sweep([], [0.4], [2], [0.25], [DecisionRule.MAP], 10, 0) == []

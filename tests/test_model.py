@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -96,19 +97,19 @@ class TestConstruction:
             DiscreteJointModel((0, 1), (0, 1, 2), np.array([0.5, 0.5]), np.eye(2))
 
     def test_tables_are_read_only(self, coin10):
-        for arr in (
-            coin10.prior,
-            coin10.joint,
-            coin10.posterior_matrix,
-            coin10.prior_cdf,
-            coin10.lik_cdf,
-            coin10.log2_posterior,
-        ):
-            with pytest.raises(ValueError):
-                arr[0] = 0.123
-        for name in ("h_x", "h_y", "h_xy"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(coin10, name, 0.0)
+        # a pickled model (as a worker process receives it) rebuilds its tables
+        for model in (coin10, pickle.loads(pickle.dumps(coin10))):
+            for name in (
+                "prior", "joint", "posterior_matrix", "prior_cdf", "lik_cdf", "log2_posterior",
+            ):
+                arr = getattr(model, name)
+                np.testing.assert_array_equal(arr, getattr(coin10, name))
+                with pytest.raises(ValueError):
+                    arr[0] = 0.123
+            for name in ("h_x", "h_y", "h_xy"):
+                assert getattr(model, name) == getattr(coin10, name)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(model, name, 0.0)
 
     def test_joint_and_marginal_consistency(self, coin10):
         assert coin10.joint.sum() == pytest.approx(1.0, abs=1e-9)
