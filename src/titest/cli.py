@@ -57,6 +57,8 @@ DEFAULTS = {
     "workers": 1,
 }
 
+FORMATS = ("json", "csv")
+
 CONFIG_KEYS = {
     "coin", "model_file", "rule", "m", "epsilon", "trials",
     "seed", "workers", "out", "format", "k", "grid",
@@ -202,8 +204,15 @@ def _resolve_common(
             parser, "--workers", _pick(args.workers, cfg, "workers", DEFAULTS["workers"]), 1
         ),
         "out": _check_out(parser, _pick(args.out, cfg, "out")),
-        "format": _pick(args.format, cfg, "format"),
+        "format": _check_format(parser, _pick(args.format, cfg, "format")),
     }
+
+
+def _check_format(parser: argparse.ArgumentParser, fmt: Any) -> Any:
+    """A config file's format goes through the same choices as --format."""
+    if fmt is not None and fmt not in FORMATS:
+        parser.error(f"--format must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    return fmt
 
 
 def _check_out(parser: argparse.ArgumentParser, out: Any) -> Any:
@@ -374,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, metavar="INT")
     run.add_argument("--workers", type=int, metavar="INT")
     run.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    run.add_argument("--format", choices=("json", "csv"))
+    run.add_argument("--format", choices=FORMATS)
 
     p = sub.add_parser("model", parents=[src, run],
                        help="print entropy and test-information summary")

@@ -46,7 +46,7 @@ from .typicality import (
     EnumerationTooLargeError,
     SequencePair,
     TypicalityParams,
-    _index_blocks,
+    _type_classes,
     in_band,
     jointly_typical_rows,
     resolve_enum_cap,
@@ -394,10 +394,54 @@ def achievability_check(
     )
 
 
-def _binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+def _binary_entropy(p: np.ndarray) -> np.ndarray:
+    """Elementwise binary entropy in bits; 0 at (and beyond) 0 and 1."""
+    inner = (p > 0.0) & (p < 1.0)
+    q = np.where(inner, p, 0.5)
+    return np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
+
+
+def _lex_keys(rows: np.ndarray, n_symbols: int) -> np.ndarray:
+    """Each row read as a base-n_symbols number: increasing in lexicographic order."""
+    dtype = np.int64 if n_symbols ** rows.shape[1] < 2**63 else object
+    keys = np.zeros(len(rows), dtype=dtype)
+    for column in rows.T:
+        keys = keys * n_symbols + column.astype(dtype)
+    return keys
+
+
+def _sap_success(
+    model: DiscreteJointModel,
+    y_rows: np.ndarray,
+    y_counts: np.ndarray,
+    y_ok: np.ndarray,
+    epsilon: float,
+) -> np.ndarray:
+    """SAP success probability s(t) of every y-type t, the rows of y_rows.
+
+    s(t) sums, over the joint types whose y-marginal is t and that pass the
+    x and joint conditions, prod_b n_b! / prod_a c_ab! (the x-sequences
+    that complete one y-sequence of type t to that joint type) times
+    prod post(a|b)^c_ab. Only y-types with y_ok set are summed, so no
+    posterior column of a zero-probability y is read.
+    """
+    n_y = model.n_observations
+    y_keys = _lex_keys(y_rows, n_y)
+    s = np.zeros(len(y_rows))
+    for pairs, pair_counts in _type_classes(model.n_hypotheses * n_y, y_rows.shape[1]):
+        xi, yi = np.divmod(pairs, n_y)
+        keep = in_band(-model.log2_prior[xi].mean(axis=1), model.h_x, epsilon) & in_band(
+            -model.log2_joint[xi, yi].mean(axis=1), model.h_xy, epsilon
+        )
+        xi, yi, pair_counts = xi[keep], yi[keep], pair_counts[keep]
+        # the sorted y half of a joint type is its y-type's row in y_rows
+        y_type = np.searchsorted(y_keys, _lex_keys(np.sort(yi, axis=1), n_y))
+        keep = y_ok[y_type]
+        xi, yi, y_type = xi[keep], yi[keep], y_type[keep]
+        completions = (pair_counts[keep] // y_counts[y_type]).astype(float)
+        weights = completions * np.exp2(model.log2_posterior[xi, yi].sum(axis=1))
+        s += np.bincount(y_type, weights=weights, minlength=len(y_rows))
+    return s
 
 
 def _scan_y_space(
@@ -406,12 +450,16 @@ def _scan_y_space(
     params: TypicalityParams,
     cap: int | None,
 ) -> tuple[float, float, float]:
-    """Exact scan over all y-sequences for small M.
+    """Exact sums over the y-sequence type classes for small M.
 
     Returns (p_f, h_e_given_y, success_weighted_h) where success_weighted_h
-    = sum_y P(y) s(y) H(X^M | y) and s(y) is the per-y success probability;
-    deterministic rules make s(y) 0/1, SAP marginalizes its decision
-    randomness through posterior product weights.
+    = sum_y P(y) s(y) H(X^M | y) and s(y) is the per-y success probability.
+    P(y), H(X^M | y) and s(y) depend on y only through its type, so each
+    sum runs over the y-types, weighted by the class size times P(y).
+    Deterministic rules decide det_choice[y] symbol by symbol, so s(y) is 0
+    or 1 and follows from the y-type; SAP marginalizes its decision
+    randomness over the joint types (_sap_success). The cap still counts
+    the (|X||Y|)^M sequence pairs a brute-force scan would visit.
     """
     m, eps = params.extension, params.epsilon
     n_x, n_y = model.n_hypotheses, model.n_observations
@@ -422,34 +470,24 @@ def _scan_y_space(
         )
     tables = make_rule_tables(model, rule)
 
-    # all x-index combinations once; reused against every y-sequence
-    x_combos = np.concatenate(list(_index_blocks(n_x, m)), axis=0)
-    x_rate_ok = in_band(-model.log2_prior[x_combos].mean(axis=1), model.h_x, eps)
-
-    p_f = 0.0
-    h_e = 0.0
-    success_weighted_h = 0.0
-    for y_block in _index_blocks(n_y, m):
-        for yi in y_block:
-            log2_py = model.log2_y_marginal[yi].sum()
-            p_y = float(np.exp2(log2_py))
-            if p_y == 0.0:
-                continue
-            h_cond = float(model.posterior_col_entropy[yi].sum())
-            if not in_band(-log2_py / m, model.h_y, eps):
-                s = 0.0
-            elif tables.det_choice is not None:
-                row = yi[None, :]
-                s = float(jointly_typical_rows(model, tables.det_choice[row], row, eps)[0])
-            else:
-                keep = x_rate_ok & in_band(
-                    -model.log2_joint[x_combos, yi].mean(axis=1), model.h_xy, eps
-                )
-                s = float(np.exp2(model.log2_posterior[x_combos[keep], yi].sum(axis=1)).sum())
-            p_f += p_y * (1.0 - s)
-            h_e += p_y * _binary_entropy(s)
-            success_weighted_h += p_y * s * h_cond
-    return p_f, h_e, success_weighted_h
+    y_rows, y_counts = map(np.concatenate, zip(*_type_classes(n_y, m)))
+    log2_py = model.log2_y_marginal[y_rows].sum(axis=1)
+    p_y = np.exp2(log2_py)
+    # zero-probability y-types are dropped before any posterior is read
+    live = p_y > 0.0
+    if tables.det_choice is not None:
+        s = jointly_typical_rows(model, tables.det_choice[y_rows], y_rows, eps)
+    else:
+        y_ok = live & in_band(-log2_py / m, model.h_y, eps)
+        s = _sap_success(model, y_rows, y_counts, y_ok, eps)
+    s = s[live].astype(float)
+    weight = y_counts[live].astype(float) * p_y[live]
+    h_cond = model.posterior_col_entropy[y_rows[live]].sum(axis=1)
+    return (
+        float(weight @ (1.0 - s)),
+        float(weight @ _binary_entropy(s)),
+        float(weight @ (s * h_cond)),
+    )
 
 
 def exact_failure_probability(
@@ -458,7 +496,7 @@ def exact_failure_probability(
     params: TypicalityParams,
     cap: int | None = None,
 ) -> float:
-    """Exact P_f by full enumeration; the oracle for Monte Carlo agreement."""
+    """Exact P_f, summed over type classes; the oracle for Monte Carlo agreement."""
     p_f, _, _ = _scan_y_space(model, rule, params, cap)
     return p_f
 
@@ -630,11 +668,15 @@ def sweep(
         (n, theta, build_coin_model(n, theta))
         for n in sorted(n_values) for theta in sorted(theta_values)
     ]
-    grid = list(product(
-        coins, sorted(m_values), sorted(epsilon_values), sorted(rules, key=lambda r: r.value)
-    ))
+    rules = sorted(rules, key=lambda r: r.value)
+    grid = list(product(coins, sorted(m_values), sorted(epsilon_values), rules))
+    # rule tables depend on the model and rule only, not on M or epsilon
+    tables = {
+        (model, rule): make_rule_tables(model, rule)
+        for _, _, model in coins for rule in rules
+    }
     experiments = [
-        (model, make_rule_tables(model, rule), TypicalityParams(epsilon=eps, extension=m))
+        (model, tables[model, rule], TypicalityParams(epsilon=eps, extension=m))
         for (_, _, model), m, eps, rule in grid
     ]
     rows: list[dict] = []

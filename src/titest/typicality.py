@@ -3,6 +3,14 @@
 Sequence probabilities are never multiplied out directly: every predicate works
 on per-symbol surprisals (bits) summed in log space, so membership stays exact
 at extensions where the linear product would underflow.
+
+Every typicality condition is a mean of per-symbol surprisals, so a length-M
+sequence's membership and probability depend only on its type (the count of
+each symbol), not on the symbol order. The census therefore sums over type
+classes: one non-decreasing representative per class, weighted by the class
+size, the multinomial M! / prod(c_k!), kept as an exact integer. That is
+C(M+K-1, M) rows instead of K^M sequences. conditional_members returns the
+sequences themselves and still enumerates them.
 """
 
 from __future__ import annotations
@@ -298,6 +306,51 @@ class CensusReport:
         return asdict(self)
 
 
+def _append_symbol(
+    rows: np.ndarray, sizes: np.ndarray, run: np.ndarray, n_symbols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extend each non-decreasing row by every symbol >= its last one.
+
+    run is the length of each row's final run of equal symbols. Appending a
+    symbol that makes that run r long to a j-symbol row multiplies the class
+    size by (j + 1) / r, so sizes stay the multinomials m! / prod(c_k!).
+    """
+    last = rows[:, -1]
+    fan = n_symbols - last
+    parent = np.repeat(np.arange(len(rows)), fan)
+    new = last[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+    run = np.where(new == last[parent], run[parent] + 1, 1)
+    sizes = sizes[parent] * (rows.shape[1] + 1) // run.astype(sizes.dtype)
+    return np.column_stack([rows[parent], new]), sizes, run
+
+
+def _type_classes(
+    n_symbols: int, m: int, block: int = 1 << 16
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every type class of length-m sequences over n_symbols symbols, in blocks.
+
+    Yields (rows, sizes) blocks of at most about `block` classes, in
+    lexicographic order; C(m + n_symbols - 1, m) classes in all. A row is
+    the class's non-decreasing index sequence and its size the number of
+    sequences in the class, the multinomial m! / prod(c_k!), exact (int64
+    while m * n_symbols**m fits, Python ints beyond). The (m-1)-symbol
+    prefixes are built whole; the last symbol is added a block at a time.
+    """
+    dtype = np.int64 if m * n_symbols**m < 2**63 else object
+    rows = np.arange(n_symbols)[:, None]
+    sizes = np.ones(n_symbols, dtype=dtype)
+    if m == 1:
+        yield rows, sizes
+        return
+    run = np.ones(n_symbols, dtype=np.int64)
+    for _ in range(m - 2):
+        rows, sizes, run = _append_symbol(rows, sizes, run, n_symbols)
+    step = max(1, block // n_symbols)  # a prefix fans out to at most n_symbols rows
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        yield _append_symbol(rows[part], sizes[part], run[part], n_symbols)[:2]
+
+
 def _census_scan(
     per_symbol_surprisals: list[np.ndarray],
     entropies: list[float],
@@ -306,7 +359,7 @@ def _census_scan(
     epsilon: float,
     prob_surprisal: np.ndarray,
 ) -> tuple[int, float, float, float]:
-    """Scan all n_symbols**m sequences; keep those inside every condition.
+    """Sum all n_symbols**m sequences by type class; keep those inside every condition.
 
     per_symbol_surprisals/entropies describe the conditions (one pair for a
     marginal census, three for the joint census on the flattened pair
@@ -317,16 +370,16 @@ def _census_scan(
     mass = 0.0
     min_p = np.inf
     max_p = 0.0
-    for combos in _index_blocks(n_symbols, m):
-        keep = np.ones(combos.shape[0], dtype=bool)
+    for rows, sizes in _type_classes(n_symbols, m):
+        keep = np.ones(len(rows), dtype=bool)
         for s, h in zip(per_symbol_surprisals, entropies):
-            keep &= in_band(s[combos].mean(axis=1), h, epsilon)
+            keep &= in_band(s[rows].mean(axis=1), h, epsilon)
         if not keep.any():
             continue
-        member_surprisal = prob_surprisal[combos[keep]].sum(axis=1)
-        probs = np.exp2(-member_surprisal)
-        count += int(keep.sum())
-        mass += float(probs.sum())
+        probs = np.exp2(-prob_surprisal[rows[keep]].sum(axis=1))
+        members = sizes[keep]
+        count += int(members.sum())
+        mass += float(members.astype(float) @ probs)
         min_p = min(min_p, float(probs.min()))
         max_p = max(max_p, float(probs.max()))
     return count, mass, min_p, max_p
@@ -362,7 +415,7 @@ def typical_set_census(
     s_x = -model.log2_prior
     s_y = -model.log2_y_marginal
     s_joint_flat = -model.log2_joint.ravel()
-    # the joint scan runs on the flattened (x, y) symbol alphabet
+    # the joint census runs on the flattened (x, y) symbol alphabet
     s_x_flat = np.repeat(s_x, n_y)
     s_y_flat = np.tile(s_y, n_x)
 

@@ -361,6 +361,26 @@ class TestErrorPaths:
         assert out == "" and "Traceback" not in err
         assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
 
+    @pytest.mark.parametrize("fmt", ["xml", True, ["csv"]], ids=["xml", "true", "list"])
+    def test_bad_config_format(self, capsys, monkeypatch, tmp_path, fmt):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(
+            {"n": [5], "theta": [0.4], "m": [1], "epsilon": [0.25], "rules": ["sap"]}
+        ))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": fmt}))
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the grid ran before the format was refused")
+
+        monkeypatch.setattr("titest.cli.sweep", no_sweep)
+        code = run_cli(["sweep", "--grid", str(grid), "--config", str(cfg), "--trials", "10"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
+        assert "--format" in err
+
     @pytest.mark.parametrize("target", ["directory", "missing-parent"])
     @pytest.mark.parametrize("command", [
         ["model", "--coin", "4", "0.5"],

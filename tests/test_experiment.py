@@ -432,6 +432,20 @@ class TestSweep:
         assert len(rows) == 8
         assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
 
+    def test_rule_tables_built_once_per_model_and_rule(self, monkeypatch):
+        calls = []
+
+        def counting_tables(model, rule):
+            calls.append((model, rule))
+            return make_rule_tables(model, rule)
+
+        monkeypatch.setattr(experiment, "make_rule_tables", counting_tables)
+        # the acceptance grid: 4 coin models x 2 M x 4 rules = 32 points
+        rows = sweep([5, 15, 25, 35], [0.4], [1, 10], [0.25], list(DecisionRule), 2, 0)
+        assert len(rows) == 32
+        assert len(calls) == 16
+        assert len({(id(model), rule) for model, rule in calls}) == 16
+
     def test_empty_axis_gives_empty_table(self):
         assert sweep([], [0.4], [2], [0.25], [DecisionRule.MAP], 10, 0) == []
 

@@ -1,0 +1,217 @@
+"""The type-class engine against brute-force scans of every sequence.
+
+typical_set_census and _scan_y_space sum over type classes. The references
+here visit all K^M sequences (and, for SAP, all x-sequences per y-sequence)
+the slow way, so sizes must agree exactly and floats to rounding.
+"""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from titest import (
+    DecisionRule,
+    DiscreteJointModel,
+    TypicalityParams,
+    build_bsc_model,
+    build_coin_model,
+    build_constant_model,
+    build_identity_model,
+    decide,
+    exact_failure_probability,
+    posterior,
+    typical_set_census,
+)
+from titest import experiment, typicality
+from titest.experiment import _scan_y_space
+from titest.typicality import BOUNDARY_ATOL, _type_classes
+
+# largest (|X||Y|)^M the brute-force references are asked to scan
+BRUTE_LIMIT = 60_000
+
+
+def all_sequences(n, m):
+    """(n**m, m) index rows in lexicographic order."""
+    return np.stack(np.unravel_index(np.arange(n**m), (n,) * m), axis=1)
+
+
+def inside(rate, h, eps):
+    return np.abs(rate - h) < eps - BOUNDARY_ATOL
+
+
+def brute_census(model, m, eps):
+    """{set: (count, mass, min_prob, max_prob)}, scanning every sequence."""
+    s_x, s_y, s_j = -model.log2_prior, -model.log2_y_marginal, -model.log2_joint
+    n_y = model.n_observations
+
+    def scan(n, conditions, s_prob):
+        seqs = all_sequences(n, m)
+        keep = np.ones(len(seqs), dtype=bool)
+        for s, h in conditions:
+            keep &= inside(s[seqs].mean(axis=1), h, eps)
+        probs = np.exp2(-s_prob[seqs[keep]].sum(axis=1))
+        if not keep.any():
+            return 0, 0.0, math.inf, 0.0
+        return int(keep.sum()), float(probs.sum()), float(probs.min()), float(probs.max())
+
+    return {
+        "x": scan(model.n_hypotheses, [(s_x, model.h_x)], s_x),
+        "y": scan(n_y, [(s_y, model.h_y)], s_y),
+        "joint": scan(
+            model.n_hypotheses * n_y,
+            [
+                (np.repeat(s_x, n_y), model.h_x),
+                (np.tile(s_y, model.n_hypotheses), model.h_y),
+                (s_j.ravel(), model.h_xy),
+            ],
+            s_j.ravel(),
+        ),
+    }
+
+
+def brute_y_scan(model, rule, m, eps):
+    """(p_f, H(E|Y), sum_y P(y) s(y) H(X^M|y)), one y-sequence at a time.
+
+    Deterministic decisions come from rules.decide symbol by symbol; SAP
+    success sums the posterior product over every typical x-sequence.
+    """
+    xs = all_sequences(model.n_hypotheses, m)
+    x_ok = inside(-model.log2_prior[xs].mean(axis=1), model.h_x, eps)
+    p_f = h_e = weighted_h = 0.0
+    for y in all_sequences(model.n_observations, m):
+        p_y = float(np.prod(model.y_marginal[y]))
+        if p_y == 0.0:
+            continue
+        if not inside(-model.log2_y_marginal[y].mean(), model.h_y, eps):
+            s = 0.0
+        elif rule.is_stochastic:
+            keep = x_ok & inside(-model.log2_joint[xs, y].mean(axis=1), model.h_xy, eps)
+            s = float(np.prod(model.posterior_matrix[xs[keep], y], axis=1).sum())
+        else:
+            x = np.array([
+                model.x_index(decide(rule, posterior(model, model.observation_values[b])))
+                for b in y
+            ])
+            s = float(
+                inside(-model.log2_prior[x].mean(), model.h_x, eps)
+                and inside(-model.log2_joint[x, y].mean(), model.h_xy, eps)
+            )
+        h_s = -s * math.log2(s) - (1 - s) * math.log2(1 - s) if 0.0 < s < 1.0 else 0.0
+        p_f += p_y * (1.0 - s)
+        h_e += p_y * h_s
+        weighted_h += p_y * s * float(model.posterior_col_entropy[y].sum())
+    return p_f, h_e, weighted_h
+
+
+def assert_matches_brute_force(model, m, eps):
+    params = TypicalityParams(epsilon=eps, extension=m)
+    census = typical_set_census(model, params)
+    for key, (count, mass, min_p, max_p) in brute_census(model, m, eps).items():
+        assert census.sizes[key] == count, key
+        assert census.masses[key] == pytest.approx(mass, rel=1e-12, abs=0.0), key
+        if count:
+            assert census.bound(f"{key}_member_prob_lower").rhs == pytest.approx(
+                min_p, rel=1e-12, abs=0.0
+            ), key
+            assert census.bound(f"{key}_member_prob_upper").lhs == pytest.approx(
+                max_p, rel=1e-12, abs=0.0
+            ), key
+    for rule in DecisionRule:
+        got = _scan_y_space(model, rule, params, None)
+        want = brute_y_scan(model, rule, m, eps)
+        # H(E|Y) of a y whose s(y) is 1 up to rounding is rounding noise
+        # (about 1e-14), so the y-scan also gets a 1e-12 absolute floor
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), rule
+
+
+@st.composite
+def models_and_extensions(draw):
+    """A <= 3 x 3 model with exact zeros, ties and permuted labels, and an M."""
+    n_x = draw(st.integers(1, 3))
+    n_y = draw(st.integers(1, 3))
+
+    def weights(n):
+        w = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+        return np.array(w, dtype=float) / sum(w)
+
+    model = DiscreteJointModel(
+        hypothesis_values=tuple(draw(st.permutations(range(n_x)))),
+        observation_values=tuple(draw(st.permutations(range(10, 10 + n_y)))),
+        prior=weights(n_x),
+        likelihood=np.array([weights(n_y) for _ in range(n_x)]),
+    )
+    max_m = max(m for m in range(1, 7) if (n_x * n_y) ** m <= BRUTE_LIMIT)
+    return model, draw(st.integers(1, max_m))
+
+
+class TestTypeClassesMatchBruteForce:
+    @settings(max_examples=60, deadline=None)
+    @given(case=models_and_extensions(), eps=st.sampled_from([0.05, 0.1, 0.25, 0.5]))
+    def test_random_models(self, case, eps):
+        model, m = case
+        assert_matches_brute_force(model, m, eps)
+
+    # Many sequences of these models sit exactly on a band edge or exactly at
+    # the entropy: identity and uniform models put every rate at H, and the
+    # dyadic prior (1/2, 1/4, 1/4) puts the M=4 rates at H +/- 0.25 exactly.
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("eps", [0.25, 0.5])
+    @pytest.mark.parametrize("model", [
+        build_identity_model(3, labels=(7, 2, 5)),
+        build_constant_model(3, [1 / 3, 1 / 3, 1 / 3]),
+        DiscreteJointModel(
+            (0, 1, 2), (0, 1), np.array([0.5, 0.25, 0.25]),
+            np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]),
+        ),
+    ], ids=["identity3", "uniform3", "dyadic"])
+    def test_edge_models(self, model, eps, m):
+        assert_matches_brute_force(model, m, eps)
+
+    def test_class_sizes_exact_beyond_int64(self):
+        # 2^70 sequences: the count must stay an exact integer
+        model = DiscreteJointModel(
+            (0, 1), (0,), np.array([0.5, 0.5]), np.array([[1.0], [1.0]])
+        )
+        census = typical_set_census(model, TypicalityParams(0.25, 70), cap=2**140)
+        assert census.sizes == {"x": 2**70, "y": 1, "joint": 2**70}
+        assert census.masses["x"] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestTypeClassList:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (3, 1), (2, 6), (4, 3), (5, 4)])
+    def test_every_class_once_with_its_size(self, n, m, block):
+        rows, sizes = map(np.concatenate, zip(*_type_classes(n, m, block)))
+        classes = list(itertools.combinations_with_replacement(range(n), m))
+        assert [tuple(row) for row in rows] == classes
+        assert [int(size) for size in sizes] == [
+            math.factorial(m) // math.prod(math.factorial(c.count(k)) for k in set(c))
+            for c in classes
+        ]
+        assert sum(int(size) for size in sizes) == n**m
+
+    def test_small_blocks_sum_the_same(self, monkeypatch):
+        small = functools.partial(_type_classes, block=5)
+        monkeypatch.setattr(typicality, "_type_classes", small)
+        monkeypatch.setattr(experiment, "_type_classes", small)
+        assert_matches_brute_force(build_coin_model(3, 0.4), 3, 0.25)
+
+
+class TestSapIdentity:
+    """Under SAP the decided pair (x-hat, y) is i.i.d. from the joint law, so
+    P_f(SAP) is the mass outside the jointly typical set."""
+
+    @pytest.mark.parametrize("model, m", [
+        *((build_bsc_model(0.25), m) for m in range(2, 12)),
+        *((build_coin_model(3, 0.4), m) for m in range(2, 5)),
+    ], ids=[*(f"bsc25-M{m}" for m in range(2, 12)), *(f"coin3-M{m}" for m in range(2, 5))])
+    def test_failure_is_one_minus_joint_mass(self, model, m):
+        params = TypicalityParams(epsilon=0.25, extension=m)
+        p_f = exact_failure_probability(model, DecisionRule.SAP, params)
+        joint_mass = typical_set_census(model, params).masses["joint"]
+        assert p_f == pytest.approx(1.0 - joint_mass, rel=0.0, abs=1e-12)

@@ -310,7 +310,6 @@ class TestCensus:
         assert c.sizes["x"] == 12
         assert c.masses["x"] == pytest.approx(0.3766, abs=5e-4)
 
-    @pytest.mark.slow
     def test_mass_increases_on_documented_pair(self, skew_binary):
         # pointwise monotonicity in M is false for this source (lattice
         # effects around the entropy), so the increase is pinned on a
