@@ -7,13 +7,16 @@ two entropy estimators: the primary one averages posterior entropy over
 successful trials, the diagnostic one averages the decided label's surprisal.
 
 Trials run in a block kernel: trial i's uniforms are one row of a (trials,
-k*M) matrix, filled by a single random(k*M) draw from default_rng(
-SeedSequence([seed, i])), where k is 3 for SAP and 2 for the deterministic
-rules. The row's first M uniforms sample x, the next M sample y and the last
-M (SAP only) the decisions; for PCG64 one random(k*M) draw equals k
-sequential random(M) draws, so this is the same stream a trial-at-a-time
-loop consumes. Sampling, decisions, the three-condition judgement and both
-rate estimators then run over whole chunks of rows at once.
+k*M) matrix, holding exactly the doubles of default_rng(SeedSequence([seed,
+i])).random(k*M), where k is 3 for SAP and 2 for the deterministic rules.
+The row's first M uniforms sample x, the next M sample y and the last M (SAP
+only) the decisions; for PCG64 one random(k*M) draw equals k sequential
+random(M) draws, so this is the same stream a trial-at-a-time loop consumes.
+No generator is built per trial: the rows of up to _STREAM_CHUNK trials are
+computed together by numpy array arithmetic that reproduces SeedSequence's
+hash and PCG64's seeding and output bit for bit (_trial_uniforms; tested
+against numpy's own generators). Sampling, decisions, the three-condition
+judgement and both rate estimators then run over _CHUNK rows at a time.
 
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
@@ -32,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass
@@ -46,6 +50,7 @@ from .typicality import (
     EnumerationTooLargeError,
     SequencePair,
     TypicalityParams,
+    _pick_pair,
     _type_classes,
     in_band,
     jointly_typical_rows,
@@ -73,9 +78,20 @@ __all__ = [
 
 Z_95 = 1.96
 
-# Trials per chunk of the block kernel: bounds its uniform matrix and index
-# temporaries, whatever the block length.
+# Trials per chunk of the block kernel: bounds its index temporaries,
+# whatever the block length.
 _CHUNK = 256
+# Trials whose uniforms are computed together: stepping many PCG64 lanes at
+# once amortizes numpy's per-call cost, and 4,096 rows of 30 doubles (coin10,
+# M=10, SAP) take about 1 MB.
+_STREAM_CHUNK = 4096
+
+# SeedSequence (numpy bit_generator.pyx) and PCG64 (pcg64.h) constants.
+_M32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -134,8 +150,7 @@ def _trial_kernel(
     Returns (xi, yi, decided_xi, success, posterior_entropy_rate,
     decided_surprisal_rate): three (B, M) index arrays and three (B,) arrays.
     """
-    xi = inverse_cdf_pick(model.prior_cdf, u[:, :m])
-    yi = inverse_cdf_pick(model.lik_cdf[xi], u[:, m : 2 * m])
+    xi, yi = _pick_pair(model, u[:, :m], u[:, m : 2 * m])
     if tables.det_choice is not None:
         decided = tables.det_choice[yi]
     else:
@@ -181,8 +196,115 @@ def run_trial(
     )
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+def _uint32_words(n: int) -> list[int]:
+    """n as little-endian 32-bit words (one word for 0), as SeedSequence
+    reads an entropy integer; non-integers raise TypeError and negative
+    integers ValueError, as there."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _pcg64_states(
+    seed_words: list[int], index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(state_hi, state_lo, inc_hi, inc_lo) of PCG64(SeedSequence([seed, i])).
+
+    One lane per trial index; every index must have the same number of
+    32-bit words. The SeedSequence pool hash runs on uint32 lanes, the
+    128-bit PCG64 words on pairs of uint64 lanes.
+    """
+    u32 = np.uint32
+    n_index_words = len(_uint32_words(int(index[-1])))
+    entropy = [np.full(len(index), w, dtype=u32) for w in seed_words]
+    entropy += [(index >> np.uint64(32 * k)).astype(u32) for k in range(n_index_words)]
+    h = _HASH_INIT_A
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        v = v ^ u32(h)
+        h = h * _HASH_MULT_A & _M32
+        v = v * u32(h)
+        return v ^ v >> u32(16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * u32(_MIX_MULT_L) - y * u32(_MIX_MULT_R)
+        return r ^ r >> u32(16)
+
+    zero = np.zeros(len(index), dtype=u32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight hashed pool words, paired low word first
+    h = _HASH_INIT_B
+    words = []
+    for k in range(8):
+        v = pool[k % 4] ^ u32(h)
+        h = h * _HASH_MULT_B & _M32
+        v = v * u32(h)
+        words.append((v ^ v >> u32(16)).astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (words[k] | words[k + 1] << np.uint64(32) for k in range(0, 8, 2))
+    # PCG64 seeding: inc = q << 1 | 1; state = 0, step (state = inc), add s
+    inc_hi = q_hi << np.uint64(1) | q_lo >> np.uint64(63)
+    inc_lo = q_lo << np.uint64(1) | np.uint64(1)
+    state_lo = inc_lo + s_lo
+    state_hi = inc_hi + s_hi + (state_lo < s_lo)
+    return state_hi, state_lo, inc_hi, inc_lo
+
+
+def _pcg64_uniforms(seed_words: list[int], index: np.ndarray, width: int) -> np.ndarray:
+    """(len(index), width) doubles: row r is random(width) of trial index[r]."""
+    u64, m32, s32 = np.uint64, np.uint64(_M32), np.uint64(32)
+    mult_hi, mult_lo = u64(_PCG_MULT >> 64), u64(_PCG_MULT & 0xFFFFFFFF_FFFFFFFF)
+    b_lo, b_hi = mult_lo & m32, mult_lo >> s32
+    s_hi, s_lo, inc_hi, inc_lo = _pcg64_states(seed_words, index)
+    out = np.empty((width, len(index)))
+    # the seeding's second step, then one step per draw
+    for k in range(-1, width):
+        # s = s * MULT + inc mod 2^128; the high word of s_lo * mult_lo is
+        # assembled from 32-bit limbs
+        a_lo, a_hi = s_lo & m32, s_lo >> s32
+        t = a_hi * b_lo + (a_lo * b_lo >> s32)
+        w = (t & m32) + a_lo * b_hi
+        lo_prod_hi = a_hi * b_hi + (t >> s32) + (w >> s32)
+        s_hi = s_hi * mult_lo + s_lo * mult_hi + lo_prod_hi + inc_hi
+        s_lo = s_lo * mult_lo + inc_lo
+        s_hi += s_lo < inc_lo
+        if k >= 0:
+            # XSL-RR output, then its top 53 bits
+            x = s_hi ^ s_lo
+            rot = s_hi >> u64(58)
+            out[k] = (x >> rot | x << ((u64(64) - rot) & u64(63))) >> u64(11)
+    out *= 2.0**-53
+    return out.T
+
+
+def _trial_uniforms(seed: int, lo: int, hi: int, width: int) -> Iterator[np.ndarray]:
+    """Uniform rows of trials [lo, hi), in order, at most _STREAM_CHUNK at a time.
+
+    Trial i's row holds exactly the doubles of default_rng(SeedSequence(
+    [seed, i])).random(width), computed for the whole chunk at once: the
+    SeedSequence hash, PCG64 seeding and XSL-RR output of numpy's
+    bit_generator.pyx and pcg64.h (O'Neill, HMC-CS-2014-0905) in wrapping
+    uint32/uint64 array arithmetic. A chunk never straddles 2^32, where
+    the index gains a second entropy word.
+    """
+    seed_words = _uint32_words(seed)
+    start = lo
+    while start < hi:
+        stop = min(hi, start + _STREAM_CHUNK, 1 << 32 * len(_uint32_words(start)))
+        yield _pcg64_uniforms(seed_words, np.arange(start, stop, dtype=np.uint64), width)
+        start = stop
 
 
 def _run_block(
@@ -195,24 +317,23 @@ def _run_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trials [lo, hi) of one experiment: (success, post_rate, dec_rate).
 
-    Walks the block in chunks of _CHUNK trials: one row of uniforms per
-    trial from its own stream, then the kernel over the whole chunk.
+    Computes the uniforms of up to _STREAM_CHUNK trials at once, then runs
+    the kernel over _CHUNK of their rows at a time.
     """
     m = params.extension
     n = hi - lo
     success = np.zeros(n, dtype=bool)
     post_rate = np.zeros(n)
     dec_rate = np.zeros(n)
-    u = np.empty((min(n, _CHUNK), _draws_per_symbol(tables) * m))
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        rows = u[: stop - start]
-        for row, i in zip(rows, range(lo + start, lo + stop)):
-            _trial_rng(seed, i).random(out=row)
-        _, _, _, ok, post, dec = _trial_kernel(model, tables, rows, m, params.epsilon)
-        success[start:stop] = ok
-        post_rate[start:stop] = post
-        dec_rate[start:stop] = dec
+    done = 0
+    for u in _trial_uniforms(seed, lo, hi, _draws_per_symbol(tables) * m):
+        for start in range(0, len(u), _CHUNK):
+            rows = u[start : start + _CHUNK]
+            at = slice(done + start, done + start + len(rows))
+            _, _, _, success[at], post_rate[at], dec_rate[at] = _trial_kernel(
+                model, tables, rows, m, params.epsilon
+            )
+        done += len(u)
     return success, post_rate, dec_rate
 
 

@@ -72,7 +72,7 @@ class DiscreteJointModel:
         for v in (*self.hypothesis_values, *self.observation_values):
             try:
                 is_int = int(v) == v
-            except OverflowError:  # int(inf), e.g. a JSON label 1e400
+            except (OverflowError, TypeError):  # int(inf) (JSON 1e400), int([1])
                 is_int = False
             if not is_int:
                 raise ValueError(f"labels must be integers, got {v!r}")
@@ -190,15 +190,30 @@ class DiscreteJointModel:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "DiscreteJointModel":
+        """The model a parsed JSON document describes.
+
+        Any malformed document raises InvalidDistributionError or another
+        ValueError: a non-object document, a missing field, a field of the
+        wrong JSON type (e.g. a number or object where a list belongs), a
+        label that is not an integer or a number too large for a float.
+        """
+        if not isinstance(doc, Mapping):
+            raise InvalidDistributionError(
+                f"model document must be a JSON object, got {type(doc).__name__}"
+            )
         for field in ("hypothesis_values", "observation_values", "prior", "likelihood"):
             if field not in doc:
                 raise InvalidDistributionError(f"model document missing field {field!r}")
-        return cls(
-            hypothesis_values=tuple(doc["hypothesis_values"]),
-            observation_values=tuple(doc["observation_values"]),
-            prior=np.asarray(doc["prior"], dtype=float),
-            likelihood=np.asarray(doc["likelihood"], dtype=float),
-        )
+        try:
+            fields = (
+                tuple(doc["hypothesis_values"]),
+                tuple(doc["observation_values"]),
+                np.asarray(doc["prior"], dtype=float),
+                np.asarray(doc["likelihood"], dtype=float),
+            )
+        except (TypeError, OverflowError) as e:
+            raise InvalidDistributionError(f"malformed model document: {e}") from None
+        return cls(*fields)
 
 
 @dataclass(frozen=True)

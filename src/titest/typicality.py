@@ -139,6 +139,12 @@ def jointly_typical_rows(
     )
 
 
+def _pick_pair(model: DiscreteJointModel, ux: np.ndarray, uy: np.ndarray) -> tuple:
+    """Storage indices (xi, yi): xi from ux by the prior CDF, yi from uy by row xi's."""
+    xi = inverse_cdf_pick(model.prior_cdf, ux)
+    return xi, inverse_cdf_pick(model.lik_cdf[xi], uy)
+
+
 def draw_index_pair(
     model: DiscreteJointModel, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -148,9 +154,7 @@ def draw_index_pair(
     hypothesis symbols first, then m uniforms for the observations, each
     mapped through an inverse CDF in the model's storage order.
     """
-    xi = inverse_cdf_pick(model.prior_cdf, rng.random(m))
-    yi = inverse_cdf_pick(model.lik_cdf[xi], rng.random(m))
-    return xi, yi
+    return _pick_pair(model, rng.random(m), rng.random(m))
 
 
 def sample_extension(

@@ -425,6 +425,24 @@ class TestErrorPaths:
         assert out == ""
         assert err.count("\n") == 1 and "labels must be integers" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"hypothesis_values": [0], "observation_values": [0], '
+            '"prior": [1' + "0" * 400 + '], "likelihood": [[1]]}',
+            '{"hypothesis_values": 5, "observation_values": [0], '
+            '"prior": [1], "likelihood": [[1]]}',
+            "[1, 2]",
+        ],
+        ids=["huge-integer-prior", "number-as-alphabet", "not-an-object"],
+    )
+    def test_malformed_model_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli(["model", "--model-file", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("titest: error:")
+
     def test_bad_enum_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TI_TEST_ENUM_CAP", "abc")
         assert run_cli(["enumerate", "--coin", "3", "0.4", "--m", "2"]) in (2, 3)

@@ -274,3 +274,76 @@ class TestJsonRoundTrip:
         del doc["prior"]
         with pytest.raises(InvalidDistributionError):
             DiscreteJointModel.from_json_dict(doc)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([0, 1, 2, 10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+MODEL_FIELDS = ("hypothesis_values", "observation_values", "prior", "likelihood")
+
+
+@st.composite
+def model_documents(draw):
+    """Arbitrary JSON, or a model document whose fields are a valid model's
+    (bsc25 or the one-hypothesis model), arbitrary JSON, or deleted."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    base = draw(st.sampled_from([build_bsc_model(0.25), build_constant_model(2)]))
+    doc = base.to_json_dict()
+    for name in MODEL_FIELDS:
+        choice = draw(st.sampled_from(["keep", "keep", "fuzz", "drop"]))
+        if choice == "fuzz":
+            doc[name] = draw(json_values)
+        elif choice == "drop":
+            del doc[name]
+    return doc
+
+
+class TestJsonFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=model_documents())
+    def test_valid_model_or_value_error(self, doc):
+        # any parsed JSON document: a valid model, or a ValueError (which
+        # InvalidDistributionError is) the CLI reports with exit code 3
+        try:
+            model = DiscreteJointModel.from_json_dict(doc)
+        except ValueError:
+            return
+        assert abs(model.prior.sum() - 1.0) <= 1e-12
+        assert model.likelihood.shape == (model.n_hypotheses, model.n_observations)
+        assert np.isfinite(model.h_x) and np.isfinite(model.h_xy)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            5,
+            [1, 2],
+            "model",
+            None,
+            {"hypothesis_values": 5, "observation_values": [0], "prior": [1.0], "likelihood": [[1.0]]},
+            {"hypothesis_values": [0], "observation_values": [0], "prior": {"a": 1}, "likelihood": [[1.0]]},
+            {"hypothesis_values": [0], "observation_values": [0], "prior": [10**400], "likelihood": [[1.0]]},
+        ],
+        ids=["int", "list", "string", "null", "int-labels", "object-prior", "huge-prior"],
+    )
+    def test_malformed_document_is_invalid_distribution(self, doc):
+        with pytest.raises(InvalidDistributionError):
+            DiscreteJointModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("label", [[1], {}, None], ids=["list", "object", "null"])
+    def test_non_scalar_label_rejected(self, label):
+        doc = build_constant_model(2).to_json_dict()
+        doc["hypothesis_values"] = [label]
+        with pytest.raises(ValueError, match="labels must be integers"):
+            DiscreteJointModel.from_json_dict(doc)
