@@ -263,12 +263,16 @@ def _pcg64_states(
 
 
 def _pcg64_uniforms(seed_words: list[int], index: np.ndarray, width: int) -> np.ndarray:
-    """(len(index), width) doubles: row r is random(width) of trial index[r]."""
+    """(len(index), width) doubles: row r is random(width) of trial index[r].
+
+    C-ordered, so the kernel's row means add their terms in the same order
+    as for a single trial's row.
+    """
     u64, m32, s32 = np.uint64, np.uint64(_M32), np.uint64(32)
     mult_hi, mult_lo = u64(_PCG_MULT >> 64), u64(_PCG_MULT & 0xFFFFFFFF_FFFFFFFF)
     b_lo, b_hi = mult_lo & m32, mult_lo >> s32
     s_hi, s_lo, inc_hi, inc_lo = _pcg64_states(seed_words, index)
-    out = np.empty((width, len(index)))
+    out = np.empty((len(index), width))
     # the seeding's second step, then one step per draw
     for k in range(-1, width):
         # s = s * MULT + inc mod 2^128; the high word of s_lo * mult_lo is
@@ -284,9 +288,9 @@ def _pcg64_uniforms(seed_words: list[int], index: np.ndarray, width: int) -> np.
             # XSL-RR output, then its top 53 bits
             x = s_hi ^ s_lo
             rot = s_hi >> u64(58)
-            out[k] = (x >> rot | x << ((u64(64) - rot) & u64(63))) >> u64(11)
+            out[:, k] = (x >> rot | x << ((u64(64) - rot) & u64(63))) >> u64(11)
     out *= 2.0**-53
-    return out.T
+    return out
 
 
 def _trial_uniforms(seed: int, lo: int, hi: int, width: int) -> Iterator[np.ndarray]:

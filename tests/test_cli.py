@@ -436,7 +436,7 @@ class TestErrorPaths:
         ],
         ids=["huge-integer-prior", "number-as-alphabet", "not-an-object"],
     )
-    def test_malformed_model_file(self, capsys, tmp_path, text):
+    def test_malformed_model_document(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert run_cli(["model", "--model-file", str(path)]) == 3
