@@ -22,12 +22,14 @@ Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
 report is byte-for-byte identical for any worker count.
 
-Each experiment splits into one contiguous block of trials per worker. A
-block receives the model, its rule tables and the params; the model pickles
-as its four defining fields and rebuilds its tables on arrival. A
-run_experiment or sweep call maps all of its blocks through one helper: in
-process at workers=1, otherwise through a single process pool for the whole
-call, in submission order.
+Every experiment of a call runs trials [0, R) on the master seed, so the
+trials split into one contiguous block per worker and a block runs the whole
+group: trial i's row is computed once, at the widest k*M, and each
+experiment reads its leading k*M columns (common random numbers). A block
+receives the models, their rule tables and the params; a model pickles as
+its four defining fields and rebuilds its tables on arrival. A
+run_experiment (a group of one) or sweep call runs its blocks in process at
+workers=1, otherwise as one job each on a single process pool.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import io
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Callable, Iterator, Sequence
@@ -312,33 +314,32 @@ def _trial_uniforms(seed: int, lo: int, hi: int, width: int) -> Iterator[np.ndar
 
 
 def _run_block(
-    model: DiscreteJointModel,
-    tables: RuleTables,
-    params: TypicalityParams,
+    experiments: list[tuple[DiscreteJointModel, RuleTables, TypicalityParams]],
     seed: int,
     lo: int,
     hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trials [lo, hi) of one experiment: (success, post_rate, dec_rate).
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Trials [lo, hi) of every experiment: one (success, post_rate, dec_rate) each.
 
-    Computes the uniforms of up to _STREAM_CHUNK trials at once, then runs
-    the kernel over _CHUNK of their rows at a time.
+    Computes the uniforms of up to _STREAM_CHUNK trials once, at the widest
+    k*M of the group; an experiment of width w reads the first w columns,
+    which are its trials' random(w). The kernel runs over _CHUNK rows at a time.
     """
-    m = params.extension
-    n = hi - lo
-    success = np.zeros(n, dtype=bool)
-    post_rate = np.zeros(n)
-    dec_rate = np.zeros(n)
+    widths = [_draws_per_symbol(tables) * params.extension for _, tables, params in experiments]
+    out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in widths]
     done = 0
-    for u in _trial_uniforms(seed, lo, hi, _draws_per_symbol(tables) * m):
+    for u in _trial_uniforms(seed, lo, hi, max(widths)):
         for start in range(0, len(u), _CHUNK):
             rows = u[start : start + _CHUNK]
             at = slice(done + start, done + start + len(rows))
-            _, _, _, success[at], post_rate[at], dec_rate[at] = _trial_kernel(
-                model, tables, rows, m, params.epsilon
-            )
+            for (model, tables, params), width, (success, post_rate, dec_rate) in zip(
+                experiments, widths, out
+            ):
+                _, _, _, success[at], post_rate[at], dec_rate[at] = _trial_kernel(
+                    model, tables, rows[:, :width], params.extension, params.epsilon
+                )
         done += len(u)
-    return success, post_rate, dec_rate
+    return out
 
 
 def _map_experiments(
@@ -346,29 +347,27 @@ def _map_experiments(
     trials: int,
     seed: int,
     workers: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield each experiment's trial-ordered (success, post_rate, dec_rate).
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each experiment's trial-ordered (success, post_rate, dec_rate).
 
-    Every experiment runs trials [0, trials) on the master seed, split into
-    min(workers, trials) contiguous blocks. At workers=1 the blocks run in
-    this process; otherwise the blocks of all experiments go to one process
-    pool, whose map returns them in submission order. An experiment's
-    arrays are yielded as soon as its last block arrives.
+    Every experiment runs trials [0, trials) on the master seed, so the
+    trials are split into min(workers, trials) contiguous blocks and each
+    block runs the whole group on one stream. At workers=1 the blocks run
+    in this process; otherwise each is one pool job, which pickles the
+    shared models and tables once. All experiments' arrays are held until
+    the last block is back: 17 bytes per trial per experiment.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not experiments:
+        return []
     splits = np.linspace(0, trials, min(workers, trials) + 1).astype(int).tolist()
-    bounds = list(zip(splits[:-1], splits[1:]))
-    jobs = [(*exp, seed, lo, hi) for exp in experiments for lo, hi in bounds]
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map(_run_block, *zip(*jobs)) if pool else (_run_block(*j) for j in jobs)
-        # closing an abandoned map cancels the blocks that have not started
-        with closing(run) as blocks:
-            for _ in experiments:
-                parts = [next(blocks) for _ in bounds]
-                yield tuple(np.concatenate(a) for a in zip(*parts))
+    jobs = [(experiments, seed, lo, hi) for lo, hi in zip(splits[:-1], splits[1:])]
+    with ProcessPoolExecutor(max_workers=len(jobs)) if workers > 1 else nullcontext() as pool:
+        parts = list(pool.map(_run_block, *zip(*jobs)) if pool else (_run_block(*j) for j in jobs))
+    return [tuple(np.concatenate(a) for a in zip(*blocks)) for blocks in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -786,8 +785,8 @@ def sweep(
     same master seed so rules and M values are compared on common trial
     streams. An empty axis yields an empty table, not an error.
     Undefined-accuracy rows carry None in the h_hat-derived columns. The
-    whole grid shares one process pool (workers > 1), and on_row sees each
-    row as soon as its experiment's blocks are back.
+    whole grid shares one trial stream per block and one process pool
+    (workers > 1); once every block is back, on_row sees the rows in order.
     """
     coins = [
         (n, theta, build_coin_model(n, theta))

@@ -1,10 +1,15 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from titest import build_bsc_model, build_constant_model, build_identity_model
 from titest.cli import main
@@ -449,6 +454,66 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and "TI_TEST_ENUM_CAP" in err
+
+
+# Per sweep grid axis: values that run (M <= 64 keeps every example small)
+# and values that must be refused.
+GRID_AXES = {
+    "n": (st.integers(1, 6), st.sampled_from([0, -1, 2.5, 513, 10**30, 1e400])),
+    "theta": (
+        st.floats(0.05, 0.95),
+        st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf, 10**400]),
+    ),
+    "m": (st.integers(1, 64), st.sampled_from([0, -3, 1.5, math.nan, math.inf])),
+    "epsilon": (
+        st.sampled_from([0.1, 0.25, 1.0]), st.sampled_from([0.0, -0.25, math.nan, math.inf])
+    ),
+    "rules": (
+        st.sampled_from(["map", "eap", "meap", "sap", "SAP"]), st.sampled_from(["bogus", 3])
+    ),
+}
+JSON_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=3),
+    st.lists(st.integers(0, 5), max_size=2),
+    st.lists(st.lists(st.integers(1, 5), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 5), max_size=1),
+)
+
+
+@st.composite
+def sweep_grid_docs(draw):
+    """A grid document: a valid grid with up to two axes dropped, replaced by
+    a non-list, or given a bad element, or not a JSON object at all."""
+    doc = {axis: draw(st.lists(valid, max_size=2)) for axis, (valid, _) in GRID_AXES.items()}
+    for axis in draw(st.lists(st.sampled_from(sorted(GRID_AXES)), max_size=2, unique=True)):
+        bad = st.one_of(GRID_AXES[axis][1], JSON_JUNK)
+        damage = draw(st.sampled_from(["drop", "scalar", "element"]))
+        if damage == "drop":
+            del doc[axis]
+        elif damage == "scalar":
+            doc[axis] = draw(bad)
+        else:
+            doc[axis].insert(draw(st.integers(0, len(doc[axis]))), draw(bad))
+    return draw(st.one_of(st.just(doc), JSON_JUNK))
+
+
+class TestSweepGridFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=sweep_grid_docs(), trials=st.integers(1, 3))
+    def test_any_grid_exits_cleanly(self, tmp_path_factory, doc, trials):
+        path = tmp_path_factory.mktemp("grid") / "grid.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(["sweep", "--grid", str(path), "--trials", str(trials)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue().splitlines()[0] == ",".join(SWEEP_COLUMNS)
+        else:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert sum(line.startswith("titest: error:") for line in lines) == 1
 
 
 class TestInstalledEntryPoint:

@@ -159,28 +159,45 @@ def reference_block(model, rule, eps, m, seed, lo, hi):
     return np.array(success), np.array(post_rate), np.array(dec_rate)
 
 
+@st.composite
+def block_groups(draw):
+    """1 to 4 experiments mixing models, rules and M, so their widths differ."""
+    return [
+        (
+            draw(small_models()),
+            draw(st.sampled_from(list(DecisionRule))),
+            draw(st.integers(1, 12)),
+            draw(st.sampled_from([0.05, 0.25, 0.6])),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
 class TestBlockKernel:
     @settings(max_examples=40, deadline=None)
     @given(
-        model=small_models(),
-        rule=st.sampled_from(list(DecisionRule)),
-        m=st.integers(1, 12),
-        eps=st.sampled_from([0.05, 0.25, 0.6]),
+        group=block_groups(),
         seed=st.integers(0, 2**32 - 1),
         lo=st.integers(0, 10_000),
         n=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
     )
-    def test_block_equals_trial_at_a_time_reference(self, model, rule, eps, m, seed, lo, n):
-        tables = make_rule_tables(model, rule)
-        got = _run_block(model, tables, params(eps, m), seed, lo, lo + n)
-        want = reference_block(model, rule, eps, m, seed, lo, lo + n)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-        # run_trial is a block of one on the same kernel
-        t = run_trial(model, rule, params(eps, m), trial_rng(seed, lo + n - 1))
-        assert t.success == got[0][-1]
-        assert t.posterior_entropy_rate == got[1][-1]
-        assert t.decided_surprisal_rate == got[2][-1]
+    def test_block_equals_trial_at_a_time_reference(self, group, seed, lo, n):
+        experiments = [
+            (model, make_rule_tables(model, rule), params(eps, m))
+            for model, rule, m, eps in group
+        ]
+        blocks = _run_block(experiments, seed, lo, lo + n)
+        assert len(blocks) == len(group)
+        # each member reads its own leading columns of the group's one stream
+        for (model, rule, m, eps), got in zip(group, blocks):
+            want = reference_block(model, rule, eps, m, seed, lo, lo + n)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            # run_trial is a block of one on the same kernel
+            t = run_trial(model, rule, params(eps, m), trial_rng(seed, lo + n - 1))
+            assert t.success == got[0][-1]
+            assert t.posterior_entropy_rate == got[1][-1]
+            assert t.decided_surprisal_rate == got[2][-1]
 
     def test_worker_counts_straddling_chunks(self, coin10):
         docs = [
@@ -431,6 +448,59 @@ class TestSweep:
         assert len(pools) == (1 if workers > 1 else 0)
         assert len(rows) == 8
         assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
+
+    @pytest.mark.parametrize("workers, trials", [(2, 50), (3, 2), (3, 50)])
+    def test_pool_gets_one_job_per_worker(self, monkeypatch, workers, trials):
+        jobs = []
+
+        class CountingPool(experiment.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                jobs.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        rows = sweep(
+            [6, 5], [0.4], [2, 1], [0.25], [DecisionRule.SAP, DecisionRule.MAP], trials, 2,
+            workers=workers,
+        )
+        assert len(rows) == 8
+        assert len(jobs) == min(workers, trials)
+
+    def test_acceptance_grid_computes_its_stream_once(self, monkeypatch):
+        widths = []
+
+        def counting_uniforms(seed_words, index, width):
+            widths.append((len(index), width))
+            return pcg64_uniforms(seed_words, index, width)
+
+        pcg64_uniforms = experiment._pcg64_uniforms
+        monkeypatch.setattr(experiment, "_pcg64_uniforms", counting_uniforms)
+        rows = sweep([5, 15, 25, 35], [0.4], [1, 10], [0.25], list(DecisionRule), 1000, 0)
+        assert len(rows) == 32
+        # one chunk of 1,000 rows at the widest point, SAP at M=10
+        assert widths == [(1000, 30)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rows_equal_independent_experiments(self, workers):
+        # 4,097 trials cross _STREAM_CHUNK; M = 1, 3, 10 give widths 2 to 30
+        trials, seed = experiment._STREAM_CHUNK + 1, 11
+        rows = sweep(
+            [3, 5], [0.4], [1, 3, 10], [0.25], [DecisionRule.SAP, DecisionRule.MAP],
+            trials, seed, workers=workers,
+        )
+        assert len(rows) == 12
+        for row in rows:
+            rep = run_experiment(
+                build_coin_model(row["N"], row["theta"]), DecisionRule.from_name(row["rule"]),
+                params(row["epsilon"], row["M"]), trials, seed,
+            )
+            assert row["ti_bits"] == rep.ti_bits
+            assert row["accuracy_bits"] == rep.accuracy_hat_bits
+            assert row["h_hat_bits"] == rep.h_hat_bits
+            assert row["alt_h_hat_bits"] == rep.alt_h_hat_bits
+            assert row["pf_hat"] == rep.p_f_hat
+            assert row["pf_halfwidth"] == rep.p_f_halfwidth
+            assert row["successes"] == rep.success_count
 
     def test_rule_tables_built_once_per_model_and_rule(self, monkeypatch):
         calls = []

@@ -92,7 +92,7 @@ class TestTrialStreams:
     def test_block_past_the_stream_chunk(self, rule, lo, n):
         model = build_coin_model(4, 0.4)
         params = TypicalityParams(epsilon=0.25, extension=3)
-        got = _run_block(model, make_rule_tables(model, rule), params, 2026, lo, lo + n)
+        (got,) = _run_block([(model, make_rule_tables(model, rule), params)], 2026, lo, lo + n)
         want = reference_block(model, rule, 0.25, 3, 2026, lo, lo + n)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
