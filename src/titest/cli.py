@@ -161,11 +161,20 @@ def _as_float(parser: argparse.ArgumentParser, name: str, value: Any) -> float:
         parser.error(f"{name} must be a number, got {value!r}")
 
 
+def _as_path(parser: argparse.ArgumentParser, name: str, value: Any) -> Any:
+    """A config file's path value must be a string, as on the command line."""
+    if value is not None and not isinstance(value, str):
+        parser.error(f"{name} must be a path, got {value!r}")
+    return value
+
+
 def _resolve_model(
     args: argparse.Namespace, cfg: dict, parser: argparse.ArgumentParser
 ) -> tuple[DiscreteJointModel, dict]:
     coin = _pick(getattr(args, "coin", None), cfg, "coin")
-    model_file = _pick(getattr(args, "model_file", None), cfg, "model_file")
+    model_file = _as_path(
+        parser, "--model-file", _pick(getattr(args, "model_file", None), cfg, "model_file")
+    )
     if (coin is None) == (model_file is None):
         parser.error("exactly one of --coin N THETA or --model-file PATH is required")
     if coin is not None:
@@ -297,7 +306,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _load_config(args.config, parser) if args.config else {}
     common = _resolve_common(args, cfg, parser)
-    grid_path = _pick(args.grid, cfg, "grid")
+    grid_path = _as_path(parser, "--grid", _pick(args.grid, cfg, "grid"))
     if grid_path is None:
         parser.error("--grid PATH is required for sweep")
     try:

@@ -16,7 +16,9 @@ No generator is built per trial: the rows of up to _STREAM_CHUNK trials are
 computed together by numpy array arithmetic that reproduces SeedSequence's
 hash and PCG64's seeding and output bit for bit (_trial_uniforms; tested
 against numpy's own generators). Sampling, decisions, the three-condition
-judgement and both rate estimators then run over _CHUNK rows at a time.
+judgement and both rate estimators then run over each chunk of rows whole:
+the inverse-CDF picks look each draw up in a guide table (rules.CdfGuide),
+so the common path makes no temporary that grows with the alphabet size.
 
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
@@ -41,13 +43,14 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .model import DiscreteJointModel, build_coin_model, info_summary, posterior
-from .rules import DecisionRule, decide, inverse_cdf_pick
+from .rules import CdfGuide, DecisionRule, decide
 from .typicality import (
     EnumerationTooLargeError,
     SequencePair,
@@ -80,12 +83,10 @@ __all__ = [
 
 Z_95 = 1.96
 
-# Trials per chunk of the block kernel: bounds its index temporaries,
-# whatever the block length.
-_CHUNK = 256
-# Trials whose uniforms are computed together: stepping many PCG64 lanes at
-# once amortizes numpy's per-call cost, and 4,096 rows of 30 doubles (coin10,
-# M=10, SAP) take about 1 MB.
+# Trials whose uniforms are computed together, and then run through the
+# kernel together: stepping many PCG64 lanes at once amortizes numpy's
+# per-call cost, and 4,096 rows of 30 doubles (coin10, M=10, SAP) take
+# about 1 MB.
 _STREAM_CHUNK = 4096
 
 # SeedSequence (numpy bit_generator.pyx) and PCG64 (pcg64.h) constants.
@@ -112,14 +113,19 @@ class RuleTables:
     det_choice maps a y index to the decided x index for deterministic rules.
     sap_cdf holds, per y index, the posterior CDF over ascending hypothesis
     labels; sap_order maps an ascending-label position back to storage index.
-    Semantics match rules.decide exactly (tested, not assumed). Tables that
-    depend on the model alone live on the model.
+    sap_guide, the guide table the kernel picks by, is built from sap_cdf on
+    the first draw. Semantics match rules.decide exactly (tested, not
+    assumed). Tables that depend on the model alone live on the model.
     """
 
     rule: DecisionRule
     det_choice: np.ndarray | None = None
     sap_cdf: np.ndarray | None = None
     sap_order: np.ndarray | None = None
+
+    @cached_property
+    def sap_guide(self) -> CdfGuide:
+        return CdfGuide(self.sap_cdf)
 
 
 def make_rule_tables(model: DiscreteJointModel, rule: DecisionRule) -> RuleTables:
@@ -156,7 +162,7 @@ def _trial_kernel(
     if tables.det_choice is not None:
         decided = tables.det_choice[yi]
     else:
-        decided = tables.sap_order[inverse_cdf_pick(tables.sap_cdf[yi], u[:, 2 * m :])]
+        decided = tables.sap_order[tables.sap_guide.pick(u[:, 2 * m :], yi)]
     return (
         xi,
         yi,
@@ -323,22 +329,23 @@ def _run_block(
 
     Computes the uniforms of up to _STREAM_CHUNK trials once, at the widest
     k*M of the group; an experiment of width w reads the first w columns,
-    which are its trials' random(w). The kernel runs over _CHUNK rows at a time.
+    which are its trials' random(w). The kernel runs over each such chunk
+    whole: its guide-table picks make (chunk, M) temporaries, not (chunk, M,
+    K) ones.
     """
     widths = [_draws_per_symbol(tables) * params.extension for _, tables, params in experiments]
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in widths]
     done = 0
     for u in _trial_uniforms(seed, lo, hi, max(widths)):
-        for start in range(0, len(u), _CHUNK):
-            rows = u[start : start + _CHUNK]
-            at = slice(done + start, done + start + len(rows))
-            for (model, tables, params), width, (success, post_rate, dec_rate) in zip(
-                experiments, widths, out
-            ):
-                _, _, _, success[at], post_rate[at], dec_rate[at] = _trial_kernel(
-                    model, tables, rows[:, :width], params.extension, params.epsilon
-                )
+        at = slice(done, done + len(u))
+        for (model, tables, params), width, (success, post_rate, dec_rate) in zip(
+            experiments, widths, out
+        ):
+            success[at], post_rate[at], dec_rate[at] = _trial_kernel(
+                model, tables, u[:, :width], params.extension, params.epsilon
+            )[3:]
         done += len(u)
+        del u  # free this chunk before the next one is computed
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,7 +61,8 @@ class DiscreteJointModel:
     threads or worker processes. The derived tables (joint, marginals, log2
     lookups, posterior matrix, per-column posterior entropies, sampling CDFs,
     and the entropies H(X), H(Y), H(X,Y)) are computed once in
-    ``__post_init__`` because every downstream consumer needs them.
+    ``__post_init__`` because every downstream consumer needs them; the
+    CDFs' sampling guides are built on the first draw.
     """
 
     hypothesis_values: tuple[int, ...]
@@ -152,6 +154,20 @@ class DiscreteJointModel:
     # y_marginal, log2_prior, log2_y_marginal, log2_joint, posterior_matrix,
     # log2_posterior, posterior_col_entropy, prior_cdf, lik_cdf (row-wise),
     # and the entropies h_x, h_y, h_xy that centre the typicality conditions.
+
+    # The sampling guides are built on the first draw, so the exact engine,
+    # which draws nothing, never pays for them.
+    @cached_property
+    def prior_guide(self):
+        from .rules import CdfGuide  # rules imports this module
+
+        return CdfGuide(self.prior_cdf)
+
+    @cached_property
+    def lik_guide(self):
+        from .rules import CdfGuide
+
+        return CdfGuide(self.lik_cdf)
 
     def __reduce__(self):
         # pickle the four defining fields; unpickling rebuilds (and so

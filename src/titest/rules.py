@@ -15,6 +15,7 @@ import numpy as np
 from .model import DiscreteJointModel, PosteriorColumn, posterior
 
 __all__ = [
+    "CdfGuide",
     "DecisionRule",
     "decide",
     "decide_eap",
@@ -89,14 +90,78 @@ def decide_meap(post: PosteriorColumn) -> int:
 def inverse_cdf_pick(cdf: np.ndarray, u) -> np.ndarray:
     """Index of the smallest entry with cdf > u, along the last axis.
 
-    Shared by the single-draw SAP rule and the vectorized per-symbol sampler
-    so both use identical boundary semantics (a draw landing exactly on a CDF
-    step selects the next support point). The count is clipped so a terminal
-    cdf of 1 - 1ulp cannot index past the end.
+    The one definition of the picks' boundary semantics (a draw landing
+    exactly on a CDF step selects the next support point): the single-draw
+    SAP rule calls it, and the trial samplers' guide tables (CdfGuide) fall
+    back to it wherever a bucket does not settle the pick. The count is
+    clipped so a terminal cdf of 1 - 1ulp cannot index past the end.
     """
     u = np.asarray(u)
     idx = (cdf <= u[..., None]).sum(axis=-1)
     return np.minimum(idx, cdf.shape[-1] - 1)
+
+
+# A guide splits [0, 1) into 2**_GUIDE_BITS buckets. Scaling by a power of
+# two is exact, so int(u * _GUIDE_BUCKETS) is exactly the bucket holding u.
+_GUIDE_BITS = 10
+_GUIDE_BUCKETS = 1 << _GUIDE_BITS
+# The ambiguous-draw fallback gathers at most this many CDF entries at once,
+# whatever the number of draws.
+_FALLBACK_ENTRIES = 1 << 20
+
+
+class CdfGuide:
+    """Guide table over the rows of a CDF table: inverse_cdf_pick by bucket.
+
+    The indexed search of Chen & Asau (1974; Devroye, Non-Uniform Random
+    Variate Generation, 1986, III.2.4), made exact. Bucket b is [b, b + 1)
+    * 2**-_GUIDE_BITS. For each row the guide stores min(#(cdf <= b
+    2**-_GUIDE_BITS), K - 1), which is the pick of every u in the bucket
+    unless a CDF step lies strictly inside it; such an ambiguous bucket
+    stores K instead. Draws in an ambiguous bucket, and any u outside
+    [0, 1), go through inverse_cdf_pick itself, so every pick equals
+    inverse_cdf_pick's. CDF entries must not be NaN.
+    """
+
+    def __init__(self, cdf: np.ndarray) -> None:
+        self.cdf = np.atleast_2d(cdf)
+        n_rows, k = self.cdf.shape
+        scaled = self.cdf * _GUIDE_BUCKETS
+        slots = _GUIDE_BUCKETS + 1
+        row_base = slots * np.arange(n_rows)[:, None]
+
+        def passed(edges: np.ndarray) -> np.ndarray:
+            # entries whose edge is <= b, for each row and bucket b; slot
+            # _GUIDE_BUCKETS collects the entries no bucket passes
+            keys = np.clip(edges, 0, _GUIDE_BUCKETS).astype(np.intp) + row_base
+            counts = np.bincount(keys.ravel(), minlength=n_rows * slots)
+            return counts.reshape(n_rows, slots).cumsum(axis=1)[:, :-1]
+
+        # cdf <= b 2**-p iff ceil(cdf 2**p) <= b; cdf < (b + 1) 2**-p iff
+        # floor(cdf 2**p) <= b
+        at_edge = passed(np.ceil(scaled))
+        ambiguous = at_edge != passed(np.floor(scaled))
+        guide = np.where(ambiguous, k, np.minimum(at_edge, k - 1))
+        self.guide = guide.astype(np.min_scalar_type(k)).ravel()
+
+    def pick(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """inverse_cdf_pick(self.cdf[rows], u) for an array u; rows, of u's
+        shape, defaults to row 0 everywhere."""
+        inside = (u >= 0) & (u < 1)
+        bucket = ((u if inside.all() else np.where(inside, u, 0)) * _GUIDE_BUCKETS).astype(np.intp)
+        if rows is not None:
+            bucket += np.multiply(rows, _GUIDE_BUCKETS, dtype=np.intp)
+        out = self.guide[bucket]
+        slow = (out == self.cdf.shape[1]) | ~inside
+        if slow.any():
+            u_slow = u[slow]
+            rows_slow = np.zeros(len(u_slow), dtype=np.intp) if rows is None else rows[slow]
+            step = max(1, _FALLBACK_ENTRIES // self.cdf.shape[1])
+            out[slow] = np.concatenate([
+                inverse_cdf_pick(self.cdf[rows_slow[s : s + step]], u_slow[s : s + step])
+                for s in range(0, len(u_slow), step)
+            ])
+        return out
 
 
 def sap_sample(post: PosteriorColumn, rng: np.random.Generator, size: int) -> np.ndarray:

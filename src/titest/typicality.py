@@ -23,7 +23,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .model import DiscreteJointModel
-from .rules import inverse_cdf_pick
 
 __all__ = [
     "CensusBound",
@@ -140,9 +139,12 @@ def jointly_typical_rows(
 
 
 def _pick_pair(model: DiscreteJointModel, ux: np.ndarray, uy: np.ndarray) -> tuple:
-    """Storage indices (xi, yi): xi from ux by the prior CDF, yi from uy by row xi's."""
-    xi = inverse_cdf_pick(model.prior_cdf, ux)
-    return xi, inverse_cdf_pick(model.lik_cdf[xi], uy)
+    """Storage indices (xi, yi): xi from ux by the prior CDF, yi from uy by row xi's.
+
+    The picks are inverse_cdf_pick's, made through the model's guide tables.
+    """
+    xi = model.prior_guide.pick(ux)
+    return xi, model.lik_guide.pick(uy, xi)
 
 
 def draw_index_pair(

@@ -354,6 +354,19 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err and "--seed" in err
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("model", {"model_file": 3}),
+        ("simulate", {"model_file": False}),
+        ("sweep", {"grid": True}),
+    ], ids=["model-file-number", "model-file-false", "grid-true"])
+    def test_non_string_config_path(self, capsys, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
+
     @pytest.mark.parametrize("cfg", [
         {"coin": [6, 0.4], "m": True, "trials": True},
         {"coin": [6, 0.4], "epsilon": True},
@@ -514,6 +527,145 @@ class TestSweepGridFuzz:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()
             assert sum(line.startswith("titest: error:") for line in lines) == 1
+
+
+# Non-numeric text only: a digit string is a valid count to _as_int.
+WORD = st.text(alphabet="abxyz ", max_size=3)
+CONFIG_JUNK = st.one_of(
+    st.none(), st.booleans(), WORD, st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(0, 5), max_size=2), st.lists(st.lists(st.integers(1, 5), max_size=2), max_size=2),
+    st.dictionaries(WORD, st.integers(0, 5), max_size=1),
+)
+RULE_NAMES = st.sampled_from(["map", "eap", "meap", "sap", "SAP"])
+
+
+def run_flag_values(command, max_m):
+    """Per flag of `titest simulate` / `titest enumerate`: (valid, invalid)
+    argument strings. Valid counts stay small; no worker count starts a pool."""
+    flags = {
+        "--rule": (RULE_NAMES, st.sampled_from(["bogus", ""])),
+        "--m": (st.integers(1, max_m).map(str), st.sampled_from(["0", "-3", "1.5", "abc"])),
+        "--epsilon": (
+            st.sampled_from(["0.1", "0.25", "1.0"]),
+            st.sampled_from(["0", "-0.25", "nan", "inf", "1e400", "x"]),
+        ),
+        "--seed": (
+            st.integers(0, 2**70).map(str), st.sampled_from(["-1", "2.5", "x"])
+        ),
+        "--workers": (st.just("1"), st.sampled_from(["0", "-1", "x"])),
+        "--format": (st.just("json"), st.sampled_from(["csv", "xml"])),
+    }
+    if command == "simulate":
+        flags["--trials"] = (st.integers(1, 3).map(str), st.sampled_from(["0", "-2", "x"]))
+    return flags
+
+
+def config_values(command, max_m):
+    """Per config key: (valid, invalid) JSON values. "MODEL", "MISSING" and
+    "DIR" stand for a model file, a missing file and a directory."""
+    values = {
+        "coin": (
+            st.tuples(st.integers(1, 12), st.floats(0.05, 0.95)).map(list),
+            st.sampled_from([
+                [0, 0.4], [513, 0.4], [2.5, 0.4], [10**30, 0.4], [True, 0.4], [3, 0.0],
+                [3, 1.5], [3, math.nan], [3, math.inf], [3, 10**400], [3], [[3], 0.4], "3 0.4",
+            ]),
+        ),
+        "model_file": (st.just("MODEL"), st.sampled_from(["MISSING", "DIR", 3, False, []])),
+        "rule": (RULE_NAMES, st.sampled_from(["bogus", 3])),
+        "m": (st.integers(1, max_m), st.sampled_from([0, -3, 1.5, math.nan, math.inf, True])),
+        "epsilon": (st.sampled_from([0.1, 0.25, 1.0]), st.sampled_from([0.0, -0.25, True])),
+        "seed": (st.integers(0, 2**70), st.sampled_from([-1, 1.5, True])),
+        "workers": (st.just(1), st.sampled_from([0, -1, 2.5, True])),
+        "format": (st.just("json"), st.sampled_from(["csv", "xml", True, 3])),
+        "out": (st.none(), st.sampled_from(["DIR", 3, True, [], {"a": 1}, math.nan])),
+        "k": (st.integers(0, 3), st.nothing()),
+        "grid": (st.none(), st.nothing()),
+    }
+    if command == "simulate":
+        values["trials"] = (st.integers(1, 3), st.sampled_from([0, -1, 1.5, True, 10**400]))
+    return values
+
+
+def maybe_bad(draw, valid, invalid):
+    """A valid value three times in four, so that a quarter of the examples
+    still run end to end."""
+    return draw(invalid if draw(st.integers(0, 3)) == 0 else valid)
+
+
+@st.composite
+def cli_invocations(draw, command, max_m):
+    """(argv, config document or None) for one command: a model source given
+    by --coin, --model-file, both or neither, a subset of the other flags
+    and maybe a --config document, each value valid or not."""
+    argv = [command]
+    source = maybe_bad(draw, st.sampled_from(["coin", "model"]), st.sampled_from(["both", "none"]))
+    if source in ("coin", "both"):
+        n = maybe_bad(draw, st.integers(1, 12).map(str), st.sampled_from(["0", "513", "2.5", "x"]))
+        theta = maybe_bad(
+            draw, st.floats(0.05, 0.95).map(repr), st.sampled_from(["0", "1", "nan", "1e400", "x"])
+        )
+        argv += ["--coin", n, theta]
+    if source in ("model", "both"):
+        argv += ["--model-file", maybe_bad(draw, st.just("MODEL"), st.sampled_from(["MISSING", "BROKEN"]))]
+    for flag, (valid, invalid) in run_flag_values(command, max_m).items():
+        if draw(st.booleans()):
+            argv += [flag, maybe_bad(draw, valid, invalid)]
+    if draw(st.integers(0, 5)) == 0:
+        argv += ["--out", draw(st.sampled_from(["OUTFILE", "DIR"]))]
+    doc = None
+    if draw(st.booleans()):
+        values = config_values(command, max_m)
+        if source in ("coin", "model") and maybe_bad(draw, st.just(True), st.just(False)):
+            # a second model source is a conflict
+            del values["coin"], values["model_file"]
+        keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=6, unique=True))
+        # any other string "out" would be written to, as a relative path
+        doc = {
+            key: maybe_bad(draw, valid, invalid if key == "out" else st.one_of(invalid, CONFIG_JUNK))
+            for key, (valid, invalid) in ((k, values[k]) for k in keys)
+        }
+        if draw(st.integers(0, 9)) == 0:
+            doc["bogus"] = 1
+        if draw(st.integers(0, 9)) == 0:
+            doc = draw(CONFIG_JUNK)
+    return argv, doc
+
+
+class TestRunFlagsFuzz:
+    @pytest.mark.parametrize("command, max_m", [("simulate", 64), ("enumerate", 6)])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_flags_and_config_exit_cleanly(self, tmp_path_factory, bsc25, command, max_m, data):
+        argv, doc = data.draw(cli_invocations(command, max_m))
+        tmp = tmp_path_factory.mktemp("run")
+        model = write_model(tmp, "model.json", bsc25)
+        (tmp / "broken.json").write_text('{"prior": [0.5, 0.5]')
+        paths = {
+            "MODEL": model, "MISSING": str(tmp / "missing.json"), "BROKEN": str(tmp / "broken.json"),
+            "DIR": str(tmp), "OUTFILE": str(tmp / "out.json"),
+        }
+        argv = [paths.get(token, token) for token in argv]
+        if doc is not None:
+            if isinstance(doc, dict):
+                doc = {k: paths.get(v, v) if isinstance(v, str) else v for k, v in doc.items()}
+            (tmp / "config.json").write_text(json.dumps(doc))
+            argv += ["--config", str(tmp / "config.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            written = paths["OUTFILE"] in argv
+            text = Path(paths["OUTFILE"]).read_text() if written else out.getvalue()
+            assert isinstance(json.loads(text), dict)
+        else:
+            assert out.getvalue() == ""
+            # argparse's own type and choice checks name the subcommand
+            lines = err.getvalue().splitlines()
+            prefixes = ("titest: error:", f"titest {command}: error:")
+            assert sum(line.startswith(prefixes) for line in lines) == 1
 
 
 class TestInstalledEntryPoint:

@@ -13,6 +13,7 @@ from titest import (
     SequencePair,
     TypicalityParams,
     achievability_check,
+    build_bsc_model,
     build_coin_model,
     build_constant_model,
     converse_check,
@@ -27,10 +28,12 @@ from titest import (
     run_experiment,
     run_trial,
     sweep,
+    typical_set_census,
 )
 from titest import experiment
-from titest.experiment import _CHUNK, SWEEP_COLUMNS, Z_95, _run_block
-from titest.typicality import BOUNDARY_ATOL, draw_index_pair
+from titest.experiment import SWEEP_COLUMNS, Z_95, _run_block
+from titest.rules import CdfGuide, inverse_cdf_pick
+from titest.typicality import BOUNDARY_ATOL, jointly_typical_rows
 
 
 def trial_rng(seed, i):
@@ -126,9 +129,17 @@ def small_models(draw):
     )
 
 
+def compare_and_sum_pick(probs, u):
+    """One inverse-CDF pick, written out: the first index whose running sum
+    exceeds u, clipped to the last index."""
+    cdf = np.cumsum(probs)
+    return min(int((cdf <= u).sum()), len(cdf) - 1)
+
+
 def reference_block(model, rule, eps, m, seed, lo, hi):
-    """Trials [lo, hi) one at a time: draw_index_pair, then (SAP only) a
-    third random(M) for the decisions, then a scalar typicality judgement."""
+    """Trials [lo, hi) one at a time: random(M) for x, random(M) for y and
+    (SAP only) a third random(M) for the decisions, each picked by a written
+    out compare-and-sum, then a scalar typicality judgement."""
     h_x = entropy(model.prior)
     h_y = entropy(model.y_marginal)
     h_xy = entropy(model.joint.ravel())
@@ -136,12 +147,15 @@ def reference_block(model, rule, eps, m, seed, lo, hi):
     success, post_rate, dec_rate = [], [], []
     for i in range(lo, hi):
         rng = trial_rng(seed, i)
-        xi, yi = draw_index_pair(model, m, rng)
+        xi = np.array([compare_and_sum_pick(model.prior, u) for u in rng.random(m)])
+        yi = np.array([
+            compare_and_sum_pick(model.likelihood[x], u) for x, u in zip(xi, rng.random(m))
+        ])
         if rule is DecisionRule.SAP:
-            decided = []
-            for y, u in zip(yi, rng.random(m)):
-                cdf = np.cumsum(model.posterior_matrix[ascending, y])
-                decided.append(ascending[min(int((cdf <= u).sum()), len(cdf) - 1)])
+            decided = [
+                ascending[compare_and_sum_pick(model.posterior_matrix[ascending, y], u)]
+                for y, u in zip(yi, rng.random(m))
+            ]
         else:
             decided = [
                 model.x_index(decide(rule, posterior(model, model.observation_values[y])))
@@ -179,7 +193,7 @@ class TestBlockKernel:
         group=block_groups(),
         seed=st.integers(0, 2**32 - 1),
         lo=st.integers(0, 10_000),
-        n=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+        n=st.sampled_from([1, 2, 255, 256, 257, 513]),
     )
     def test_block_equals_trial_at_a_time_reference(self, group, seed, lo, n):
         experiments = [
@@ -209,6 +223,71 @@ class TestBlockKernel:
             for w in (1, 2, 3)
         ]
         assert docs[0] == docs[1] == docs[2]
+
+
+def compare_and_sum_kernel(model, tables, u, m, epsilon):
+    """_trial_kernel with every pick comparing u against every CDF entry of
+    its row (inverse_cdf_pick), as before the guide tables."""
+    xi = inverse_cdf_pick(model.prior_cdf, u[:, :m])
+    yi = inverse_cdf_pick(model.lik_cdf[xi], u[:, m : 2 * m])
+    if tables.det_choice is not None:
+        decided = tables.det_choice[yi]
+    else:
+        decided = tables.sap_order[inverse_cdf_pick(tables.sap_cdf[yi], u[:, 2 * m :])]
+    return (
+        xi,
+        yi,
+        decided,
+        jointly_typical_rows(model, decided, yi, epsilon),
+        model.posterior_col_entropy[yi].mean(axis=1),
+        -model.log2_posterior[decided, yi].mean(axis=1),
+    )
+
+
+def plant_adversarial(u, cdf, rng):
+    """Overwrite about a quarter of u with CDF values, their neighbours,
+    bucket edges and edge - ulp, each below 1."""
+    values = np.unique(cdf)
+    edges = np.arange(1024) / 1024
+    pool = np.concatenate([
+        values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), edges, np.nextafter(edges, 0.0)
+    ])
+    pool = pool[(pool >= 0.0) & (pool < 1.0)]
+    hit = rng.random(u.shape) < 0.25
+    u[hit] = rng.choice(pool, size=int(hit.sum()))
+
+
+class TestGuidedKernel:
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("rule", list(DecisionRule))
+    @pytest.mark.parametrize("name", ["coin1", "coin2", "coin5", "coin10", "coin35", "bsc25"])
+    def test_equals_compare_and_sum_kernel(self, name, rule, m):
+        model = build_bsc_model(0.25) if name == "bsc25" else build_coin_model(int(name[4:]), 0.4)
+        tables = make_rule_tables(model, rule)
+        rng = np.random.default_rng([*name.encode(), m, list(DecisionRule).index(rule)])
+        u = rng.random((2048, experiment._draws_per_symbol(tables) * m))
+        plant_adversarial(u[:, :m], model.prior_cdf, rng)
+        plant_adversarial(u[:, m : 2 * m], model.lik_cdf, rng)
+        if tables.sap_cdf is not None:
+            plant_adversarial(u[:, 2 * m :], tables.sap_cdf, rng)
+        got = experiment._trial_kernel(model, tables, u, m, 0.25)
+        want = compare_and_sum_kernel(model, tables, u, m, 0.25)
+        for g, w in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(g, w)
+        for g, w in zip(got[3:], want[3:]):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_guides_are_built_by_draws_only(self, monkeypatch):
+        def refuse(self, cdf):
+            raise AssertionError("guide built")
+
+        monkeypatch.setattr(CdfGuide, "__init__", refuse)
+        model = build_coin_model(3, 0.4)
+        typical_set_census(model, params(0.25, 3))
+        for rule in DecisionRule:
+            extended_fano_check(model, rule, params(0.25, 3))
+        with pytest.raises(AssertionError, match="guide built"):
+            run_trial(model, DecisionRule.MAP, params(0.25, 3), trial_rng(0, 0))
 
 
 class TestRunExperiment:

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from titest import rules
+from titest.rules import CdfGuide
 from titest import (
     DecisionRule,
     DiscreteJointModel,
@@ -135,6 +139,91 @@ class TestInverseCdfPick:
         cdf = np.array([[0.5, 1.0], [0.1, 1.0]])
         got = inverse_cdf_pick(cdf, np.array([0.4, 0.4]))
         np.testing.assert_array_equal(got, [0, 1])
+
+
+ONE_MINUS_ULP = np.nextafter(1.0, 0.0)
+ONE_PLUS_ULP = np.nextafter(1.0, 2.0)
+BUCKET_EDGES = np.arange(rules._GUIDE_BUCKETS + 1) / rules._GUIDE_BUCKETS
+
+
+@st.composite
+def cdf_tables(draw):
+    """(rows, K) CDF tables, K = 1 allowed: normalized integer weights with
+    exact zeros (repeated CDF values), steps on a 2**-12 grid (many on bucket
+    edges), arbitrary sorted doubles and rows parked at 1.0; any row may end
+    at 1 - ulp or 1 + ulp."""
+    k = draw(st.integers(1, 8))
+
+    def row():
+        kind = draw(st.sampled_from(["weights", "grid", "doubles", "parked"]))
+        if kind == "weights":
+            w = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+            r = np.cumsum(np.array(w, dtype=float) / sum(w))
+        elif kind == "grid":
+            r = np.sort(draw(st.lists(st.integers(0, 4096), min_size=k, max_size=k))) / 4096
+        elif kind == "doubles":
+            r = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+        else:
+            r = np.ones(k)
+        end = draw(st.sampled_from([None, ONE_MINUS_ULP, ONE_PLUS_ULP]))
+        if end is not None:
+            r = np.minimum(r, end)
+            r[-1] = end
+        return r
+
+    return np.array([row() for _ in range(draw(st.integers(1, 4)))])
+
+
+def adversarial_draws(cdf):
+    """Every CDF value and its neighbours, every bucket edge and edge - ulp,
+    0, 1 - 2**-53, 1.0, and draws outside [0, 1)."""
+    values = np.unique(cdf)
+    return np.concatenate([
+        values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf),
+        BUCKET_EDGES, np.nextafter(BUCKET_EDGES, 0.0),
+        [0.0, -0.0, 1.0 - 2.0**-53, 1.0, -0.5, 1.5, np.inf, -np.inf, np.nan],
+    ])
+
+
+class TestCdfGuide:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cdf=cdf_tables(),
+        random=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64),
+    )
+    def test_guided_pick_equals_inverse_cdf_pick(self, cdf, random):
+        u = np.concatenate([adversarial_draws(cdf), random])
+        rows = np.repeat(np.arange(len(cdf)), len(u))
+        u_all = np.tile(u, len(cdf))
+        want = inverse_cdf_pick(cdf[rows], u_all)
+        guide = CdfGuide(cdf)
+        np.testing.assert_array_equal(guide.pick(u_all, rows), want)
+        # draws and rows keep their (B, M) shape, as in the trial kernel
+        np.testing.assert_array_equal(
+            guide.pick(u_all.reshape(len(cdf), -1), rows.reshape(len(cdf), -1)),
+            want.reshape(len(cdf), -1),
+        )
+        # a one-row table needs no rows
+        np.testing.assert_array_equal(
+            CdfGuide(cdf[0]).pick(u), inverse_cdf_pick(cdf[0], u)
+        )
+        # the fallback, one ambiguous draw at a time
+        with mock.patch.object(rules, "_FALLBACK_ENTRIES", 1):
+            np.testing.assert_array_equal(guide.pick(u_all, rows), want)
+
+    def test_bucket_edges_and_steps(self):
+        # a step on the edge of bucket 512 leaves it certain; one strictly
+        # inside bucket 256 makes that bucket ambiguous
+        guide = CdfGuide(np.array([0.25 + 2**-12, 0.5, 1.0]))
+        assert (guide.guide == 3).nonzero()[0].tolist() == [256]
+        assert guide.guide[[0, 255, 256, 257, 511, 512, 1023]].tolist() == [0, 0, 3, 1, 1, 2, 2]
+        u = np.array([0.5, np.nextafter(0.5, 0), 0.25 + 2**-12, 0.25, 0.0])
+        np.testing.assert_array_equal(guide.pick(u), [2, 1, 1, 0, 0])
+
+    def test_smallest_index_dtype(self):
+        # indices 0..K-1 and the ambiguity mark K
+        assert CdfGuide(np.linspace(0.01, 1.0, 255)).guide.dtype == np.uint8
+        assert CdfGuide(np.linspace(0.01, 1.0, 256)).guide.dtype == np.uint16
 
 
 class TestSap:
