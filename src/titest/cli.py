@@ -1,12 +1,17 @@
 """Command-line front end over models, decisions, experiments, and censuses.
 
-Exit codes: 0 success; 2 usage or config error; 3 model/data error (bad model
-file, impossible observation, enumeration cap exceeded). A failed inequality
-check is report content, not a process failure: an experiment that falsifies
-a bound is valid output and still exits 0.
+Each subcommand takes exactly the settings it uses (the COMMANDS table below);
+a flag or config key of another subcommand is a usage error. A setting's value
+comes from its flag, else from the ``--config`` file (flat JSON whose keys are
+the subcommand's setting names, ``model_file`` for ``--model-file``), else
+from its default, and passes the same check whichever source gave it.
 
-Config files are flat JSON mirroring the flag names (command line wins on
-overlap). All numeric output is rendered to 10 significant digits.
+Exit codes: 0 success; 2 usage or config error; 3 model/data error (bad model
+file, impossible observation, enumeration cap exceeded). Every error is one
+``titest: error: ...`` line on stderr. A failed inequality check is report
+content, not a process failure: an experiment that falsifies a bound is valid
+output and still exits 0. All numeric output is rendered to 10 significant
+digits.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -48,21 +53,11 @@ from .typicality import (
 
 __all__ = ["main"]
 
-DEFAULTS = {
-    "rule": "sap",
-    "m": 8,
-    "epsilon": 0.25,
-    "trials": 1000,
-    "seed": 0,
-    "workers": 1,
-}
-
 FORMATS = ("json", "csv")
 
-CONFIG_KEYS = {
-    "coin", "model_file", "rule", "m", "epsilon", "trials",
-    "seed", "workers", "out", "format", "k", "grid",
-}
+
+class _UsageError(Exception):
+    """Bad flag, config or grid value: maps to exit code 2."""
 
 
 class _DataError(Exception):
@@ -99,278 +94,281 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+def _read_json(path: str, what: str, error: type[Exception]) -> Any:
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as e:
-        parser.error(f"cannot read config file: {e}")
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"cannot read {what} file: {e}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        parser.error(f"config file {path}: invalid JSON at line {e.lineno} column {e.colno}")
-    if not isinstance(doc, dict):
-        parser.error(f"config file {path}: expected a JSON object")
-    unknown = set(doc) - CONFIG_KEYS
-    if unknown:
-        parser.error(f"config file {path}: unknown keys {sorted(unknown)}")
-    return doc
+        raise error(
+            f"{what} file {path}: invalid JSON at line {e.lineno} column {e.colno}"
+        ) from None
 
 
 def _load_model_file(path: str) -> DiscreteJointModel:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise _DataError(f"cannot read model file: {e}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise _DataError(
-            f"model file {path}: invalid JSON at line {e.lineno} column {e.colno}"
-        ) from None
+    doc = _read_json(path, "model", _DataError)
     try:
         return DiscreteJointModel.from_json_dict(doc)
     except (InvalidDistributionError, ValueError, TypeError) as e:
         raise _DataError(f"model file {path}: {e}") from None
 
 
-def _pick(args_value: Any, cfg: dict, key: str, default: Any = None) -> Any:
-    if args_value is not None:
-        return args_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _as_int(parser: argparse.ArgumentParser, name: str, value: Any, minimum: int) -> int:
+def _as_int(name: str, value: Any, minimum: int) -> int:
     try:
         n = int(value)
         # int(True) == 1, but a JSON boolean is not a count
         if isinstance(value, bool) or isinstance(value, float) and value != n:
             raise ValueError
     except (TypeError, ValueError, OverflowError):  # JSON 1e400 parses to inf
-        parser.error(f"{name} must be an integer, got {value!r}")
+        raise _UsageError(f"{name} must be an integer, got {value!r}") from None
     if n < minimum:
-        parser.error(f"{name} must be >= {minimum}, got {n}")
+        raise _UsageError(f"{name} must be >= {minimum}, got {n}")
     return n
 
 
-def _as_float(parser: argparse.ArgumentParser, name: str, value: Any) -> float:
+def _as_float(name: str, value: Any) -> float:
     try:
         if isinstance(value, bool):
             raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer
-        parser.error(f"{name} must be a number, got {value!r}")
+        raise _UsageError(f"{name} must be a number, got {value!r}") from None
 
 
-def _as_path(parser: argparse.ArgumentParser, name: str, value: Any) -> Any:
+def _as_epsilon(name: str, value: Any) -> float:
+    eps = _as_float(name, value)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise _UsageError(f"{name} must be positive and finite, got {eps}")
+    return eps
+
+
+def _as_rule(name: str, value: Any) -> DecisionRule:
+    try:
+        return DecisionRule.from_name(str(value))
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
+
+
+def _as_coin(name: str, value: Any) -> tuple[int, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise _UsageError(f"{name} takes exactly two values: N THETA")
+    return _as_int("coin N", value[0], 1), _as_float("coin THETA", value[1])
+
+
+def _as_path(name: str, value: Any) -> str:
     """A config file's path value must be a string, as on the command line."""
-    if value is not None and not isinstance(value, str):
-        parser.error(f"{name} must be a path, got {value!r}")
+    if not isinstance(value, str):
+        raise _UsageError(f"{name} must be a path, got {value!r}")
     return value
 
 
-def _resolve_model(
-    args: argparse.Namespace, cfg: dict, parser: argparse.ArgumentParser
-) -> tuple[DiscreteJointModel, dict]:
-    coin = _pick(getattr(args, "coin", None), cfg, "coin")
-    model_file = _as_path(
-        parser, "--model-file", _pick(getattr(args, "model_file", None), cfg, "model_file")
-    )
-    if (coin is None) == (model_file is None):
-        parser.error("exactly one of --coin N THETA or --model-file PATH is required")
-    if coin is not None:
-        if not isinstance(coin, (list, tuple)) or len(coin) != 2:
-            parser.error("--coin takes exactly two values: N THETA")
-        n = _as_int(parser, "coin N", coin[0], 1)
-        theta = _as_float(parser, "coin THETA", coin[1])
-        try:
-            model = build_coin_model(n, theta)
-        except ValueError as e:
-            parser.error(str(e))
-        return model, {"kind": "coin", "n": n, "theta": theta}
-    return _load_model_file(model_file), {"kind": "file", "path": str(model_file)}
+def _as_format(name: str, value: Any) -> str:
+    if value not in FORMATS:
+        raise _UsageError(f"{name} must be one of {', '.join(FORMATS)}, got {value!r}")
+    return value
 
 
-def _resolve_rule(
-    args: argparse.Namespace, cfg: dict, parser: argparse.ArgumentParser
-) -> DecisionRule:
-    name = _pick(getattr(args, "rule", None), cfg, "rule", DEFAULTS["rule"])
-    try:
-        return DecisionRule.from_name(str(name))
-    except ValueError as e:
-        parser.error(str(e))
-
-
-def _resolve_common(
-    args: argparse.Namespace, cfg: dict, parser: argparse.ArgumentParser
-) -> dict:
-    return {
-        "m": _as_int(parser, "--m", _pick(args.m, cfg, "m", DEFAULTS["m"]), 1),
-        "epsilon": _check_epsilon(
-            parser, _as_float(parser, "--epsilon", _pick(args.epsilon, cfg, "epsilon", DEFAULTS["epsilon"]))
-        ),
-        "seed": _as_int(parser, "--seed", _pick(args.seed, cfg, "seed", DEFAULTS["seed"]), 0),
-        "workers": _as_int(
-            parser, "--workers", _pick(args.workers, cfg, "workers", DEFAULTS["workers"]), 1
-        ),
-        "out": _check_out(parser, _pick(args.out, cfg, "out")),
-        "format": _check_format(parser, _pick(args.format, cfg, "format")),
-    }
-
-
-def _check_format(parser: argparse.ArgumentParser, fmt: Any) -> Any:
-    """A config file's format goes through the same choices as --format."""
-    if fmt is not None and fmt not in FORMATS:
-        parser.error(f"--format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    return fmt
-
-
-def _check_out(parser: argparse.ArgumentParser, out: Any) -> Any:
+def _as_out(name: str, value: Any) -> Any:
     """Refuse an --out that cannot be a writable file before any work runs."""
-    if not out:
-        return out
+    if not value:
+        return value
     try:
-        path = Path(out)
+        path = Path(value)
         ok = not path.is_dir() and os.access(path if path.exists() else path.parent, os.W_OK)
     except (TypeError, OSError):  # a non-string config value, a name too long
         ok = False
     if not ok:
-        parser.error(f"--out {out!r}: not a writable file path")
-    return out
+        raise _UsageError(f"{name} {value!r}: not a writable file path")
+    return value
 
 
-def _check_epsilon(parser: argparse.ArgumentParser, eps: float) -> float:
-    if not (eps > 0 and math.isfinite(eps)):
-        parser.error(f"--epsilon must be positive and finite, got {eps}")
-    return eps
+# Per setting: its default (None: unset unless given), the check that a flag's
+# string and a config value both pass through, and its add_argument keywords.
+SETTINGS: dict[str, tuple[Any, Callable[[str, Any], Any], dict]] = {
+    "coin": (None, _as_coin, {"nargs": 2, "metavar": ("N", "THETA"),
+                              "help": "binomial coin model: N hypotheses, bias THETA"}),
+    "model_file": (None, _as_path, {"metavar": "PATH", "help": "JSON model file"}),
+    "grid": (None, _as_path, {"metavar": "PATH",
+                              "help": "JSON grid: n, theta, m, epsilon, rules"}),
+    "rule": ("sap", _as_rule, {"metavar": "{map,eap,meap,sap}"}),
+    "m": (8, lambda name, v: _as_int(name, v, 1), {"metavar": "INT",
+                                                   "help": "extension length M"}),
+    "epsilon": (0.25, _as_epsilon, {"metavar": "FLOAT"}),
+    "k": (None, lambda name, v: _as_int(name, v, -(10**18)),
+          {"metavar": "INT", "help": "observation label"}),
+    "trials": (1000, lambda name, v: _as_int(name, v, 1), {"metavar": "INT"}),
+    "seed": (0, lambda name, v: _as_int(name, v, 0), {"metavar": "INT"}),
+    "workers": (1, lambda name, v: _as_int(name, v, 1), {"metavar": "INT"}),
+    "format": (None, _as_format, {"metavar": "{json,csv}",
+                                  "help": "sweep output format (default csv)"}),
+    "out": (None, _as_out, {"metavar": "PATH",
+                            "help": "write output here instead of stdout"}),
+}
 
 
-def _require_json_format(fmt: str | None, parser: argparse.ArgumentParser) -> None:
-    if fmt not in (None, "json"):
-        parser.error("this subcommand only supports --format json")
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def cmd_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _load_config(args.config, parser) if args.config else {}
-    model, _ = _resolve_model(args, cfg, parser)
-    common = _resolve_common(args, cfg, parser)
-    _require_json_format(common["format"], parser)
-    return _emit(_render_json(asdict(info_summary(model))), common["out"])
+def _resolve(args: argparse.Namespace, names: Sequence[str]) -> dict[str, Any]:
+    """Each named setting from its flag, else the config file, else its
+    default, through the setting's check; None when it is unset."""
+    cfg: Any = {}
+    if args.config is not None:
+        cfg = _read_json(args.config, "config", _UsageError)
+        if not isinstance(cfg, dict):
+            raise _UsageError(f"config file {args.config}: expected a JSON object")
+        unknown = set(cfg) - set(names)
+        if unknown:
+            raise _UsageError(
+                f"config file {args.config}: unknown keys for {args.command} {sorted(unknown)}"
+            )
+    settings = {}
+    for name in names:
+        default, check, _ = SETTINGS[name]
+        value = getattr(args, name)
+        if value is None:
+            value = cfg.get(name, default)
+        # a config null is refused where a default would otherwise apply
+        if value is not None or default is not None:
+            value = check(_flag(name), value)
+        settings[name] = value
+    return settings
 
 
-def cmd_decide(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _load_config(args.config, parser) if args.config else {}
-    model, _ = _resolve_model(args, cfg, parser)
-    common = _resolve_common(args, cfg, parser)
-    _require_json_format(common["format"], parser)
-    k_raw = _pick(args.k, cfg, "k")
-    if k_raw is None:
-        parser.error("--k OBSERVATION is required for decide")
-    k = _as_int(parser, "--k", k_raw, -(10**18))
+def _model(s: dict) -> tuple[DiscreteJointModel, dict]:
+    if (s["coin"] is None) == (s["model_file"] is None):
+        raise _UsageError("exactly one of --coin N THETA or --model-file PATH is required")
+    if s["coin"] is None:
+        return _load_model_file(s["model_file"]), {"kind": "file", "path": s["model_file"]}
+    n, theta = s["coin"]
     try:
-        post = posterior(model, k)
+        model = build_coin_model(n, theta)
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
+    return model, {"kind": "coin", "n": n, "theta": theta}
+
+
+def cmd_model(s: dict) -> int:
+    model, _ = _model(s)
+    return _emit(_render_json(asdict(info_summary(model))), s["out"])
+
+
+def cmd_decide(s: dict) -> int:
+    model, _ = _model(s)
+    if s["k"] is None:
+        raise _UsageError("--k OBSERVATION is required for decide")
+    try:
+        post = posterior(model, s["k"])
     except ZeroEvidenceError:
         raise
     except ValueError as e:
         raise _DataError(str(e)) from None
-    rng = np.random.default_rng(common["seed"])
+    rng = np.random.default_rng(s["seed"])
     doc = {
-        "k": k,
+        "k": s["k"],
         "map": decide(DecisionRule.MAP, post),
         "eap": decide(DecisionRule.EAP, post),
         "meap": decide(DecisionRule.MEAP, post),
         "sap": decide(DecisionRule.SAP, post, rng),
     }
-    return _emit(_render_json(doc), common["out"])
+    return _emit(_render_json(doc), s["out"])
 
 
-def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _load_config(args.config, parser) if args.config else {}
-    model, spec = _resolve_model(args, cfg, parser)
-    common = _resolve_common(args, cfg, parser)
-    _require_json_format(common["format"], parser)
-    rule = _resolve_rule(args, cfg, parser)
-    trials = _as_int(parser, "--trials", _pick(args.trials, cfg, "trials", DEFAULTS["trials"]), 1)
-    params = TypicalityParams(epsilon=common["epsilon"], extension=common["m"])
+def cmd_simulate(s: dict) -> int:
+    model, spec = _model(s)
+    params = TypicalityParams(epsilon=s["epsilon"], extension=s["m"])
     report = run_experiment(
-        model, rule, params, trials, common["seed"],
-        workers=common["workers"], model_spec=spec,
+        model, s["rule"], params, s["trials"], s["seed"],
+        workers=s["workers"], model_spec=spec,
     )
     doc = report.to_json_dict()
     doc["checks"] = {
         "achievability": achievability_check(report, params).to_json_dict(),
         "converse": converse_check(report).to_json_dict(),
     }
-    return _emit(_render_json(doc), common["out"])
+    return _emit(_render_json(doc), s["out"])
 
 
-def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _load_config(args.config, parser) if args.config else {}
-    common = _resolve_common(args, cfg, parser)
-    grid_path = _as_path(parser, "--grid", _pick(args.grid, cfg, "grid"))
+def cmd_sweep(s: dict) -> int:
+    grid_path = s["grid"]
     if grid_path is None:
-        parser.error("--grid PATH is required for sweep")
-    try:
-        grid = json.loads(Path(grid_path).read_text())
-    except OSError as e:
-        parser.error(f"cannot read grid file: {e}")
-    except json.JSONDecodeError as e:
-        parser.error(f"grid file {grid_path}: invalid JSON at line {e.lineno} column {e.colno}")
+        raise _UsageError("--grid PATH is required for sweep")
+    grid = _read_json(grid_path, "grid", _UsageError)
     if not isinstance(grid, dict):
-        parser.error(f"grid file {grid_path}: expected a JSON object")
+        raise _UsageError(f"grid file {grid_path}: expected a JSON object")
     missing = {"n", "theta", "m", "epsilon", "rules"} - set(grid)
     if missing:
-        parser.error(f"grid file {grid_path}: missing axes {sorted(missing)}")
+        raise _UsageError(f"grid file {grid_path}: missing axes {sorted(missing)}")
     for axis in ("n", "theta", "m", "epsilon", "rules"):
         if not isinstance(grid[axis], list):
-            parser.error(f"grid file {grid_path}: axis {axis!r} must be a list")
+            raise _UsageError(f"grid file {grid_path}: axis {axis!r} must be a list")
 
-    n_values = [_as_int(parser, "grid n", v, 1) for v in grid["n"]]
-    theta_values = [_as_float(parser, "grid theta", v) for v in grid["theta"]]
+    n_values = [_as_int("grid n", v, 1) for v in grid["n"]]
+    theta_values = [_as_float("grid theta", v) for v in grid["theta"]]
     for n in n_values:  # reject a bad coin point before any experiment runs
         for theta in theta_values:
             try:
                 build_coin_model(n, theta)
             except ValueError as e:
-                parser.error(f"grid file {grid_path}: {e}")
-    m_values = [_as_int(parser, "grid m", v, 1) for v in grid["m"]]
-    eps_values = [
-        _check_epsilon(parser, _as_float(parser, "grid epsilon", v)) for v in grid["epsilon"]
-    ]
-    try:
-        rule_values = [DecisionRule.from_name(str(r)) for r in grid["rules"]]
-    except ValueError as e:
-        parser.error(str(e))
-    trials = _as_int(parser, "--trials", _pick(args.trials, cfg, "trials", DEFAULTS["trials"]), 1)
+                raise _UsageError(f"grid file {grid_path}: {e}") from None
+    m_values = [_as_int("grid m", v, 1) for v in grid["m"]]
+    eps_values = [_as_epsilon("grid epsilon", v) for v in grid["epsilon"]]
+    rule_values = [_as_rule("grid rules", r) for r in grid["rules"]]
 
     rows = sweep(
         n_values, theta_values, m_values, eps_values, rule_values,
-        trials, common["seed"], workers=common["workers"],
+        s["trials"], s["seed"], workers=s["workers"],
     )
-    fmt = common["format"] or "csv"
-    text = render_sweep_csv(rows) if fmt == "csv" else _render_json(rows)
-    return _emit(text, common["out"])
+    text = _render_json(rows) if s["format"] == "json" else render_sweep_csv(rows)
+    return _emit(text, s["out"])
 
 
-def cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _load_config(args.config, parser) if args.config else {}
-    model, _ = _resolve_model(args, cfg, parser)
-    common = _resolve_common(args, cfg, parser)
-    _require_json_format(common["format"], parser)
-    rule = _resolve_rule(args, cfg, parser)
-    params = TypicalityParams(epsilon=common["epsilon"], extension=common["m"])
+def cmd_enumerate(s: dict) -> int:
+    model, _ = _model(s)
+    params = TypicalityParams(epsilon=s["epsilon"], extension=s["m"])
     try:
         cap = resolve_enum_cap()
     except ValueError as e:  # a bad TI_TEST_ENUM_CAP is a config error
         print(f"titest: error: {e}", file=sys.stderr)
         return 2
     census = typical_set_census(model, params, cap)
-    fano = extended_fano_check(model, rule, params, cap)
+    fano = extended_fano_check(model, s["rule"], params, cap)
     doc = {"census": census.to_json_dict(), "fano": fano.to_json_dict()}
-    return _emit(_render_json(doc), common["out"])
+    return _emit(_render_json(doc), s["out"])
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# Per subcommand: its function, its help line and its settings (each also a
+# --config key); --config itself is every subcommand's.
+COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[str, ...]]] = {
+    "model": (cmd_model, "print entropy and test-information summary",
+              ("coin", "model_file", "out")),
+    "decide": (cmd_decide, "decide one observation under all four rules",
+               ("coin", "model_file", "k", "seed", "out")),
+    "simulate": (cmd_simulate, "Monte Carlo experiment over M-extensions",
+                 ("coin", "model_file", "rule", "m", "epsilon", "trials", "seed",
+                  "workers", "out")),
+    "sweep": (cmd_sweep, "grid of experiments from a JSON grid file",
+              ("grid", "trials", "seed", "workers", "format", "out")),
+    "enumerate": (cmd_enumerate, "exact typical-set census and Fano audit (small M)",
+                  ("coin", "model_file", "rule", "m", "epsilon", "out")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage, then one ``titest: error:`` line, whichever parser failed."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(2, f"titest: error: {message}\n")
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser, with flags for ``command`` only: no other subcommand's
+    are parsed in this run, and adding them all costs about 0.5 ms."""
+    parser = _Parser(
         prog="titest",
         description=(
             "Discrete Bayesian hypothesis testing: posterior decision rules, "
@@ -378,57 +376,29 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    src = argparse.ArgumentParser(add_help=False)
-    src.add_argument("--coin", nargs=2, metavar=("N", "THETA"),
-                     help="binomial coin model: N hypotheses, bias THETA")
-    src.add_argument("--model-file", metavar="PATH", help="JSON model file")
-    src.add_argument("--config", metavar="PATH", help="flat JSON config file")
-
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--rule", metavar="{map,eap,meap,sap}")
-    run.add_argument("--m", type=int, metavar="INT", help="extension length M")
-    run.add_argument("--epsilon", type=float, metavar="FLOAT")
-    run.add_argument("--seed", type=int, metavar="INT")
-    run.add_argument("--workers", type=int, metavar="INT")
-    run.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    run.add_argument("--format", choices=FORMATS)
-
-    p = sub.add_parser("model", parents=[src, run],
-                       help="print entropy and test-information summary")
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("decide", parents=[src, run],
-                       help="decide one observation under all four rules")
-    p.add_argument("--k", type=int, metavar="INT", help="observation label")
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("simulate", parents=[src, run],
-                       help="Monte Carlo experiment over M-extensions")
-    p.add_argument("--trials", type=int, metavar="INT")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", parents=[src, run],
-                       help="grid of experiments from a JSON grid file")
-    p.add_argument("--grid", metavar="PATH", help="JSON grid: n, theta, m, epsilon, rules")
-    p.add_argument("--trials", type=int, metavar="INT")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("enumerate", parents=[src, run],
-                       help="exact typical-set census and Fano audit (small M)")
-    p.set_defaults(func=cmd_enumerate)
+    for name, (_, help_text, names) in COMMANDS.items():
+        # no abbreviations: `model --m 0` must not pass as `--model-file 0`
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(parser=p)
+        if name == command:
+            for setting in names:
+                p.add_argument(_flag(setting), **SETTINGS[setting][2])
+            p.add_argument("--config", metavar="PATH",
+                           help="flat JSON config file holding settings of this subcommand")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, foreign = _build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if foreign:  # named under the subcommand's usage, which lists its flags
+        args.parser.error(f"unrecognized arguments: {' '.join(foreign)}")
+    func, _, names = COMMANDS[args.command]
     try:
-        return args.func(args, parser)
-    except _DataError as e:
-        print(f"titest: error: {e}", file=sys.stderr)
-        return 3
-    except (InvalidDistributionError, ZeroEvidenceError, EnumerationTooLargeError) as e:
+        return func(_resolve(args, names))
+    except _UsageError as e:
+        args.parser.error(str(e))
+    except (_DataError, InvalidDistributionError, ZeroEvidenceError, EnumerationTooLargeError) as e:
         print(f"titest: error: {e}", file=sys.stderr)
         return 3
 

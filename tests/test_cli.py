@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -28,6 +30,24 @@ def write_model(tmp_path, name, model):
     path = tmp_path / name
     path.write_text(json.dumps(model.to_json_dict()))
     return str(path)
+
+
+def with_grid(tmp_path, argv):
+    """argv with each "GRID" replaced by the path of a one-point grid file."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(
+        {"n": [3], "theta": [0.4], "m": [2], "epsilon": [0.25], "rules": ["sap"]}
+    ))
+    return [str(path) if token == "GRID" else token for token in argv]
+
+
+def single_error_line(capsys):
+    """Assert an empty stdout and one `titest: error:` line on stderr; return it."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("titest: error:")
+    return errors[0]
 
 
 @pytest.fixture
@@ -276,6 +296,55 @@ class TestErrorPaths:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"coin": [6, 0.4], "bogus": 1}))
         assert run_cli(["model", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--grid", "GRID", "--coin", "3", "0.4"], "--coin"),
+        (["sweep", "--grid", "GRID", "--m", "5"], "--m"),
+        (["sweep", "--grid", "GRID", "--rule", "map"], "--rule"),
+        (["sweep", "--grid", "GRID", "--epsilon", "0.1"], "--epsilon"),
+        (["enumerate", "--coin", "3", "0.4", "--m", "2", "--seed", "5"], "--seed"),
+        (["enumerate", "--coin", "3", "0.4", "--m", "2", "--workers", "2"], "--workers"),
+        (["model", "--coin", "3", "0.4", "--rule", "map"], "--rule"),
+        (["model", "--coin", "3", "0.4", "--m", "0"], "--m"),  # not --model-file 0
+        (["decide", "--coin", "3", "0.4", "--k", "1", "--m", "4"], "--m"),
+        (["simulate", "--coin", "3", "0.4", "--trials", "10", "--format", "json"], "--format"),
+        (["simulate", "--coin", "3", "0.4", "--tri", "10"], "--tri"),
+    ], ids=[
+        "sweep-coin", "sweep-m", "sweep-rule", "sweep-epsilon", "enumerate-seed",
+        "enumerate-workers", "model-rule", "model-m", "decide-m", "simulate-format",
+        "simulate-abbreviation",
+    ])
+    def test_foreign_flag(self, capsys, tmp_path, argv, flag):
+        assert run_cli(with_grid(tmp_path, argv)) == 2
+        line = single_error_line(capsys)
+        assert line.startswith("titest: error: unrecognized arguments") and flag in line.split()
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (["simulate", "--coin", "3", "0.4", "--trials", "10"], {"grid": "g.json"}),
+        (["model", "--coin", "3", "0.4"], {"trials": 5}),
+        (["sweep", "--grid", "GRID", "--trials", "10"], {"coin": [3, 0.4]}),
+    ], ids=["simulate-grid", "model-trials", "sweep-coin"])
+    def test_foreign_config_key(self, capsys, tmp_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli([*with_grid(tmp_path, argv), "--config", str(path)]) == 2
+        assert repr(next(iter(cfg))) in single_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--coin", "3", "0.4", "--m", "abc"],
+        ["simulate", "--coin", "3", "0.4", "--seed", "x"],
+        ["simulate", "--coin", "3", "0.4", "--m"],
+        ["sweep", "--grid", "GRID", "--format", "xml"],
+    ], ids=["m-abc", "seed-x", "m-no-value", "format-xml"])
+    def test_flag_value_error_prefix(self, capsys, tmp_path, argv):
+        assert run_cli(with_grid(tmp_path, argv)) == 2
+        single_error_line(capsys)
+
+    def test_non_utf8_config(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run_cli(["model", "--coin", "3", "0.4", "--config", str(path)]) == 2
+        assert "cannot read config file" in single_error_line(capsys)
 
     def test_config_not_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -538,11 +607,23 @@ CONFIG_JUNK = st.one_of(
 )
 RULE_NAMES = st.sampled_from(["map", "eap", "meap", "sap", "SAP"])
 
+# Each subcommand's settings (flag names without the dashes, and config keys);
+# any other setting is foreign to it.
+OWN_SETTINGS = {
+    "model": {"coin", "model_file", "out"},
+    "decide": {"coin", "model_file", "k", "seed", "out"},
+    "simulate": {"coin", "model_file", "rule", "m", "epsilon", "trials", "seed", "workers", "out"},
+    "sweep": {"grid", "trials", "seed", "workers", "format", "out"},
+    "enumerate": {"coin", "model_file", "rule", "m", "epsilon", "out"},
+}
+ALL_SETTINGS = set().union(*OWN_SETTINGS.values())
 
-def run_flag_values(command, max_m):
-    """Per flag of `titest simulate` / `titest enumerate`: (valid, invalid)
-    argument strings. Valid counts stay small; no worker count starts a pool."""
-    flags = {
+
+def run_flag_values(max_m):
+    """Per flag other than the model source and --out: (valid, invalid)
+    argument strings. Valid counts stay small; no worker count starts a pool.
+    "GRID" stands for a one-point grid file."""
+    return {
         "--rule": (RULE_NAMES, st.sampled_from(["bogus", ""])),
         "--m": (st.integers(1, max_m).map(str), st.sampled_from(["0", "-3", "1.5", "abc"])),
         "--epsilon": (
@@ -553,17 +634,18 @@ def run_flag_values(command, max_m):
             st.integers(0, 2**70).map(str), st.sampled_from(["-1", "2.5", "x"])
         ),
         "--workers": (st.just("1"), st.sampled_from(["0", "-1", "x"])),
-        "--format": (st.just("json"), st.sampled_from(["csv", "xml"])),
+        "--format": (st.sampled_from(["json", "csv"]), st.sampled_from(["xml", ""])),
+        "--trials": (st.integers(1, 3).map(str), st.sampled_from(["0", "-2", "x"])),
+        "--k": (st.integers(0, 3).map(str), st.sampled_from(["x", "1.5", ""])),
+        "--grid": (st.just("GRID"), st.sampled_from(["MISSING", "BROKEN", "DIR"])),
     }
-    if command == "simulate":
-        flags["--trials"] = (st.integers(1, 3).map(str), st.sampled_from(["0", "-2", "x"]))
-    return flags
 
 
-def config_values(command, max_m):
-    """Per config key: (valid, invalid) JSON values. "MODEL", "MISSING" and
-    "DIR" stand for a model file, a missing file and a directory."""
-    values = {
+def config_values(max_m):
+    """Per config key: (valid, invalid) JSON values. "MODEL", "MISSING", "DIR"
+    and "GRID" stand for a model file, a missing file, a directory and a
+    one-point grid file."""
+    return {
         "coin": (
             st.tuples(st.integers(1, 12), st.floats(0.05, 0.95)).map(list),
             st.sampled_from([
@@ -577,14 +659,12 @@ def config_values(command, max_m):
         "epsilon": (st.sampled_from([0.1, 0.25, 1.0]), st.sampled_from([0.0, -0.25, True])),
         "seed": (st.integers(0, 2**70), st.sampled_from([-1, 1.5, True])),
         "workers": (st.just(1), st.sampled_from([0, -1, 2.5, True])),
-        "format": (st.just("json"), st.sampled_from(["csv", "xml", True, 3])),
+        "trials": (st.integers(1, 3), st.sampled_from([0, -1, 1.5, True, 10**400])),
+        "format": (st.sampled_from(["json", "csv"]), st.sampled_from(["xml", True, 3])),
         "out": (st.none(), st.sampled_from(["DIR", 3, True, [], {"a": 1}, math.nan])),
-        "k": (st.integers(0, 3), st.nothing()),
-        "grid": (st.none(), st.nothing()),
+        "k": (st.integers(0, 3), st.sampled_from([1.5, True, "x"])),
+        "grid": (st.just("GRID"), st.sampled_from(["MISSING", "DIR", 3, True])),
     }
-    if command == "simulate":
-        values["trials"] = (st.integers(1, 3), st.sampled_from([0, -1, 1.5, True, 10**400]))
-    return values
 
 
 def maybe_bad(draw, valid, invalid):
@@ -596,30 +676,47 @@ def maybe_bad(draw, valid, invalid):
 @st.composite
 def cli_invocations(draw, command, max_m):
     """(argv, config document or None) for one command: a model source given
-    by --coin, --model-file, both or neither, a subset of the other flags
+    by --coin, --model-file, both or neither (for a command that takes one),
+    a subset of the command's other flags, maybe one flag of another command,
     and maybe a --config document, each value valid or not."""
+    own = OWN_SETTINGS[command]
     argv = [command]
-    source = maybe_bad(draw, st.sampled_from(["coin", "model"]), st.sampled_from(["both", "none"]))
-    if source in ("coin", "both"):
-        n = maybe_bad(draw, st.integers(1, 12).map(str), st.sampled_from(["0", "513", "2.5", "x"]))
-        theta = maybe_bad(
-            draw, st.floats(0.05, 0.95).map(repr), st.sampled_from(["0", "1", "nan", "1e400", "x"])
+    source = None
+    if "coin" in own:
+        source = maybe_bad(
+            draw, st.sampled_from(["coin", "model"]), st.sampled_from(["both", "none"])
         )
-        argv += ["--coin", n, theta]
-    if source in ("model", "both"):
-        argv += ["--model-file", maybe_bad(draw, st.just("MODEL"), st.sampled_from(["MISSING", "BROKEN"]))]
-    for flag, (valid, invalid) in run_flag_values(command, max_m).items():
-        if draw(st.booleans()):
+        if source in ("coin", "both"):
+            n = maybe_bad(draw, st.integers(1, 12).map(str), st.sampled_from(["0", "513", "2.5", "x"]))
+            theta = maybe_bad(
+                draw, st.floats(0.05, 0.95).map(repr), st.sampled_from(["0", "1", "nan", "1e400", "x"])
+            )
+            argv += ["--coin", n, theta]
+        if source in ("model", "both"):
+            argv += ["--model-file", maybe_bad(draw, st.just("MODEL"), st.sampled_from(["MISSING", "BROKEN"]))]
+    flags = run_flag_values(max_m)
+    for flag, (valid, invalid) in flags.items():
+        if flag[2:] in own and draw(st.booleans()):
             argv += [flag, maybe_bad(draw, valid, invalid)]
     if draw(st.integers(0, 5)) == 0:
         argv += ["--out", draw(st.sampled_from(["OUTFILE", "DIR"]))]
+    if draw(st.integers(0, 3)) == 0:
+        foreign = draw(st.sampled_from(sorted(ALL_SETTINGS - own)))
+        if foreign == "coin":
+            argv += ["--coin", "3", "0.4"]
+        elif foreign == "model_file":
+            argv += ["--model-file", "MODEL"]
+        else:
+            argv += [f"--{foreign}", draw(flags[f"--{foreign}"][0])]
     doc = None
     if draw(st.booleans()):
-        values = config_values(command, max_m)
-        if source in ("coin", "model") and maybe_bad(draw, st.just(True), st.just(False)):
-            # a second model source is a conflict
-            del values["coin"], values["model_file"]
-        keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=6, unique=True))
+        values = config_values(max_m)
+        keys = sorted(own - {"coin", "model_file"}) if source in ("coin", "model") else sorted(own)
+        if source in ("coin", "model") and not maybe_bad(draw, st.just(True), st.just(False)):
+            keys.append(draw(st.sampled_from(["coin", "model_file"])))  # a second model source
+        keys = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+        if draw(st.integers(0, 3)) == 0:
+            keys.append(draw(st.sampled_from(sorted(ALL_SETTINGS - own))))
         # any other string "out" would be written to, as a relative path
         doc = {
             key: maybe_bad(draw, valid, invalid if key == "out" else st.one_of(invalid, CONFIG_JUNK))
@@ -633,7 +730,9 @@ def cli_invocations(draw, command, max_m):
 
 
 class TestRunFlagsFuzz:
-    @pytest.mark.parametrize("command, max_m", [("simulate", 64), ("enumerate", 6)])
+    @pytest.mark.parametrize("command, max_m", [
+        ("simulate", 64), ("enumerate", 6), ("model", 64), ("decide", 64), ("sweep", 64),
+    ])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_any_flags_and_config_exit_cleanly(self, tmp_path_factory, bsc25, command, max_m, data):
@@ -641,9 +740,12 @@ class TestRunFlagsFuzz:
         tmp = tmp_path_factory.mktemp("run")
         model = write_model(tmp, "model.json", bsc25)
         (tmp / "broken.json").write_text('{"prior": [0.5, 0.5]')
+        (tmp / "grid.json").write_text(json.dumps(
+            {"n": [3], "theta": [0.4], "m": [2], "epsilon": [0.25], "rules": ["sap"]}
+        ))
         paths = {
             "MODEL": model, "MISSING": str(tmp / "missing.json"), "BROKEN": str(tmp / "broken.json"),
-            "DIR": str(tmp), "OUTFILE": str(tmp / "out.json"),
+            "DIR": str(tmp), "OUTFILE": str(tmp / "out.json"), "GRID": str(tmp / "grid.json"),
         }
         argv = [paths.get(token, token) for token in argv]
         if doc is not None:
@@ -659,13 +761,36 @@ class TestRunFlagsFuzz:
         if code == 0:
             written = paths["OUTFILE"] in argv
             text = Path(paths["OUTFILE"]).read_text() if written else out.getvalue()
-            assert isinstance(json.loads(text), dict)
+            if command == "sweep" and not text.startswith("["):
+                assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS)
+            else:
+                assert isinstance(json.loads(text), list if command == "sweep" else dict)
         else:
             assert out.getvalue() == ""
-            # argparse's own type and choice checks name the subcommand
             lines = err.getvalue().splitlines()
-            prefixes = ("titest: error:", f"titest {command}: error:")
-            assert sum(line.startswith(prefixes) for line in lines) == 1
+            assert sum(line.startswith("titest: error:") for line in lines) == 1
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command", sorted(OWN_SETTINGS))
+    def test_help_lists_own_settings(self, capsys, command):
+        assert run_cli([command, "--help"]) == 0
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        own = {"--" + name.replace("_", "-") for name in OWN_SETTINGS[command]}
+        assert flags == own | {"--config", "--help"}
+
+    def test_readme_cli_examples_run(self, monkeypatch, tmp_path, bsc25, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        script = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in script.splitlines() if line.startswith("titest ")]
+        assert sorted(argv[0] for argv in commands) == sorted(OWN_SETTINGS)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.json").write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+        write_model(tmp_path, "bsc25.json", bsc25)
+        for argv in commands:
+            assert run_cli(argv) == 0, argv
+            capsys.readouterr()
 
 
 class TestInstalledEntryPoint:
