@@ -40,6 +40,7 @@ import csv
 import io
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -52,14 +53,13 @@ import numpy as np
 from .model import DiscreteJointModel, build_coin_model, info_summary, posterior
 from .rules import CdfGuide, DecisionRule, decide
 from .typicality import (
-    EnumerationTooLargeError,
     SequencePair,
     TypicalityParams,
+    _check_pair_cap,
+    _joint_typical_classes,
     _pick_pair,
     _type_classes,
-    in_band,
     jointly_typical_rows,
-    resolve_enum_cap,
 )
 
 __all__ = [
@@ -349,6 +349,13 @@ def _run_block(
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_experiments(
     experiments: list[tuple[DiscreteJointModel, RuleTables, TypicalityParams]],
     trials: int,
@@ -361,7 +368,8 @@ def _map_experiments(
     trials are split into min(workers, trials) contiguous blocks and each
     block runs the whole group on one stream. At workers=1 the blocks run
     in this process; otherwise each is one pool job, which pickles the
-    shared models and tables once. All experiments' arrays are held until
+    shared models and tables once, on a pool of at most as many processes
+    as the host has usable CPUs. All experiments' arrays are held until
     the last block is back: 17 bytes per trial per experiment.
     """
     if trials < 1:
@@ -372,7 +380,8 @@ def _map_experiments(
         return []
     splits = np.linspace(0, trials, min(workers, trials) + 1).astype(int).tolist()
     jobs = [(experiments, seed, lo, hi) for lo, hi in zip(splits[:-1], splits[1:])]
-    with ProcessPoolExecutor(max_workers=len(jobs)) if workers > 1 else nullcontext() as pool:
+    pool_size = min(len(jobs), _usable_cpus())
+    with ProcessPoolExecutor(max_workers=pool_size) if workers > 1 else nullcontext() as pool:
         parts = list(pool.map(_run_block, *zip(*jobs)) if pool else (_run_block(*j) for j in jobs))
     return [tuple(np.concatenate(a) for a in zip(*blocks)) for blocks in zip(*parts)]
 
@@ -541,40 +550,6 @@ def _lex_keys(rows: np.ndarray, n_symbols: int) -> np.ndarray:
     return keys
 
 
-def _sap_success(
-    model: DiscreteJointModel,
-    y_rows: np.ndarray,
-    y_counts: np.ndarray,
-    y_ok: np.ndarray,
-    epsilon: float,
-) -> np.ndarray:
-    """SAP success probability s(t) of every y-type t, the rows of y_rows.
-
-    s(t) sums, over the joint types whose y-marginal is t and that pass the
-    x and joint conditions, prod_b n_b! / prod_a c_ab! (the x-sequences
-    that complete one y-sequence of type t to that joint type) times
-    prod post(a|b)^c_ab. Only y-types with y_ok set are summed, so no
-    posterior column of a zero-probability y is read.
-    """
-    n_y = model.n_observations
-    y_keys = _lex_keys(y_rows, n_y)
-    s = np.zeros(len(y_rows))
-    for pairs, pair_counts in _type_classes(model.n_hypotheses * n_y, y_rows.shape[1]):
-        xi, yi = np.divmod(pairs, n_y)
-        keep = in_band(-model.log2_prior[xi].mean(axis=1), model.h_x, epsilon) & in_band(
-            -model.log2_joint[xi, yi].mean(axis=1), model.h_xy, epsilon
-        )
-        xi, yi, pair_counts = xi[keep], yi[keep], pair_counts[keep]
-        # the sorted y half of a joint type is its y-type's row in y_rows
-        y_type = np.searchsorted(y_keys, _lex_keys(np.sort(yi, axis=1), n_y))
-        keep = y_ok[y_type]
-        xi, yi, y_type = xi[keep], yi[keep], y_type[keep]
-        completions = (pair_counts[keep] // y_counts[y_type]).astype(float)
-        weights = completions * np.exp2(model.log2_posterior[xi, yi].sum(axis=1))
-        s += np.bincount(y_type, weights=weights, minlength=len(y_rows))
-    return s
-
-
 def _scan_y_space(
     model: DiscreteJointModel,
     rule: DecisionRule,
@@ -588,32 +563,35 @@ def _scan_y_space(
     P(y), H(X^M | y) and s(y) depend on y only through its type, so each
     sum runs over the y-types, weighted by the class size times P(y).
     Deterministic rules decide det_choice[y] symbol by symbol, so s(y) is 0
-    or 1 and follows from the y-type; SAP marginalizes its decision
-    randomness over the joint types (_sap_success). The cap still counts
-    the (|X||Y|)^M sequence pairs a brute-force scan would visit.
+    or 1 and follows from the y-type. SAP draws each decided symbol from the
+    posterior, so the pair (x-hat, y) follows the joint law: |T_y| P(y) s(y)
+    is the mass of the jointly typical pair classes whose y half has type
+    T_y (_joint_typical_classes, grouped by y-type). The cap counts the
+    (|X||Y|)^M sequence pairs a brute-force scan would visit.
     """
     m, eps = params.extension, params.epsilon
-    n_x, n_y = model.n_hypotheses, model.n_observations
-    limit = resolve_enum_cap(cap)
-    if n_x**m * n_y**m > limit:
-        raise EnumerationTooLargeError(
-            f"(|X||Y|)^M = {(n_x * n_y) ** m} exceeds the enumeration cap {limit}"
-        )
+    n_y = model.n_observations
+    _check_pair_cap(model, m, cap)
     tables = make_rule_tables(model, rule)
 
     y_rows, y_counts = map(np.concatenate, zip(*_type_classes(n_y, m)))
-    log2_py = model.log2_y_marginal[y_rows].sum(axis=1)
-    p_y = np.exp2(log2_py)
-    # zero-probability y-types are dropped before any posterior is read
+    p_y = np.exp2(model.log2_y_marginal[y_rows].sum(axis=1))
+    # zero-probability y-types are dropped: no posterior column of theirs is
+    # read, and no s(y) is divided by their zero weight
     live = p_y > 0.0
-    if tables.det_choice is not None:
-        s = jointly_typical_rows(model, tables.det_choice[y_rows], y_rows, eps)
-    else:
-        y_ok = live & in_band(-log2_py / m, model.h_y, eps)
-        s = _sap_success(model, y_rows, y_counts, y_ok, eps)
-    s = s[live].astype(float)
+    live_rows = y_rows[live]
     weight = y_counts[live].astype(float) * p_y[live]
-    h_cond = model.posterior_col_entropy[y_rows[live]].sum(axis=1)
+    if tables.det_choice is not None:
+        s = jointly_typical_rows(model, tables.det_choice[live_rows], live_rows, eps).astype(float)
+    else:
+        y_keys = _lex_keys(y_rows, n_y)
+        mass = np.zeros(len(y_rows))
+        for rows, sizes, probs in _joint_typical_classes(model, m, eps):
+            # the sorted y half of a pair class is its y-type's row in y_rows
+            y_type = np.searchsorted(y_keys, _lex_keys(np.sort(rows % n_y, axis=1), n_y))
+            mass += np.bincount(y_type, sizes.astype(float) * probs, minlength=len(y_rows))
+        s = mass[live] / weight
+    h_cond = model.posterior_col_entropy[live_rows].sum(axis=1)
     return (
         float(weight @ (1.0 - s)),
         float(weight @ _binary_entropy(s)),

@@ -6,11 +6,14 @@ at extensions where the linear product would underflow.
 
 Every typicality condition is a mean of per-symbol surprisals, so a length-M
 sequence's membership and probability depend only on its type (the count of
-each symbol), not on the symbol order. The census therefore sums over type
+each symbol), not on the symbol order. The exact engine therefore walks type
 classes: one non-decreasing representative per class, weighted by the class
 size, the multinomial M! / prod(c_k!), kept as an exact integer. That is
-C(M+K-1, M) rows instead of K^M sequences. conditional_members returns the
-sequences themselves and still enumerates them.
+C(M+K-1, M) rows instead of K^M sequences. One walk over the jointly typical
+pair classes gives the joint census and, grouped by y-type, SAP's exact
+success probability. jointly_typical_rows is the one definition of the three
+joint conditions. conditional_members returns the sequences themselves and
+still enumerates them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -269,15 +272,14 @@ def conditional_members(
             f"|X|^M = {n_x}^{m} exceeds the enumeration cap {limit}; "
             "use Monte Carlo trials instead"
         )
-    eps = params.epsilon
-    yi = _y_indices(model, y_seq)
-    if not in_band(-model.log2_y_marginal[yi].mean(), model.h_y, eps):
+    if not is_typical(y_seq, model, "Y", params).typical:
         return []
+    yi = _y_indices(model, y_seq)
     x_labels = np.asarray(model.hypothesis_values)
     out: list[tuple[int, ...]] = []
     for combos in _index_blocks(n_x, m):
-        keep = in_band(-model.log2_prior[combos].mean(axis=1), model.h_x, eps) & in_band(
-            -model.log2_joint[combos, yi[None, :]].mean(axis=1), model.h_xy, eps
+        keep = jointly_typical_rows(
+            model, combos, np.broadcast_to(yi, combos.shape), params.epsilon
         )
         out.extend(tuple(row) for row in x_labels[combos[keep]])
     return out
@@ -357,38 +359,60 @@ def _type_classes(
         yield _append_symbol(rows[part], sizes[part], run[part], n_symbols)[:2]
 
 
-def _census_scan(
-    per_symbol_surprisals: list[np.ndarray],
-    entropies: list[float],
+# (rows, sizes, probs) blocks of type classes and their member probabilities
+_ClassBlocks = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _typical_classes(
     n_symbols: int,
     m: int,
-    epsilon: float,
+    typical: Callable[[np.ndarray], np.ndarray],
     prob_surprisal: np.ndarray,
-) -> tuple[int, float, float, float]:
-    """Sum all n_symbols**m sequences by type class; keep those inside every condition.
+) -> _ClassBlocks:
+    """The type classes whose rows pass typical, as (rows, sizes, probs) blocks.
 
-    per_symbol_surprisals/entropies describe the conditions (one pair for a
-    marginal census, three for the joint census on the flattened pair
-    alphabet). prob_surprisal defines the measure used for mass and the
-    extreme member probabilities. Returns (count, mass, min_prob, max_prob).
+    typical maps (B, m) class rows to (B,) bools; prob_surprisal (bits per
+    symbol) gives each kept class's member probability, probs.
     """
+    for rows, sizes in _type_classes(n_symbols, m):
+        keep = typical(rows)
+        if keep.any():
+            rows = rows[keep]
+            yield rows, sizes[keep], np.exp2(-prob_surprisal[rows].sum(axis=1))
+
+
+def _joint_typical_classes(model: DiscreteJointModel, m: int, epsilon: float) -> _ClassBlocks:
+    """_typical_classes of the jointly typical length-m pairs; pair symbol x * |Y| + y."""
+    n_y = model.n_observations
+
+    def typical(rows: np.ndarray) -> np.ndarray:
+        return jointly_typical_rows(model, *np.divmod(rows, n_y), epsilon)
+
+    return _typical_classes(model.n_hypotheses * n_y, m, typical, -model.log2_joint.ravel())
+
+
+def _census_totals(blocks: _ClassBlocks) -> tuple[int, float, float, float]:
+    """(count, mass, min_prob, max_prob) of the members of the classes in blocks."""
     count = 0
     mass = 0.0
     min_p = np.inf
     max_p = 0.0
-    for rows, sizes in _type_classes(n_symbols, m):
-        keep = np.ones(len(rows), dtype=bool)
-        for s, h in zip(per_symbol_surprisals, entropies):
-            keep &= in_band(s[rows].mean(axis=1), h, epsilon)
-        if not keep.any():
-            continue
-        probs = np.exp2(-prob_surprisal[rows[keep]].sum(axis=1))
-        members = sizes[keep]
-        count += int(members.sum())
-        mass += float(members.astype(float) @ probs)
+    for _, sizes, probs in blocks:
+        count += int(sizes.sum())
+        mass += float(sizes.astype(float) @ probs)
         min_p = min(min_p, float(probs.min()))
         max_p = max(max_p, float(probs.max()))
     return count, mass, min_p, max_p
+
+
+def _check_pair_cap(model: DiscreteJointModel, m: int, cap: int | None) -> None:
+    """Refuse more than the cap's (|X||Y|)^M sequence pairs, which bounds |X|^M and |Y|^M."""
+    limit = resolve_enum_cap(cap)
+    pairs = (model.n_hypotheses * model.n_observations) ** m
+    if pairs > limit:
+        raise EnumerationTooLargeError(
+            f"(|X||Y|)^M = {pairs} exceeds the enumeration cap {limit}"
+        )
 
 
 def typical_set_census(
@@ -405,31 +429,17 @@ def typical_set_census(
     generally expected to hold only for m >= m_min (reported in the record).
     """
     m, eps = params.extension, params.epsilon
-    limit = resolve_enum_cap(cap)
-    n_x, n_y = model.n_hypotheses, model.n_observations
-    for label, candidates in (
-        ("|X|^M", n_x**m),
-        ("|Y|^M", n_y**m),
-        ("(|X||Y|)^M", (n_x * n_y) ** m),
-    ):
-        if candidates > limit:
-            raise EnumerationTooLargeError(
-                f"{label} = {candidates} exceeds the enumeration cap {limit}"
-            )
-
+    _check_pair_cap(model, m, cap)
     h_x, h_y, h_xy = model.h_x, model.h_y, model.h_xy
-    s_x = -model.log2_prior
-    s_y = -model.log2_y_marginal
-    s_joint_flat = -model.log2_joint.ravel()
-    # the joint census runs on the flattened (x, y) symbol alphabet
-    s_x_flat = np.repeat(s_x, n_y)
-    s_y_flat = np.tile(s_y, n_x)
 
-    cx, mx, minpx, maxpx = _census_scan([s_x], [h_x], n_x, m, eps, s_x)
-    cy, my, minpy, maxpy = _census_scan([s_y], [h_y], n_y, m, eps, s_y)
-    cj, mj, minpj, maxpj = _census_scan(
-        [s_x_flat, s_y_flat, s_joint_flat], [h_x, h_y, h_xy], n_x * n_y, m, eps, s_joint_flat
-    )
+    def marginal(n_symbols: int, s: np.ndarray, h: float) -> tuple[int, float, float, float]:
+        return _census_totals(_typical_classes(
+            n_symbols, m, lambda rows: in_band(s[rows].mean(axis=1), h, eps), s
+        ))
+
+    cx, mx, minpx, maxpx = marginal(model.n_hypotheses, -model.log2_prior, h_x)
+    cy, my, minpy, maxpy = marginal(model.n_observations, -model.log2_y_marginal, h_y)
+    cj, mj, minpj, maxpj = _census_totals(_joint_typical_classes(model, m, eps))
 
     bounds: list[CensusBound] = []
 

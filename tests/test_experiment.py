@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -544,6 +545,35 @@ class TestSweep:
         )
         assert len(rows) == 8
         assert len(jobs) == min(workers, trials)
+
+    def test_pool_is_bounded_by_usable_cpus(self, monkeypatch):
+        # an in-process stand-in records the pool size; no process is started
+        pool_sizes, jobs = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                jobs.extend(zip(*iterables))
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        model, params = build_coin_model(3, 0.4), TypicalityParams(0.25, 2)
+        pooled = run_experiment(model, DecisionRule.SAP, params, 64, 5, workers=64)
+        usable = (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        )
+        assert len(pool_sizes) == 1 and pool_sizes[0] <= usable
+        # the trials still split into one block per requested worker
+        assert len(jobs) == 64
+        assert pooled == run_experiment(model, DecisionRule.SAP, params, 64, 5, workers=1)
 
     def test_acceptance_grid_computes_its_stream_once(self, monkeypatch):
         widths = []

@@ -195,6 +195,30 @@ class TestIsJointlyTypical:
             assert hi.jointly_typical
 
 
+@st.composite
+def models_and_observations(draw):
+    """A <= 3 x 3 model with exact zeros and permuted labels, an M <= 6, and
+    an observation index sequence (zero-probability symbols included)."""
+    n_x = draw(st.integers(1, 3))
+    n_y = draw(st.integers(1, 3))
+
+    def weights(n):
+        w = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+        return [v / sum(w) for v in w]
+
+    prior = weights(n_x)
+    likelihood = [weights(n_y) for _ in range(n_x)]
+    model = DiscreteJointModel(
+        hypothesis_values=tuple(draw(st.permutations(range(n_x)))),
+        observation_values=tuple(draw(st.permutations(range(10, 10 + n_y)))),
+        prior=np.array(prior),
+        likelihood=np.array(likelihood),
+    )
+    m = draw(st.integers(1, 6))
+    y_idx = tuple(draw(st.lists(st.integers(0, n_y - 1), min_size=m, max_size=m)))
+    return model, prior, likelihood, y_idx
+
+
 class TestConditionalMembers:
     def test_identity_singleton(self, identity4):
         y = (2, 0, 1, 3, 2)
@@ -217,6 +241,16 @@ class TestConditionalMembers:
         h_xgy = info_summary(bsc25).h_x_given_y
         assert (1 - 0.25) * 2 ** (8 * (h_xgy - 0.5)) < len(members)
         assert len(members) < 2 ** (8 * (h_xgy + 0.5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=models_and_observations(), eps=st.sampled_from([0.1, 0.25]))
+    def test_random_models_match_oracle(self, case, eps):
+        model, prior, likelihood, y_idx = case
+        m = len(y_idx)
+        y = tuple(model.observation_values[b] for b in y_idx)
+        members = conditional_members(y, model, params(eps, m))
+        want = oracle_conditional_members(prior, likelihood, y_idx, m, eps)
+        assert members == [tuple(model.hypothesis_values[a] for a in x) for x in want]
 
     def test_conditional_surprisal_bounds(self, bsc25):
         # each member's conditional probability sits inside 2^{-M(H(X|Y)+-2eps)}
