@@ -25,13 +25,15 @@ i])), and every aggregate is computed from the trial-ordered arrays, so a
 report is byte-for-byte identical for any worker count.
 
 Every experiment of a call runs trials [0, R) on the master seed, so the
-trials split into one contiguous block per worker and a block runs the whole
-group: trial i's row is computed once, at the widest k*M, and each
-experiment reads its leading k*M columns (common random numbers). A block
-receives the models, their rule tables and the params; a model pickles as
-its four defining fields and rebuilds its tables on arrival. A
-run_experiment (a group of one) or sweep call runs its blocks in process at
-workers=1, otherwise as one job each on a single process pool.
+trials split into contiguous blocks and a block runs the whole group: trial
+i's row is computed once, at the widest k*M, and each experiment reads its
+leading k*M columns (common random numbers). A run_experiment (a group of
+one) or sweep call gets one block per worker, but no more blocks than its
+work pays for: the work is trials times the group's sum of k*M, the doubles
+the kernels read, and a block needs at least _BLOCK_WORK of it. A single
+block runs in this process; more go as one job each to a single process
+pool. A job carries the models, their rule tables and the params; a model
+pickles as its four defining fields and rebuilds its tables on arrival.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ Z_95 = 1.96
 # per-call cost, and 4,096 rows of 30 doubles (coin10, M=10, SAP) take
 # about 1 MB.
 _STREAM_CHUNK = 4096
+
+# The least work, in doubles the kernels read (trials times the sum of k*M
+# over a call's experiments), that pays for a block of its own: a call gets
+# at most one block per _BLOCK_WORK, and a single block runs in process.
+# On a 2-vCPU host two processes beat one from between 6e5 and 1.5e6
+# doubles (coin10, M=10, SAP at 2e4 and 5e4 trials; BENCH_pool.json).
+_BLOCK_WORK = 1_000_000
 
 # SeedSequence (numpy bit_generator.pyx) and PCG64 (pcg64.h) constants.
 _M32 = 0xFFFFFFFF
@@ -319,6 +328,13 @@ def _trial_uniforms(seed: int, lo: int, hi: int, width: int) -> Iterator[np.ndar
         start = stop
 
 
+def _widths(
+    experiments: list[tuple[DiscreteJointModel, RuleTables, TypicalityParams]],
+) -> list[int]:
+    """Each experiment's k*M: the uniforms one of its trials reads."""
+    return [_draws_per_symbol(tables) * params.extension for _, tables, params in experiments]
+
+
 def _run_block(
     experiments: list[tuple[DiscreteJointModel, RuleTables, TypicalityParams]],
     seed: int,
@@ -333,7 +349,7 @@ def _run_block(
     whole: its guide-table picks make (chunk, M) temporaries, not (chunk, M,
     K) ones.
     """
-    widths = [_draws_per_symbol(tables) * params.extension for _, tables, params in experiments]
+    widths = _widths(experiments)
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in widths]
     done = 0
     for u in _trial_uniforms(seed, lo, hi, max(widths)):
@@ -347,6 +363,14 @@ def _run_block(
         done += len(u)
         del u  # free this chunk before the next one is computed
     return out
+
+
+def _block_bounds(trials: int, width: int, workers: int) -> list[int]:
+    """Bounds 0 = b_0 < ... < b_n = trials of the blocks of a call whose
+    trials read width doubles each: n = min(workers, trials, ceil(trials *
+    width / _BLOCK_WORK)), and block sizes differ by at most one."""
+    blocks = min(workers, trials, -(-trials * width // _BLOCK_WORK))
+    return [trials * b // blocks for b in range(blocks + 1)]
 
 
 def _usable_cpus() -> int:
@@ -365,12 +389,14 @@ def _map_experiments(
     """Each experiment's trial-ordered (success, post_rate, dec_rate).
 
     Every experiment runs trials [0, trials) on the master seed, so the
-    trials are split into min(workers, trials) contiguous blocks and each
-    block runs the whole group on one stream. At workers=1 the blocks run
-    in this process; otherwise each is one pool job, which pickles the
-    shared models and tables once, on a pool of at most as many processes
-    as the host has usable CPUs. All experiments' arrays are held until
-    the last block is back: 17 bytes per trial per experiment.
+    trials are split into contiguous blocks and each block runs the whole
+    group on one stream. There are min(workers, trials, ceil(work /
+    _BLOCK_WORK)) blocks, where work is trials times the group's sum of
+    k*M. One block runs in this process; more are one pool job each,
+    which pickles the shared models and tables once, on a pool of at most
+    as many processes as the host has usable CPUs. All experiments' arrays
+    are held until the last block is back: 17 bytes per trial per
+    experiment.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -378,10 +404,10 @@ def _map_experiments(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not experiments:
         return []
-    splits = np.linspace(0, trials, min(workers, trials) + 1).astype(int).tolist()
-    jobs = [(experiments, seed, lo, hi) for lo, hi in zip(splits[:-1], splits[1:])]
+    bounds = _block_bounds(trials, sum(_widths(experiments)), workers)
+    jobs = [(experiments, seed, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     pool_size = min(len(jobs), _usable_cpus())
-    with ProcessPoolExecutor(max_workers=pool_size) if workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) if len(jobs) > 1 else nullcontext() as pool:
         parts = list(pool.map(_run_block, *zip(*jobs)) if pool else (_run_block(*j) for j in jobs))
     return [tuple(np.concatenate(a) for a in zip(*blocks)) for blocks in zip(*parts)]
 
@@ -770,8 +796,10 @@ def sweep(
     same master seed so rules and M values are compared on common trial
     streams. An empty axis yields an empty table, not an error.
     Undefined-accuracy rows carry None in the h_hat-derived columns. The
-    whole grid shares one trial stream per block and one process pool
-    (workers > 1); once every block is back, on_row sees the rows in order.
+    whole grid is one call of _map_experiments: it shares one trial stream
+    per block, and a grid whose work pays for more than one block shares
+    one process pool. Once every block is back, on_row sees the rows in
+    order.
     """
     coins = [
         (n, theta, build_coin_model(n, theta))

@@ -10,7 +10,16 @@ from titest import (
     build_coin_model,
     build_constant_model,
     build_identity_model,
+    experiment,
 )
+
+
+@pytest.fixture
+def every_block_pays(monkeypatch):
+    """Pin the work that pays for a block to one double, so a call splits
+    into min(workers, trials) blocks and, with more than one, goes through a
+    real process pool however little work it holds."""
+    monkeypatch.setattr(experiment, "_BLOCK_WORK", 1)
 
 
 @pytest.fixture(scope="session")

@@ -271,6 +271,7 @@ def test_converse_on_every_report(band, convergence_reports, ordering_reports):
     _accept(f"converse bound on all {seen} experiment reports", "PASS")
 
 
+@pytest.mark.usefixtures("every_block_pays")
 def test_cli_worker_invariance(tmp_path):
     t0 = time.monotonic()
     sim = {}

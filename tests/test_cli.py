@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titest import build_bsc_model, build_constant_model, build_identity_model
+from titest import build_bsc_model, build_constant_model, build_identity_model, experiment
 from titest.cli import main
 from titest.experiment import SWEEP_COLUMNS
 
@@ -135,6 +135,7 @@ class TestSimulateCommand:
         assert isinstance(checks["converse"]["holds"], bool)
         assert checks["converse"]["holds"] is True
 
+    @pytest.mark.usefixtures("every_block_pays")
     def test_workers_do_not_change_output(self, tmp_path):
         outs = []
         for w, name in [(1, "a.json"), (3, "b.json")]:
@@ -191,6 +192,7 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert set(rows[0]) == set(SWEEP_COLUMNS)
 
+    @pytest.mark.usefixtures("every_block_pays")
     def test_workers_do_not_change_output(self, tmp_path):
         grid = self.grid(tmp_path, m=[1, 2])
         outs = []
@@ -250,6 +252,37 @@ class TestSweepCommand:
             check=True, capture_output=True, env=env,
         )
         assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_small_runs_start_no_pool(monkeypatch, tmp_path, workers):
+    # the acceptance band point (6e5 doubles) and the acceptance sweep at
+    # 1,000 trials per point (3.96e5 doubles) hold too little work for a pool
+    pools = []
+
+    class CountingPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "n": [5, 15, 25, 35], "theta": [0.4], "m": [1, 10], "epsilon": [0.25],
+        "rules": ["map", "eap", "meap", "sap"],
+    }))
+    for argv in (
+        ["simulate", "--coin", "10", "0.4", "--rule", "sap", "--m", "10",
+         "--epsilon", "0.25", "--trials", "20000", "--seed", "7"],
+        ["sweep", "--grid", str(grid), "--trials", "1000", "--seed", "2026"],
+    ):
+        outs = []
+        for w in ("1", workers):
+            out = tmp_path / f"{argv[0]}-{w}.out"
+            assert run_cli([*argv, "--workers", w, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+    assert pools == []
 
 
 class TestEnumerateCommand:

@@ -1,6 +1,8 @@
 import json
 import math
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from titest import (
     typical_set_census,
 )
 from titest import experiment
-from titest.experiment import SWEEP_COLUMNS, Z_95, _run_block
+from titest.experiment import SWEEP_COLUMNS, Z_95, _block_bounds, _run_block, render_sweep_csv
 from titest.rules import CdfGuide, inverse_cdf_pick
 from titest.typicality import BOUNDARY_ATOL, jointly_typical_rows
 
@@ -214,6 +216,7 @@ class TestBlockKernel:
             assert t.posterior_entropy_rate == got[1][-1]
             assert t.decided_surprisal_rate == got[2][-1]
 
+    @pytest.mark.usefixtures("every_block_pays")
     def test_worker_counts_straddling_chunks(self, coin10):
         docs = [
             json.dumps(
@@ -332,6 +335,7 @@ class TestRunExperiment:
         b = run_experiment(coin10, DecisionRule.SAP, params(0.25, 6), 400, 77)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
+    @pytest.mark.usefixtures("every_block_pays")
     def test_worker_count_invariant(self, coin10):
         docs = [
             json.dumps(
@@ -510,6 +514,7 @@ class TestSweep:
         ]
         assert all(set(SWEEP_COLUMNS) == set(r) for r in rows)
 
+    @pytest.mark.usefixtures("every_block_pays")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_pool_per_sweep_and_rows_in_order(self, monkeypatch, workers):
         pools = []
@@ -529,6 +534,7 @@ class TestSweep:
         assert len(rows) == 8
         assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
 
+    @pytest.mark.usefixtures("every_block_pays")
     @pytest.mark.parametrize("workers, trials", [(2, 50), (3, 2), (3, 50)])
     def test_pool_gets_one_job_per_worker(self, monkeypatch, workers, trials):
         jobs = []
@@ -546,6 +552,7 @@ class TestSweep:
         assert len(rows) == 8
         assert len(jobs) == min(workers, trials)
 
+    @pytest.mark.usefixtures("every_block_pays")
     def test_pool_is_bounded_by_usable_cpus(self, monkeypatch):
         # an in-process stand-in records the pool size; no process is started
         pool_sizes, jobs = [], []
@@ -589,6 +596,7 @@ class TestSweep:
         # one chunk of 1,000 rows at the widest point, SAP at M=10
         assert widths == [(1000, 30)]
 
+    @pytest.mark.usefixtures("every_block_pays")
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_rows_equal_independent_experiments(self, workers):
         # 4,097 trials cross _STREAM_CHUNK; M = 1, 3, 10 give widths 2 to 30
@@ -633,3 +641,100 @@ class TestSweep:
         assert rows[0]["accuracy_bits"] is None
         assert rows[0]["h_hat_bits"] is None
         assert rows[0]["successes"] == 0
+
+
+# The acceptance grid: 4 coin models x M in {1, 10} x 4 rules; per model,
+# sum k*M = (2 + 2 + 2 + 3) * (1 + 10) = 99, so 396 doubles per trial
+ACCEPTANCE_GRID = ([5, 15, 25, 35], [0.4], [1, 10], [0.25], list(DecisionRule))
+# per model, sum k*M = (2 + 3) * (1 + 2) = 15, so 30 doubles per trial
+SMALL_GRID = ([6, 5], [0.4], [2, 1], [0.25], [DecisionRule.SAP, DecisionRule.MAP])
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """A real process pool that records its size and counts its jobs."""
+    log = {"pools": [], "jobs": 0}
+
+    class CountingPool(experiment.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            log["pools"].append(max_workers)
+            super().__init__(max_workers)
+
+        def submit(self, *args, **kwargs):
+            log["jobs"] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    return log
+
+
+class TestBlockSplit:
+    def test_threshold_sits_at_the_measured_crossover(self):
+        # coin10, M=10, SAP reads 30 doubles a trial: two processes lose at
+        # 2e4 trials and win from 5e4 on a 2-vCPU host
+        assert len(_block_bounds(20_000, 30, 2)) == 2
+        assert len(_block_bounds(50_000, 30, 2)) == 3
+        assert len(_block_bounds(200_000, 30, 2)) == 3
+        # the acceptance sweep at 1,000 trials per point runs in process
+        assert _block_bounds(1000, 396, 2) == [0, 1000]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_small_calls_start_no_pool(self, pool_log, workers):
+        model, p = build_coin_model(10, 0.4), params(0.25, 10)
+        one, many = (
+            run_experiment(model, DecisionRule.SAP, p, 20_000, 7, workers=w)
+            for w in (1, workers)
+        )
+        assert json.dumps(many.to_json_dict()) == json.dumps(one.to_json_dict())
+        one, many = (
+            render_sweep_csv(sweep(*ACCEPTANCE_GRID, 1000, 2026, workers=w))
+            for w in (1, workers)
+        )
+        assert many == one
+        assert pool_log == {"pools": [], "jobs": 0}
+
+    @pytest.mark.parametrize("block_work, workers, jobs", [(1, 4, 4), (600, 4, 3), (1000, 4, 2)])
+    def test_work_above_the_threshold_takes_one_pool(
+        self, monkeypatch, pool_log, block_work, workers, jobs
+    ):
+        monkeypatch.setattr(experiment, "_BLOCK_WORK", block_work)
+        trials = 50
+        assert jobs == min(workers, trials, math.ceil(trials * 30 / block_work))
+        pooled = sweep(*SMALL_GRID, trials, 2, workers=workers)
+        assert pool_log == {"pools": [min(jobs, experiment._usable_cpus())], "jobs": jobs}
+        assert render_sweep_csv(pooled) == render_sweep_csv(sweep(*SMALL_GRID, trials, 2))
+
+    def test_split_is_bounded_by_the_work(self):
+        # no list or array as long as trials or workers is built; no trial
+        # runs and no process starts
+        trials = workers = 10**9
+        t0 = time.perf_counter()
+        bounds = _block_bounds(trials, 30, workers)
+        assert time.perf_counter() - t0 < 1.0
+        assert 1 < len(bounds) - 1 <= math.ceil(trials * 30 / experiment._BLOCK_WORK)
+        assert bounds[0] == 0 and bounds[-1] == trials
+        sizes = np.diff(bounds)
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+
+    @pytest.mark.usefixtures("every_block_pays")
+    def test_spawned_workers_give_the_same_reports(self, monkeypatch):
+        # spawned workers start from a fresh import: the models arrive as
+        # their pickled fields and rebuild their guide tables
+        pools = []
+
+        class SpawnPool(experiment.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers, mp_context=multiprocessing.get_context("spawn"))
+
+        model, p = build_coin_model(10, 0.4), params(0.25, 10)
+
+        def reports(workers):
+            rep = run_experiment(model, DecisionRule.SAP, p, 517, 31, workers=workers)
+            rows = sweep(*SMALL_GRID, 517, 31, workers=workers)
+            return json.dumps(rep.to_json_dict()), render_sweep_csv(rows)
+
+        in_process = reports(1)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SpawnPool)
+        assert reports(2) == in_process
+        assert len(pools) == 2
