@@ -12,8 +12,9 @@ i])).random(k*M), where k is 3 for SAP and 2 for the deterministic rules.
 The row's first M uniforms sample x, the next M sample y and the last M (SAP
 only) the decisions; for PCG64 one random(k*M) draw equals k sequential
 random(M) draws, so this is the same stream a trial-at-a-time loop consumes.
-No generator is built per trial: the rows of up to _STREAM_CHUNK trials are
-computed together by numpy array arithmetic that reproduces SeedSequence's
+No generator is built per trial: the rows of a chunk of trials (at most
+_STREAM_CHUNK rows and, unless one row is larger, 1 MiB) are computed
+together by numpy array arithmetic that reproduces SeedSequence's
 hash and PCG64's seeding and output bit for bit (_trial_uniforms; tested
 against numpy's own generators). Sampling, decisions, the three-condition
 judgement and both rate estimators then run over each chunk of rows whole:
@@ -27,13 +28,16 @@ report is byte-for-byte identical for any worker count.
 Every experiment of a call runs trials [0, R) on the master seed, so the
 trials split into contiguous blocks and a block runs the whole group: trial
 i's row is computed once, at the widest k*M, and each experiment reads its
-leading k*M columns (common random numbers). A run_experiment (a group of
+leading k*M columns (common random numbers). Experiments on the same model
+object at the same M read the same x and y columns, so they share one x/y
+pick per chunk and only decide and judge apart. A run_experiment (a group of
 one) or sweep call gets one block per worker, but no more blocks than its
 work pays for: the work is trials times the group's sum of k*M, the doubles
 the kernels read, and a block needs at least _BLOCK_WORK of it. A single
 block runs in this process; more go as one job each to a single process
 pool. A job carries the models, their rule tables and the params; a model
 pickles as its four defining fields and rebuilds its tables on arrival.
+A job is one pickle, so experiments that share a model share it there too.
 """
 
 from __future__ import annotations
@@ -48,12 +52,12 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import DiscreteJointModel, build_coin_model, info_summary, posterior
-from .rules import CdfGuide, DecisionRule, decide
+from .model import DiscreteJointModel, build_coin_model, info_summary
+from .rules import CdfGuide, DecisionRule, decide_columns
 from .typicality import (
     SequencePair,
     TypicalityParams,
@@ -87,9 +91,11 @@ Z_95 = 1.96
 
 # Trials whose uniforms are computed together, and then run through the
 # kernel together: stepping many PCG64 lanes at once amortizes numpy's
-# per-call cost, and 4,096 rows of 30 doubles (coin10, M=10, SAP) take
-# about 1 MB.
+# per-call cost. A chunk has at most _STREAM_CHUNK rows and, unless one row
+# is larger, at most _STREAM_BYTES of uniforms: 4,096 rows up to 32 doubles
+# a row (coin10, M=10, SAP reads 30), 4 rows at SAP, M=10^4.
 _STREAM_CHUNK = 4096
+_STREAM_BYTES = 1 << 20
 
 # The least work, in doubles the kernels read (trials times the sum of k*M
 # over a call's experiments), that pays for a block of its own: a call gets
@@ -119,12 +125,12 @@ class SequenceTrial:
 class RuleTables:
     """Per-(model, rule) lookup tables so trials avoid per-symbol dispatch.
 
-    det_choice maps a y index to the decided x index for deterministic rules.
-    sap_cdf holds, per y index, the posterior CDF over ascending hypothesis
-    labels; sap_order maps an ascending-label position back to storage index.
-    sap_guide, the guide table the kernel picks by, is built from sap_cdf on
-    the first draw. Semantics match rules.decide exactly (tested, not
-    assumed). Tables that depend on the model alone live on the model.
+    det_choice maps a y index to the decided x index for deterministic rules
+    (0 for zero-evidence y, which no trial samples). sap_cdf holds, per y
+    index, the posterior CDF over ascending hypothesis labels; sap_order maps
+    an ascending-label position back to storage index. sap_guide, the guide
+    table the kernel picks by, is built from sap_cdf on the first draw.
+    Tables that depend on the model alone live on the model.
     """
 
     rule: DecisionRule
@@ -138,21 +144,51 @@ class RuleTables:
 
 
 def make_rule_tables(model: DiscreteJointModel, rule: DecisionRule) -> RuleTables:
+    order = np.argsort(np.asarray(model.hypothesis_values), kind="stable")
     if rule.is_stochastic:
-        order = np.argsort(np.asarray(model.hypothesis_values), kind="stable")
         cdf = np.cumsum(model.posterior_matrix[order, :], axis=0).T.copy()
         # zero-evidence columns are unreachable for sampled y; park them at 1
         cdf[~np.isfinite(cdf)] = 1.0
         return RuleTables(rule=rule, sap_cdf=cdf, sap_order=order)
+    live = model.y_marginal > 0
     choice = np.zeros(model.n_observations, dtype=np.intp)
-    for yi, y in enumerate(model.observation_values):
-        if model.y_marginal[yi] > 0:
-            choice[yi] = model.x_index(decide(rule, posterior(model, y)))
+    choice[live] = order[decide_columns(rule, model.posterior_matrix[order][:, live].T)]
     return RuleTables(rule=rule, det_choice=choice)
 
 
 def _draws_per_symbol(tables: RuleTables) -> int:
     return 3 if tables.sap_cdf is not None else 2
+
+
+def _draw(
+    model: DiscreteJointModel, u: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xi, yi, posterior_entropy_rate) of the trials whose uniforms are the
+    rows of u: x from u's first M columns, y from the next M. Every rule at
+    one (model, M) reads these same columns."""
+    xi, yi = _pick_pair(model, u[:, :m], u[:, m : 2 * m])
+    return xi, yi, model.posterior_col_entropy[yi].mean(axis=1)
+
+
+def _decide(
+    model: DiscreteJointModel,
+    tables: RuleTables,
+    yi: np.ndarray,
+    u: np.ndarray,
+    m: int,
+    epsilon: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(decided_xi, success, decided_surprisal_rate) of the trials whose y
+    indices are yi; SAP draws its decisions by u's columns 2M to 3M."""
+    if tables.det_choice is not None:
+        decided = tables.det_choice[yi]
+    else:
+        decided = tables.sap_order[tables.sap_guide.pick(u[:, 2 * m : 3 * m], yi)]
+    return (
+        decided,
+        jointly_typical_rows(model, decided, yi, epsilon),
+        -model.log2_posterior[decided, yi].mean(axis=1),
+    )
 
 
 def _trial_kernel(
@@ -167,19 +203,9 @@ def _trial_kernel(
     Returns (xi, yi, decided_xi, success, posterior_entropy_rate,
     decided_surprisal_rate): three (B, M) index arrays and three (B,) arrays.
     """
-    xi, yi = _pick_pair(model, u[:, :m], u[:, m : 2 * m])
-    if tables.det_choice is not None:
-        decided = tables.det_choice[yi]
-    else:
-        decided = tables.sap_order[tables.sap_guide.pick(u[:, 2 * m :], yi)]
-    return (
-        xi,
-        yi,
-        decided,
-        jointly_typical_rows(model, decided, yi, epsilon),
-        model.posterior_col_entropy[yi].mean(axis=1),
-        -model.log2_posterior[decided, yi].mean(axis=1),
-    )
+    xi, yi, post_rate = _draw(model, u, m)
+    decided, success, dec_rate = _decide(model, tables, yi, u, m, epsilon)
+    return xi, yi, decided, success, post_rate, dec_rate
 
 
 def run_trial(
@@ -311,19 +337,21 @@ def _pcg64_uniforms(seed_words: list[int], index: np.ndarray, width: int) -> np.
 
 
 def _trial_uniforms(seed: int, lo: int, hi: int, width: int) -> Iterator[np.ndarray]:
-    """Uniform rows of trials [lo, hi), in order, at most _STREAM_CHUNK at a time.
+    """Uniform rows of trials [lo, hi), in order, a chunk of rows at a time.
 
     Trial i's row holds exactly the doubles of default_rng(SeedSequence(
     [seed, i])).random(width), computed for the whole chunk at once: the
     SeedSequence hash, PCG64 seeding and XSL-RR output of numpy's
     bit_generator.pyx and pcg64.h (O'Neill, HMC-CS-2014-0905) in wrapping
-    uint32/uint64 array arithmetic. A chunk never straddles 2^32, where
-    the index gains a second entropy word.
+    uint32/uint64 array arithmetic. A chunk has at most _STREAM_CHUNK rows
+    and at most _STREAM_BYTES of doubles, but never less than one row, and
+    it never straddles 2^32, where the index gains a second entropy word.
     """
     seed_words = _uint32_words(seed)
+    rows = min(_STREAM_CHUNK, max(1, _STREAM_BYTES // (8 * width)))
     start = lo
     while start < hi:
-        stop = min(hi, start + _STREAM_CHUNK, 1 << 32 * len(_uint32_words(start)))
+        stop = min(hi, start + rows, 1 << 32 * len(_uint32_words(start)))
         yield _pcg64_uniforms(seed_words, np.arange(start, stop, dtype=np.uint64), width)
         start = stop
 
@@ -343,23 +371,29 @@ def _run_block(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Trials [lo, hi) of every experiment: one (success, post_rate, dec_rate) each.
 
-    Computes the uniforms of up to _STREAM_CHUNK trials once, at the widest
-    k*M of the group; an experiment of width w reads the first w columns,
-    which are its trials' random(w). The kernel runs over each such chunk
-    whole: its guide-table picks make (chunk, M) temporaries, not (chunk, M,
-    K) ones.
+    Computes the uniforms of a chunk of trials once, at the widest k*M of the
+    group; an experiment of width w reads the first w columns, which are its
+    trials' random(w). Experiments that share a model (by identity) and M
+    read the same x and y columns, so per chunk the x/y picks and the
+    posterior-entropy rate run once per (model, M) and the decisions, the
+    typicality judgement and the decided-surprisal rate once per experiment;
+    together they are _trial_kernel. Each step runs over the chunk whole: the
+    guide-table picks make (chunk, M) temporaries, not (chunk, M, K) ones.
     """
-    widths = _widths(experiments)
-    out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in widths]
+    out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
+    groups: dict[tuple[DiscreteJointModel, int], list[int]] = {}
+    for e, (model, _, params) in enumerate(experiments):
+        groups.setdefault((model, params.extension), []).append(e)
     done = 0
-    for u in _trial_uniforms(seed, lo, hi, max(widths)):
+    for u in _trial_uniforms(seed, lo, hi, max(_widths(experiments))):
         at = slice(done, done + len(u))
-        for (model, tables, params), width, (success, post_rate, dec_rate) in zip(
-            experiments, widths, out
-        ):
-            success[at], post_rate[at], dec_rate[at] = _trial_kernel(
-                model, tables, u[:, :width], params.extension, params.epsilon
-            )[3:]
+        for (model, m), members in groups.items():
+            _, yi, post_rate = _draw(model, u, m)
+            for e in members:
+                _, tables, params = experiments[e]
+                success, post, dec = out[e]
+                post[at] = post_rate
+                _, success[at], dec[at] = _decide(model, tables, yi, u, m, params.epsilon)
         done += len(u)
         del u  # free this chunk before the next one is computed
     return out
@@ -788,6 +822,7 @@ def sweep(
     seed: int,
     workers: int = 1,
     on_row: Callable[[dict], None] | None = None,
+    models: Mapping[tuple[int, float], DiscreteJointModel] | None = None,
 ) -> list[dict]:
     """Coin-model grid of experiments, one row dict per point.
 
@@ -799,10 +834,12 @@ def sweep(
     whole grid is one call of _map_experiments: it shares one trial stream
     per block, and a grid whose work pays for more than one block shares
     one process pool. Once every block is back, on_row sees the rows in
-    order.
+    order. models may hold coin models the caller has already built, keyed
+    (n, theta); the others are built here.
     """
+    models = models or {}
     coins = [
-        (n, theta, build_coin_model(n, theta))
+        (n, theta, models[n, theta] if (n, theta) in models else build_coin_model(n, theta))
         for n in sorted(n_values) for theta in sorted(theta_values)
     ]
     rules = sorted(rules, key=lambda r: r.value)

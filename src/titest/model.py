@@ -280,14 +280,13 @@ def build_coin_model(n: int, theta: float) -> DiscreteJointModel:
         raise ValueError(f"theta must lie strictly inside (0, 1), got {theta!r}")
     log_t = math.log(theta)
     log_c = math.log1p(-theta)
+    # lgamma(k + 1) = ln k!, for k = 0..n
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     lik = np.zeros((n, n + 1))
     for i in range(n):
         trials = i + 1
         ks = np.arange(trials + 1)
-        log_binom = (
-            math.lgamma(trials + 1)
-            - np.array([math.lgamma(k + 1) + math.lgamma(trials - k + 1) for k in ks])
-        )
+        log_binom = log_fact[trials] - (log_fact[ks] + log_fact[trials - ks])
         lik[i, : trials + 1] = np.exp(log_binom + ks * log_t + (trials - ks) * log_c)
         # renormalize away the residual rounding so row sums hit 1e-12
         lik[i, : trials + 1] /= lik[i, : trials + 1].sum()

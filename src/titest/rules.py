@@ -3,6 +3,12 @@
 All four rules consume a PosteriorColumn. Ties always break toward the lowest
 hypothesis label so that runs are reproducible; the stochastic rule (SAP) takes
 an explicit numpy Generator and never touches global randomness.
+
+The three deterministic rules are defined once, by decide_columns over a stack
+of posterior columns in ascending label order: first-occurrence argmax/argmin,
+row-wise sums and row-wise cumulative sums. decide_map, decide_eap and
+decide_meap are its one-column wrappers, and the experiments' rule tables are
+one call of it per (model, rule).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ __all__ = [
     "CdfGuide",
     "DecisionRule",
     "decide",
+    "decide_columns",
     "decide_eap",
     "decide_map",
     "decide_meap",
@@ -53,38 +60,59 @@ def _ascending(post: PosteriorColumn) -> tuple[np.ndarray, np.ndarray]:
     return labels[order], np.asarray(post.probs)[order]
 
 
+def decide_columns(rule: DecisionRule, columns: np.ndarray) -> np.ndarray:
+    """Positions a deterministic rule decides, one per row of columns.
+
+    columns is a (C, K) stack: row c is a posterior column over the K
+    hypotheses in ascending label order, and the result holds, for each row,
+    the position of the decided label in that order. Every rule breaks ties
+    toward the lowest position (first-occurrence argmax/argmin).
+
+    - MAP: the largest posterior probability.
+    - EAP: the probability nearest the expected posterior mass E[p] =
+      sum_n p(n)^2, the probability-weighted mean of the probabilities
+      themselves. A positive-probability label always wins: the smallest
+      in-support p satisfies p <= E[p], so its distance to E[p] is strictly
+      below the E[p] distance any zero-probability label has.
+    - MeAP: the running CDF closest to 1/2. Candidates are restricted to the
+      support: a zero-probability label never moves the CDF, so admitting it
+      could only matter through tie-breaks, and a point-mass posterior must
+      decide its own atom rather than an unrelated lower label.
+    """
+    rule = DecisionRule(rule)
+    # C order, so each row's sum adds its terms as a one-column sum does
+    probs = np.ascontiguousarray(columns, dtype=float)
+    if rule is DecisionRule.MAP:
+        return probs.argmax(axis=1)
+    if rule is DecisionRule.EAP:
+        return np.abs(probs - (probs * probs).sum(axis=1)[:, None]).argmin(axis=1)
+    if rule is DecisionRule.MEAP:
+        score = np.abs(np.cumsum(probs, axis=1) - 0.5)
+        score[probs <= 0.0] = np.inf
+        return score.argmin(axis=1)
+    raise ValueError(f"{rule.value} is not a deterministic rule")
+
+
+def _decide_one(rule: DecisionRule, post: PosteriorColumn) -> int:
+    labels, probs = _ascending(post)
+    return int(labels[decide_columns(rule, probs[None, :])[0]])
+
+
 def decide_map(post: PosteriorColumn) -> int:
     """Label with the largest posterior probability, lowest label on ties."""
-    labels, probs = _ascending(post)
-    return int(labels[np.flatnonzero(probs == probs.max()).min()])
+    return _decide_one(DecisionRule.MAP, post)
 
 
 def decide_eap(post: PosteriorColumn) -> int:
-    """Label whose posterior probability is nearest the expected posterior mass.
-
-    The reference point is the probability-weighted mean of the posterior
-    probabilities themselves, E[p] = sum_n p(n)^2; the winner minimizes
-    |p(n) - E[p]|, lowest label on ties. A positive-probability label always
-    wins: the smallest in-support p satisfies p <= E[p], so its distance to
-    E[p] is strictly below the E[p] distance any zero-probability label has.
-    """
-    labels, probs = _ascending(post)
-    score = np.abs(probs - float((probs * probs).sum()))
-    return int(labels[np.flatnonzero(score == score.min()).min()])
+    """Label whose posterior probability is nearest the expected posterior
+    mass sum_n p(n)^2, lowest label on ties (see decide_columns)."""
+    return _decide_one(DecisionRule.EAP, post)
 
 
 def decide_meap(post: PosteriorColumn) -> int:
-    """Label whose running CDF (in ascending label order) is closest to 1/2.
-
-    Candidates are restricted to the support: a zero-probability label never
-    moves the CDF, so admitting it could only matter through tie-breaks, and
-    a point-mass posterior must decide its own atom rather than an unrelated
-    lower label. Ties among support labels break toward the lowest.
-    """
-    labels, probs = _ascending(post)
-    score = np.abs(np.cumsum(probs) - 0.5)
-    score[probs <= 0.0] = np.inf
-    return int(labels[np.flatnonzero(score == score.min()).min()])
+    """Support label whose running CDF (in ascending label order) is closest
+    to 1/2, lowest label on ties (see decide_columns)."""
+    return _decide_one(DecisionRule.MEAP, post)
 
 
 def inverse_cdf_pick(cdf: np.ndarray, u) -> np.ndarray:

@@ -143,3 +143,35 @@ def oracle_census(prior, likelihood, m, eps):
             "joint": joint_mass,
         },
     }
+
+
+def oracle_decide(rule, probs):
+    """Position a deterministic rule decides for one posterior column.
+
+    probs lists the posterior probabilities in ascending label order; rule is
+    "map", "eap" or "meap". Every rule keeps the first (lowest) position
+    among equal scores:
+    - map: the largest probability;
+    - eap: the probability nearest E[p] = sum of p * p, added in order;
+    - meap: among positive probabilities, the running sum nearest 1/2.
+    """
+    probs = [float(p) for p in probs]
+    if rule == "map":
+        score = [-p for p in probs]
+    elif rule == "eap":
+        expected = 0.0
+        for p in probs:
+            expected += p * p
+        score = [abs(p - expected) for p in probs]
+    elif rule == "meap":
+        score, running = [], 0.0
+        for p in probs:
+            running += p
+            score.append(abs(running - 0.5) if p > 0 else math.inf)
+    else:
+        raise ValueError(f"no oracle for rule {rule!r}")
+    best = 0
+    for i in range(1, len(score)):
+        if score[i] < score[best]:
+            best = i
+    return best

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titest import build_bsc_model, build_constant_model, build_identity_model, experiment
+from titest import (
+    build_bsc_model,
+    build_coin_model,
+    build_constant_model,
+    build_identity_model,
+    experiment,
+)
 from titest.cli import main
 from titest.experiment import SWEEP_COLUMNS
 
@@ -205,6 +211,20 @@ class TestSweepCommand:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_each_coin_model_built_once(self, capsys, monkeypatch, tmp_path):
+        built = []
+
+        def counting_build(n, theta):
+            built.append((n, theta))
+            return build_coin_model(n, theta)
+
+        monkeypatch.setattr("titest.cli.build_coin_model", counting_build)
+        monkeypatch.setattr(experiment, "build_coin_model", counting_build)
+        grid = self.grid(tmp_path, n=[7, 5], theta=[0.4, 0.3])
+        assert run_cli(["sweep", "--grid", grid, "--trials", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 16
+        assert sorted(built) == [(5, 0.3), (5, 0.4), (7, 0.3), (7, 0.4)]
 
     def test_unknown_rule_in_grid(self, tmp_path):
         assert run_cli(["sweep", "--grid", self.grid(tmp_path, rules=["bogus"])]) == 2
@@ -438,7 +458,9 @@ class TestErrorPaths:
         "n-above-cap", "n-zero", "theta-above-one", "theta-zero", "n-not-list", "n-huge",
         "theta-huge",
     ])
-    def test_bad_sweep_grid_value(self, capsys, tmp_path, axes):
+    def test_bad_sweep_grid_value(self, capsys, monkeypatch, tmp_path, axes):
+        runs = []
+        monkeypatch.setattr(experiment, "_map_experiments", lambda *args: runs.append(args))
         grid = {"n": [5], "theta": [0.4], "m": [1], "epsilon": [0.25], "rules": ["sap"]}
         path = tmp_path / "grid.json"
         # json.dumps writes the float 1e400 (inf) as Infinity; spell it as a number
@@ -448,6 +470,7 @@ class TestErrorPaths:
         assert out == ""
         assert "Traceback" not in err
         assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
+        assert runs == []  # no experiment ran
 
     def test_huge_config_number(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

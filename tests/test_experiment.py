@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_decide
 from titest import (
     DecisionRule,
     DiscreteJointModel,
@@ -20,14 +21,12 @@ from titest import (
     build_coin_model,
     build_constant_model,
     converse_check,
-    decide,
     entropy,
     exact_failure_probability,
     extended_fano_check,
     info_summary,
     is_jointly_typical,
     make_rule_tables,
-    posterior,
     run_experiment,
     run_trial,
     sweep,
@@ -142,11 +141,18 @@ def compare_and_sum_pick(probs, u):
 def reference_block(model, rule, eps, m, seed, lo, hi):
     """Trials [lo, hi) one at a time: random(M) for x, random(M) for y and
     (SAP only) a third random(M) for the decisions, each picked by a written
-    out compare-and-sum, then a scalar typicality judgement."""
+    out compare-and-sum, then a scalar typicality judgement. A deterministic
+    rule decides each observation once, through oracle_decide."""
     h_x = entropy(model.prior)
     h_y = entropy(model.y_marginal)
     h_xy = entropy(model.joint.ravel())
     ascending = np.argsort(model.hypothesis_values)
+    if rule is not DecisionRule.SAP:
+        choice = {
+            y: ascending[oracle_decide(rule.value, model.posterior_matrix[ascending, y])]
+            for y in range(model.n_observations)
+            if model.y_marginal[y] > 0
+        }
     success, post_rate, dec_rate = [], [], []
     for i in range(lo, hi):
         rng = trial_rng(seed, i)
@@ -160,10 +166,7 @@ def reference_block(model, rule, eps, m, seed, lo, hi):
                 for y, u in zip(yi, rng.random(m))
             ]
         else:
-            decided = [
-                model.x_index(decide(rule, posterior(model, model.observation_values[y])))
-                for y in yi
-            ]
+            decided = [choice[y] for y in yi]
         decided = np.array(decided, dtype=np.intp)
         band = eps - BOUNDARY_ATOL
         success.append(
@@ -215,6 +218,20 @@ class TestBlockKernel:
             assert t.success == got[0][-1]
             assert t.posterior_entropy_rate == got[1][-1]
             assert t.decided_surprisal_rate == got[2][-1]
+
+    def test_shared_picks_equal_experiments_run_alone(self):
+        # experiments on one model object at one M share their x/y picks;
+        # each must equal the same experiment in a block of its own
+        model = build_coin_model(7, 0.3)
+        experiments = [
+            (model, make_rule_tables(model, rule), params(eps, m))
+            for m in (1, 4) for rule in DecisionRule for eps in (0.1, 0.4)
+        ]
+        shared = _run_block(experiments, 5, 100, 700)
+        for one, got in zip(experiments, shared):
+            (alone,) = _run_block([one], 5, 100, 700)
+            for g, w in zip(got, alone):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     @pytest.mark.usefixtures("every_block_pays")
     def test_worker_counts_straddling_chunks(self, coin10):
@@ -595,6 +612,26 @@ class TestSweep:
         assert len(rows) == 32
         # one chunk of 1,000 rows at the widest point, SAP at M=10
         assert widths == [(1000, 30)]
+
+    def test_acceptance_grid_picks_once_per_model_and_m(self, monkeypatch):
+        picks, chunks = [], []
+
+        def counting_pick(model, ux, uy):
+            picks.append((id(model), ux.shape[1]))
+            return pick_pair(model, ux, uy)
+
+        def counting_uniforms(seed_words, index, width):
+            chunks.append(len(index))
+            return pcg64_uniforms(seed_words, index, width)
+
+        pick_pair, pcg64_uniforms = experiment._pick_pair, experiment._pcg64_uniforms
+        monkeypatch.setattr(experiment, "_pick_pair", counting_pick)
+        monkeypatch.setattr(experiment, "_pcg64_uniforms", counting_uniforms)
+        rows = sweep(*ACCEPTANCE_GRID, experiment._STREAM_CHUNK + 1, 0)
+        assert len(rows) == 32 and chunks == [experiment._STREAM_CHUNK, 1]
+        # per chunk, 4 models x 2 M pick once each, whatever the four rules
+        assert len(picks) == 8 * len(chunks)
+        assert len(set(picks)) == 8
 
     @pytest.mark.usefixtures("every_block_pays")
     @pytest.mark.parametrize("workers", [1, 2, 3])

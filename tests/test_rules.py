@@ -5,21 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_decide
 from titest import rules
 from titest.rules import CdfGuide
 from titest import (
     DecisionRule,
     DiscreteJointModel,
     PosteriorColumn,
+    build_bsc_model,
     build_coin_model,
     build_constant_model,
+    build_identity_model,
     decide,
+    decide_columns,
     decide_eap,
     decide_map,
     decide_meap,
     decide_sap,
     error_probability,
     inverse_cdf_pick,
+    make_rule_tables,
     posterior,
     sap_sample,
 )
@@ -120,6 +125,91 @@ class TestMeap:
     def test_always_in_support(self, post):
         chosen = decide_meap(post)
         assert post.probs[list(post.labels).index(chosen)] > 0
+
+
+DETERMINISTIC_RULES = [DecisionRule.MAP, DecisionRule.EAP, DecisionRule.MEAP]
+
+
+def named_model(name):
+    if name.startswith("coin"):
+        return build_coin_model(int(name[4:]), 0.4)
+    return {
+        "bsc25": lambda: build_bsc_model(0.25),
+        "constant2": lambda: build_constant_model(2),
+        "identity4": lambda: build_identity_model(4),
+    }[name]()
+
+
+@st.composite
+def tied_models(draw):
+    """Models built from a few small integer weights, so posterior columns
+    hold exact ties and zeros; labels come in any order, and some
+    observations may have zero evidence. At most 7 hypotheses: below 8 terms
+    numpy adds a row in order, as the oracle does, so EAP's reference point
+    is the same double on both sides even where the ties make it matter."""
+    n_x, n_y = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    dead = draw(st.sets(st.integers(0, n_y - 1), max_size=n_y - 1))
+    live = [j for j in range(n_y) if j not in dead]
+    prior = draw(st.lists(st.integers(0, 3), min_size=n_x, max_size=n_x).filter(any))
+    likelihood = np.zeros((n_x, n_y))
+    for row in likelihood:
+        w = draw(st.lists(st.integers(0, 2), min_size=len(live), max_size=len(live)).filter(any))
+        row[live] = np.array(w) / sum(w)
+    return DiscreteJointModel(
+        hypothesis_values=tuple(draw(
+            st.lists(st.integers(-50, 50), min_size=n_x, max_size=n_x, unique=True)
+        )),
+        observation_values=tuple(range(n_y)),
+        prior=np.array(prior) / sum(prior),
+        likelihood=likelihood,
+    )
+
+
+def assert_rules_equal_oracle(model):
+    """decide_columns, make_rule_tables and the one-column wrappers against
+    oracle_decide, for every deterministic rule and every observation."""
+    labels = model.hypothesis_values
+    ascending = sorted(range(model.n_hypotheses), key=lambda i: labels[i])
+    live = [j for j in range(model.n_observations) if model.y_marginal[j] > 0]
+    stack = np.array([[model.posterior_matrix[i, j] for i in ascending] for j in live])
+    for rule in DETERMINISTIC_RULES:
+        want = [oracle_decide(rule.value, column) for column in stack.tolist()]
+        assert decide_columns(rule, stack).tolist() == want
+        choice = [0] * model.n_observations
+        for j, position in zip(live, want):
+            choice[j] = ascending[position]
+        assert make_rule_tables(model, rule).det_choice.tolist() == choice
+        for j, position in zip(live, want):
+            post = posterior(model, model.observation_values[j])
+            assert decide(rule, post) == labels[ascending[position]]
+
+
+class TestRuleOracle:
+    """The rule definitions (decide_columns) against a written-out oracle."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"coin{n}" for n in range(1, 65)] + ["coin512", "bsc25", "constant2", "identity4"],
+    )
+    def test_named_models(self, name):
+        assert_rules_equal_oracle(named_model(name))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_models())
+    def test_tied_models(self, model):
+        assert_rules_equal_oracle(model)
+
+    @settings(max_examples=100, deadline=None)
+    @given(posterior_columns())
+    def test_posterior_columns(self, post):
+        order = sorted(range(len(post.labels)), key=lambda i: post.labels[i])
+        for rule in DETERMINISTIC_RULES:
+            want = oracle_decide(rule.value, [post.probs[i] for i in order])
+            assert decide(rule, post) == post.labels[order[want]]
+
+    def test_sap_has_no_column_decision(self):
+        with pytest.raises(ValueError, match="sap"):
+            decide_columns(DecisionRule.SAP, np.ones((1, 1)))
 
 
 class TestInverseCdfPick:

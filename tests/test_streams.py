@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from test_experiment import reference_block
 from titest import DecisionRule, TypicalityParams, build_coin_model, make_rule_tables
-from titest.experiment import _STREAM_CHUNK, _run_block, _trial_uniforms
+from titest import experiment
+from titest.experiment import _STREAM_BYTES, _STREAM_CHUNK, _run_block, _trial_uniforms
 
 
 def oracle_rows(seed, lo, hi, width):
@@ -33,6 +34,7 @@ def chunked_rows(seed, lo, hi, width):
         chunks = list(_trial_uniforms(seed, lo, hi, width))
     for chunk in chunks:
         assert 1 <= len(chunk) <= _STREAM_CHUNK and chunk.shape[1] == width
+        assert len(chunk) == 1 or chunk.nbytes <= _STREAM_BYTES
     # a chunk never holds indices on both sides of 2^32
     starts = np.cumsum([lo] + [len(c) for c in chunks])
     assert not any(a < 2**32 < b for a, b in zip(starts[:-1], starts[1:]))
@@ -96,3 +98,46 @@ class TestTrialStreams:
         want = reference_block(model, rule, 0.25, 3, 2026, lo, lo + n)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.fixture
+def chunk_log(monkeypatch):
+    """Records (first index, rows, width) of every chunk and fills it with
+    zeros instead of computing its uniforms."""
+    log = []
+
+    def recording(seed_words, index, width):
+        log.append((int(index[0]), len(index), width))
+        return np.zeros((len(index), width))
+
+    monkeypatch.setattr(experiment, "_pcg64_uniforms", recording)
+    return log
+
+
+class TestChunkBytes:
+    @pytest.mark.parametrize(
+        "width, rows",
+        [(2, _STREAM_CHUNK), (30, _STREAM_CHUNK), (32, _STREAM_CHUNK), (33, 3971),
+         (30_000, 4), (2**17, 1), (2**18, 1)],
+    )
+    def test_rows_per_chunk(self, chunk_log, width, rows):
+        # 4,096 rows up to 32 doubles a row (every acceptance width), then
+        # about 1 MiB a chunk, and never less than one row
+        list(_trial_uniforms(3, 0, 2 * rows + 1, width))
+        assert chunk_log == [(0, rows, width), (rows, rows, width), (2 * rows, 1, width)]
+
+    def test_sap_at_m_ten_thousand(self, chunk_log):
+        # a SAP trial at M=10^4 reads 3*10^4 doubles: 4 rows (960 KB) a
+        # chunk, where a 4,096-row chunk would take 983 MB
+        model = build_coin_model(10, 0.4)
+        params = TypicalityParams(epsilon=0.25, extension=10_000)
+        tables = make_rule_tables(model, DecisionRule.SAP)
+        ((success, _, _),) = _run_block([(model, tables, params)], 7, 0, 10)
+        assert len(success) == 10
+        assert chunk_log == [(0, 4, 30_000), (4, 4, 30_000), (8, 2, 30_000)]
+
+    def test_small_chunks_never_straddle_2_to_32(self, chunk_log):
+        list(_trial_uniforms(3, 2**32 - 6, 2**32 + 3, 30_000))
+        assert chunk_log == [
+            (2**32 - 6, 4, 30_000), (2**32 - 2, 2, 30_000), (2**32, 3, 30_000)
+        ]
