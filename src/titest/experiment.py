@@ -38,6 +38,9 @@ block runs in this process; more go as one job each to a single process
 pool. A job carries the models, their rule tables and the params; a model
 pickles as its four defining fields and rebuilds its tables on arrival.
 A job is one pickle, so experiments that share a model share it there too.
+
+The exact audits run no trials: they walk the type classes of the rule's
+decided-pair law (rules._symbol_law) once, the same walk for every rule.
 """
 
 from __future__ import annotations
@@ -57,12 +60,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .model import DiscreteJointModel, build_coin_model, info_summary
-from .rules import CdfGuide, DecisionRule, decide_columns
+from .rules import CdfGuide, DecisionRule, _symbol_law
 from .typicality import (
     SequencePair,
     TypicalityParams,
     _check_pair_cap,
-    _joint_typical_classes,
     _pick_pair,
     _type_classes,
     jointly_typical_rows,
@@ -144,15 +146,16 @@ class RuleTables:
 
 
 def make_rule_tables(model: DiscreteJointModel, rule: DecisionRule) -> RuleTables:
-    order = np.argsort(np.asarray(model.hypothesis_values), kind="stable")
+    rule = DecisionRule(rule)
     if rule.is_stochastic:
+        order = np.argsort(np.asarray(model.hypothesis_values), kind="stable")
         cdf = np.cumsum(model.posterior_matrix[order, :], axis=0).T.copy()
         # zero-evidence columns are unreachable for sampled y; park them at 1
         cdf[~np.isfinite(cdf)] = 1.0
         return RuleTables(rule=rule, sap_cdf=cdf, sap_order=order)
-    live = model.y_marginal > 0
+    x, y, _ = _symbol_law(model, rule)
     choice = np.zeros(model.n_observations, dtype=np.intp)
-    choice[live] = order[decide_columns(rule, model.posterior_matrix[order][:, live].T)]
+    choice[y] = x
     return RuleTables(rule=rule, det_choice=choice)
 
 
@@ -221,7 +224,7 @@ def run_trial(
     (stochastic rules only) M for the decisions, taken as one draw. A block
     of one on the same kernel the experiments run.
     """
-    if tables is None or tables.rule is not rule:
+    if tables is None or tables.rule != rule:
         tables = make_rule_tables(model, rule)
     m = params.extension
     u = rng.random((1, _draws_per_symbol(tables) * m))
@@ -519,7 +522,7 @@ def _report(
             "n_hypotheses": model.n_hypotheses,
             "n_observations": model.n_observations,
         },
-        rule=rule.value,
+        rule=DecisionRule(rule).value,
         m=params.extension,
         epsilon=params.epsilon,
         trials=trials,
@@ -601,62 +604,49 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
     return np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
 
 
-def _lex_keys(rows: np.ndarray, n_symbols: int) -> np.ndarray:
-    """Each row read as a base-n_symbols number: increasing in lexicographic order."""
-    dtype = np.int64 if n_symbols ** rows.shape[1] < 2**63 else object
-    keys = np.zeros(len(rows), dtype=dtype)
-    for column in rows.T:
-        keys = keys * n_symbols + column.astype(dtype)
-    return keys
-
-
 def _scan_y_space(
     model: DiscreteJointModel,
     rule: DecisionRule,
     params: TypicalityParams,
     cap: int | None,
 ) -> tuple[float, float, float]:
-    """Exact sums over the y-sequence type classes for small M.
+    """Exact sums over the type classes of the decided pairs' law for small M.
 
     Returns (p_f, h_e_given_y, success_weighted_h) where success_weighted_h
     = sum_y P(y) s(y) H(X^M | y) and s(y) is the per-y success probability.
-    P(y), H(X^M | y) and s(y) depend on y only through its type, so each
-    sum runs over the y-types, weighted by the class size times P(y).
-    Deterministic rules decide det_choice[y] symbol by symbol, so s(y) is 0
-    or 1 and follows from the y-type. SAP draws each decided symbol from the
-    posterior, so the pair (x-hat, y) follows the joint law: |T_y| P(y) s(y)
-    is the mass of the jointly typical pair classes whose y half has type
-    T_y (_joint_typical_classes, grouped by y-type). The cap counts the
-    (|X||Y|)^M sequence pairs a brute-force scan would visit.
+    The M decided pairs are i.i.d. draws from the rule's law
+    (rules._symbol_law), so one walk over the type classes of its support
+    pairs serves all four rules: each class adds its mass to its y-type's
+    total and, when jointly typical, to its typical mass; s(y) = typical /
+    total. A deterministic rule has one class per y-type, so its s(y) is
+    exactly 0 or 1. The cap counts the (|X||Y|)^M sequence pairs a
+    brute-force scan would visit.
     """
     m, eps = params.extension, params.epsilon
-    n_y = model.n_observations
     _check_pair_cap(model, m, cap)
-    tables = make_rule_tables(model, rule)
-
-    y_rows, y_counts = map(np.concatenate, zip(*_type_classes(n_y, m)))
-    p_y = np.exp2(model.log2_y_marginal[y_rows].sum(axis=1))
-    # zero-probability y-types are dropped: no posterior column of theirs is
-    # read, and no s(y) is divided by their zero weight
-    live = p_y > 0.0
-    live_rows = y_rows[live]
-    weight = y_counts[live].astype(float) * p_y[live]
-    if tables.det_choice is not None:
-        s = jointly_typical_rows(model, tables.det_choice[live_rows], live_rows, eps).astype(float)
-    else:
-        y_keys = _lex_keys(y_rows, n_y)
-        mass = np.zeros(len(y_rows))
-        for rows, sizes, probs in _joint_typical_classes(model, m, eps):
-            # the sorted y half of a pair class is its y-type's row in y_rows
-            y_type = np.searchsorted(y_keys, _lex_keys(np.sort(rows % n_y, axis=1), n_y))
-            mass += np.bincount(y_type, sizes.astype(float) * probs, minlength=len(y_rows))
-        s = mass[live] / weight
-    h_cond = model.posterior_col_entropy[live_rows].sum(axis=1)
-    return (
-        float(weight @ (1.0 - s)),
-        float(weight @ _binary_entropy(s)),
-        float(weight @ (s * h_cond)),
-    )
+    x, y, prob = _symbol_law(model, rule)
+    # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
+    # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
+    # (the combinatorial number system); binom[a, i] = C(a + i, i + 1).
+    live_rank = np.cumsum(model.y_marginal > 0) - 1
+    n_live = int(live_rank[-1]) + 1
+    n_types = math.comb(n_live + m - 1, m)
+    shift = np.arange(m)
+    binom = np.array([[math.comb(a + i, i + 1) for i in shift] for a in range(n_live)])
+    log2_prob = np.log2(prob)
+    total, typical = np.zeros((2, n_types))
+    success_weighted_h = 0.0
+    for rows, sizes in _type_classes(len(prob), m):
+        xi, yi = x[rows], y[rows]
+        mass = sizes.astype(float) * np.exp2(log2_prob[rows].sum(axis=1))
+        hit = np.where(jointly_typical_rows(model, xi, yi, eps), mass, 0.0)
+        y_type = binom[np.sort(live_rank[yi], axis=1), shift].sum(axis=1)
+        total += np.bincount(y_type, mass, minlength=n_types)
+        typical += np.bincount(y_type, hit, minlength=n_types)
+        success_weighted_h += float(hit @ model.posterior_col_entropy[yi].sum(axis=1))
+    # a y-type whose mass underflows to 0 weighs nothing
+    s = np.divide(typical, total, out=np.zeros(n_types), where=total > 0)
+    return float(total @ (1.0 - s)), float(total @ _binary_entropy(s)), success_weighted_h
 
 
 def exact_failure_probability(
@@ -666,8 +656,7 @@ def exact_failure_probability(
     cap: int | None = None,
 ) -> float:
     """Exact P_f, summed over type classes; the oracle for Monte Carlo agreement."""
-    p_f, _, _ = _scan_y_space(model, rule, params, cap)
-    return p_f
+    return _scan_y_space(model, rule, params, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -711,7 +700,7 @@ def extended_fano_check(
     rhs = 1.0 + success_weighted_h + p_f * m * (model.h_x + eps)
     h_success = success_weighted_h / (1.0 - p_f) if p_f < 1.0 else None
     return FanoRecord(
-        rule=rule.value,
+        rule=DecisionRule(rule).value,
         m=m,
         epsilon=eps,
         p_f=p_f,
@@ -842,7 +831,7 @@ def sweep(
         (n, theta, models[n, theta] if (n, theta) in models else build_coin_model(n, theta))
         for n in sorted(n_values) for theta in sorted(theta_values)
     ]
-    rules = sorted(rules, key=lambda r: r.value)
+    rules = sorted(map(DecisionRule, rules), key=lambda r: r.value)
     grid = list(product(coins, sorted(m_values), sorted(epsilon_values), rules))
     # rule tables depend on the model and rule only, not on M or epsilon
     tables = {

@@ -7,8 +7,9 @@ an explicit numpy Generator and never touches global randomness.
 The three deterministic rules are defined once, by decide_columns over a stack
 of posterior columns in ascending label order: first-occurrence argmax/argmin,
 row-wise sums and row-wise cumulative sums. decide_map, decide_eap and
-decide_meap are its one-column wrappers, and the experiments' rule tables are
-one call of it per (model, rule).
+decide_meap are its one-column wrappers. _symbol_law gives the law of one
+decided pair (x-hat, y), which the rule tables, error_probability and the
+exact type-class walk all read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DiscreteJointModel, PosteriorColumn, posterior
+from .model import DiscreteJointModel, PosteriorColumn
 
 __all__ = [
     "CdfGuide",
@@ -210,34 +211,38 @@ def decide(
     rng: Optional[np.random.Generator] = None,
 ) -> int:
     rule = DecisionRule(rule)
-    if rule is DecisionRule.MAP:
-        return decide_map(post)
-    if rule is DecisionRule.EAP:
-        return decide_eap(post)
-    if rule is DecisionRule.MEAP:
-        return decide_meap(post)
+    if not rule.is_stochastic:
+        return _decide_one(rule, post)
     if rng is None:
         raise ValueError("SAP requires an rng")
     return decide_sap(post, rng)
 
 
+def _symbol_law(model: DiscreteJointModel, rule: DecisionRule) -> tuple[np.ndarray, ...]:
+    """(x, y, prob): the support of one decided pair (x-hat, y) under rule.
+
+    Under every rule the M decided pairs are i.i.d. x and y are storage
+    indices and prob > 0 their probabilities. SAP draws x-hat from the
+    posterior, so its pairs are the nonzero entries of model.joint, in
+    np.nonzero order. A deterministic rule d gives (d(y), y) with prob P(y),
+    one pair per live y in storage order, by one decide_columns call.
+    """
+    rule = DecisionRule(rule)
+    if rule.is_stochastic:
+        x, y = np.nonzero(model.joint)
+        return x, y, model.joint[x, y]
+    y = np.flatnonzero(model.y_marginal > 0)
+    order = np.argsort(np.asarray(model.hypothesis_values), kind="stable")
+    x = order[decide_columns(rule, model.posterior_matrix[order][:, y].T)]
+    return x, y, model.y_marginal[y]
+
+
 def error_probability(model: DiscreteJointModel, rule: DecisionRule) -> float:
     """Exact P(decision != true hypothesis) under the model, no sampling.
 
-    Deterministic rules: 1 - sum_y P(y) * post_y[decision(y)].
-    SAP: the decision matches the truth with probability sum_x post_y[x]^2
-    given y, hence 1 - sum_y P(y) * sum_x post_y[x]^2.
+    The decision is right with probability sum prob * post_y[x] over the
+    decided pair's law (_symbol_law): sum_y P(y) post_y[d(y)] for a
+    deterministic rule d and sum_y P(y) sum_x post_y[x]^2 for SAP.
     """
-    rule = DecisionRule(rule)
-    correct = 0.0
-    for j, y in enumerate(model.observation_values):
-        p_y = model.y_marginal[j]
-        if p_y <= 0.0:
-            continue
-        col = posterior(model, y)
-        if rule is DecisionRule.SAP:
-            correct += p_y * float((col.probs * col.probs).sum())
-        else:
-            chosen = decide(rule, col)
-            correct += p_y * col.probs[model.x_index(chosen)]
-    return float(1.0 - correct)
+    x, y, prob = _symbol_law(model, rule)
+    return float(1.0 - prob @ model.posterior_matrix[x, y])

@@ -9,11 +9,11 @@ sequence's membership and probability depend only on its type (the count of
 each symbol), not on the symbol order. The exact engine therefore walks type
 classes: one non-decreasing representative per class, weighted by the class
 size, the multinomial M! / prod(c_k!), kept as an exact integer. That is
-C(M+K-1, M) rows instead of K^M sequences. One walk over the jointly typical
-pair classes gives the joint census and, grouped by y-type, SAP's exact
-success probability. jointly_typical_rows is the one definition of the three
-joint conditions. conditional_members returns the sequences themselves and
-still enumerates them.
+C(M+K-1, M) rows instead of K^M sequences. The joint census walks the pair
+classes over the joint law's support (rules._symbol_law under SAP), never a
+zero-probability pair. jointly_typical_rows is the one definition of the
+three joint conditions. conditional_members returns the sequences
+themselves and still enumerates them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .model import DiscreteJointModel
+from .rules import DecisionRule, _symbol_law
 
 __all__ = [
     "CensusBound",
@@ -321,7 +322,8 @@ def _append_symbol(
 
     run is the length of each row's final run of equal symbols. Appending a
     symbol that makes that run r long to a j-symbol row multiplies the class
-    size by (j + 1) / r, so sizes stay the multinomials m! / prod(c_k!).
+    size by (j + 1) / r, so sizes stay the multinomials m! / prod(c_k!); the
+    product before the division is at most m times the largest of them.
     """
     last = rows[:, -1]
     fan = n_symbols - last
@@ -341,10 +343,14 @@ def _type_classes(
     lexicographic order; C(m + n_symbols - 1, m) classes in all. A row is
     the class's non-decreasing index sequence and its size the number of
     sequences in the class, the multinomial m! / prod(c_k!), exact (int64
-    while m * n_symbols**m fits, Python ints beyond). The (m-1)-symbol
-    prefixes are built whole; the last symbol is added a block at a time.
+    while m times the largest multinomial fits, which bounds every product
+    _append_symbol forms; Python ints beyond). The (m-1)-symbol prefixes are
+    built whole; the last symbol is added a block at a time.
     """
-    dtype = np.int64 if m * n_symbols**m < 2**63 else object
+    # the largest multinomial is the balanced type's: r counts of q + 1, the rest q
+    q, r = divmod(m, n_symbols)
+    largest = math.factorial(m) // math.factorial(q + 1) ** r // math.factorial(q) ** (n_symbols - r)
+    dtype = np.int64 if m * largest < 2**63 else object
     rows = np.arange(n_symbols)[:, None]
     sizes = np.ones(n_symbols, dtype=dtype)
     if m == 1:
@@ -381,16 +387,6 @@ def _typical_classes(
             yield rows, sizes[keep], np.exp2(-prob_surprisal[rows].sum(axis=1))
 
 
-def _joint_typical_classes(model: DiscreteJointModel, m: int, epsilon: float) -> _ClassBlocks:
-    """_typical_classes of the jointly typical length-m pairs; pair symbol x * |Y| + y."""
-    n_y = model.n_observations
-
-    def typical(rows: np.ndarray) -> np.ndarray:
-        return jointly_typical_rows(model, *np.divmod(rows, n_y), epsilon)
-
-    return _typical_classes(model.n_hypotheses * n_y, m, typical, -model.log2_joint.ravel())
-
-
 def _census_totals(blocks: _ClassBlocks) -> tuple[int, float, float, float]:
     """(count, mass, min_prob, max_prob) of the members of the classes in blocks."""
     count = 0
@@ -398,7 +394,8 @@ def _census_totals(blocks: _ClassBlocks) -> tuple[int, float, float, float]:
     min_p = np.inf
     max_p = 0.0
     for _, sizes, probs in blocks:
-        count += int(sizes.sum())
+        # an int64 block's sum can pass 2**63: add its 32-bit halves apart
+        count += (int((sizes >> 32).sum()) << 32) + int((sizes & 0xFFFFFFFF).sum())
         mass += float(sizes.astype(float) @ probs)
         min_p = min(min_p, float(probs.min()))
         max_p = max(max_p, float(probs.max()))
@@ -439,7 +436,11 @@ def typical_set_census(
 
     cx, mx, minpx, maxpx = marginal(model.n_hypotheses, -model.log2_prior, h_x)
     cy, my, minpy, maxpy = marginal(model.n_observations, -model.log2_y_marginal, h_y)
-    cj, mj, minpj, maxpj = _census_totals(_joint_typical_classes(model, m, eps))
+    x, y, prob = _symbol_law(model, DecisionRule.SAP)
+    cj, mj, minpj, maxpj = _census_totals(_typical_classes(
+        len(prob), m, lambda rows: jointly_typical_rows(model, x[rows], y[rows], eps),
+        -np.log2(prob),
+    ))
 
     bounds: list[CensusBound] = []
 

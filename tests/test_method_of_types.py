@@ -195,6 +195,18 @@ class TestTypeClassList:
         ]
         assert sum(int(size) for size in sizes) == n**m
 
+    def test_int64_while_the_largest_multinomial_fits(self):
+        # 6^24 > 2^62: the sizes stay int64 because 24 * 24!/(4!)^6 < 2^63
+        rows, sizes = map(np.concatenate, zip(*_type_classes(6, 24)))
+        assert sizes.dtype == np.int64
+        assert len(rows) == math.comb(29, 24)
+        assert sum(int(size) for size in sizes) == 6**24
+
+    def test_census_count_exact_past_int64_sums(self):
+        sizes = np.full(4, 2**62, dtype=np.int64)
+        count, _, _, _ = typicality._census_totals([(None, sizes, np.ones(4))])
+        assert count == 2**64
+
     def test_small_blocks_sum_the_same(self, monkeypatch):
         small = functools.partial(_type_classes, block=5)
         monkeypatch.setattr(typicality, "_type_classes", small)
@@ -215,3 +227,37 @@ class TestSapIdentity:
         p_f = exact_failure_probability(model, DecisionRule.SAP, params)
         joint_mass = typical_set_census(model, params).masses["joint"]
         assert p_f == pytest.approx(1.0 - joint_mass, rel=0.0, abs=1e-12)
+
+
+class TestOneWalk:
+    """Every exact path walks the type classes of the decided pairs' law."""
+
+    @pytest.mark.parametrize("model, ms", [
+        (build_bsc_model(0.25), range(1, 12)),
+        (build_coin_model(3, 0.4), range(1, 6)),
+        (build_coin_model(5, 0.4), range(1, 4)),
+    ], ids=["bsc25", "coin3", "coin5"])
+    def test_deterministic_rules_have_no_error_entropy(self, model, ms):
+        # one class per y-type, so s(y) is typical / total = w / w or 0 / w
+        for rule in (DecisionRule.MAP, DecisionRule.EAP, DecisionRule.MEAP):
+            for m in ms:
+                assert _scan_y_space(model, rule, TypicalityParams(0.25, m), None)[1] == 0.0
+
+    def test_zero_probability_pairs_are_never_walked(self, monkeypatch):
+        # coin10 has 65 pairs of positive probability out of 11 * 10
+        walked = []
+
+        def recording(n_symbols, m, *args):
+            walked.append(n_symbols)
+            return _type_classes(n_symbols, m, *args)
+
+        monkeypatch.setattr(typicality, "_type_classes", recording)
+        monkeypatch.setattr(experiment, "_type_classes", recording)
+        model = build_coin_model(10, 0.4)
+        params = TypicalityParams(0.25, 2)
+        typical_set_census(model, params)
+        assert walked == [10, 11, 65]
+        walked.clear()
+        for rule in DecisionRule:
+            _scan_y_space(model, rule, params, None)
+        assert walked == [11, 11, 11, 65]

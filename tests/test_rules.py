@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_decide
+from oracles import oracle_decide, oracle_posterior, oracle_y_marginal
 from titest import rules
-from titest.rules import CdfGuide
+from titest.rules import CdfGuide, _symbol_law
 from titest import (
     DecisionRule,
     DiscreteJointModel,
     PosteriorColumn,
+    TypicalityParams,
     build_bsc_model,
     build_coin_model,
     build_constant_model,
@@ -23,9 +24,13 @@ from titest import (
     decide_meap,
     decide_sap,
     error_probability,
+    exact_failure_probability,
+    extended_fano_check,
     inverse_cdf_pick,
     make_rule_tables,
     posterior,
+    run_experiment,
+    run_trial,
     sap_sample,
 )
 
@@ -423,3 +428,119 @@ class TestMapOptimalityGrid:
         p_map = error_probability(model, DecisionRule.MAP)
         for rule in (DecisionRule.EAP, DecisionRule.MEAP, DecisionRule.SAP):
             assert p_map <= error_probability(model, rule) + 1e-12
+
+
+@st.composite
+def small_models(draw):
+    """Models of at most 4 x 4 from small integer weights: exact zeros, some
+    observations with zero evidence, and both alphabets' labels permuted."""
+    n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dead = draw(st.sets(st.integers(0, n_y - 1), max_size=n_y - 1))
+    live = [j for j in range(n_y) if j not in dead]
+    prior = draw(st.lists(st.integers(0, 3), min_size=n_x, max_size=n_x).filter(any))
+    likelihood = np.zeros((n_x, n_y))
+    for row in likelihood:
+        w = draw(st.lists(st.integers(0, 3), min_size=len(live), max_size=len(live)).filter(any))
+        row[live] = np.array(w) / sum(w)
+    return DiscreteJointModel(
+        hypothesis_values=tuple(draw(st.permutations(range(n_x)))),
+        observation_values=tuple(draw(st.permutations(range(20, 20 + n_y)))),
+        prior=np.array(prior) / sum(prior),
+        likelihood=likelihood,
+    )
+
+
+def oracle_error_probability(model, rule):
+    """1 - sum_y P(y) P(right | y), one observation at a time: the decided
+    label's posterior for a deterministic rule, sum_x post(x)^2 for SAP."""
+    prior, likelihood = model.prior.tolist(), model.likelihood.tolist()
+    ascending = sorted(range(model.n_hypotheses), key=lambda i: model.hypothesis_values[i])
+    correct = 0.0
+    for j, p_y in enumerate(oracle_y_marginal(prior, likelihood)):
+        if p_y == 0.0:
+            continue
+        post = oracle_posterior(prior, likelihood, j)
+        if rule is DecisionRule.SAP:
+            correct += p_y * sum(p * p for p in post)
+        else:
+            position = oracle_decide(rule.value, [post[i] for i in ascending])
+            correct += p_y * post[ascending[position]]
+    return 1.0 - correct
+
+
+class TestSymbolLaw:
+    """The decided pair's law (_symbol_law) and error_probability, which
+    reads it, on random models."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_models())
+    def test_law_and_error_probability(self, model):
+        ascending = sorted(range(model.n_hypotheses), key=lambda i: model.hypothesis_values[i])
+        live = [j for j in range(model.n_observations) if model.y_marginal[j] > 0]
+        for rule in DecisionRule:
+            x, y, prob = _symbol_law(model, rule)
+            assert (prob > 0).all(), rule
+            assert prob.sum() == pytest.approx(1.0, rel=0.0, abs=1e-12), rule
+            if rule.is_stochastic:
+                assert sorted(zip(x.tolist(), y.tolist())) == [
+                    (i, j) for i in range(model.n_hypotheses) for j in range(model.n_observations)
+                    if model.joint[i, j] > 0
+                ]
+                assert prob.tolist() == model.joint[x, y].tolist()
+            else:
+                assert y.tolist() == live, rule
+                assert x.tolist() == [
+                    ascending[oracle_decide(
+                        rule.value, [model.posterior_matrix[i, j] for i in ascending]
+                    )]
+                    for j in live
+                ], rule
+                assert prob.tolist() == model.y_marginal[live].tolist()
+            assert error_probability(model, rule) == pytest.approx(
+                oracle_error_probability(model, rule), rel=0.0, abs=1e-12
+            ), rule
+
+
+class TestRuleNames:
+    """Every entry point takes a rule as a DecisionRule or as its name."""
+
+    @pytest.mark.parametrize("rule", [*DecisionRule, *(r.value for r in DecisionRule)])
+    def test_member_or_name(self, rule, coin10):
+        member = DecisionRule(rule)
+        params = TypicalityParams(0.25, 3)
+        post = posterior(coin10, 4)
+        if not member.is_stochastic:
+            assert decide(rule, post) == decide(member, post)
+            assert decide_columns(rule, post.probs[None, :]).tolist() == decide_columns(
+                member, post.probs[None, :]
+            ).tolist()
+        assert error_probability(coin10, rule) == error_probability(coin10, member)
+        assert make_rule_tables(coin10, rule).rule is member
+        trial = run_trial(coin10, rule, params, np.random.default_rng(5))
+        assert trial == run_trial(coin10, member, params, np.random.default_rng(5))
+        report = run_experiment(coin10, rule, params, trials=20, seed=3)
+        assert report == run_experiment(coin10, member, params, trials=20, seed=3)
+        assert report.rule == member.value
+        assert exact_failure_probability(coin10, rule, params) == exact_failure_probability(
+            coin10, member, params
+        )
+        fano = extended_fano_check(coin10, rule, params)
+        assert fano == extended_fano_check(coin10, member, params)
+        assert fano.rule == member.value
+
+    @pytest.mark.parametrize("call", [
+        lambda model: decide("mle", posterior(model, 4)),
+        lambda model: decide_columns("mle", np.ones((1, 1))),
+        lambda model: error_probability(model, "mle"),
+        lambda model: make_rule_tables(model, "mle"),
+        lambda model: run_trial(model, "mle", TypicalityParams(0.25, 3), np.random.default_rng(0)),
+        lambda model: run_experiment(model, "mle", TypicalityParams(0.25, 3), trials=2, seed=0),
+        lambda model: exact_failure_probability(model, "mle", TypicalityParams(0.25, 3)),
+        lambda model: extended_fano_check(model, "mle", TypicalityParams(0.25, 3)),
+    ], ids=[
+        "decide", "decide_columns", "error_probability", "make_rule_tables", "run_trial",
+        "run_experiment", "exact_failure_probability", "extended_fano_check",
+    ])
+    def test_unknown_name_raises(self, call, coin10):
+        with pytest.raises(ValueError, match="mle"):
+            call(coin10)
