@@ -35,9 +35,12 @@ one) or sweep call gets one block per worker, but no more blocks than its
 work pays for: the work is trials times the group's sum of k*M, the doubles
 the kernels read, and a block needs at least _BLOCK_WORK of it. A single
 block runs in this process; more go as one job each to a single process
-pool. A job carries the models, their rule tables and the params; a model
-pickles as its four defining fields and rebuilds its tables on arrival.
-A job is one pickle, so experiments that share a model share it there too.
+pool. An experiment is (model, rule, params), and a job carries a list of
+them; a model pickles as its four defining fields and rebuilds its tables
+on arrival. A job is one pickle, so experiments that share a model share it
+there too. A block reads each deterministic rule's choice of x per y from
+the decided pairs' law once per (model, rule); SAP draws by the model's
+posterior guide.
 
 The exact audits run no trials: they walk the type classes of the rule's
 decided-pair law (rules._symbol_law) once, the same walk for every rule.
@@ -53,14 +56,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .model import DiscreteJointModel, build_coin_model, info_summary
-from .rules import CdfGuide, DecisionRule, _symbol_law
+from .rules import DecisionRule, _symbol_law
 from .typicality import (
     SequencePair,
     TypicalityParams,
@@ -76,13 +78,11 @@ __all__ = [
     "ConverseRecord",
     "ExperimentReport",
     "FanoRecord",
-    "RuleTables",
     "SequenceTrial",
     "achievability_check",
     "converse_check",
     "exact_failure_probability",
     "extended_fano_check",
-    "make_rule_tables",
     "render_sweep_csv",
     "run_experiment",
     "run_trial",
@@ -123,44 +123,16 @@ class SequenceTrial:
     decided_surprisal_rate: float
 
 
-@dataclass(frozen=True)
-class RuleTables:
-    """Per-(model, rule) lookup tables so trials avoid per-symbol dispatch.
-
-    det_choice maps a y index to the decided x index for deterministic rules
-    (0 for zero-evidence y, which no trial samples). sap_cdf holds, per y
-    index, the posterior CDF over ascending hypothesis labels; sap_order maps
-    an ascending-label position back to storage index. sap_guide, the guide
-    table the kernel picks by, is built from sap_cdf on the first draw.
-    Tables that depend on the model alone live on the model.
-    """
-
-    rule: DecisionRule
-    det_choice: np.ndarray | None = None
-    sap_cdf: np.ndarray | None = None
-    sap_order: np.ndarray | None = None
-
-    @cached_property
-    def sap_guide(self) -> CdfGuide:
-        return CdfGuide(self.sap_cdf)
-
-
-def make_rule_tables(model: DiscreteJointModel, rule: DecisionRule) -> RuleTables:
-    rule = DecisionRule(rule)
+def _choice(model: DiscreteJointModel, rule: DecisionRule) -> np.ndarray | None:
+    """The x index a deterministic rule decides, per y index (0 for a
+    zero-evidence y, which no trial samples), from the decided pairs' law;
+    None for SAP, which draws its decisions."""
     if rule.is_stochastic:
-        order = np.argsort(np.asarray(model.hypothesis_values), kind="stable")
-        cdf = np.cumsum(model.posterior_matrix[order, :], axis=0).T.copy()
-        # zero-evidence columns are unreachable for sampled y; park them at 1
-        cdf[~np.isfinite(cdf)] = 1.0
-        return RuleTables(rule=rule, sap_cdf=cdf, sap_order=order)
+        return None
     x, y, _ = _symbol_law(model, rule)
     choice = np.zeros(model.n_observations, dtype=np.intp)
     choice[y] = x
-    return RuleTables(rule=rule, det_choice=choice)
-
-
-def _draws_per_symbol(tables: RuleTables) -> int:
-    return 3 if tables.sap_cdf is not None else 2
+    return choice
 
 
 def _draw(
@@ -175,18 +147,19 @@ def _draw(
 
 def _decide(
     model: DiscreteJointModel,
-    tables: RuleTables,
+    choice: np.ndarray | None,
     yi: np.ndarray,
     u: np.ndarray,
     m: int,
     epsilon: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(decided_xi, success, decided_surprisal_rate) of the trials whose y
-    indices are yi; SAP draws its decisions by u's columns 2M to 3M."""
-    if tables.det_choice is not None:
-        decided = tables.det_choice[yi]
+    indices are yi: by choice (_choice), or, where that is None (SAP), by
+    drawing from the posterior with u's columns 2M to 3M."""
+    if choice is not None:
+        decided = choice[yi]
     else:
-        decided = tables.sap_order[tables.sap_guide.pick(u[:, 2 * m : 3 * m], yi)]
+        decided = model.label_order[model.posterior_guide.pick(u[:, 2 * m : 3 * m], yi)]
     return (
         decided,
         jointly_typical_rows(model, decided, yi, epsilon),
@@ -196,7 +169,7 @@ def _decide(
 
 def _trial_kernel(
     model: DiscreteJointModel,
-    tables: RuleTables,
+    rule: DecisionRule,
     u: np.ndarray,
     m: int,
     epsilon: float,
@@ -207,7 +180,7 @@ def _trial_kernel(
     decided_surprisal_rate): three (B, M) index arrays and three (B,) arrays.
     """
     xi, yi, post_rate = _draw(model, u, m)
-    decided, success, dec_rate = _decide(model, tables, yi, u, m, epsilon)
+    decided, success, dec_rate = _decide(model, _choice(model, rule), yi, u, m, epsilon)
     return xi, yi, decided, success, post_rate, dec_rate
 
 
@@ -216,7 +189,6 @@ def run_trial(
     rule: DecisionRule,
     params: TypicalityParams,
     rng: np.random.Generator,
-    tables: RuleTables | None = None,
 ) -> SequenceTrial:
     """One M-extension trial: sample, decide per symbol, judge typicality.
 
@@ -224,12 +196,10 @@ def run_trial(
     (stochastic rules only) M for the decisions, taken as one draw. A block
     of one on the same kernel the experiments run.
     """
-    if tables is None or tables.rule != rule:
-        tables = make_rule_tables(model, rule)
-    m = params.extension
-    u = rng.random((1, _draws_per_symbol(tables) * m))
+    rule = DecisionRule(rule)
+    (width,) = _widths([(model, rule, params)])
     xi, yi, decided, success, post_rate, dec_rate = _trial_kernel(
-        model, tables, u, m, params.epsilon
+        model, rule, rng.random((1, width)), params.extension, params.epsilon
     )
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
@@ -360,14 +330,15 @@ def _trial_uniforms(seed: int, lo: int, hi: int, width: int) -> Iterator[np.ndar
 
 
 def _widths(
-    experiments: list[tuple[DiscreteJointModel, RuleTables, TypicalityParams]],
+    experiments: list[tuple[DiscreteJointModel, DecisionRule, TypicalityParams]],
 ) -> list[int]:
-    """Each experiment's k*M: the uniforms one of its trials reads."""
-    return [_draws_per_symbol(tables) * params.extension for _, tables, params in experiments]
+    """Each experiment's k*M: the uniforms one of its trials reads, with k 3
+    for SAP and 2 for the deterministic rules."""
+    return [(3 if rule.is_stochastic else 2) * params.extension for _, rule, params in experiments]
 
 
 def _run_block(
-    experiments: list[tuple[DiscreteJointModel, RuleTables, TypicalityParams]],
+    experiments: list[tuple[DiscreteJointModel, DecisionRule, TypicalityParams]],
     seed: int,
     lo: int,
     hi: int,
@@ -380,10 +351,13 @@ def _run_block(
     read the same x and y columns, so per chunk the x/y picks and the
     posterior-entropy rate run once per (model, M) and the decisions, the
     typicality judgement and the decided-surprisal rate once per experiment;
-    together they are _trial_kernel. Each step runs over the chunk whole: the
+    together they are _trial_kernel. A deterministic rule's choice is read
+    once per (model, rule). Each step runs over the chunk whole: the
     guide-table picks make (chunk, M) temporaries, not (chunk, M, K) ones.
     """
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
+    pairs = dict.fromkeys((model, rule) for model, rule, _ in experiments)
+    choices = {pair: _choice(*pair) for pair in pairs}
     groups: dict[tuple[DiscreteJointModel, int], list[int]] = {}
     for e, (model, _, params) in enumerate(experiments):
         groups.setdefault((model, params.extension), []).append(e)
@@ -393,10 +367,11 @@ def _run_block(
         for (model, m), members in groups.items():
             _, yi, post_rate = _draw(model, u, m)
             for e in members:
-                _, tables, params = experiments[e]
+                _, rule, params = experiments[e]
                 success, post, dec = out[e]
                 post[at] = post_rate
-                _, success[at], dec[at] = _decide(model, tables, yi, u, m, params.epsilon)
+                choice = choices[model, rule]
+                _, success[at], dec[at] = _decide(model, choice, yi, u, m, params.epsilon)
         done += len(u)
         del u  # free this chunk before the next one is computed
     return out
@@ -418,7 +393,7 @@ def _usable_cpus() -> int:
 
 
 def _map_experiments(
-    experiments: list[tuple[DiscreteJointModel, RuleTables, TypicalityParams]],
+    experiments: list[tuple[DiscreteJointModel, DecisionRule, TypicalityParams]],
     trials: int,
     seed: int,
     workers: int,
@@ -430,7 +405,7 @@ def _map_experiments(
     group on one stream. There are min(workers, trials, ceil(work /
     _BLOCK_WORK)) blocks, where work is trials times the group's sum of
     k*M. One block runs in this process; more are one pool job each,
-    which pickles the shared models and tables once, on a pool of at most
+    which pickles the shared models once, on a pool of at most
     as many processes as the host has usable CPUs. All experiments' arrays
     are held until the last block is back: 17 bytes per trial per
     experiment.
@@ -489,8 +464,7 @@ def run_experiment(
     None (with zero_success set) when nothing succeeds. Half-widths are 95%
     normal intervals: binomial for p_f_hat, sample-std CLT for h_hat.
     """
-    experiment = (model, make_rule_tables(model, rule), params)
-    (arrays,) = _map_experiments([experiment], trials, seed, workers)
+    (arrays,) = _map_experiments([(model, DecisionRule(rule), params)], trials, seed, workers)
     return _report(model, rule, params, trials, seed, model_spec, *arrays)
 
 
@@ -833,13 +807,8 @@ def sweep(
     ]
     rules = sorted(map(DecisionRule, rules), key=lambda r: r.value)
     grid = list(product(coins, sorted(m_values), sorted(epsilon_values), rules))
-    # rule tables depend on the model and rule only, not on M or epsilon
-    tables = {
-        (model, rule): make_rule_tables(model, rule)
-        for _, _, model in coins for rule in rules
-    }
     experiments = [
-        (model, tables[model, rule], TypicalityParams(epsilon=eps, extension=m))
+        (model, rule, TypicalityParams(epsilon=eps, extension=m))
         for (_, _, model), m, eps, rule in grid
     ]
     rows: list[dict] = []

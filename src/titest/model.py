@@ -60,9 +60,10 @@ class DiscreteJointModel:
     Instances are immutable after construction and safe to share across
     threads or worker processes. The derived tables (joint, marginals, log2
     lookups, posterior matrix, per-column posterior entropies, sampling CDFs,
-    and the entropies H(X), H(Y), H(X,Y)) are computed once in
-    ``__post_init__`` because every downstream consumer needs them; the
-    CDFs' sampling guides are built on the first draw.
+    the ascending hypothesis-label order, and the entropies H(X), H(Y),
+    H(X,Y)) are computed once in ``__post_init__`` because every downstream
+    consumer needs them; the sampling guides, the posterior's included, are
+    built on the first draw.
     """
 
     hypothesis_values: tuple[int, ...]
@@ -129,6 +130,8 @@ class DiscreteJointModel:
             log2_post = np.log2(post)
             plogp = np.where(post > 0, post * log2_post, 0.0)
         h_cols = np.where(np.isnan(post).any(axis=0), np.nan, -plogp.sum(axis=0))
+        label_order = np.argsort(np.asarray(x_labels), kind="stable")
+        label_order.setflags(write=False)
 
         object.__setattr__(self, "hypothesis_values", x_labels)
         object.__setattr__(self, "observation_values", y_labels)
@@ -144,6 +147,7 @@ class DiscreteJointModel:
         object.__setattr__(self, "log2_posterior", _readonly(log2_post))
         object.__setattr__(self, "prior_cdf", _readonly(np.cumsum(prior)))
         object.__setattr__(self, "lik_cdf", _readonly(np.cumsum(lik, axis=1)))
+        object.__setattr__(self, "label_order", label_order)
         object.__setattr__(self, "h_x", entropy(prior))
         object.__setattr__(self, "h_y", entropy(y_marginal))
         object.__setattr__(self, "h_xy", entropy(joint.ravel()))
@@ -153,7 +157,9 @@ class DiscreteJointModel:
     # Derived tables bound in __post_init__ (not dataclass fields): joint,
     # y_marginal, log2_prior, log2_y_marginal, log2_joint, posterior_matrix,
     # log2_posterior, posterior_col_entropy, prior_cdf, lik_cdf (row-wise),
-    # and the entropies h_x, h_y, h_xy that centre the typicality conditions.
+    # label_order (storage indices in ascending hypothesis-label order, the
+    # order every rule reads a posterior column in), and the entropies h_x,
+    # h_y, h_xy that centre the typicality conditions.
 
     # The sampling guides are built on the first draw, so the exact engine,
     # which draws nothing, never pays for them.
@@ -168,6 +174,17 @@ class DiscreteJointModel:
         from .rules import CdfGuide
 
         return CdfGuide(self.lik_cdf)
+
+    @cached_property
+    def posterior_guide(self):
+        """Row j: the guide over P(x | y_j)'s CDF in label_order, which SAP
+        draws by; a zero-evidence column, which no trial samples, is parked
+        at 1."""
+        from .rules import CdfGuide
+
+        cdf = np.cumsum(self.posterior_matrix[self.label_order], axis=0).T.copy()
+        cdf[~np.isfinite(cdf)] = 1.0
+        return CdfGuide(cdf)
 
     def __reduce__(self):
         # pickle the four defining fields; unpickling rebuilds (and so

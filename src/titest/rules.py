@@ -8,8 +8,9 @@ The three deterministic rules are defined once, by decide_columns over a stack
 of posterior columns in ascending label order: first-occurrence argmax/argmin,
 row-wise sums and row-wise cumulative sums. decide_map, decide_eap and
 decide_meap are its one-column wrappers. _symbol_law gives the law of one
-decided pair (x-hat, y), which the rule tables, error_probability and the
-exact type-class walk all read.
+decided pair (x-hat, y), which the trials' deterministic choices,
+error_probability and the exact type-class walk all read. A model's
+label_order gives the ascending label order; _ascending sorts one column.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def _symbol_law(model: DiscreteJointModel, rule: DecisionRule) -> tuple[np.ndarr
         x, y = np.nonzero(model.joint)
         return x, y, model.joint[x, y]
     y = np.flatnonzero(model.y_marginal > 0)
-    order = np.argsort(np.asarray(model.hypothesis_values), kind="stable")
+    order = model.label_order
     x = order[decide_columns(rule, model.posterior_matrix[order][:, y].T)]
     return x, y, model.y_marginal[y]
 

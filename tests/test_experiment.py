@@ -26,7 +26,6 @@ from titest import (
     extended_fano_check,
     info_summary,
     is_jointly_typical,
-    make_rule_tables,
     run_experiment,
     run_trial,
     sweep,
@@ -67,10 +66,9 @@ class TestRunTrial:
         # H(X|Y); the decided sequence cannot be conditionally typical
         p = params(0.05, 64)
         info = info_summary(coin35)
-        tables = make_rule_tables(coin35, DecisionRule.MAP)
         rates = []
         for i in range(60):
-            t = run_trial(coin35, DecisionRule.MAP, p, trial_rng(9, i), tables)
+            t = run_trial(coin35, DecisionRule.MAP, p, trial_rng(9, i))
             assert not t.success
             rates.append(t.decided_surprisal_rate)
         assert np.mean(rates) < info.h_x_given_y - 2 * 0.05
@@ -203,7 +201,7 @@ class TestBlockKernel:
     )
     def test_block_equals_trial_at_a_time_reference(self, group, seed, lo, n):
         experiments = [
-            (model, make_rule_tables(model, rule), params(eps, m))
+            (model, rule, params(eps, m))
             for model, rule, m, eps in group
         ]
         blocks = _run_block(experiments, seed, lo, lo + n)
@@ -224,7 +222,7 @@ class TestBlockKernel:
         # each must equal the same experiment in a block of its own
         model = build_coin_model(7, 0.3)
         experiments = [
-            (model, make_rule_tables(model, rule), params(eps, m))
+            (model, rule, params(eps, m))
             for m in (1, 4) for rule in DecisionRule for eps in (0.1, 0.4)
         ]
         shared = _run_block(experiments, 5, 100, 700)
@@ -246,15 +244,24 @@ class TestBlockKernel:
         assert docs[0] == docs[1] == docs[2]
 
 
-def compare_and_sum_kernel(model, tables, u, m, epsilon):
+def posterior_cdf(model):
+    """(order, cdf): the storage indices in ascending label order, and row j
+    the CDF of P(x | y_j) in that order, built from posterior_matrix rather
+    than read from the model's posterior_guide."""
+    order = np.argsort(model.hypothesis_values, kind="stable")
+    return order, np.cumsum(model.posterior_matrix[order], axis=0).T
+
+
+def compare_and_sum_kernel(model, rule, u, m, epsilon):
     """_trial_kernel with every pick comparing u against every CDF entry of
     its row (inverse_cdf_pick), as before the guide tables."""
     xi = inverse_cdf_pick(model.prior_cdf, u[:, :m])
     yi = inverse_cdf_pick(model.lik_cdf[xi], u[:, m : 2 * m])
-    if tables.det_choice is not None:
-        decided = tables.det_choice[yi]
+    if rule.is_stochastic:
+        order, cdf = posterior_cdf(model)
+        decided = order[inverse_cdf_pick(cdf[yi], u[:, 2 * m :])]
     else:
-        decided = tables.sap_order[inverse_cdf_pick(tables.sap_cdf[yi], u[:, 2 * m :])]
+        decided = experiment._choice(model, rule)[yi]
     return (
         xi,
         yi,
@@ -284,15 +291,14 @@ class TestGuidedKernel:
     @pytest.mark.parametrize("name", ["coin1", "coin2", "coin5", "coin10", "coin35", "bsc25"])
     def test_equals_compare_and_sum_kernel(self, name, rule, m):
         model = build_bsc_model(0.25) if name == "bsc25" else build_coin_model(int(name[4:]), 0.4)
-        tables = make_rule_tables(model, rule)
         rng = np.random.default_rng([*name.encode(), m, list(DecisionRule).index(rule)])
-        u = rng.random((2048, experiment._draws_per_symbol(tables) * m))
+        u = rng.random((2048, (3 if rule.is_stochastic else 2) * m))
         plant_adversarial(u[:, :m], model.prior_cdf, rng)
         plant_adversarial(u[:, m : 2 * m], model.lik_cdf, rng)
-        if tables.sap_cdf is not None:
-            plant_adversarial(u[:, 2 * m :], tables.sap_cdf, rng)
-        got = experiment._trial_kernel(model, tables, u, m, 0.25)
-        want = compare_and_sum_kernel(model, tables, u, m, 0.25)
+        if rule.is_stochastic:
+            plant_adversarial(u[:, 2 * m :], posterior_cdf(model)[1], rng)
+        got = experiment._trial_kernel(model, rule, u, m, 0.25)
+        want = compare_and_sum_kernel(model, rule, u, m, 0.25)
         for g, w in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(g, w)
         for g, w in zip(got[3:], want[3:]):
@@ -309,6 +315,12 @@ class TestGuidedKernel:
             extended_fano_check(model, rule, params(0.25, 3))
         with pytest.raises(AssertionError, match="guide built"):
             run_trial(model, DecisionRule.MAP, params(0.25, 3), trial_rng(0, 0))
+        # only a SAP draw builds the posterior guide
+        monkeypatch.undo()
+        run_trial(model, DecisionRule.MAP, params(0.25, 3), trial_rng(0, 0))
+        assert "prior_guide" in vars(model) and "posterior_guide" not in vars(model)
+        run_trial(model, DecisionRule.SAP, params(0.25, 3), trial_rng(0, 0))
+        assert "posterior_guide" in vars(model)
 
 
 class TestRunExperiment:
@@ -371,10 +383,9 @@ class TestRunExperiment:
     def test_sap_alt_estimator_consistency(self, coin10):
         # unconditional mean decided surprisal estimates H(X|Y) for SAP
         info = info_summary(coin10)
-        tables = make_rule_tables(coin10, DecisionRule.SAP)
         p = params(0.25, 4)
         rates = [
-            run_trial(coin10, DecisionRule.SAP, p, trial_rng(13, i), tables).decided_surprisal_rate
+            run_trial(coin10, DecisionRule.SAP, p, trial_rng(13, i)).decided_surprisal_rate
             for i in range(3000)
         ]
         half = Z_95 * np.std(rates, ddof=1) / math.sqrt(len(rates))
@@ -383,12 +394,11 @@ class TestRunExperiment:
     def test_sap_decided_joint_matches_true_joint(self):
         # empirical law of (decided, observed) symbols under SAP vs P(x, y)
         model = build_coin_model(5, 0.4)
-        tables = make_rule_tables(model, DecisionRule.SAP)
         p = params(0.25, 20)
         counts = np.zeros((5, 6))
         n_trials = 5000
         for i in range(n_trials):
-            t = run_trial(model, DecisionRule.SAP, p, trial_rng(21, i), tables)
+            t = run_trial(model, DecisionRule.SAP, p, trial_rng(21, i))
             for d, y in zip(t.decided, t.pair.y_seq):
                 counts[d - 1, y] += 1
         n_symbols = n_trials * 20
@@ -657,13 +667,15 @@ class TestSweep:
             assert row["successes"] == rep.success_count
 
     def test_rule_tables_built_once_per_model_and_rule(self, monkeypatch):
+        # a block reads each (model, rule)'s choice once, whatever M and epsilon
         calls = []
 
-        def counting_tables(model, rule):
+        def counting_choice(model, rule):
             calls.append((model, rule))
-            return make_rule_tables(model, rule)
+            return choice(model, rule)
 
-        monkeypatch.setattr(experiment, "make_rule_tables", counting_tables)
+        choice = experiment._choice
+        monkeypatch.setattr(experiment, "_choice", counting_choice)
         # the acceptance grid: 4 coin models x 2 M x 4 rules = 32 points
         rows = sweep([5, 15, 25, 35], [0.4], [1, 10], [0.25], list(DecisionRule), 2, 0)
         assert len(rows) == 32

@@ -101,6 +101,7 @@ class TestConstruction:
         for model in (coin10, pickle.loads(pickle.dumps(coin10))):
             for name in (
                 "prior", "joint", "posterior_matrix", "prior_cdf", "lik_cdf", "log2_posterior",
+                "label_order",
             ):
                 arr = getattr(model, name)
                 np.testing.assert_array_equal(arr, getattr(coin10, name))
@@ -110,6 +111,24 @@ class TestConstruction:
                 assert getattr(model, name) == getattr(coin10, name)
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(model, name, 0.0)
+
+    def test_pickled_model_draws_as_the_original(self):
+        # unsorted labels and a zero-evidence observation (label 9)
+        model = DiscreteJointModel(
+            (5, -2, 7), (0, 9, 1), np.array([0.2, 0.5, 0.3]),
+            np.array([[0.6, 0.0, 0.4], [0.1, 0.0, 0.9], [0.5, 0.0, 0.5]]),
+        )
+        clone = pickle.loads(pickle.dumps(model))
+        assert "posterior_guide" not in vars(clone)
+        np.testing.assert_array_equal(clone.label_order, [1, 0, 2])
+        np.testing.assert_array_equal(clone.label_order, model.label_order)
+        u = np.random.default_rng(3).random((50, 3))
+        rows = np.tile([0, 1, 2], (50, 1))
+        np.testing.assert_array_equal(
+            clone.posterior_guide.pick(u, rows), model.posterior_guide.pick(u, rows)
+        )
+        np.testing.assert_array_equal(clone.posterior_guide.cdf, model.posterior_guide.cdf)
+        assert (model.posterior_guide.cdf[1] == 1.0).all()  # parked: no trial samples it
 
     def test_joint_and_marginal_consistency(self, coin10):
         assert coin10.joint.sum() == pytest.approx(1.0, abs=1e-9)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_decide, oracle_posterior, oracle_y_marginal
 from titest import rules
+from titest.experiment import _choice
 from titest.rules import CdfGuide, _symbol_law
 from titest import (
     DecisionRule,
@@ -27,7 +28,6 @@ from titest import (
     exact_failure_probability,
     extended_fano_check,
     inverse_cdf_pick,
-    make_rule_tables,
     posterior,
     run_experiment,
     run_trial,
@@ -171,8 +171,9 @@ def tied_models(draw):
 
 
 def assert_rules_equal_oracle(model):
-    """decide_columns, make_rule_tables and the one-column wrappers against
-    oracle_decide, for every deterministic rule and every observation."""
+    """decide_columns, the trials' choices (experiment._choice) and the
+    one-column wrappers against oracle_decide, for every deterministic rule
+    and every observation."""
     labels = model.hypothesis_values
     ascending = sorted(range(model.n_hypotheses), key=lambda i: labels[i])
     live = [j for j in range(model.n_observations) if model.y_marginal[j] > 0]
@@ -183,7 +184,7 @@ def assert_rules_equal_oracle(model):
         choice = [0] * model.n_observations
         for j, position in zip(live, want):
             choice[j] = ascending[position]
-        assert make_rule_tables(model, rule).det_choice.tolist() == choice
+        assert _choice(model, rule).tolist() == choice
         for j, position in zip(live, want):
             post = posterior(model, model.observation_values[j])
             assert decide(rule, post) == labels[ascending[position]]
@@ -515,7 +516,6 @@ class TestRuleNames:
                 member, post.probs[None, :]
             ).tolist()
         assert error_probability(coin10, rule) == error_probability(coin10, member)
-        assert make_rule_tables(coin10, rule).rule is member
         trial = run_trial(coin10, rule, params, np.random.default_rng(5))
         assert trial == run_trial(coin10, member, params, np.random.default_rng(5))
         report = run_experiment(coin10, rule, params, trials=20, seed=3)
@@ -532,13 +532,12 @@ class TestRuleNames:
         lambda model: decide("mle", posterior(model, 4)),
         lambda model: decide_columns("mle", np.ones((1, 1))),
         lambda model: error_probability(model, "mle"),
-        lambda model: make_rule_tables(model, "mle"),
         lambda model: run_trial(model, "mle", TypicalityParams(0.25, 3), np.random.default_rng(0)),
         lambda model: run_experiment(model, "mle", TypicalityParams(0.25, 3), trials=2, seed=0),
         lambda model: exact_failure_probability(model, "mle", TypicalityParams(0.25, 3)),
         lambda model: extended_fano_check(model, "mle", TypicalityParams(0.25, 3)),
     ], ids=[
-        "decide", "decide_columns", "error_probability", "make_rule_tables", "run_trial",
+        "decide", "decide_columns", "error_probability", "run_trial",
         "run_experiment", "exact_failure_probability", "extended_fano_check",
     ])
     def test_unknown_name_raises(self, call, coin10):

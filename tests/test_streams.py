@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_experiment import reference_block
-from titest import DecisionRule, TypicalityParams, build_coin_model, make_rule_tables
+from titest import DecisionRule, TypicalityParams, build_coin_model
 from titest import experiment
 from titest.experiment import _STREAM_BYTES, _STREAM_CHUNK, _run_block, _trial_uniforms
 
@@ -94,7 +94,7 @@ class TestTrialStreams:
     def test_block_past_the_stream_chunk(self, rule, lo, n):
         model = build_coin_model(4, 0.4)
         params = TypicalityParams(epsilon=0.25, extension=3)
-        (got,) = _run_block([(model, make_rule_tables(model, rule), params)], 2026, lo, lo + n)
+        (got,) = _run_block([(model, rule, params)], 2026, lo, lo + n)
         want = reference_block(model, rule, 0.25, 3, 2026, lo, lo + n)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -131,8 +131,7 @@ class TestChunkBytes:
         # chunk, where a 4,096-row chunk would take 983 MB
         model = build_coin_model(10, 0.4)
         params = TypicalityParams(epsilon=0.25, extension=10_000)
-        tables = make_rule_tables(model, DecisionRule.SAP)
-        ((success, _, _),) = _run_block([(model, tables, params)], 7, 0, 10)
+        ((success, _, _),) = _run_block([(model, DecisionRule.SAP, params)], 7, 0, 10)
         assert len(success) == 10
         assert chunk_log == [(0, 4, 30_000), (4, 4, 30_000), (8, 2, 30_000)]
 
