@@ -6,12 +6,13 @@ comes from its flag, else from the ``--config`` file (flat JSON whose keys are
 the subcommand's setting names, ``model_file`` for ``--model-file``), else
 from its default, and passes the same check whichever source gave it.
 
-Exit codes: 0 success; 2 usage or config error; 3 model/data error (bad model
-file, impossible observation, enumeration cap exceeded). Every error is one
-``titest: error: ...`` line on stderr. A failed inequality check is report
-content, not a process failure: an experiment that falsifies a bound is valid
-output and still exits 0. All numeric output is rendered to 10 significant
-digits.
+Exit codes: 0 success; 2 usage or config error (a Monte Carlo M above the
+bound that one trial's row of uniforms sets included); 3 model/data error
+(bad model file, impossible observation, enumeration cap exceeded) or a run
+out of memory. Every error is one ``titest: error: ...`` line on stderr. A
+failed inequality check is report content, not a process failure: an
+experiment that falsifies a bound is valid output and still exits 0. All
+numeric output is rendered to 10 significant digits.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Any, Callable, NoReturn, Sequence
 import numpy as np
 
 from .experiment import (
+    _MAX_TRIAL_M,
     achievability_check,
     converse_check,
     extended_fano_check,
@@ -135,6 +137,13 @@ def _as_float(name: str, value: Any) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer
         raise _UsageError(f"{name} must be a number, got {value!r}") from None
+
+
+def _as_trial_m(name: str, m: int) -> int:
+    """A Monte Carlo M: one trial's row of uniforms must fit in memory."""
+    if m > _MAX_TRIAL_M:
+        raise _UsageError(f"{name} must be <= {_MAX_TRIAL_M} for Monte Carlo trials, got {m}")
+    return m
 
 
 def _as_epsilon(name: str, value: Any) -> float:
@@ -279,7 +288,7 @@ def cmd_decide(s: dict) -> int:
 
 def cmd_simulate(s: dict) -> int:
     model, spec = _model(s)
-    params = TypicalityParams(epsilon=s["epsilon"], extension=s["m"])
+    params = TypicalityParams(epsilon=s["epsilon"], extension=_as_trial_m("--m", s["m"]))
     report = run_experiment(
         model, s["rule"], params, s["trials"], s["seed"],
         workers=s["workers"], model_spec=spec,
@@ -312,7 +321,7 @@ def cmd_sweep(s: dict) -> int:
         models = {(n, theta): build_coin_model(n, theta) for n in n_values for theta in theta_values}
     except ValueError as e:
         raise _UsageError(f"grid file {grid_path}: {e}") from None
-    m_values = [_as_int("grid m", v, 1) for v in grid["m"]]
+    m_values = [_as_trial_m("grid m", _as_int("grid m", v, 1)) for v in grid["m"]]
     eps_values = [_as_epsilon("grid epsilon", v) for v in grid["epsilon"]]
     rule_values = [_as_rule("grid rules", r) for r in grid["rules"]]
 
@@ -398,6 +407,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.parser.error(str(e))
     except (_DataError, InvalidDistributionError, ZeroEvidenceError, EnumerationTooLargeError) as e:
         print(f"titest: error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # numpy names the allocation that failed
+        print(f"titest: error: out of memory: {e or 'an allocation failed'}", file=sys.stderr)
         return 3
 
 

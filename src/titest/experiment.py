@@ -106,6 +106,13 @@ _STREAM_BYTES = 1 << 20
 # doubles (coin10, M=10, SAP at 2e4 and 5e4 trials; BENCH_pool.json).
 _BLOCK_WORK = 1_000_000
 
+# A trial's row of uniforms is computed whole (a chunk never holds less than
+# one row), so Monte Carlo M is bounded by the row: the widest, a SAP row of
+# 3M doubles, must fit in _ROW_BYTES. One SAP trial at M holds about 46 M
+# bytes at its peak, so the bound, M = 44,739,242, takes about 2 GB.
+_ROW_BYTES = 1 << 30
+_MAX_TRIAL_M = _ROW_BYTES // (3 * 8)
+
 # SeedSequence (numpy bit_generator.pyx) and PCG64 (pcg64.h) constants.
 _M32 = 0xFFFFFFFF
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
@@ -416,6 +423,9 @@ def _map_experiments(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not experiments:
         return []
+    m = max(params.extension for _, _, params in experiments)
+    if m > _MAX_TRIAL_M:
+        raise ValueError(f"M must be <= {_MAX_TRIAL_M} for Monte Carlo trials, got {m}")
     bounds = _block_bounds(trials, sum(_widths(experiments)), workers)
     jobs = [(experiments, seed, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     pool_size = min(len(jobs), _usable_cpus())

@@ -266,13 +266,8 @@ def conditional_members(
     m = params.extension
     if len(y_seq) != m:
         raise ValueError(f"sequence length {len(y_seq)} != extension {m}")
-    limit = resolve_enum_cap(cap)
     n_x = model.n_hypotheses
-    if n_x**m > limit:
-        raise EnumerationTooLargeError(
-            f"|X|^M = {n_x}^{m} exceeds the enumeration cap {limit}; "
-            "use Monte Carlo trials instead"
-        )
+    _check_cap("|X|^M", n_x, m, cap)
     if not is_typical(y_seq, model, "Y", params).typical:
         return []
     yi = _y_indices(model, y_seq)
@@ -402,14 +397,21 @@ def _census_totals(blocks: _ClassBlocks) -> tuple[int, float, float, float]:
     return count, mass, min_p, max_p
 
 
+def _check_cap(what: str, base: int, m: int, cap: int | None) -> None:
+    """Refuse base^m candidates above the cap, without forming the power
+    where it must exceed the cap: base >= 2 and m >= the cap's bit length
+    give base^m >= 2^m > cap."""
+    limit = resolve_enum_cap(cap)
+    if base >= 2 and m >= limit.bit_length() or base**m > limit:
+        raise EnumerationTooLargeError(
+            f"{what} = {base}^{m} exceeds the enumeration cap {limit}; "
+            "use Monte Carlo trials instead"
+        )
+
+
 def _check_pair_cap(model: DiscreteJointModel, m: int, cap: int | None) -> None:
     """Refuse more than the cap's (|X||Y|)^M sequence pairs, which bounds |X|^M and |Y|^M."""
-    limit = resolve_enum_cap(cap)
-    pairs = (model.n_hypotheses * model.n_observations) ** m
-    if pairs > limit:
-        raise EnumerationTooLargeError(
-            f"(|X||Y|)^M = {pairs} exceeds the enumeration cap {limit}"
-        )
+    _check_cap("(|X||Y|)^M", model.n_hypotheses * model.n_observations, m, cap)
 
 
 def typical_set_census(

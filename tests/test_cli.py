@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -322,6 +323,14 @@ class TestEnumerateCommand:
         assert run_cli(["enumerate", "--coin", "10", "0.4", "--m", "10"]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["10000", "30000000"])
+    def test_cap_at_huge_m_is_one_short_line(self, capsys, m):
+        t0 = time.perf_counter()
+        assert run_cli(["enumerate", "--coin", "3", "0.4", "--m", m]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        line = single_error_line(capsys)
+        assert f"12^{m} exceeds" in line and len(line) < 140
+
 
 class TestErrorPaths:
     def test_both_model_sources(self, bsc_file):
@@ -454,9 +463,10 @@ class TestErrorPaths:
         {"n": 5},
         {"n": [1e400]},
         {"theta": [10**400]},
+        {"m": [2, 10**9]},
     ], ids=[
         "n-above-cap", "n-zero", "theta-above-one", "theta-zero", "n-not-list", "n-huge",
-        "theta-huge",
+        "theta-huge", "m-above-trial-bound",
     ])
     def test_bad_sweep_grid_value(self, capsys, monkeypatch, tmp_path, axes):
         runs = []
@@ -471,6 +481,50 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
         assert runs == []  # no experiment ran
+
+    @pytest.mark.parametrize("m", [experiment._MAX_TRIAL_M + 1, 10**9])
+    def test_trial_m_above_the_row_bound(self, capsys, monkeypatch, m):
+        # one SAP row at M = 10^9 would be 22.4 GiB of uniforms
+        runs = []
+        monkeypatch.setattr(experiment, "_map_experiments", lambda *args: runs.append(args))
+        assert run_cli(["simulate", "--coin", "3", "0.4", "--m", str(m), "--trials", "1"]) == 2
+        assert "--m must be <= 44739242" in single_error_line(capsys)
+        assert runs == []
+
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 931. GiB for an array")
+
+        monkeypatch.setattr(experiment, "_map_experiments", no_memory)
+        assert run_cli(["simulate", "--coin", "3", "0.4", "--m", "1", "--trials", "2"]) == 3
+        assert single_error_line(capsys) == (
+            "titest: error: out of memory: Unable to allocate 931. GiB for an array"
+        )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    def test_trials_that_cannot_fit_exit_3(self, tmp_path):
+        # 10^12 trials need 931 GiB for their success flags alone; under a
+        # 3 GB address-space limit on the child, numpy refuses the allocation
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
+
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "titest.cli", "simulate", "--coin", "3", "0.4",
+             "--m", "1", "--trials", str(10**12)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, preexec_fn=limit_memory,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("titest: error: out of memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
 
     def test_huge_config_number(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -359,6 +359,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(coin10, DecisionRule.SAP, params(0.25, 4), 10, 0, workers=0)
 
+    def test_m_bounded_by_one_row(self, coin10, monkeypatch):
+        # a SAP row of 3M doubles fills 1 GiB at the bound; nothing runs here
+        blocks = []
+
+        def one_trial(experiments, seed, lo, hi):
+            blocks.append(experiments[0][2].extension)
+            return [(np.zeros(1, dtype=bool), np.zeros(1), np.zeros(1))]
+
+        monkeypatch.setattr(experiment, "_run_block", one_trial)
+        bound = experiment._MAX_TRIAL_M
+        assert 3 * 8 * bound <= 1 << 30 < 3 * 8 * (bound + 1)
+        run_experiment(coin10, DecisionRule.SAP, params(0.25, bound), 1, 0)
+        with pytest.raises(ValueError, match=f"M must be <= {bound}"):
+            run_experiment(coin10, DecisionRule.SAP, params(0.25, bound + 1), 1, 0)
+        assert blocks == [bound]
+
     def test_seed_reproducible(self, coin10):
         a = run_experiment(coin10, DecisionRule.SAP, params(0.25, 6), 400, 77)
         b = run_experiment(coin10, DecisionRule.SAP, params(0.25, 6), 400, 77)

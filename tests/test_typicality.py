@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from oracles import (
     oracle_jointly_typical,
 )
 from titest import (
+    DecisionRule,
     DiscreteJointModel,
     EnumerationTooLargeError,
     SequencePair,
     TypicalityParams,
+    build_coin_model,
     build_constant_model,
     build_identity_model,
     conditional_members,
     entropy,
+    exact_failure_probability,
     info_summary,
     is_jointly_typical,
     is_typical,
@@ -28,7 +32,7 @@ from titest import (
     sample_extension,
     typical_set_census,
 )
-from titest.typicality import resolve_enum_cap
+from titest.typicality import _check_cap, resolve_enum_cap
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +281,12 @@ class TestConditionalMembers:
         with pytest.raises(EnumerationTooLargeError):
             conditional_members((4,) * 10, coin10, params(0.25, 10))
 
+    def test_cap_at_huge_m_forms_no_power(self, coin10):
+        t0 = time.perf_counter()
+        with pytest.raises(EnumerationTooLargeError, match=r"\|X\|\^M = 10\^10000 exceeds"):
+            conditional_members((4,) * 10**4, coin10, params(0.25, 10**4))
+        assert time.perf_counter() - t0 < 1.0
+
     def test_cap_env_override(self, bsc25, monkeypatch):
         monkeypatch.setenv("TI_TEST_ENUM_CAP", "10")
         with pytest.raises(EnumerationTooLargeError):
@@ -363,6 +373,34 @@ class TestCensus:
     def test_cap_enforced(self, coin10):
         with pytest.raises(EnumerationTooLargeError):
             typical_set_census(coin10, params(0.25, 8))
+
+    @pytest.mark.parametrize("m", [10**4, 3 * 10**7])
+    @pytest.mark.parametrize("call", ["census", "exact_pf"])
+    def test_cap_at_huge_m_forms_no_power(self, call, m):
+        # 12^(3*10^7) alone would take about 46 s and print 3*10^7 digits
+        model = build_coin_model(3, 0.4)
+        t0 = time.perf_counter()
+        with pytest.raises(EnumerationTooLargeError) as err:
+            if call == "census":
+                typical_set_census(model, params(0.25, m))
+            else:
+                exact_failure_probability(model, DecisionRule.SAP, params(0.25, m))
+        assert time.perf_counter() - t0 < 1.0
+        assert f"(|X||Y|)^M = 12^{m} exceeds the enumeration cap 10000000" in str(err.value)
+        assert len(str(err.value)) < 120
+
+    @pytest.mark.parametrize("base, m, cap, over", [
+        (12, 6, 12**6, False), (12, 7, 12**6, True), (2, 23, 2**23, False), (2, 24, 2**23, True),
+        (1, 10**9, 1, False), (3, 24, 10**7, True), (262_656, 1, 10**7, False),
+        (262_656, 2, 10**7, True),
+    ])
+    def test_cap_edges(self, base, m, cap, over):
+        # base^m > cap exactly, whichever way it is decided
+        if over:
+            with pytest.raises(EnumerationTooLargeError, match=rf"X = {base}\^{m} exceeds"):
+                _check_cap("X", base, m, cap)
+        else:
+            _check_cap("X", base, m, cap)
 
     def test_json_schema(self, bsc25):
         doc = typical_set_census(bsc25, params(0.25, 4)).to_json_dict()
