@@ -40,7 +40,6 @@ from .experiment import (
 from .model import (
     DiscreteJointModel,
     InvalidDistributionError,
-    ZeroEvidenceError,
     build_coin_model,
     info_summary,
     posterior,
@@ -155,7 +154,7 @@ def _as_epsilon(name: str, value: Any) -> float:
 
 def _as_rule(name: str, value: Any) -> DecisionRule:
     try:
-        return DecisionRule.from_name(str(value))
+        return DecisionRule(str(value))
     except ValueError as e:
         raise _UsageError(str(e)) from None
 
@@ -271,8 +270,6 @@ def cmd_decide(s: dict) -> int:
         raise _UsageError("--k OBSERVATION is required for decide")
     try:
         post = posterior(model, s["k"])
-    except ZeroEvidenceError:
-        raise
     except ValueError as e:
         raise _DataError(str(e)) from None
     rng = np.random.default_rng(s["seed"])
@@ -405,7 +402,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return func(_resolve(args, names))
     except _UsageError as e:
         args.parser.error(str(e))
-    except (_DataError, InvalidDistributionError, ZeroEvidenceError, EnumerationTooLargeError) as e:
+    except (_DataError, InvalidDistributionError, EnumerationTooLargeError) as e:
         print(f"titest: error: {e}", file=sys.stderr)
         return 3
     except MemoryError as e:  # numpy names the allocation that failed

@@ -20,6 +20,8 @@ against numpy's own generators). Sampling, decisions, the three-condition
 judgement and both rate estimators then run over each chunk of rows whole:
 the inverse-CDF picks look each draw up in a guide table (rules.CdfGuide),
 so the common path makes no temporary that grows with the alphabet size.
+A trial is two steps: _draw samples x and y, and _decide decides and
+judges. _run_block composes them over each chunk, and run_trial over one row.
 
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
@@ -57,7 +59,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -174,23 +176,6 @@ def _decide(
     )
 
 
-def _trial_kernel(
-    model: DiscreteJointModel,
-    rule: DecisionRule,
-    u: np.ndarray,
-    m: int,
-    epsilon: float,
-) -> tuple[np.ndarray, ...]:
-    """Trials whose uniforms are the rows of u, shape (B, k*M).
-
-    Returns (xi, yi, decided_xi, success, posterior_entropy_rate,
-    decided_surprisal_rate): three (B, M) index arrays and three (B,) arrays.
-    """
-    xi, yi, post_rate = _draw(model, u, m)
-    decided, success, dec_rate = _decide(model, _choice(model, rule), yi, u, m, epsilon)
-    return xi, yi, decided, success, post_rate, dec_rate
-
-
 def run_trial(
     model: DiscreteJointModel,
     rule: DecisionRule,
@@ -201,13 +186,14 @@ def run_trial(
 
     Draw order within the trial's stream: M uniforms for x, M for y, then
     (stochastic rules only) M for the decisions, taken as one draw. A block
-    of one on the same kernel the experiments run.
+    of one through the steps _run_block runs.
     """
     rule = DecisionRule(rule)
+    m = params.extension
     (width,) = _widths([(model, rule, params)])
-    xi, yi, decided, success, post_rate, dec_rate = _trial_kernel(
-        model, rule, rng.random((1, width)), params.extension, params.epsilon
-    )
+    u = rng.random((1, width))
+    xi, yi, post_rate = _draw(model, u, m)
+    decided, success, dec_rate = _decide(model, _choice(model, rule), yi, u, m, params.epsilon)
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
     return SequenceTrial(
@@ -357,10 +343,10 @@ def _run_block(
     trials' random(w). Experiments that share a model (by identity) and M
     read the same x and y columns, so per chunk the x/y picks and the
     posterior-entropy rate run once per (model, M) and the decisions, the
-    typicality judgement and the decided-surprisal rate once per experiment;
-    together they are _trial_kernel. A deterministic rule's choice is read
-    once per (model, rule). Each step runs over the chunk whole: the
-    guide-table picks make (chunk, M) temporaries, not (chunk, M, K) ones.
+    typicality judgement and the decided-surprisal rate once per experiment.
+    A deterministic rule's choice is read once per (model, rule). Each step
+    runs over the chunk whole: the guide-table picks make (chunk, M)
+    temporaries, not (chunk, M, K) ones.
     """
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
     pairs = dict.fromkeys((model, rule) for model, rule, _ in experiments)
@@ -724,19 +710,10 @@ def converse_check(report: ExperimentReport) -> ConverseRecord:
     """
     one_over_m = 1.0 / report.m
     delta = report.h_hat_halfwidth or 0.0
-    if report.zero_success:
-        return ConverseRecord(
-            accuracy=None,
-            ti=report.ti_bits,
-            one_over_m=one_over_m,
-            p_f_term=0.0,
-            delta=delta,
-            slack=one_over_m + delta,
-            bound=report.ti_bits + one_over_m + delta,
-            skipped=True,
-            holds=True,
-        )
-    p_f_term = report.p_f_hat * (report.h_x_bits + report.epsilon - report.h_hat_bits)
+    skipped = report.zero_success
+    p_f_term = 0.0 if skipped else (
+        report.p_f_hat * (report.h_x_bits + report.epsilon - report.h_hat_bits)
+    )
     slack = one_over_m + p_f_term + delta
     bound = report.ti_bits + slack
     return ConverseRecord(
@@ -747,8 +724,8 @@ def converse_check(report: ExperimentReport) -> ConverseRecord:
         delta=delta,
         slack=slack,
         bound=bound,
-        skipped=False,
-        holds=bool(report.accuracy_hat_bits <= bound + 1e-12),
+        skipped=skipped,
+        holds=skipped or bool(report.accuracy_hat_bits <= bound + 1e-12),
     )
 
 
@@ -794,7 +771,6 @@ def sweep(
     trials: int,
     seed: int,
     workers: int = 1,
-    on_row: Callable[[dict], None] | None = None,
     models: Mapping[tuple[int, float], DiscreteJointModel] | None = None,
 ) -> list[dict]:
     """Coin-model grid of experiments, one row dict per point.
@@ -806,9 +782,8 @@ def sweep(
     Undefined-accuracy rows carry None in the h_hat-derived columns. The
     whole grid is one call of _map_experiments: it shares one trial stream
     per block, and a grid whose work pays for more than one block shares
-    one process pool. Once every block is back, on_row sees the rows in
-    order. models may hold coin models the caller has already built, keyed
-    (n, theta); the others are built here.
+    one process pool. models may hold coin models the caller has already
+    built, keyed (n, theta); the others are built here.
     """
     models = models or {}
     coins = [
@@ -825,7 +800,7 @@ def sweep(
     arrays = _map_experiments(experiments, trials, seed, workers)
     for ((n, theta, model), m, eps, rule), (_, _, params), arrs in zip(grid, experiments, arrays):
         rep = _report(model, rule, params, trials, seed, None, *arrs)
-        row = {
+        rows.append({
             "N": int(n),
             "theta": float(theta),
             "M": int(m),
@@ -840,8 +815,5 @@ def sweep(
             "pf_hat": rep.p_f_hat,
             "pf_halfwidth": rep.p_f_halfwidth,
             "successes": rep.success_count,
-        }
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
+        })
     return rows

@@ -48,12 +48,13 @@ class DecisionRule(str, enum.Enum):
         return self is DecisionRule.SAP
 
     @classmethod
-    def from_name(cls, name: str) -> "DecisionRule":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            valid = ", ".join(r.value for r in cls)
-            raise ValueError(f"unknown rule {name!r}; valid rules: {valid}") from None
+    def _missing_(cls, value: object) -> "DecisionRule":
+        """A rule name in any case, so DecisionRule("MAP") is DecisionRule.MAP."""
+        for rule in cls:
+            if isinstance(value, str) and value.lower() == rule.value:
+                return rule
+        valid = ", ".join(r.value for r in cls)
+        raise ValueError(f"unknown rule {value!r}; valid rules: {valid}")
 
 
 def _ascending(post: PosteriorColumn) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,6 @@ __all__ = [
     "TypicalityParams",
     "TypicalityVerdict",
     "conditional_members",
-    "draw_index_pair",
     "in_band",
     "is_jointly_typical",
     "is_typical",
@@ -151,25 +150,18 @@ def _pick_pair(model: DiscreteJointModel, ux: np.ndarray, uy: np.ndarray) -> tup
     return xi, model.lik_guide.pick(uy, xi)
 
 
-def draw_index_pair(
+def sample_extension(
     model: DiscreteJointModel, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index-level sampler behind sample_extension.
+) -> SequencePair:
+    """Draw an i.i.d. pair of length-m label sequences from the model.
 
     Draw order is part of the determinism contract: m uniforms for the
     hypothesis symbols first, then m uniforms for the observations, each
     mapped through an inverse CDF in the model's storage order.
     """
-    return _pick_pair(model, rng.random(m), rng.random(m))
-
-
-def sample_extension(
-    model: DiscreteJointModel, m: int, rng: np.random.Generator
-) -> SequencePair:
-    """Draw an i.i.d. pair of length-m label sequences from the model."""
     if m < 1:
         raise ValueError(f"extension must be >= 1, got {m}")
-    xi, yi = draw_index_pair(model, m, rng)
+    xi, yi = _pick_pair(model, rng.random(m), rng.random(m))
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
     return SequencePair(x_seq=tuple(x_labels[xi]), y_seq=tuple(y_labels[yi]))
@@ -260,7 +252,7 @@ def conditional_members(
 
     Returns label tuples in lexicographic index order. The set is empty
     whenever y_seq itself fails its marginal condition, since that condition
-    does not depend on x. Candidate count |X|^m beyond the cap raises
+    does not depend on x. Candidate count |X|^m or 2^m beyond the cap raises
     EnumerationTooLargeError; Monte Carlo trials are the fallback at scale.
     """
     m = params.extension
@@ -268,6 +260,7 @@ def conditional_members(
         raise ValueError(f"sequence length {len(y_seq)} != extension {m}")
     n_x = model.n_hypotheses
     _check_cap("|X|^M", n_x, m, cap)
+    _check_cap("2^M", 2, m, cap)
     if not is_typical(y_seq, model, "Y", params).typical:
         return []
     yi = _y_indices(model, y_seq)
@@ -410,8 +403,10 @@ def _check_cap(what: str, base: int, m: int, cap: int | None) -> None:
 
 
 def _check_pair_cap(model: DiscreteJointModel, m: int, cap: int | None) -> None:
-    """Refuse more than the cap's (|X||Y|)^M sequence pairs, which bounds |X|^M and |Y|^M."""
+    """Refuse more than the cap's (|X||Y|)^M sequence pairs, which bounds |X|^M and |Y|^M,
+    and M with 2^M above the cap, which bounds M itself when |X||Y| is 1."""
     _check_cap("(|X||Y|)^M", model.n_hypotheses * model.n_observations, m, cap)
+    _check_cap("2^M", 2, m, cap)
 
 
 def typical_set_census(

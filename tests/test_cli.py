@@ -331,6 +331,22 @@ class TestEnumerateCommand:
         line = single_error_line(capsys)
         assert f"12^{m} exceeds" in line and len(line) < 140
 
+    @pytest.mark.parametrize("m, code", [(23, 0), (24, 3), (5000, 3), (200_000, 3)])
+    def test_one_pair_model_is_bounded_by_two_to_the_m(self, capsys, tmp_path, m, code):
+        # (|X||Y|)^M is 1 at every M; 2^M <= cap bounds M all the same
+        path = tmp_path / "one.json"
+        path.write_text(
+            '{"hypothesis_values": [0], "observation_values": [0], '
+            '"prior": [1.0], "likelihood": [[1.0]]}'
+        )
+        t0 = time.perf_counter()
+        assert run_cli(["enumerate", "--model-file", str(path), "--m", str(m)]) == code
+        assert time.perf_counter() - t0 < 1.0
+        if code:
+            assert f"2^M = 2^{m} exceeds" in single_error_line(capsys)
+        else:
+            assert json.loads(capsys.readouterr().out)["census"]["sizes"]["joint"] == 1
+
 
 class TestErrorPaths:
     def test_both_model_sources(self, bsc_file):
@@ -429,6 +445,12 @@ class TestErrorPaths:
         path = write_model(tmp_path, "degenerate.json", model)
         assert run_cli(["decide", "--model-file", path, "--k", "1"]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_zero_evidence_decide_is_one_line(self, capsys, tmp_path):
+        model = build_constant_model(2, y_dist=(1.0, 0.0))
+        path = write_model(tmp_path, "degenerate.json", model)
+        assert run_cli(["decide", "--model-file", path, "--k", "1"]) == 3
+        assert "zero probability" in single_error_line(capsys)
 
     def test_unknown_observation_decide(self, capsys, bsc_file):
         assert run_cli(["decide", "--model-file", bsc_file, "--k", "99"]) == 3

@@ -253,7 +253,7 @@ def posterior_cdf(model):
 
 
 def compare_and_sum_kernel(model, rule, u, m, epsilon):
-    """_trial_kernel with every pick comparing u against every CDF entry of
+    """_draw and _decide with every pick comparing u against every CDF entry of
     its row (inverse_cdf_pick), as before the guide tables."""
     xi = inverse_cdf_pick(model.prior_cdf, u[:, :m])
     yi = inverse_cdf_pick(model.lik_cdf[xi], u[:, m : 2 * m])
@@ -297,7 +297,11 @@ class TestGuidedKernel:
         plant_adversarial(u[:, m : 2 * m], model.lik_cdf, rng)
         if rule.is_stochastic:
             plant_adversarial(u[:, 2 * m :], posterior_cdf(model)[1], rng)
-        got = experiment._trial_kernel(model, rule, u, m, 0.25)
+        xi, yi, post_rate = experiment._draw(model, u, m)
+        decided, success, dec_rate = experiment._decide(
+            model, experiment._choice(model, rule), yi, u, m, 0.25
+        )
+        got = xi, yi, decided, success, post_rate, dec_rate
         want = compare_and_sum_kernel(model, rule, u, m, 0.25)
         for g, w in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(g, w)
@@ -527,6 +531,9 @@ class TestConverse:
         rep = run_experiment(coin35, DecisionRule.MAP, params(0.05, 64), 50, 9)
         rec = converse_check(rep)
         assert rec.skipped and rec.holds and rec.accuracy is None
+        assert rec.p_f_term == 0.0
+        assert rec.slack == rec.one_over_m + rec.delta
+        assert rec.bound == rec.ti + rec.slack
 
 
 class TestSweep:
@@ -568,14 +575,12 @@ class TestSweep:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
-        seen = []
         rows = sweep(
             [6, 5], [0.4], [2, 1], [0.25], [DecisionRule.SAP, DecisionRule.MAP], 50, 2,
-            workers=workers, on_row=seen.append,
+            workers=workers,
         )
         assert len(pools) == (1 if workers > 1 else 0)
         assert len(rows) == 8
-        assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
 
     @pytest.mark.usefixtures("every_block_pays")
     @pytest.mark.parametrize("workers, trials", [(2, 50), (3, 2), (3, 50)])
@@ -671,7 +676,7 @@ class TestSweep:
         assert len(rows) == 12
         for row in rows:
             rep = run_experiment(
-                build_coin_model(row["N"], row["theta"]), DecisionRule.from_name(row["rule"]),
+                build_coin_model(row["N"], row["theta"]), DecisionRule(row["rule"]),
                 params(row["epsilon"], row["M"]), trials, seed,
             )
             assert row["ti_bits"] == rep.ti_bits

@@ -54,11 +54,11 @@ def posterior_columns(draw):
 
 class TestRuleEnum:
     def test_from_name_case_insensitive(self):
-        assert DecisionRule.from_name("MeAP") is DecisionRule.MEAP
+        assert DecisionRule("MeAP") is DecisionRule.MEAP
 
     def test_unknown_rule_lists_valid(self):
         with pytest.raises(ValueError, match="map, eap, meap, sap"):
-            DecisionRule.from_name("mle")
+            DecisionRule("mle")
 
     def test_only_sap_is_stochastic(self):
         assert DecisionRule.SAP.is_stochastic
@@ -505,7 +505,9 @@ class TestSymbolLaw:
 class TestRuleNames:
     """Every entry point takes a rule as a DecisionRule or as its name."""
 
-    @pytest.mark.parametrize("rule", [*DecisionRule, *(r.value for r in DecisionRule)])
+    @pytest.mark.parametrize("rule", [
+        *DecisionRule, *(r.value for r in DecisionRule), *(r.value.upper() for r in DecisionRule)
+    ])
     def test_member_or_name(self, rule, coin10):
         member = DecisionRule(rule)
         params = TypicalityParams(0.25, 3)
@@ -541,5 +543,5 @@ class TestRuleNames:
         "run_experiment", "exact_failure_probability", "extended_fano_check",
     ])
     def test_unknown_name_raises(self, call, coin10):
-        with pytest.raises(ValueError, match="mle"):
+        with pytest.raises(ValueError, match="mle.*valid rules"):
             call(coin10)

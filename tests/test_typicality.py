@@ -25,6 +25,7 @@ from titest import (
     conditional_members,
     entropy,
     exact_failure_probability,
+    extended_fano_check,
     info_summary,
     is_jointly_typical,
     is_typical,
@@ -401,6 +402,21 @@ class TestCensus:
                 _check_cap("X", base, m, cap)
         else:
             _check_cap("X", base, m, cap)
+
+    @pytest.mark.parametrize("call", ["census", "exact_pf", "fano", "conditional_members"])
+    def test_one_pair_model_refuses_two_to_the_m_over_cap(self, call):
+        # (|X||Y|)^M = 1 never passes the cap; 2^24 does
+        model = DiscreteJointModel((0,), (0,), np.array([1.0]), np.array([[1.0]]))
+        p = params(0.25, 24)
+        with pytest.raises(EnumerationTooLargeError, match=r"2\^M = 2\^24 exceeds"):
+            if call == "census":
+                typical_set_census(model, p)
+            elif call == "exact_pf":
+                exact_failure_probability(model, DecisionRule.SAP, p)
+            elif call == "fano":
+                extended_fano_check(model, DecisionRule.MAP, p)
+            else:
+                conditional_members((0,) * 24, model, p)
 
     def test_json_schema(self, bsc25):
         doc = typical_set_census(bsc25, params(0.25, 4)).to_json_dict()
