@@ -116,7 +116,8 @@ def _load_model_file(path: str) -> DiscreteJointModel:
         raise _DataError(f"model file {path}: {e}") from None
 
 
-def _as_int(name: str, value: Any, minimum: int) -> int:
+def _as_int(name: str, value: Any, minimum: int | None) -> int:
+    """value as an int, refused below minimum (None: any integer)."""
     try:
         n = int(value)
         # int(True) == 1, but a JSON boolean is not a count
@@ -124,7 +125,7 @@ def _as_int(name: str, value: Any, minimum: int) -> int:
             raise ValueError
     except (TypeError, ValueError, OverflowError):  # JSON 1e400 parses to inf
         raise _UsageError(f"{name} must be an integer, got {value!r}") from None
-    if n < minimum:
+    if minimum is not None and n < minimum:
         raise _UsageError(f"{name} must be >= {minimum}, got {n}")
     return n
 
@@ -204,7 +205,7 @@ SETTINGS: dict[str, tuple[Any, Callable[[str, Any], Any], dict]] = {
     "m": (8, lambda name, v: _as_int(name, v, 1), {"metavar": "INT",
                                                    "help": "extension length M"}),
     "epsilon": (0.25, _as_epsilon, {"metavar": "FLOAT"}),
-    "k": (None, lambda name, v: _as_int(name, v, -(10**18)),
+    "k": (None, lambda name, v: _as_int(name, v, None),
           {"metavar": "INT", "help": "observation label"}),
     "trials": (1000, lambda name, v: _as_int(name, v, 1), {"metavar": "INT"}),
     "seed": (0, lambda name, v: _as_int(name, v, 0), {"metavar": "INT"}),

@@ -43,9 +43,6 @@ on arrival. A job is one pickle, so experiments that share a model share it
 there too. A block reads each deterministic rule's choice of x per y from
 the decided pairs' law once per (model, rule); SAP draws by the model's
 posterior guide.
-
-The exact audits run no trials: they walk the type classes of the rule's
-decided-pair law (rules._symbol_law) once, the same walk for every rule.
 """
 
 from __future__ import annotations
@@ -68,9 +65,8 @@ from .rules import DecisionRule, _symbol_law
 from .typicality import (
     SequencePair,
     TypicalityParams,
-    _check_pair_cap,
     _pick_pair,
-    _type_classes,
+    _scan_y_space,
     jointly_typical_rows,
 )
 
@@ -567,58 +563,6 @@ def achievability_check(
     )
 
 
-def _binary_entropy(p: np.ndarray) -> np.ndarray:
-    """Elementwise binary entropy in bits; 0 at (and beyond) 0 and 1."""
-    inner = (p > 0.0) & (p < 1.0)
-    q = np.where(inner, p, 0.5)
-    return np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
-
-
-def _scan_y_space(
-    model: DiscreteJointModel,
-    rule: DecisionRule,
-    params: TypicalityParams,
-    cap: int | None,
-) -> tuple[float, float, float]:
-    """Exact sums over the type classes of the decided pairs' law for small M.
-
-    Returns (p_f, h_e_given_y, success_weighted_h) where success_weighted_h
-    = sum_y P(y) s(y) H(X^M | y) and s(y) is the per-y success probability.
-    The M decided pairs are i.i.d. draws from the rule's law
-    (rules._symbol_law), so one walk over the type classes of its support
-    pairs serves all four rules: each class adds its mass to its y-type's
-    total and, when jointly typical, to its typical mass; s(y) = typical /
-    total. A deterministic rule has one class per y-type, so its s(y) is
-    exactly 0 or 1. The cap counts the (|X||Y|)^M sequence pairs a
-    brute-force scan would visit.
-    """
-    m, eps = params.extension, params.epsilon
-    _check_pair_cap(model, m, cap)
-    x, y, prob = _symbol_law(model, rule)
-    # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
-    # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
-    # (the combinatorial number system); binom[a, i] = C(a + i, i + 1).
-    live_rank = np.cumsum(model.y_marginal > 0) - 1
-    n_live = int(live_rank[-1]) + 1
-    n_types = math.comb(n_live + m - 1, m)
-    shift = np.arange(m)
-    binom = np.array([[math.comb(a + i, i + 1) for i in shift] for a in range(n_live)])
-    log2_prob = np.log2(prob)
-    total, typical = np.zeros((2, n_types))
-    success_weighted_h = 0.0
-    for rows, sizes in _type_classes(len(prob), m):
-        xi, yi = x[rows], y[rows]
-        mass = sizes.astype(float) * np.exp2(log2_prob[rows].sum(axis=1))
-        hit = np.where(jointly_typical_rows(model, xi, yi, eps), mass, 0.0)
-        y_type = binom[np.sort(live_rank[yi], axis=1), shift].sum(axis=1)
-        total += np.bincount(y_type, mass, minlength=n_types)
-        typical += np.bincount(y_type, hit, minlength=n_types)
-        success_weighted_h += float(hit @ model.posterior_col_entropy[yi].sum(axis=1))
-    # a y-type whose mass underflows to 0 weighs nothing
-    s = np.divide(typical, total, out=np.zeros(n_types), where=total > 0)
-    return float(total @ (1.0 - s)), float(total @ _binary_entropy(s)), success_weighted_h
-
-
 def exact_failure_probability(
     model: DiscreteJointModel,
     rule: DecisionRule,
@@ -775,10 +719,11 @@ def sweep(
 ) -> list[dict]:
     """Coin-model grid of experiments, one row dict per point.
 
-    Row order is lexicographic: each axis is sorted ascending (rules by
-    name) and nested as N, theta, M, epsilon, rule. Every row reuses the
-    same master seed so rules and M values are compared on common trial
-    streams. An empty axis yields an empty table, not an error.
+    Each axis is a set: a repeated value (a rule name in any case) runs and
+    prints once. Row order is lexicographic: each axis is sorted ascending
+    (rules by name) and nested as N, theta, M, epsilon, rule. Every row
+    reuses the same master seed so rules and M values are compared on common
+    trial streams. An empty axis yields an empty table, not an error.
     Undefined-accuracy rows carry None in the h_hat-derived columns. The
     whole grid is one call of _map_experiments: it shares one trial stream
     per block, and a grid whose work pays for more than one block shares
@@ -788,10 +733,10 @@ def sweep(
     models = models or {}
     coins = [
         (n, theta, models[n, theta] if (n, theta) in models else build_coin_model(n, theta))
-        for n in sorted(n_values) for theta in sorted(theta_values)
+        for n in sorted(set(n_values)) for theta in sorted(set(theta_values))
     ]
-    rules = sorted(map(DecisionRule, rules), key=lambda r: r.value)
-    grid = list(product(coins, sorted(m_values), sorted(epsilon_values), rules))
+    rules = sorted(set(map(DecisionRule, rules)), key=lambda r: r.value)
+    grid = list(product(coins, sorted(set(m_values)), sorted(set(epsilon_values)), rules))
     experiments = [
         (model, rule, TypicalityParams(epsilon=eps, extension=m))
         for (_, _, model), m, eps, rule in grid

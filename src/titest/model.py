@@ -278,7 +278,8 @@ def entropy(dist: Sequence[float] | np.ndarray) -> float:
     if abs(p.sum() - 1.0) > DERIVED_ATOL:
         raise InvalidDistributionError(f"distribution sums to {p.sum()!r}, not 1")
     nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    # 0.0 - s is -s for every s != 0, and +0.0, not -0.0, for a point mass
+    return float(0.0 - (nz * np.log2(nz)).sum())
 
 
 def build_coin_model(n: int, theta: float) -> DiscreteJointModel:

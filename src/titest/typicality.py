@@ -1,4 +1,4 @@
-"""M-extension sampling, weak-typicality predicates, and exact enumeration.
+"""M-extension sampling, weak-typicality predicates, and the exact engine.
 
 Sequence probabilities are never multiplied out directly: every predicate works
 on per-symbol surprisals (bits) summed in log space, so membership stays exact
@@ -9,11 +9,13 @@ sequence's membership and probability depend only on its type (the count of
 each symbol), not on the symbol order. The exact engine therefore walks type
 classes: one non-decreasing representative per class, weighted by the class
 size, the multinomial M! / prod(c_k!), kept as an exact integer. That is
-C(M+K-1, M) rows instead of K^M sequences. The joint census walks the pair
-classes over the joint law's support (rules._symbol_law under SAP), never a
-zero-probability pair. jointly_typical_rows is the one definition of the
-three joint conditions. conditional_members returns the sequences
-themselves and still enumerates them.
+C(M+K-1, M) rows instead of K^M sequences. One walk, _law_classes, visits
+the classes of a law's positive-probability support. The census walks three
+laws (the prior, the y-marginal and the joint law, rules._symbol_law under
+SAP); the exact audits behind experiment.extended_fano_check walk the rule's
+decided-pair law once (_scan_y_space), the same walk for every rule.
+jointly_typical_rows is the one definition of the three joint conditions.
+conditional_members returns the sequences themselves and still enumerates them.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def conditional_members(
         keep = jointly_typical_rows(
             model, combos, np.broadcast_to(yi, combos.shape), params.epsilon
         )
-        out.extend(tuple(row) for row in x_labels[combos[keep]])
+        out.extend(map(tuple, x_labels[combos[keep]].tolist()))
     return out
 
 
@@ -353,35 +355,27 @@ def _type_classes(
         yield _append_symbol(rows[part], sizes[part], run[part], n_symbols)[:2]
 
 
-# (rows, sizes, probs) blocks of type classes and their member probabilities
-_ClassBlocks = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
+def _law_classes(prob: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The type classes of m i.i.d. draws from a law with support
+    probabilities prob (all > 0): _type_classes' (rows, sizes) blocks over
+    len(prob) symbols, with probs, each class's member probability."""
+    log2_prob = np.log2(prob)
+    for rows, sizes in _type_classes(len(prob), m):
+        yield rows, sizes, np.exp2(log2_prob[rows].sum(axis=1))
 
 
-def _typical_classes(
-    n_symbols: int,
-    m: int,
-    typical: Callable[[np.ndarray], np.ndarray],
-    prob_surprisal: np.ndarray,
-) -> _ClassBlocks:
-    """The type classes whose rows pass typical, as (rows, sizes, probs) blocks.
-
-    typical maps (B, m) class rows to (B,) bools; prob_surprisal (bits per
-    symbol) gives each kept class's member probability, probs.
-    """
-    for rows, sizes in _type_classes(n_symbols, m):
-        keep = typical(rows)
-        if keep.any():
-            rows = rows[keep]
-            yield rows, sizes[keep], np.exp2(-prob_surprisal[rows].sum(axis=1))
-
-
-def _census_totals(blocks: _ClassBlocks) -> tuple[int, float, float, float]:
-    """(count, mass, min_prob, max_prob) of the members of the classes in blocks."""
+def _census_totals(blocks: Iterator, typical: Callable) -> tuple[int, float, float, float]:
+    """(count, mass, min_prob, max_prob) of the members of the _law_classes
+    blocks' classes whose rows pass typical, which maps (B, m) rows to (B,) bools."""
     count = 0
     mass = 0.0
     min_p = np.inf
     max_p = 0.0
-    for _, sizes, probs in blocks:
+    for rows, sizes, probs in blocks:
+        keep = typical(rows)
+        if not keep.any():
+            continue
+        sizes, probs = sizes[keep], probs[keep]
         # an int64 block's sum can pass 2**63: add its 32-bit halves apart
         count += (int((sizes >> 32).sum()) << 32) + int((sizes & 0xFFFFFFFF).sum())
         mass += float(sizes.astype(float) @ probs)
@@ -409,6 +403,11 @@ def _check_pair_cap(model: DiscreteJointModel, m: int, cap: int | None) -> None:
     _check_cap("2^M", 2, m, cap)
 
 
+def _pow2(x: float) -> float:
+    """2.0 ** x, or inf where that overflows a float (x >= 1024)."""
+    return 2.0**x if x < 1024 else math.inf
+
+
 def typical_set_census(
     model: DiscreteJointModel, params: TypicalityParams, cap: int | None = None
 ) -> CensusReport:
@@ -426,18 +425,18 @@ def typical_set_census(
     _check_pair_cap(model, m, cap)
     h_x, h_y, h_xy = model.h_x, model.h_y, model.h_xy
 
-    def marginal(n_symbols: int, s: np.ndarray, h: float) -> tuple[int, float, float, float]:
-        return _census_totals(_typical_classes(
-            n_symbols, m, lambda rows: in_band(s[rows].mean(axis=1), h, eps), s
-        ))
+    def marginal(p: np.ndarray, s: np.ndarray, h: float) -> tuple[int, float, float, float]:
+        (live,) = np.nonzero(p > 0)  # a zero-probability symbol's rate is infinite
+        return _census_totals(
+            _law_classes(p[live], m), lambda rows: in_band(s[live[rows]].mean(axis=1), h, eps)
+        )
 
-    cx, mx, minpx, maxpx = marginal(model.n_hypotheses, -model.log2_prior, h_x)
-    cy, my, minpy, maxpy = marginal(model.n_observations, -model.log2_y_marginal, h_y)
+    cx, mx, minpx, maxpx = marginal(model.prior, -model.log2_prior, h_x)
+    cy, my, minpy, maxpy = marginal(model.y_marginal, -model.log2_y_marginal, h_y)
     x, y, prob = _symbol_law(model, DecisionRule.SAP)
-    cj, mj, minpj, maxpj = _census_totals(_typical_classes(
-        len(prob), m, lambda rows: jointly_typical_rows(model, x[rows], y[rows], eps),
-        -np.log2(prob),
-    ))
+    cj, mj, minpj, maxpj = _census_totals(
+        _law_classes(prob, m), lambda rows: jointly_typical_rows(model, x[rows], y[rows], eps)
+    )
 
     bounds: list[CensusBound] = []
 
@@ -453,19 +452,15 @@ def typical_set_census(
     ):
         strict(f"{tag}_mass_lower", 1.0 - eps, mass)
         if count:
-            strict(f"{tag}_member_prob_lower", 2.0 ** (-m * (h + eps)), min_p)
-            strict(f"{tag}_member_prob_upper", max_p, 2.0 ** (-m * (h - eps)))
-        strict(f"{tag}_count_upper", float(count), 2.0 ** (m * (h + eps)))
-        strict(f"{tag}_count_lower", (1.0 - eps) * 2.0 ** (m * (h - eps)), float(count))
-        strict(
-            f"{tag}_count_lower_printed",
-            (1.0 - eps) * 2.0 ** (m * (h + eps)),
-            float(count),
-        )
+            strict(f"{tag}_member_prob_lower", _pow2(-m * (h + eps)), min_p)
+            strict(f"{tag}_member_prob_upper", max_p, _pow2(-m * (h - eps)))
+        strict(f"{tag}_count_upper", float(count), _pow2(m * (h + eps)))
+        strict(f"{tag}_count_lower", (1.0 - eps) * _pow2(m * (h - eps)), float(count))
+        strict(f"{tag}_count_lower_printed", (1.0 - eps) * _pow2(m * (h + eps)), float(count))
     weak("joint_mass_lower", 1.0 - eps, mj)
     if cj:
-        strict("joint_member_prob_lower", 2.0 ** (-m * (h_xy + eps)), minpj)
-        strict("joint_member_prob_upper", maxpj, 2.0 ** (-m * (h_xy - eps)))
+        strict("joint_member_prob_lower", _pow2(-m * (h_xy + eps)), minpj)
+        strict("joint_member_prob_upper", maxpj, _pow2(-m * (h_xy - eps)))
 
     return CensusReport(
         m=m,
@@ -474,3 +469,54 @@ def typical_set_census(
         masses={"x": mx, "y": my, "joint": mj},
         bounds=bounds,
     )
+
+
+def _binary_entropy(p: np.ndarray) -> np.ndarray:
+    """Elementwise binary entropy in bits; 0 at (and beyond) 0 and 1."""
+    inner = (p > 0.0) & (p < 1.0)
+    q = np.where(inner, p, 0.5)
+    return np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
+
+
+def _scan_y_space(
+    model: DiscreteJointModel,
+    rule: DecisionRule,
+    params: TypicalityParams,
+    cap: int | None,
+) -> tuple[float, float, float]:
+    """Exact sums over the type classes of the decided pairs' law for small M.
+
+    Returns (p_f, h_e_given_y, success_weighted_h) where success_weighted_h
+    = sum_y P(y) s(y) H(X^M | y) and s(y) is the per-y success probability.
+    The M decided pairs are i.i.d. draws from the rule's law
+    (rules._symbol_law), so one walk over the type classes of its support
+    pairs serves all four rules: each class adds its mass to its y-type's
+    total and, when jointly typical, to its typical mass; s(y) = typical /
+    total. A deterministic rule has one class per y-type, so its s(y) is
+    exactly 0 or 1. The cap counts the (|X||Y|)^M sequence pairs a
+    brute-force scan would visit.
+    """
+    m, eps = params.extension, params.epsilon
+    _check_pair_cap(model, m, cap)
+    x, y, prob = _symbol_law(model, rule)
+    # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
+    # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
+    # (the combinatorial number system); binom[a, i] = C(a + i, i + 1).
+    live_rank = np.cumsum(model.y_marginal > 0) - 1
+    n_live = int(live_rank[-1]) + 1
+    n_types = math.comb(n_live + m - 1, m)
+    shift = np.arange(m)
+    binom = np.array([[math.comb(a + i, i + 1) for i in shift] for a in range(n_live)])
+    total, typical = np.zeros((2, n_types))
+    success_weighted_h = 0.0
+    for rows, sizes, probs in _law_classes(prob, m):
+        xi, yi = x[rows], y[rows]
+        mass = sizes.astype(float) * probs
+        hit = np.where(jointly_typical_rows(model, xi, yi, eps), mass, 0.0)
+        y_type = binom[np.sort(live_rank[yi], axis=1), shift].sum(axis=1)
+        total += np.bincount(y_type, mass, minlength=n_types)
+        typical += np.bincount(y_type, hit, minlength=n_types)
+        success_weighted_h += float(hit @ model.posterior_col_entropy[yi].sum(axis=1))
+    # a y-type whose mass underflows to 0 weighs nothing
+    s = np.divide(typical, total, out=np.zeros(n_types), where=total > 0)
+    return float(total @ (1.0 - s)), float(total @ _binary_entropy(s)), success_weighted_h

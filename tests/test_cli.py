@@ -94,6 +94,26 @@ class TestModelCommand:
         assert "h_x" in json.loads(out.read_text())
 
 
+# a number printed as negative zero: "-0", "-0.0", not "-0.05" or "1e-05"
+NEGATIVE_ZERO = re.compile(r"-0(?:\.0*)?(?![\d.eE])")
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "--coin", "1", "0.4"],
+    ["simulate", "--coin", "1", "0.4", "--m", "2", "--trials", "10"],
+    ["sweep", "--grid", "GRID", "--trials", "10"],
+], ids=["model", "simulate", "sweep"])
+def test_zero_entropies_print_no_negative_zero(capsys, tmp_path, argv):
+    # one hypothesis: H(X), the test information and the accuracy are all 0
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(
+        {"n": [1], "theta": [0.4], "m": [2], "epsilon": [0.25], "rules": ["map"]}
+    ))
+    assert run_cli([str(path) if token == "GRID" else token for token in argv]) == 0
+    out = capsys.readouterr().out
+    assert "0" in out and not NEGATIVE_ZERO.search(out)
+
+
 class TestDecideCommand:
     @pytest.mark.parametrize(
         "k,exp_map,exp_eap,exp_meap",
@@ -121,6 +141,19 @@ class TestDecideCommand:
 
     def test_missing_k_is_usage_error(self, capsys):
         assert run_cli(["decide", "--coin", "10", "0.4"]) == 2
+
+    def test_k_takes_any_integer_label(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "hypothesis_values": [0, 1], "observation_values": [-(10**19), 1],
+            "prior": [0.5, 0.5], "likelihood": [[0.75, 0.25], [0.25, 0.75]],
+        }))
+        assert run_cli(["decide", "--model-file", str(path), f"--k={-(10**19)}"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["k"] == -(10**19) and doc["map"] == 0
+        # an integer that is not a label stays a one-line data error
+        assert run_cli(["decide", "--model-file", str(path), f"--k={-(10**19) - 1}"]) == 3
+        assert "unknown observation label" in single_error_line(capsys)
 
 
 class TestSimulateCommand:
@@ -227,6 +260,20 @@ class TestSweepCommand:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 16
         assert sorted(built) == [(5, 0.3), (5, 0.4), (7, 0.3), (7, 0.4)]
 
+    def test_repeated_values_run_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        map_experiments = experiment._map_experiments
+
+        def recording(experiments, *args):
+            calls.append(len(experiments))
+            return map_experiments(experiments, *args)
+
+        monkeypatch.setattr(experiment, "_map_experiments", recording)
+        grid = self.grid(tmp_path, n=[3, 3], m=[2, 2], rules=["map", "MAP"])
+        assert run_cli(["sweep", "--grid", grid, "--trials", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 1
+        assert calls == [1]
+
     def test_unknown_rule_in_grid(self, tmp_path):
         assert run_cli(["sweep", "--grid", self.grid(tmp_path, rules=["bogus"])]) == 2
 
@@ -318,6 +365,12 @@ class TestEnumerateCommand:
         assert doc["census"]["m"] == 4
         assert doc["census"]["sizes"]["joint"] > 0
         assert doc["fano"]["holds"] is True
+
+    def test_huge_epsilon_bounds_are_inf(self, capsys):
+        assert run_cli(["enumerate", "--coin", "3", "0.4", "--m", "2", "--epsilon", "1000"]) == 0
+        doc = json.loads(capsys.readouterr().out)  # one document; Python reads Infinity
+        bounds = {b["name"]: b for b in doc["census"]["bounds"]}
+        assert bounds["x_count_upper"]["rhs"] == math.inf
 
     def test_cap_exceeded(self, capsys):
         assert run_cli(["enumerate", "--coin", "10", "0.4", "--m", "10"]) == 3

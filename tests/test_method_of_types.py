@@ -1,8 +1,9 @@
 """The type-class engine against brute-force scans of every sequence.
 
-typical_set_census and _scan_y_space sum over type classes. The references
-here visit all K^M sequences (and, for SAP, all x-sequences per y-sequence)
-the slow way, so sizes must agree exactly and floats to rounding.
+typical_set_census and _scan_y_space sum over the type classes of one walk,
+typicality._law_classes. The references here visit all K^M sequences (and,
+for SAP, all x-sequences per y-sequence) the slow way, so sizes must agree
+exactly and floats to rounding.
 """
 
 import functools
@@ -27,9 +28,8 @@ from titest import (
     posterior,
     typical_set_census,
 )
-from titest import experiment, typicality
-from titest.experiment import _scan_y_space
-from titest.typicality import BOUNDARY_ATOL, _type_classes
+from titest import typicality
+from titest.typicality import BOUNDARY_ATOL, _scan_y_space, _type_classes
 
 # largest (|X||Y|)^M the brute-force references are asked to scan
 BRUTE_LIMIT = 60_000
@@ -204,13 +204,14 @@ class TestTypeClassList:
 
     def test_census_count_exact_past_int64_sums(self):
         sizes = np.full(4, 2**62, dtype=np.int64)
-        count, _, _, _ = typicality._census_totals([(None, sizes, np.ones(4))])
+        count, _, _, _ = typicality._census_totals(
+            [(None, sizes, np.ones(4))], lambda rows: np.ones(4, dtype=bool)
+        )
         assert count == 2**64
 
     def test_small_blocks_sum_the_same(self, monkeypatch):
         small = functools.partial(_type_classes, block=5)
         monkeypatch.setattr(typicality, "_type_classes", small)
-        monkeypatch.setattr(experiment, "_type_classes", small)
         assert_matches_brute_force(build_coin_model(3, 0.4), 3, 0.25)
 
 
@@ -252,7 +253,6 @@ class TestOneWalk:
             return _type_classes(n_symbols, m, *args)
 
         monkeypatch.setattr(typicality, "_type_classes", recording)
-        monkeypatch.setattr(experiment, "_type_classes", recording)
         model = build_coin_model(10, 0.4)
         params = TypicalityParams(0.25, 2)
         typical_set_census(model, params)
@@ -261,3 +261,21 @@ class TestOneWalk:
         for rule in DecisionRule:
             _scan_y_space(model, rule, params, None)
         assert walked == [11, 11, 11, 65]
+
+    def test_marginal_censuses_walk_the_support_only(self, monkeypatch):
+        # prior (1, 0, 0): one x symbol, two y symbols and two joint pairs
+        # carry probability, so M=4 walks 1 x-class, not C(6, 4) = 15
+        walked = []
+
+        def recording(n_symbols, m, *args):
+            walked.append(n_symbols)
+            return _type_classes(n_symbols, m, *args)
+
+        monkeypatch.setattr(typicality, "_type_classes", recording)
+        model = DiscreteJointModel(
+            (0, 1, 2), (0, 1), np.array([1.0, 0.0, 0.0]),
+            np.array([[0.25, 0.75], [1.0, 0.0], [0.0, 1.0]]),
+        )
+        typical_set_census(model, TypicalityParams(0.25, 4))
+        assert walked == [1, 2, 2]
+        assert_matches_brute_force(model, 4, 0.25)

@@ -32,6 +32,10 @@ class TestEntropy:
     def test_point_mass_is_zero(self):
         assert entropy([0.0, 1.0, 0.0]) == 0.0
 
+    def test_point_mass_is_positive_zero(self):
+        assert math.copysign(1.0, entropy([1.0])) == 1.0
+        assert math.copysign(1.0, entropy([0.0, 1.0, 0.0])) == 1.0
+
     def test_binary_quarter(self):
         # H_b(0.25) = 2 - 0.75 log2(3)
         assert entropy([0.25, 0.75]) == pytest.approx(0.8112781245, abs=1e-9)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import warnings
 import time
 
 import numpy as np
@@ -230,6 +232,12 @@ class TestConditionalMembers:
         members = conditional_members(y, identity4, params(0.1, 5))
         assert members == [y]
 
+    def test_members_are_plain_ints(self, coin10):
+        members = conditional_members((3, 4), coin10, params(0.5, 2))
+        assert members
+        assert all(type(v) is int for member in members for v in member)
+        assert json.loads(json.dumps(members)) == [list(member) for member in members]
+
     def test_constant_channel_full_cube(self):
         model = build_constant_model(2)
         members = conditional_members((0,) * 6, model, params(0.1, 6))
@@ -313,6 +321,18 @@ class TestCensus:
         assert c.masses["joint"] == pytest.approx(1.0, abs=1e-12)
         assert c.bound("x_mass_lower").holds
         assert c.bound("x_count_upper").holds
+
+    def test_huge_epsilon_bounds_are_inf_not_an_overflow(self):
+        coin3 = build_coin_model(3, 0.4)
+        # 2.0 ** x raises OverflowError from x = 1024 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = typical_set_census(coin3, params(1000, 2))
+        assert c.bound("x_count_upper").rhs == math.inf
+        assert c.bound("x_count_lower_printed").lhs == -math.inf
+        # below the overflow a bound keeps the bits of 2.0 ** x
+        c = typical_set_census(coin3, params(500, 2))
+        assert c.bound("x_count_upper").rhs == 2.0 ** (2 * (coin3.h_x + 500))
 
     def test_bsc_m8_structure(self, bsc25):
         c = typical_set_census(bsc25, params(0.25, 8))
