@@ -66,11 +66,11 @@ class _DataError(Exception):
 
 
 def _sig10(value: Any) -> Any:
-    """Round every float to 10 significant digits, recursively."""
+    """Every float to 10 significant digits, recursively; inf and NaN to None, -0.0 to 0.0."""
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
-        return float(f"{value:.10g}") if np.isfinite(value) else value
+        return float(f"{value:.10g}") + 0.0 if np.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _sig10(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -79,7 +79,7 @@ def _sig10(value: Any) -> Any:
 
 
 def _render_json(doc: Any) -> str:
-    return json.dumps(_sig10(doc), indent=2) + "\n"
+    return json.dumps(_sig10(doc), indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> int:

@@ -61,7 +61,8 @@ BOUNDARY_ATOL = 1e-12
 
 
 class EnumerationTooLargeError(RuntimeError):
-    """Candidate space exceeds the enumeration cap; use Monte Carlo instead."""
+    """A type-class walk's symbols (_check_walk) or a listing's candidate
+    sequences (conditional_members) exceed the cap; use Monte Carlo instead."""
 
 
 def resolve_enum_cap(cap: int | None = None) -> int:
@@ -396,11 +397,18 @@ def _check_cap(what: str, base: int, m: int, cap: int | None) -> None:
         )
 
 
-def _check_pair_cap(model: DiscreteJointModel, m: int, cap: int | None) -> None:
-    """Refuse more than the cap's (|X||Y|)^M sequence pairs, which bounds |X|^M and |Y|^M,
-    and M with 2^M above the cap, which bounds M itself when |X||Y| is 1."""
-    _check_cap("(|X||Y|)^M", model.n_hypotheses * model.n_observations, m, cap)
-    _check_cap("2^M", 2, m, cap)
+def _check_walk(n_symbols: int, m: int, cap: int | None) -> None:
+    """Refuse a _law_classes walk of m draws over K = n_symbols points that
+    builds more symbols than the cap: C(j+K-1, j) rows of j symbols at each
+    level j <= m, K * C(m+K, m-1) in all. i = min(m-1, K+1) <= (m+K)/2 gives
+    C(m+K, i) >= 2^i, so i >= the cap's bit length refuses without the count."""
+    limit = resolve_enum_cap(cap)
+    k, i = n_symbols, min(m - 1, n_symbols + 1)
+    if i >= limit.bit_length() or k * math.comb(m + k, i) > limit:
+        raise EnumerationTooLargeError(
+            f"K*C(M+K, M-1) = {k}*C({m + k}, {m - 1}) symbols exceed the enumeration "
+            f"cap {limit}; use Monte Carlo trials instead"
+        )
 
 
 def _pow2(x: float) -> float:
@@ -422,18 +430,20 @@ def typical_set_census(
     generally expected to hold only for m >= m_min (reported in the record).
     """
     m, eps = params.extension, params.epsilon
-    _check_pair_cap(model, m, cap)
     h_x, h_y, h_xy = model.h_x, model.h_y, model.h_xy
+    (live_x,) = np.nonzero(model.prior > 0)  # a zero-probability symbol's rate is infinite
+    (live_y,) = np.nonzero(model.y_marginal > 0)
+    x, y, prob = _symbol_law(model, DecisionRule.SAP)
+    for n_symbols in (len(live_x), len(live_y), len(prob)):
+        _check_walk(n_symbols, m, cap)
 
-    def marginal(p: np.ndarray, s: np.ndarray, h: float) -> tuple[int, float, float, float]:
-        (live,) = np.nonzero(p > 0)  # a zero-probability symbol's rate is infinite
+    def marginal(p: np.ndarray, live: np.ndarray, s: np.ndarray, h: float) -> tuple:
         return _census_totals(
             _law_classes(p[live], m), lambda rows: in_band(s[live[rows]].mean(axis=1), h, eps)
         )
 
-    cx, mx, minpx, maxpx = marginal(model.prior, -model.log2_prior, h_x)
-    cy, my, minpy, maxpy = marginal(model.y_marginal, -model.log2_y_marginal, h_y)
-    x, y, prob = _symbol_law(model, DecisionRule.SAP)
+    cx, mx, minpx, maxpx = marginal(model.prior, live_x, -model.log2_prior, h_x)
+    cy, my, minpy, maxpy = marginal(model.y_marginal, live_y, -model.log2_y_marginal, h_y)
     cj, mj, minpj, maxpj = _census_totals(
         _law_classes(prob, m), lambda rows: jointly_typical_rows(model, x[rows], y[rows], eps)
     )
@@ -493,12 +503,12 @@ def _scan_y_space(
     pairs serves all four rules: each class adds its mass to its y-type's
     total and, when jointly typical, to its typical mass; s(y) = typical /
     total. A deterministic rule has one class per y-type, so its s(y) is
-    exactly 0 or 1. The cap counts the (|X||Y|)^M sequence pairs a
-    brute-force scan would visit.
+    exactly 0 or 1. The cap counts the symbols the walk builds
+    (_check_walk), checked before it starts.
     """
     m, eps = params.extension, params.epsilon
-    _check_pair_cap(model, m, cap)
     x, y, prob = _symbol_law(model, rule)
+    _check_walk(len(prob), m, cap)
     # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
     # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
     # (the combinatorial number system); binom[a, i] = C(a + i, i + 1).

@@ -6,11 +6,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from titest import (
+    DecisionRule,
+    TypicalityParams,
     build_bsc_model,
     build_coin_model,
     build_constant_model,
     build_identity_model,
     experiment,
+    extended_fano_check,
 )
 
 
@@ -25,6 +28,17 @@ def every_block_pays(monkeypatch):
 @pytest.fixture(scope="session")
 def coin10():
     return build_coin_model(10, 0.4)
+
+
+@pytest.fixture(scope="session")
+def coin10_fano_m10(coin10):
+    """extended_fano_check of each deterministic rule at the acceptance point
+    (coin10, epsilon 0.25, M=10), walked once for every module that reads it."""
+    params = TypicalityParams(0.25, 10)
+    return {
+        rule: extended_fano_check(coin10, rule, params)
+        for rule in (DecisionRule.MAP, DecisionRule.EAP, DecisionRule.MEAP)
+    }
 
 
 @pytest.fixture(scope="session")

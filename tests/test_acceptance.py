@@ -161,6 +161,21 @@ def test_band_failure_rate_clause(band):
     assert rec.p_f_ok
 
 
+def test_deterministic_failure_rates_match_exact(coin10_fano_m10):
+    t0 = time.monotonic()
+    model = build_coin_model(10, THETA)
+    params = TypicalityParams(EPS, 10)
+    z = {}
+    for rule, exact in coin10_fano_m10.items():
+        report = run_experiment(model, rule, params, R_BAND, SEED_BAND, workers=2)
+        sigma = math.sqrt(exact.p_f * (1.0 - exact.p_f) / R_BAND)
+        z[rule.value] = (report.p_f_hat - exact.p_f) / sigma
+    assert all(abs(v) < 3.0 for v in z.values()), z
+    assert time.monotonic() - t0 < 60.0
+    scores = ", ".join(f"{rule} z={v:+.2f}" for rule, v in z.items())
+    _accept(f"deterministic P_f within 3 sigma of exact, N=10 M=10 ({scores})", "PASS")
+
+
 def test_accuracy_converges_toward_ceiling(convergence_reports):
     assert _timings["convergence"] < 300.0
     for n in GRID_N:

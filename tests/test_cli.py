@@ -368,9 +368,17 @@ class TestEnumerateCommand:
 
     def test_huge_epsilon_bounds_are_inf(self, capsys):
         assert run_cli(["enumerate", "--coin", "3", "0.4", "--m", "2", "--epsilon", "1000"]) == 0
-        doc = json.loads(capsys.readouterr().out)  # one document; Python reads Infinity
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        # strict JSON: an infinite bound prints as null, and holds keeps the verdict
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
         bounds = {b["name"]: b for b in doc["census"]["bounds"]}
-        assert bounds["x_count_upper"]["rhs"] == math.inf
+        assert bounds["x_count_upper"]["rhs"] is None and bounds["x_count_upper"]["holds"]
+        assert bounds["x_count_lower_printed"]["lhs"] is None
+        # (1 - eps) times an underflowed 2^{M(H - eps)} is -0.0, printed as 0.0
+        assert math.copysign(1.0, bounds["x_count_lower"]["lhs"]) == 1.0
 
     def test_cap_exceeded(self, capsys):
         assert run_cli(["enumerate", "--coin", "10", "0.4", "--m", "10"]) == 3
@@ -382,11 +390,12 @@ class TestEnumerateCommand:
         assert run_cli(["enumerate", "--coin", "3", "0.4", "--m", m]) == 3
         assert time.perf_counter() - t0 < 1.0
         line = single_error_line(capsys)
-        assert f"12^{m} exceeds" in line and len(line) < 140
+        # the prior's walk, over 3 support points, is checked first
+        assert f"= 3*C({int(m) + 3}, {int(m) - 1}) symbols exceed" in line and len(line) < 140
 
-    @pytest.mark.parametrize("m, code", [(23, 0), (24, 3), (5000, 3), (200_000, 3)])
+    @pytest.mark.parametrize("m, code", [(4471, 0), (4472, 3), (5000, 3), (200_000, 3)])
     def test_one_pair_model_is_bounded_by_two_to_the_m(self, capsys, tmp_path, m, code):
-        # (|X||Y|)^M is 1 at every M; 2^M <= cap bounds M all the same
+        # a walk over one point builds C(M+1, 2) symbols: 9,997,156 at M=4471
         path = tmp_path / "one.json"
         path.write_text(
             '{"hypothesis_values": [0], "observation_values": [0], '
@@ -396,7 +405,7 @@ class TestEnumerateCommand:
         assert run_cli(["enumerate", "--model-file", str(path), "--m", str(m)]) == code
         assert time.perf_counter() - t0 < 1.0
         if code:
-            assert f"2^M = 2^{m} exceeds" in single_error_line(capsys)
+            assert f"= 1*C({m + 1}, {m - 1}) symbols exceed" in single_error_line(capsys)
         else:
             assert json.loads(capsys.readouterr().out)["census"]["sizes"]["joint"] == 1
 

@@ -498,8 +498,45 @@ class TestExtendedFano:
         )
 
     def test_cap_enforced(self, coin10):
+        # MAP walks its 11 decided pairs: 11 * C(23, 11) = 14,872,858 symbols at M=12
         with pytest.raises(EnumerationTooLargeError):
-            extended_fano_check(coin10, DecisionRule.MAP, params(0.25, 8))
+            extended_fano_check(coin10, DecisionRule.MAP, params(0.25, 12))
+
+    # coin N: the TI and each rule's (P_f, accuracy H(X) - h_success / M) at
+    # epsilon 0.25, M=10
+    ACCEPTANCE_POINT = {
+        10: (0.552159, {
+            DecisionRule.MAP: (0.996301, 0.542329),
+            DecisionRule.EAP: (0.472710, 0.543723),
+            DecisionRule.MEAP: (0.940692, 0.560797),
+        }),
+        5: (0.302817, {
+            DecisionRule.MAP: (0.972546, 0.352802),
+            DecisionRule.EAP: (0.335716, 0.295915),
+            DecisionRule.MEAP: (0.785664, 0.335404),
+        }),
+    }
+
+    @pytest.mark.parametrize("n", [10, 5])
+    def test_deterministic_rules_at_the_acceptance_point(self, n, coin10, coin10_fano_m10):
+        model = coin10 if n == 10 else build_coin_model(n, 0.4)
+        ti, want = self.ACCEPTANCE_POINT[n]
+        assert info_summary(model).ti == pytest.approx(ti, abs=5e-7)
+        records = coin10_fano_m10 if n == 10 else {
+            rule: extended_fano_check(model, rule, params(0.25, 10)) for rule in want
+        }
+        for rule, (p_f, accuracy) in want.items():
+            rec = records[rule]
+            assert rec.holds, rule
+            assert rec.p_f == pytest.approx(p_f, abs=5e-7), rule
+            assert model.h_x - rec.h_success / 10 == pytest.approx(accuracy, abs=5e-7), rule
+
+    def test_bsc_sap_failure_is_not_monotone_in_m(self, bsc25):
+        # the lattice of y-types moves the band edges: P_f rises from M=10 to 11
+        want = {10: 0.1344404221, 11: 0.3117237091, 22: 0.1352379098, 40: 0.0162570415}
+        for m, p_f in want.items():
+            got = exact_failure_probability(bsc25, DecisionRule.SAP, params(0.25, m))
+            assert got == pytest.approx(p_f, abs=5e-11), m
 
     def test_exact_pf_un_enumerable_raises(self, coin10):
         with pytest.raises(EnumerationTooLargeError):

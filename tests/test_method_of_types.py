@@ -29,7 +29,13 @@ from titest import (
     typical_set_census,
 )
 from titest import typicality
-from titest.typicality import BOUNDARY_ATOL, _scan_y_space, _type_classes
+from titest.typicality import (
+    BOUNDARY_ATOL,
+    EnumerationTooLargeError,
+    _check_walk,
+    _scan_y_space,
+    _type_classes,
+)
 
 # largest (|X||Y|)^M the brute-force references are asked to scan
 BRUTE_LIMIT = 60_000
@@ -279,3 +285,61 @@ class TestOneWalk:
         typical_set_census(model, TypicalityParams(0.25, 4))
         assert walked == [1, 2, 2]
         assert_matches_brute_force(model, 4, 0.25)
+
+
+class TestWalkCap:
+    """The cap counts the symbols a walk builds, K * C(M+K, M-1), and checks
+    every walk of a call before any of them runs."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("n, m", [(1, 5), (2, 7), (4, 11), (11, 6), (3, 2), (5, 1)])
+    def test_count_is_the_symbols_built(self, monkeypatch, n, m, block):
+        built = [n]  # the level-1 rows, one symbol each
+        append = typicality._append_symbol
+
+        def counting(*args):
+            out = append(*args)
+            built[0] += out[0].size
+            return out
+
+        monkeypatch.setattr(typicality, "_append_symbol", counting)
+        for _ in _type_classes(n, m, block):
+            pass
+        assert built[0] == n * math.comb(m + n, m - 1)
+
+    @pytest.mark.parametrize("model, k, m_max", [
+        (DiscreteJointModel((0,), (0,), np.array([1.0]), np.array([[1.0]])), 1, 4471),
+        (build_bsc_model(0.25), 4, 47),
+    ], ids=["one-pair", "bsc25"])
+    def test_edges_at_the_default_cap(self, model, k, m_max):
+        # SAP and the census's joint walk go over the joint law's k pairs
+        assert k * math.comb(m_max + k, m_max - 1) <= 10**7 < k * math.comb(m_max + 1 + k, m_max)
+        p_f, _, _ = _scan_y_space(model, DecisionRule.SAP, TypicalityParams(0.25, m_max), None)
+        assert 0.0 <= p_f < 1.0
+        params = TypicalityParams(0.25, m_max + 1)
+        for call in (
+            lambda: typical_set_census(model, params),
+            lambda: _scan_y_space(model, DecisionRule.SAP, params, None),
+        ):
+            with pytest.raises(EnumerationTooLargeError, match=rf"= {k}\*C\({m_max + 1 + k}, "):
+                call()
+
+    def test_huge_count_is_never_formed(self):
+        # C(10^9 + 10^6, 10^6 + 1) would take hours; min(M-1, K+1) >= 24 refuses at once
+        huge = r"= 1000000\*C\(1001000000, 999999999\)"
+        with pytest.raises(EnumerationTooLargeError, match=huge):
+            _check_walk(10**6, 10**9, None)
+
+    def test_census_checks_every_walk_before_walking(self, monkeypatch):
+        # coin10 at M=5: the prior's walk builds 13,650 symbols and the
+        # y-marginal's 20,020, but the joint law's 65 pairs build 59,598,175
+        walked = []
+
+        def recording(n_symbols, m, *args):
+            walked.append(n_symbols)
+            return _type_classes(n_symbols, m, *args)
+
+        monkeypatch.setattr(typicality, "_type_classes", recording)
+        with pytest.raises(EnumerationTooLargeError, match=r"= 65\*C\(70, 4\)"):
+            typical_set_census(build_coin_model(10, 0.4), TypicalityParams(0.25, 5))
+        assert walked == []

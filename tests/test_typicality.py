@@ -398,7 +398,7 @@ class TestCensus:
     @pytest.mark.parametrize("m", [10**4, 3 * 10**7])
     @pytest.mark.parametrize("call", ["census", "exact_pf"])
     def test_cap_at_huge_m_forms_no_power(self, call, m):
-        # 12^(3*10^7) alone would take about 46 s and print 3*10^7 digits
+        # 12^(3*10^7) alone would take about 46 s; K*C(M+K, K+1) takes microseconds
         model = build_coin_model(3, 0.4)
         t0 = time.perf_counter()
         with pytest.raises(EnumerationTooLargeError) as err:
@@ -407,7 +407,12 @@ class TestCensus:
             else:
                 exact_failure_probability(model, DecisionRule.SAP, params(0.25, m))
         assert time.perf_counter() - t0 < 1.0
-        assert f"(|X||Y|)^M = 12^{m} exceeds the enumeration cap 10000000" in str(err.value)
+        # the census checks the prior's walk first; SAP walks the joint law's support
+        k = 3 if call == "census" else int(np.count_nonzero(model.joint))
+        assert (
+            f"K*C(M+K, M-1) = {k}*C({m + k}, {m - 1}) symbols exceed the enumeration cap 10000000"
+            in str(err.value)
+        )
         assert len(str(err.value)) < 120
 
     @pytest.mark.parametrize("base, m, cap, over", [
@@ -425,10 +430,13 @@ class TestCensus:
 
     @pytest.mark.parametrize("call", ["census", "exact_pf", "fano", "conditional_members"])
     def test_one_pair_model_refuses_two_to_the_m_over_cap(self, call):
-        # (|X||Y|)^M = 1 never passes the cap; 2^24 does
+        # a walk over one point builds C(M+1, 2) symbols, over 10^7 from M=4472;
+        # conditional_members lists sequences and refuses 2^24 of them
         model = DiscreteJointModel((0,), (0,), np.array([1.0]), np.array([[1.0]]))
-        p = params(0.25, 24)
-        with pytest.raises(EnumerationTooLargeError, match=r"2\^M = 2\^24 exceeds"):
+        listing = call == "conditional_members"
+        p = params(0.25, 24 if listing else 4472)
+        match = r"2\^M = 2\^24 exceeds" if listing else r"= 1\*C\(4473, 4471\) symbols exceed"
+        with pytest.raises(EnumerationTooLargeError, match=match):
             if call == "census":
                 typical_set_census(model, p)
             elif call == "exact_pf":
