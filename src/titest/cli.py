@@ -180,9 +180,8 @@ def _as_format(name: str, value: Any) -> str:
 
 
 def _as_out(name: str, value: Any) -> Any:
-    """Refuse an --out that cannot be a writable file before any work runs."""
-    if not value:
-        return value
+    """Refuse an --out that cannot be a writable file before any work runs;
+    "" names the current directory, not stdout. _resolve skips an unset --out."""
     try:
         path = Path(value)
         ok = not path.is_dir() and os.access(path if path.exists() else path.parent, os.W_OK)
@@ -293,7 +292,7 @@ def cmd_simulate(s: dict) -> int:
     )
     doc = report.to_json_dict()
     doc["checks"] = {
-        "achievability": achievability_check(report, params).to_json_dict(),
+        "achievability": achievability_check(report).to_json_dict(),
         "converse": converse_check(report).to_json_dict(),
     }
     return _emit(_render_json(doc), s["out"])

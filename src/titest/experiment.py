@@ -79,7 +79,6 @@ __all__ = [
     "SequenceTrial",
     "achievability_check",
     "converse_check",
-    "exact_failure_probability",
     "extended_fano_check",
     "render_sweep_csv",
     "run_experiment",
@@ -527,16 +526,15 @@ class AchievabilityRecord:
         return asdict(self)
 
 
-def achievability_check(
-    report: ExperimentReport, params: TypicalityParams
-) -> AchievabilityRecord:
+def achievability_check(report: ExperimentReport) -> AchievabilityRecord:
     """Judge a report against the accuracy band and the failure-rate cap.
 
-    delta widens the band by the Monte Carlo half-width of h_hat; sigma is
-    the binomial standard error of p_f_hat. A zero-success report skips the
+    epsilon is the report's own, the one its trials were judged at. delta
+    widens the band by the Monte Carlo half-width of h_hat; sigma is the
+    binomial standard error of p_f_hat. A zero-success report skips the
     accuracy clause (None) instead of fabricating a value.
     """
-    eps = params.epsilon
+    eps = report.epsilon
     delta = report.h_hat_halfwidth or 0.0
     lo = report.ti_bits - 2 * eps - delta
     hi = report.ti_bits + 2 * eps + delta
@@ -561,16 +559,6 @@ def achievability_check(
         p_f_ok=p_ok,
         holds=bool(acc_ok) and p_ok,
     )
-
-
-def exact_failure_probability(
-    model: DiscreteJointModel,
-    rule: DecisionRule,
-    params: TypicalityParams,
-    cap: int | None = None,
-) -> float:
-    """Exact P_f, summed over type classes; the oracle for Monte Carlo agreement."""
-    return _scan_y_space(model, rule, params, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -603,7 +591,8 @@ def extended_fano_check(
     The decision (and hence E) never sees X given Y, so H(X^M, E | Y^M)
     splits as H(E | Y^M) + H(X^M | Y^M); the bound is 1 + (1 - P_f)
     H(X^M | Y^M, E = 0) + P_f M (H(X) + epsilon), all in exact arithmetic
-    up to float rounding.
+    up to float rounding. Its p_f is the exact failure probability, the
+    oracle for Monte Carlo agreement.
     """
     m, eps = params.extension, params.epsilon
     p_f, h_e, success_weighted_h = _scan_y_space(model, rule, params, cap)

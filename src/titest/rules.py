@@ -6,17 +6,17 @@ an explicit numpy Generator and never touches global randomness.
 
 The three deterministic rules are defined once, by decide_columns over a stack
 of posterior columns in ascending label order: first-occurrence argmax/argmin,
-row-wise sums and row-wise cumulative sums. decide_map, decide_eap and
-decide_meap are its one-column wrappers. _symbol_law gives the law of one
-decided pair (x-hat, y), which the trials' deterministic choices,
-error_probability and the exact type-class walk all read. A model's
-label_order gives the ascending label order; _ascending sorts one column.
+row-wise sums and row-wise cumulative sums. decide is the one entry point
+for a single observation's column under any of the four rules, SAP by one
+posterior draw (sap_sample). _symbol_law gives the law of one decided pair
+(x-hat, y), which the trials' deterministic choices, error_probability and
+the exact type-class walk all read. A model's label_order gives the
+ascending label order; _ascending sorts one column.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 import numpy as np
 
@@ -27,10 +27,6 @@ __all__ = [
     "DecisionRule",
     "decide",
     "decide_columns",
-    "decide_eap",
-    "decide_map",
-    "decide_meap",
-    "decide_sap",
     "error_probability",
     "inverse_cdf_pick",
     "sap_sample",
@@ -94,28 +90,6 @@ def decide_columns(rule: DecisionRule, columns: np.ndarray) -> np.ndarray:
         score[probs <= 0.0] = np.inf
         return score.argmin(axis=1)
     raise ValueError(f"{rule.value} is not a deterministic rule")
-
-
-def _decide_one(rule: DecisionRule, post: PosteriorColumn) -> int:
-    labels, probs = _ascending(post)
-    return int(labels[decide_columns(rule, probs[None, :])[0]])
-
-
-def decide_map(post: PosteriorColumn) -> int:
-    """Label with the largest posterior probability, lowest label on ties."""
-    return _decide_one(DecisionRule.MAP, post)
-
-
-def decide_eap(post: PosteriorColumn) -> int:
-    """Label whose posterior probability is nearest the expected posterior
-    mass sum_n p(n)^2, lowest label on ties (see decide_columns)."""
-    return _decide_one(DecisionRule.EAP, post)
-
-
-def decide_meap(post: PosteriorColumn) -> int:
-    """Support label whose running CDF (in ascending label order) is closest
-    to 1/2, lowest label on ties (see decide_columns)."""
-    return _decide_one(DecisionRule.MEAP, post)
 
 
 def inverse_cdf_pick(cdf: np.ndarray, u) -> np.ndarray:
@@ -202,22 +176,21 @@ def sap_sample(post: PosteriorColumn, rng: np.random.Generator, size: int) -> np
     return labels[inverse_cdf_pick(cdf, rng.random(size))]
 
 
-def decide_sap(post: PosteriorColumn, rng: np.random.Generator) -> int:
-    """One posterior draw: smallest label whose CDF strictly exceeds u."""
-    return int(sap_sample(post, rng, 1)[0])
-
-
 def decide(
     rule: DecisionRule,
     post: PosteriorColumn,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator | None = None,
 ) -> int:
+    """The label rule decides from one posterior column: MAP, EAP and MeAP by
+    decide_columns in ascending label order, ties to the lowest label; SAP by
+    one draw u from rng, the smallest label whose CDF strictly exceeds u."""
     rule = DecisionRule(rule)
-    if not rule.is_stochastic:
-        return _decide_one(rule, post)
-    if rng is None:
-        raise ValueError("SAP requires an rng")
-    return decide_sap(post, rng)
+    if rule.is_stochastic:
+        if rng is None:
+            raise ValueError("SAP requires an rng")
+        return int(sap_sample(post, rng, 1)[0])
+    labels, probs = _ascending(post)
+    return int(labels[decide_columns(rule, probs[None, :])[0]])
 
 
 def _symbol_law(model: DiscreteJointModel, rule: DecisionRule) -> tuple[np.ndarray, ...]:

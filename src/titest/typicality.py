@@ -14,7 +14,8 @@ the classes of a law's positive-probability support. The census walks three
 laws (the prior, the y-marginal and the joint law, rules._symbol_law under
 SAP); the exact audits behind experiment.extended_fano_check walk the rule's
 decided-pair law once (_scan_y_space), the same walk for every rule.
-jointly_typical_rows is the one definition of the three joint conditions.
+_rates is the one definition of the three surprisal rates; jointly_typical_rows
+bands them for rows of pairs and is_jointly_typical reports them for one pair.
 conditional_members returns the sequences themselves and still enumerates them.
 """
 
@@ -133,14 +134,22 @@ def in_band(rate: float | np.ndarray, h: float, epsilon: float) -> np.bool_ | np
     return np.abs(rate - h) < epsilon - BOUNDARY_ATOL
 
 
+def _rates(model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray) -> tuple:
+    """The x, y and joint surprisal rates (bits) of (B, M) index rows, as (B,) arrays."""
+    x = -model.log2_prior[xi].mean(axis=1)
+    y = -model.log2_y_marginal[yi].mean(axis=1)
+    return x, y, -model.log2_joint[xi, yi].mean(axis=1)
+
+
 def jointly_typical_rows(
     model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray, epsilon: float
 ) -> np.ndarray:
     """All three joint-typicality conditions for (B, M) index rows, as (B,) bools."""
+    x, y, joint = _rates(model, xi, yi)
     return (
-        in_band(-model.log2_prior[xi].mean(axis=1), model.h_x, epsilon)
-        & in_band(-model.log2_y_marginal[yi].mean(axis=1), model.h_y, epsilon)
-        & in_band(-model.log2_joint[xi, yi].mean(axis=1), model.h_xy, epsilon)
+        in_band(x, model.h_x, epsilon)
+        & in_band(y, model.h_y, epsilon)
+        & in_band(joint, model.h_xy, epsilon)
     )
 
 
@@ -211,15 +220,12 @@ def is_jointly_typical(
     The x-marginal condition measures the x-sequence against the prior, the
     y condition against the output marginal, and the joint condition against
     the joint table; jointly_typical requires all three deviations strictly
-    inside epsilon.
+    inside epsilon. The rates are _rates' for the pair as one row.
     """
     if len(pair.x_seq) != params.extension:
         raise ValueError(f"pair length {len(pair.x_seq)} != extension {params.extension}")
-    xi = _x_indices(model, pair.x_seq)
-    yi = _y_indices(model, pair.y_seq)
-    x_rate = float(-model.log2_prior[xi].mean())
-    y_rate = float(-model.log2_y_marginal[yi].mean())
-    joint_rate = float(-model.log2_joint[xi, yi].mean())
+    xi, yi = _x_indices(model, pair.x_seq), _y_indices(model, pair.y_seq)
+    x_rate, y_rate, joint_rate = (float(r[0]) for r in _rates(model, xi[None], yi[None]))
     x_ok = bool(in_band(x_rate, model.h_x, params.epsilon))
     y_ok = bool(in_band(y_rate, model.h_y, params.epsilon))
     j_ok = bool(in_band(joint_rate, model.h_xy, params.epsilon))

@@ -630,6 +630,26 @@ class TestErrorPaths:
         assert out == "" and "Traceback" not in err
         assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
 
+    @pytest.mark.parametrize("coin", [[3], [3, 0.4, 1], "3 0.4"], ids=["one", "three", "string"])
+    def test_config_coin_takes_two_values(self, capsys, tmp_path, coin):
+        # the flag's nargs=2 refuses these before the check; a config reaches it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"coin": coin}))
+        assert run_cli(["model", "--config", str(path)]) == 2
+        assert "--coin takes exactly two values" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_is_refused(self, capsys, tmp_path, source):
+        # "" is a path, the current directory, not a request for stdout
+        argv = ["model", "--coin", "3", "0.4"]
+        if source == "flag":
+            argv += ["--out", ""]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"out": ""}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert run_cli(argv) == 2
+        assert "--out" in single_error_line(capsys)
+
     @pytest.mark.parametrize("cfg", [
         {"coin": [6, 0.4], "m": True, "trials": True},
         {"coin": [6, 0.4], "epsilon": True},

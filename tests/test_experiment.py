@@ -22,7 +22,6 @@ from titest import (
     build_constant_model,
     converse_check,
     entropy,
-    exact_failure_probability,
     extended_fano_check,
     info_summary,
     is_jointly_typical,
@@ -430,7 +429,7 @@ class TestRunExperiment:
         model = build_coin_model(6, 0.4)
         p = params(0.25, 4)
         for rule in DecisionRule:
-            exact = exact_failure_probability(model, rule, p)
+            exact = extended_fano_check(model, rule, p).p_f
             rep = run_experiment(model, rule, p, 4000, 11)
             sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / 4000)
             assert abs(rep.p_f_hat - exact) < 3 * sigma + 1e-9, rule
@@ -439,26 +438,33 @@ class TestRunExperiment:
 class TestAchievability:
     def test_identity_passes(self, identity4):
         p = params(0.2, 8)
-        rec = achievability_check(run_experiment(identity4, DecisionRule.MAP, p, 400, 0), p)
+        rec = achievability_check(run_experiment(identity4, DecisionRule.MAP, p, 400, 0))
         assert rec.holds and rec.accuracy_ok and rec.p_f_ok
         assert rec.band_lo < 2.0 < rec.band_hi
 
     def test_zero_success_skips_accuracy_clause(self, coin35):
         p = params(0.05, 64)
-        rec = achievability_check(
-            run_experiment(coin35, DecisionRule.MAP, p, 50, 9), p
-        )
+        rec = achievability_check(run_experiment(coin35, DecisionRule.MAP, p, 50, 9))
         assert rec.accuracy_ok is None
         assert not rec.p_f_ok and not rec.holds
 
     def test_record_fields(self, coin10):
         p = params(0.25, 10)
         rep = run_experiment(coin10, DecisionRule.SAP, p, 2000, 3)
-        rec = achievability_check(rep, p)
+        rec = achievability_check(rep)
         assert rec.band_lo == pytest.approx(rep.ti_bits - 0.5 - rec.delta, abs=1e-12)
         assert rec.band_hi == pytest.approx(rep.ti_bits + 0.5 + rec.delta, abs=1e-12)
         assert rec.p_f_bound == pytest.approx(0.5 + 3 * rec.sigma, abs=1e-12)
         assert rec.accuracy_ok  # the accuracy clause holds at this size
+
+    def test_epsilon_is_the_reports_own(self, coin10):
+        # judged at epsilon 0.5 this report held with a cap of 1.03; at its own 0.25 it fails
+        rep = run_experiment(coin10, DecisionRule.SAP, params(0.25, 10), 2000, 7)
+        rec = achievability_check(rep)
+        assert rec.epsilon == 0.25
+        assert rec.band_lo == rep.ti_bits - 0.5 - rec.delta
+        assert rec.p_f_bound == pytest.approx(0.533, abs=5e-4)
+        assert not rec.p_f_ok and not rec.holds
 
 
 class TestExtendedFano:
@@ -535,12 +541,12 @@ class TestExtendedFano:
         # the lattice of y-types moves the band edges: P_f rises from M=10 to 11
         want = {10: 0.1344404221, 11: 0.3117237091, 22: 0.1352379098, 40: 0.0162570415}
         for m, p_f in want.items():
-            got = exact_failure_probability(bsc25, DecisionRule.SAP, params(0.25, m))
+            got = extended_fano_check(bsc25, DecisionRule.SAP, params(0.25, m)).p_f
             assert got == pytest.approx(p_f, abs=5e-11), m
 
     def test_exact_pf_un_enumerable_raises(self, coin10):
         with pytest.raises(EnumerationTooLargeError):
-            exact_failure_probability(coin10, DecisionRule.SAP, params(0.25, 10))
+            extended_fano_check(coin10, DecisionRule.SAP, params(0.25, 10))
 
 
 class TestConverse:

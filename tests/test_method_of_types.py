@@ -24,7 +24,7 @@ from titest import (
     build_constant_model,
     build_identity_model,
     decide,
-    exact_failure_probability,
+    extended_fano_check,
     posterior,
     typical_set_census,
 )
@@ -231,7 +231,7 @@ class TestSapIdentity:
     ], ids=[*(f"bsc25-M{m}" for m in range(2, 12)), *(f"coin3-M{m}" for m in range(2, 5))])
     def test_failure_is_one_minus_joint_mass(self, model, m):
         params = TypicalityParams(epsilon=0.25, extension=m)
-        p_f = exact_failure_probability(model, DecisionRule.SAP, params)
+        p_f = extended_fano_check(model, DecisionRule.SAP, params).p_f
         joint_mass = typical_set_census(model, params).masses["joint"]
         assert p_f == pytest.approx(1.0 - joint_mass, rel=0.0, abs=1e-12)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_coin_likelihood, oracle_entropy, oracle_info
+from oracles import oracle_coin_likelihood, oracle_entropy, oracle_info, oracle_y_marginal
 from titest import (
     COIN_N_CAP,
     DiscreteJointModel,
@@ -69,6 +69,21 @@ class TestConstruction:
     def test_negative_prior(self):
         with pytest.raises(InvalidDistributionError):
             DiscreteJointModel((0, 1), (0, 1), np.array([1.5, -0.5]), np.eye(2))
+
+    def test_negative_likelihood(self):
+        # the row sums to 1, so only the sign check can refuse it
+        lik = np.array([[1.5, -0.5], [0.5, 0.5]])
+        with pytest.raises(InvalidDistributionError, match="likelihood has negative"):
+            DiscreteJointModel((0, 1), (0, 1), np.array([0.5, 0.5]), lik)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_identity_model(0),
+        lambda: build_constant_model(0),
+        lambda: build_bsc_model(1.5),
+    ], ids=["identity-0", "constant-0", "bsc-1.5"])
+    def test_builder_validation(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_prior_rejected(self, bad):
@@ -269,6 +284,11 @@ class TestPosterior:
 class TestSurprisal:
     def test_prior_kind(self, coin10):
         assert surprisal(coin10, "prior", 3) == pytest.approx(math.log2(10), abs=1e-12)
+
+    def test_y_marginal_kind(self, coin10):
+        y_marginal = oracle_y_marginal(list(coin10.prior), [list(r) for r in coin10.likelihood])
+        want = -math.log2(y_marginal[3])  # coin10's observation labels are 0..10
+        assert surprisal(coin10, "y-marginal", 3) == pytest.approx(want, abs=1e-12)
 
     def test_joint_kind_matches_tables(self, coin10):
         want = -math.log2(coin10.joint[2, 1])

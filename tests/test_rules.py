@@ -20,12 +20,7 @@ from titest import (
     build_identity_model,
     decide,
     decide_columns,
-    decide_eap,
-    decide_map,
-    decide_meap,
-    decide_sap,
     error_probability,
-    exact_failure_probability,
     extended_fano_check,
     inverse_cdf_pick,
     posterior,
@@ -76,59 +71,59 @@ class TestFrozenDecisions:
     )
     def test_triplets(self, coin35, k, want_map, want_eap, want_meap):
         post = posterior(coin35, k)
-        assert decide_map(post) == want_map
-        assert decide_eap(post) == want_eap
-        assert decide_meap(post) == want_meap
+        assert decide(DecisionRule.MAP, post) == want_map
+        assert decide(DecisionRule.EAP, post) == want_eap
+        assert decide(DecisionRule.MEAP, post) == want_meap
 
 
 class TestMap:
     def test_tie_breaks_to_lowest_label(self):
-        assert decide_map(column([2, 1], [0.5, 0.5])) == 1
+        assert decide(DecisionRule.MAP, column([2, 1], [0.5, 0.5])) == 1
 
     def test_point_mass(self):
-        assert decide_map(column([3, 4, 5], [0.0, 1.0, 0.0])) == 4
+        assert decide(DecisionRule.MAP, column([3, 4, 5], [0.0, 1.0, 0.0])) == 4
 
     @given(posterior_columns())
     @settings(max_examples=100, deadline=None)
     def test_argmax_property(self, post):
-        chosen = decide_map(post)
+        chosen = decide(DecisionRule.MAP, post)
         idx = list(post.labels).index(chosen)
         assert post.probs[idx] == np.asarray(post.probs).max()
 
 
 class TestEap:
     def test_point_mass(self):
-        assert decide_eap(column([3, 5, 9], [0.0, 1.0, 0.0])) == 5
+        assert decide(DecisionRule.EAP, column([3, 5, 9], [0.0, 1.0, 0.0])) == 5
 
     def test_uniform_ties_to_lowest(self):
-        assert decide_eap(column([4, 5, 6, 7], [0.25] * 4)) == 4
+        assert decide(DecisionRule.EAP, column([4, 5, 6, 7], [0.25] * 4)) == 4
 
     def test_reference_point_is_mean_posterior_mass(self):
         # E[p] = 0.36 + 0.04 + 0.04 + 0.04 = 0.48; p=0.6 sits 0.12 away,
         # every p=0.2 sits 0.28 away, so the mode wins here
-        assert decide_eap(column([1, 2, 3, 4], [0.6, 0.2, 0.1, 0.1])) == 1
+        assert decide(DecisionRule.EAP, column([1, 2, 3, 4], [0.6, 0.2, 0.1, 0.1])) == 1
 
     @given(posterior_columns())
     @settings(max_examples=100, deadline=None)
     def test_always_in_support(self, post):
-        chosen = decide_eap(post)
+        chosen = decide(DecisionRule.EAP, post)
         assert post.probs[list(post.labels).index(chosen)] > 0
 
 
 class TestMeap:
     def test_exact_median_hit(self):
-        assert decide_meap(column([1, 2, 3], [0.2, 0.3, 0.5])) == 2
+        assert decide(DecisionRule.MEAP, column([1, 2, 3], [0.2, 0.3, 0.5])) == 2
 
     def test_point_mass(self):
-        assert decide_meap(column([0, 5, 9], [0.0, 1.0, 0.0])) == 5
+        assert decide(DecisionRule.MEAP, column([0, 5, 9], [0.0, 1.0, 0.0])) == 5
 
     def test_one_hot_never_picks_zero_prob_label(self):
-        assert decide_meap(column([0, 1, 2, 3], [0.0, 0.0, 1.0, 0.0])) == 2
+        assert decide(DecisionRule.MEAP, column([0, 1, 2, 3], [0.0, 0.0, 1.0, 0.0])) == 2
 
     @given(posterior_columns())
     @settings(max_examples=100, deadline=None)
     def test_always_in_support(self, post):
-        chosen = decide_meap(post)
+        chosen = decide(DecisionRule.MEAP, post)
         assert post.probs[list(post.labels).index(chosen)] > 0
 
 
@@ -326,7 +321,7 @@ class TestSap:
     def test_point_mass_any_u(self):
         post = column([2, 7], [0.0, 1.0])
         rng = np.random.default_rng(0)
-        assert all(decide_sap(post, rng) == 7 for _ in range(20))
+        assert all(decide(DecisionRule.SAP, post, rng) == 7 for _ in range(20))
 
     def test_zero_prob_label_never_drawn(self):
         post = column([1, 2, 3], [0.5, 0.0, 0.5])
@@ -523,9 +518,6 @@ class TestRuleNames:
         report = run_experiment(coin10, rule, params, trials=20, seed=3)
         assert report == run_experiment(coin10, member, params, trials=20, seed=3)
         assert report.rule == member.value
-        assert exact_failure_probability(coin10, rule, params) == exact_failure_probability(
-            coin10, member, params
-        )
         fano = extended_fano_check(coin10, rule, params)
         assert fano == extended_fano_check(coin10, member, params)
         assert fano.rule == member.value
@@ -536,11 +528,10 @@ class TestRuleNames:
         lambda model: error_probability(model, "mle"),
         lambda model: run_trial(model, "mle", TypicalityParams(0.25, 3), np.random.default_rng(0)),
         lambda model: run_experiment(model, "mle", TypicalityParams(0.25, 3), trials=2, seed=0),
-        lambda model: exact_failure_probability(model, "mle", TypicalityParams(0.25, 3)),
         lambda model: extended_fano_check(model, "mle", TypicalityParams(0.25, 3)),
     ], ids=[
         "decide", "decide_columns", "error_probability", "run_trial",
-        "run_experiment", "exact_failure_probability", "extended_fano_check",
+        "run_experiment", "extended_fano_check",
     ])
     def test_unknown_name_raises(self, call, coin10):
         with pytest.raises(ValueError, match="mle.*valid rules"):

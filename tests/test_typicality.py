@@ -26,7 +26,6 @@ from titest import (
     build_identity_model,
     conditional_members,
     entropy,
-    exact_failure_probability,
     extended_fano_check,
     info_summary,
     is_jointly_typical,
@@ -35,7 +34,7 @@ from titest import (
     sample_extension,
     typical_set_census,
 )
-from titest.typicality import _check_cap, resolve_enum_cap
+from titest.typicality import _check_cap, jointly_typical_rows, resolve_enum_cap
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +158,10 @@ class TestIsJointlyTypical:
         assert v.jointly_typical and v.x_typical and v.y_typical
         assert v.joint_rate == pytest.approx(2.0, abs=1e-12)
 
+    def test_length_validation(self, coin10):
+        with pytest.raises(ValueError, match="pair length 2 != extension 3"):
+            is_jointly_typical(SequencePair((1, 1), (0, 0)), coin10, params(0.1, 3))
+
     def test_identity_mismatch_is_infinite(self, identity4):
         pair = SequencePair((0, 1, 2, 3), (0, 1, 2, 0))
         v = is_jointly_typical(pair, identity4, params(10.0, 4))
@@ -188,7 +191,10 @@ class TestIsJointlyTypical:
             x_idx = [v - 1 for v in pair.x_seq]
             y_idx = list(pair.y_seq)
             want = oracle_jointly_typical(prior, lik, x_idx, y_idx, 0.3)
-            assert is_jointly_typical(pair, coin10, p).jointly_typical == want
+            verdict = is_jointly_typical(pair, coin10, p)
+            assert verdict.jointly_typical == want
+            rows = jointly_typical_rows(coin10, np.array([x_idx]), np.array([y_idx]), 0.3)
+            assert verdict.jointly_typical == rows[0]
 
     @given(st.floats(0.05, 0.5), st.floats(0.3, 2.0))
     @settings(max_examples=60, deadline=None)
@@ -237,6 +243,10 @@ class TestConditionalMembers:
         assert members
         assert all(type(v) is int for member in members for v in member)
         assert json.loads(json.dumps(members)) == [list(member) for member in members]
+
+    def test_length_validation(self, coin10):
+        with pytest.raises(ValueError, match="sequence length 2 != extension 3"):
+            conditional_members((3, 4), coin10, params(0.5, 3))
 
     def test_constant_channel_full_cube(self):
         model = build_constant_model(2)
@@ -322,6 +332,10 @@ class TestCensus:
         assert c.bound("x_mass_lower").holds
         assert c.bound("x_count_upper").holds
 
+    def test_missing_bound_name(self, bsc25):
+        with pytest.raises(KeyError, match="no_such_bound"):
+            typical_set_census(bsc25, params(0.25, 4)).bound("no_such_bound")
+
     def test_huge_epsilon_bounds_are_inf_not_an_overflow(self):
         coin3 = build_coin_model(3, 0.4)
         # 2.0 ** x raises OverflowError from x = 1024 on
@@ -405,7 +419,7 @@ class TestCensus:
             if call == "census":
                 typical_set_census(model, params(0.25, m))
             else:
-                exact_failure_probability(model, DecisionRule.SAP, params(0.25, m))
+                extended_fano_check(model, DecisionRule.SAP, params(0.25, m))
         assert time.perf_counter() - t0 < 1.0
         # the census checks the prior's walk first; SAP walks the joint law's support
         k = 3 if call == "census" else int(np.count_nonzero(model.joint))
@@ -440,7 +454,7 @@ class TestCensus:
             if call == "census":
                 typical_set_census(model, p)
             elif call == "exact_pf":
-                exact_failure_probability(model, DecisionRule.SAP, p)
+                extended_fano_check(model, DecisionRule.SAP, p)
             elif call == "fano":
                 extended_fano_check(model, DecisionRule.MAP, p)
             else:
