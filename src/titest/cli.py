@@ -146,6 +146,14 @@ def _as_trial_m(name: str, m: int) -> int:
     return m
 
 
+def _as_trials(name: str, value: Any) -> int:
+    """A trial count: each trial takes a slot in arrays indexed by a C ssize_t."""
+    n = _as_int(name, value, 1)
+    if n > sys.maxsize:
+        raise _UsageError(f"{name} must be <= {sys.maxsize}, got {n}")
+    return n
+
+
 def _as_epsilon(name: str, value: Any) -> float:
     eps = _as_float(name, value)
     if not (eps > 0 and math.isfinite(eps)):
@@ -206,7 +214,7 @@ SETTINGS: dict[str, tuple[Any, Callable[[str, Any], Any], dict]] = {
     "epsilon": (0.25, _as_epsilon, {"metavar": "FLOAT"}),
     "k": (None, lambda name, v: _as_int(name, v, None),
           {"metavar": "INT", "help": "observation label"}),
-    "trials": (1000, lambda name, v: _as_int(name, v, 1), {"metavar": "INT"}),
+    "trials": (1000, _as_trials, {"metavar": "INT"}),
     "seed": (0, lambda name, v: _as_int(name, v, 0), {"metavar": "INT"}),
     "workers": (1, lambda name, v: _as_int(name, v, 1), {"metavar": "INT"}),
     "format": (None, _as_format, {"metavar": "{json,csv}",

@@ -20,8 +20,11 @@ against numpy's own generators). Sampling, decisions, the three-condition
 judgement and both rate estimators then run over each chunk of rows whole:
 the inverse-CDF picks look each draw up in a guide table (rules.CdfGuide),
 so the common path makes no temporary that grows with the alphabet size.
-A trial is two steps: _draw samples x and y, and _decide decides and
-judges. _run_block composes them over each chunk, and run_trial over one row.
+A chunk of few long rows (large M) steps each PCG64 lane many draws at a
+time by jump-ahead, so its stream takes about rows * k*M / _STREAM_CHUNK
+numpy passes instead of k*M. A trial is two steps: _draw samples x and y and
+takes the y and posterior-entropy rates, and _decide decides and judges.
+_run_block composes them over each chunk, and run_trial over one row.
 
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
@@ -32,7 +35,8 @@ trials split into contiguous blocks and a block runs the whole group: trial
 i's row is computed once, at the widest k*M, and each experiment reads its
 leading k*M columns (common random numbers). Experiments on the same model
 object at the same M read the same x and y columns, so they share one x/y
-pick per chunk and only decide and judge apart. A run_experiment (a group of
+pick and one y and posterior-entropy rate per chunk and only decide and
+judge apart. A run_experiment (a group of
 one) or sweep call gets one block per worker, but no more blocks than its
 work pays for: the work is trials times the group's sum of k*M, the doubles
 the kernels read, and a block needs at least _BLOCK_WORK of it. A single
@@ -41,8 +45,9 @@ pool. An experiment is (model, rule, params), and a job carries a list of
 them; a model pickles as its four defining fields and rebuilds its tables
 on arrival. A job is one pickle, so experiments that share a model share it
 there too. A block reads each deterministic rule's choice of x per y from
-the decided pairs' law once per (model, rule); SAP draws by the model's
-posterior guide.
+the decided pairs' law once per (model, rule), as one table of the three
+surprisals a trial's rates average, so a rule at one M makes one gather
+per chunk; SAP draws by the model's posterior guide.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import io
 import math
 import operator
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -65,9 +71,9 @@ from .rules import DecisionRule, _symbol_law
 from .typicality import (
     SequencePair,
     TypicalityParams,
+    _joint_band,
     _pick_pair,
     _scan_y_space,
-    jointly_typical_rows,
 )
 
 __all__ = [
@@ -116,6 +122,7 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -139,36 +146,58 @@ def _choice(model: DiscreteJointModel, rule: DecisionRule) -> np.ndarray | None:
     return choice
 
 
+def _rule_table(model: DiscreteJointModel, choice: np.ndarray | None) -> np.ndarray | None:
+    """The (3, |Y|) table of log2 P(d(y)), log2 P(d(y), y) and log2 P(d(y) | y)
+    for a deterministic rule's choice d (_choice), whose gather by a trial's
+    y indices gives its x, joint and decided-posterior surprisals; None for
+    SAP."""
+    if choice is None:
+        return None
+    y = np.arange(model.n_observations)
+    return np.stack(
+        [model.log2_prior[choice], model.log2_joint[choice, y], model.log2_posterior[choice, y]]
+    )
+
+
 def _draw(
     model: DiscreteJointModel, u: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xi, yi, posterior_entropy_rate) of the trials whose uniforms are the
-    rows of u: x from u's first M columns, y from the next M. Every rule at
-    one (model, M) reads these same columns."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(xi, yi, posterior_entropy_rate, y_rate) of the trials whose uniforms
+    are the rows of u: x from u's first M columns, y from the next M. Every
+    rule at one (model, M) reads these same columns and rates."""
     xi, yi = _pick_pair(model, u[:, :m], u[:, m : 2 * m])
-    return xi, yi, model.posterior_col_entropy[yi].mean(axis=1)
+    post_rate = model.posterior_col_entropy[yi].mean(axis=1)
+    return xi, yi, post_rate, -model.log2_y_marginal[yi].mean(axis=1)
 
 
 def _decide(
     model: DiscreteJointModel,
-    choice: np.ndarray | None,
+    table: np.ndarray | None,
     yi: np.ndarray,
+    y_rate: np.ndarray,
     u: np.ndarray,
     m: int,
     epsilon: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(decided_xi, success, decided_surprisal_rate) of the trials whose y
-    indices are yi: by choice (_choice), or, where that is None (SAP), by
-    drawing from the posterior with u's columns 2M to 3M."""
-    if choice is not None:
-        decided = choice[yi]
-    else:
+    indices are yi and y rates y_rate. A deterministic rule reads its x,
+    joint and decided-posterior rates from one gather of its table
+    (_rule_table) and returns decided_xi None; SAP (table None) draws
+    decided_xi from the posterior with u's columns 2M to 3M and gathers its
+    joint and posterior surprisals by one flat index."""
+    if table is None:
         decided = model.label_order[model.posterior_guide.pick(u[:, 2 * m : 3 * m], yi)]
-    return (
-        decided,
-        jointly_typical_rows(model, decided, yi, epsilon),
-        -model.log2_posterior[decided, yi].mean(axis=1),
-    )
+        flat = decided * model.n_observations
+        flat += yi  # in place: one (B, M) index array fewer at the peak
+        x = -model.log2_prior[decided].mean(axis=1)
+        joint = -model.log2_joint.ravel()[flat].mean(axis=1)
+        dec = -model.log2_posterior.ravel()[flat].mean(axis=1)
+    else:
+        # np.take makes a C-ordered (3, B, M) array, whose row means add
+        # their terms as a (B, M) gather's do; table[:, yi] would not
+        decided = None
+        x, joint, dec = -np.take(table, yi, axis=1).mean(axis=2)
+    return decided, _joint_band(model, x, y_rate, joint, epsilon), dec
 
 
 def run_trial(
@@ -187,8 +216,13 @@ def run_trial(
     m = params.extension
     (width,) = _widths([(model, rule, params)])
     u = rng.random((1, width))
-    xi, yi, post_rate = _draw(model, u, m)
-    decided, success, dec_rate = _decide(model, _choice(model, rule), yi, u, m, params.epsilon)
+    choice = _choice(model, rule)
+    xi, yi, post_rate, y_rate = _draw(model, u, m)
+    decided, success, dec_rate = _decide(
+        model, _rule_table(model, choice), yi, y_rate, u, m, params.epsilon
+    )
+    if decided is None:
+        decided = choice[yi]
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
     return SequenceTrial(
@@ -266,33 +300,73 @@ def _pcg64_states(
     return state_hi, state_lo, inc_hi, inc_lo
 
 
+def _u128_limbs(a: int) -> tuple[np.uint64, ...]:
+    """A Python int a < 2^128 as _pcg64_mul_add multiplies by it: its high
+    and low uint64 words, then the low word's low and high 32-bit limbs."""
+    a_lo = np.uint64(a & _M64)
+    return np.uint64(a >> 64), a_lo, a_lo & np.uint64(_M32), a_lo >> np.uint64(32)
+
+
+def _pcg64_mul_add(
+    s_hi: np.ndarray, s_lo: np.ndarray, limbs: tuple, c_hi: np.ndarray, c_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """s * a + c mod 2^128 on (hi, lo) uint64 word arrays; limbs is _u128_limbs(a)."""
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    a_hi, a_lo, b_lo, b_hi = limbs
+    # the high word of s_lo * a_lo, assembled from 32-bit limbs
+    x_lo, x_hi = s_lo & m32, s_lo >> s32
+    t = x_hi * b_lo + (x_lo * b_lo >> s32)
+    w = (t & m32) + x_lo * b_hi
+    lo_prod_hi = x_hi * b_hi + (t >> s32) + (w >> s32)
+    hi = s_hi * a_lo + s_lo * a_hi + lo_prod_hi + c_hi
+    lo = s_lo * a_lo + c_lo
+    hi += lo < c_lo
+    return hi, lo
+
+
 def _pcg64_uniforms(seed_words: list[int], index: np.ndarray, width: int) -> np.ndarray:
     """(len(index), width) doubles: row r is random(width) of trial index[r].
 
+    A PCG64 step is s -> s * MULT + inc mod 2^128, so B steps are s -> s *
+    A_B + G_B * inc with A_B = MULT^B and G_B = sum_{i<B} MULT^i. Each lane
+    holds the states of B consecutive draws and jumps B draws at a time,
+    where B is the largest power of two with rows * B <= _STREAM_CHUNK (and
+    no wider than the row needs): a full chunk steps one draw at a time,
+    and a chunk of a few long rows takes width / B numpy passes, not width.
+    The first B states come from doubling steps off the seeded state.
     C-ordered, so the kernel's row means add their terms in the same order
     as for a single trial's row.
     """
-    u64, m32, s32 = np.uint64, np.uint64(_M32), np.uint64(32)
-    mult_hi, mult_lo = u64(_PCG_MULT >> 64), u64(_PCG_MULT & 0xFFFFFFFF_FFFFFFFF)
-    b_lo, b_hi = mult_lo & m32, mult_lo >> s32
+    u64 = np.uint64
+    rows = len(index)
+    lanes = 1 << min(max(1, _STREAM_CHUNK // rows).bit_length() - 1, (width - 1).bit_length())
     s_hi, s_lo, inc_hi, inc_lo = _pcg64_states(seed_words, index)
-    out = np.empty((len(index), width))
-    # the seeding's second step, then one step per draw
-    for k in range(-1, width):
-        # s = s * MULT + inc mod 2^128; the high word of s_lo * mult_lo is
-        # assembled from 32-bit limbs
-        a_lo, a_hi = s_lo & m32, s_lo >> s32
-        t = a_hi * b_lo + (a_lo * b_lo >> s32)
-        w = (t & m32) + a_lo * b_hi
-        lo_prod_hi = a_hi * b_hi + (t >> s32) + (w >> s32)
-        s_hi = s_hi * mult_lo + s_lo * mult_hi + lo_prod_hi + inc_hi
-        s_lo = s_lo * mult_lo + inc_lo
-        s_hi += s_lo < inc_lo
-        if k >= 0:
-            # XSL-RR output, then its top 53 bits
-            x = s_hi ^ s_lo
-            rot = s_hi >> u64(58)
-            out[:, k] = (x >> rot | x << ((u64(64) - rot) & u64(63))) >> u64(11)
+    # the seeding's second step, then the first draw's
+    for _ in range(2):
+        s_hi, s_lo = _pcg64_mul_add(s_hi, s_lo, _u128_limbs(_PCG_MULT), inc_hi, inc_lo)
+    # double the states held per lane to B: with b held, s -> s * A_b + c
+    # steps b draws, where c = G_b * inc, and G_2b = G_b + A_b * G_b
+    s_hi, s_lo = s_hi[:, None], s_lo[:, None]
+    a, c_hi, c_lo = _PCG_MULT, inc_hi, inc_lo
+    while s_hi.shape[1] < lanes:
+        limbs = _u128_limbs(a)
+        t_hi, t_lo = _pcg64_mul_add(s_hi, s_lo, limbs, c_hi[:, None], c_lo[:, None])
+        s_hi, s_lo = np.hstack([s_hi, t_hi]), np.hstack([s_lo, t_lo])
+        c_hi, c_lo = _pcg64_mul_add(c_hi, c_lo, limbs, c_hi, c_lo)
+        a = a * a & _M128
+    # then jump B draws at a time, on flat row-major lanes
+    s_hi, s_lo = s_hi.ravel(), s_lo.ravel()
+    c_hi, c_lo = np.repeat(c_hi, lanes), np.repeat(c_lo, lanes)
+    limbs = _u128_limbs(a)
+    out = np.empty((rows, width))
+    for k in range(0, width, lanes):
+        if k:
+            s_hi, s_lo = _pcg64_mul_add(s_hi, s_lo, limbs, c_hi, c_lo)
+        # XSL-RR output, then its top 53 bits
+        x = s_hi ^ s_lo
+        rot = s_hi >> u64(58)
+        bits = (x >> rot | x << ((u64(64) - rot) & u64(63))) >> u64(11)
+        out[:, k : k + lanes] = bits.reshape(rows, lanes)[:, : width - k]
     out *= 2.0**-53
     return out
 
@@ -336,16 +410,18 @@ def _run_block(
     Computes the uniforms of a chunk of trials once, at the widest k*M of the
     group; an experiment of width w reads the first w columns, which are its
     trials' random(w). Experiments that share a model (by identity) and M
-    read the same x and y columns, so per chunk the x/y picks and the
-    posterior-entropy rate run once per (model, M) and the decisions, the
-    typicality judgement and the decided-surprisal rate once per experiment.
-    A deterministic rule's choice is read once per (model, rule). Each step
-    runs over the chunk whole: the guide-table picks make (chunk, M)
-    temporaries, not (chunk, M, K) ones.
+    read the same x and y columns, so per chunk the x/y picks, the y rate
+    and the posterior-entropy rate run once per (model, M). Per experiment,
+    a deterministic rule then makes one gather by y of its (3, |Y|) table
+    (_rule_table, built once per (model, rule)) for its x, joint and
+    decided-posterior rates; SAP draws its decisions and gathers its joint
+    and posterior surprisals by one flat index. Each step runs over the
+    chunk whole: the guide-table picks make (chunk, M) temporaries, not
+    (chunk, M, K) ones.
     """
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
     pairs = dict.fromkeys((model, rule) for model, rule, _ in experiments)
-    choices = {pair: _choice(*pair) for pair in pairs}
+    tables = {pair: _rule_table(pair[0], _choice(*pair)) for pair in pairs}
     groups: dict[tuple[DiscreteJointModel, int], list[int]] = {}
     for e, (model, _, params) in enumerate(experiments):
         groups.setdefault((model, params.extension), []).append(e)
@@ -353,13 +429,13 @@ def _run_block(
     for u in _trial_uniforms(seed, lo, hi, max(_widths(experiments))):
         at = slice(done, done + len(u))
         for (model, m), members in groups.items():
-            _, yi, post_rate = _draw(model, u, m)
+            _, yi, post_rate, y_rate = _draw(model, u, m)
             for e in members:
                 _, rule, params = experiments[e]
                 success, post, dec = out[e]
                 post[at] = post_rate
-                choice = choices[model, rule]
-                _, success[at], dec[at] = _decide(model, choice, yi, u, m, params.epsilon)
+                table = tables[model, rule]
+                _, success[at], dec[at] = _decide(model, table, yi, y_rate, u, m, params.epsilon)
         done += len(u)
         del u  # free this chunk before the next one is computed
     return out
@@ -400,6 +476,8 @@ def _map_experiments(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > sys.maxsize:
+        raise ValueError(f"trials must be <= {sys.maxsize}, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not experiments:

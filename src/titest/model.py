@@ -288,7 +288,9 @@ def build_coin_model(n: int, theta: float) -> DiscreteJointModel:
     Hypotheses carry a uniform prior. P(k|n) = C(n,k) theta^k (1-theta)^(n-k),
     with C(n,k) = 0 for k > n so impossible counts stay at exact zero. The
     binomials are evaluated through log-gamma, so rows stay finite at any
-    supported N.
+    supported N. The whole (N, N+1) table is one exponent and one exp; each
+    row is then divided by the sum of its first n+1 entries, the same
+    pairwise sum a row of n+1 terms gets (trailing zeros would regroup it).
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"N must be an integer, got {n!r}")
@@ -300,14 +302,14 @@ def build_coin_model(n: int, theta: float) -> DiscreteJointModel:
     log_c = math.log1p(-theta)
     # lgamma(k + 1) = ln k!, for k = 0..n
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    lik = np.zeros((n, n + 1))
-    for i in range(n):
-        trials = i + 1
-        ks = np.arange(trials + 1)
-        log_binom = log_fact[trials] - (log_fact[ks] + log_fact[trials - ks])
-        lik[i, : trials + 1] = np.exp(log_binom + ks * log_t + (trials - ks) * log_c)
-        # renormalize away the residual rounding so row sums hit 1e-12
-        lik[i, : trials + 1] /= lik[i, : trials + 1].sum()
+    trials = np.arange(1, n + 1)[:, None]
+    ks = np.arange(n + 1)
+    tails = trials - ks  # negative past a row's last possible count
+    live = tails >= 0
+    log_binom = log_fact[trials] - (log_fact[ks] + log_fact[np.maximum(tails, 0)])
+    lik = np.exp(log_binom + ks * log_t + tails * log_c, out=np.zeros((n, n + 1)), where=live)
+    # renormalize away the residual rounding so row sums hit 1e-12
+    lik /= np.array([row[: i + 2].sum() for i, row in enumerate(lik)])[:, None]
     return DiscreteJointModel(
         hypothesis_values=tuple(range(1, n + 1)),
         observation_values=tuple(range(0, n + 1)),

@@ -126,28 +126,27 @@ class CdfGuide:
     stores K instead. Draws in an ambiguous bucket, and any u outside
     [0, 1), go through inverse_cdf_pick itself, so every pick equals
     inverse_cdf_pick's. CDF entries must not be NaN.
+
+    A table is built in one pass over its rows x 2**_GUIDE_BITS entries:
+    cdf <= b 2**-p iff ceil(cdf 2**p) <= b, so the count is c over the run
+    of buckets from a row's c-th to its (c+1)-th sorted ceil edge, and the
+    counts 0..K-1 (the last capped at K-1) are repeated over those runs;
+    then the bucket floor(cdf 2**p) of each entry strictly inside a bucket
+    is marked K.
     """
 
     def __init__(self, cdf: np.ndarray) -> None:
         self.cdf = np.atleast_2d(cdf)
         n_rows, k = self.cdf.shape
         scaled = self.cdf * _GUIDE_BUCKETS
-        slots = _GUIDE_BUCKETS + 1
-        row_base = slots * np.arange(n_rows)[:, None]
-
-        def passed(edges: np.ndarray) -> np.ndarray:
-            # entries whose edge is <= b, for each row and bucket b; slot
-            # _GUIDE_BUCKETS collects the entries no bucket passes
-            keys = np.clip(edges, 0, _GUIDE_BUCKETS).astype(np.intp) + row_base
-            counts = np.bincount(keys.ravel(), minlength=n_rows * slots)
-            return counts.reshape(n_rows, slots).cumsum(axis=1)[:, :-1]
-
-        # cdf <= b 2**-p iff ceil(cdf 2**p) <= b; cdf < (b + 1) 2**-p iff
-        # floor(cdf 2**p) <= b
-        at_edge = passed(np.ceil(scaled))
-        ambiguous = at_edge != passed(np.floor(scaled))
-        guide = np.where(ambiguous, k, np.minimum(at_edge, k - 1))
-        self.guide = guide.astype(np.min_scalar_type(k)).ravel()
+        edges = np.sort(np.clip(np.ceil(scaled), 0, _GUIDE_BUCKETS).astype(np.intp), axis=1)
+        runs = np.diff(edges, axis=1, prepend=0, append=_GUIDE_BUCKETS)
+        counts = np.minimum(np.arange(k + 1), k - 1).astype(np.min_scalar_type(k))
+        self.guide = np.repeat(np.tile(counts, n_rows), runs.ravel())
+        floor = np.floor(scaled)
+        inside = (floor != scaled) & (floor >= 0) & (floor < _GUIDE_BUCKETS)
+        rows, _ = np.nonzero(inside)
+        self.guide[rows * _GUIDE_BUCKETS + floor[inside].astype(np.intp)] = k
 
     def pick(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """inverse_cdf_pick(self.cdf[rows], u) for an array u; rows, of u's

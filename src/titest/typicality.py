@@ -141,16 +141,22 @@ def _rates(model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray) -> tuple:
     return x, y, -model.log2_joint[xi, yi].mean(axis=1)
 
 
-def jointly_typical_rows(
-    model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray, epsilon: float
+def _joint_band(
+    model: DiscreteJointModel, x: np.ndarray, y: np.ndarray, joint: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    """All three joint-typicality conditions for (B, M) index rows, as (B,) bools."""
-    x, y, joint = _rates(model, xi, yi)
+    """All three joint-typicality conditions on the x, y and joint rates."""
     return (
         in_band(x, model.h_x, epsilon)
         & in_band(y, model.h_y, epsilon)
         & in_band(joint, model.h_xy, epsilon)
     )
+
+
+def jointly_typical_rows(
+    model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """All three joint-typicality conditions for (B, M) index rows, as (B,) bools."""
+    return _joint_band(model, *_rates(model, xi, yi), epsilon)
 
 
 def _pick_pair(model: DiscreteJointModel, ux: np.ndarray, uy: np.ndarray) -> tuple:

@@ -575,6 +575,26 @@ class TestErrorPaths:
         assert "--m must be <= 44739242" in single_error_line(capsys)
         assert runs == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("trials", [2**63, 10**400], ids=["2^63", "10^400"])
+    def test_trials_above_maxsize(self, capsys, monkeypatch, tmp_path, trials, command, source):
+        # no array can index that many trials: one usage error, not a traceback
+        runs = []
+        monkeypatch.setattr(experiment, "_map_experiments", lambda *args: runs.append(args))
+        argv = ["simulate", "--coin", "3", "0.4", "--m", "1"] if command == "simulate" else [
+            "sweep", "--grid", "GRID"
+        ]
+        if source == "flag":
+            argv += ["--trials", str(trials)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"trials": trials}))
+            argv += ["--config", str(path)]
+        assert run_cli(with_grid(tmp_path, argv)) == 2
+        assert f"--trials must be <= {sys.maxsize}, got {trials}" in single_error_line(capsys)
+        assert runs == []
+
     def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 931. GiB for an array")

@@ -296,10 +296,13 @@ class TestGuidedKernel:
         plant_adversarial(u[:, m : 2 * m], model.lik_cdf, rng)
         if rule.is_stochastic:
             plant_adversarial(u[:, 2 * m :], posterior_cdf(model)[1], rng)
-        xi, yi, post_rate = experiment._draw(model, u, m)
+        xi, yi, post_rate, y_rate = experiment._draw(model, u, m)
+        choice = experiment._choice(model, rule)
         decided, success, dec_rate = experiment._decide(
-            model, experiment._choice(model, rule), yi, u, m, 0.25
+            model, experiment._rule_table(model, choice), yi, y_rate, u, m, 0.25
         )
+        if decided is None:  # a deterministic rule reads its rates from its table
+            decided = choice[yi]
         got = xi, yi, decided, success, post_rate, dec_rate
         want = compare_and_sum_kernel(model, rule, u, m, 0.25)
         for g, w in zip(got[:3], want[:3]):
@@ -361,6 +364,10 @@ class TestRunExperiment:
             run_experiment(coin10, DecisionRule.SAP, params(0.25, 4), 0, 0)
         with pytest.raises(ValueError):
             run_experiment(coin10, DecisionRule.SAP, params(0.25, 4), 10, 0, workers=0)
+        # more trials than an array can index: refused before any allocation
+        for trials in (2**63, 10**400):
+            with pytest.raises(ValueError, match="trials must be <= 9223372036854775807"):
+                run_experiment(coin10, DecisionRule.SAP, params(0.25, 4), trials, 0)
 
     def test_m_bounded_by_one_row(self, coin10, monkeypatch):
         # a SAP row of 3M doubles fills 1 GiB at the bound; nothing runs here

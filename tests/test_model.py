@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_coin_likelihood, oracle_entropy, oracle_info, oracle_y_marginal
+from titest import model as model_module
 from titest import (
     COIN_N_CAP,
     DiscreteJointModel,
@@ -161,7 +163,39 @@ class TestConstruction:
             coin10.y_index(99)
 
 
+def per_row_coin_likelihood(n, theta):
+    """The coin table as build_coin_model computed it one row at a time, the
+    oracle for its one-expression build. Row i's operations are the same for
+    every n, so the table of n is the first n rows and n + 1 columns of the
+    table of any larger n."""
+    log_t = math.log(theta)
+    log_c = math.log1p(-theta)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    lik = np.zeros((n, n + 1))
+    for i in range(n):
+        trials = i + 1
+        ks = np.arange(trials + 1)
+        log_binom = log_fact[trials] - (log_fact[ks] + log_fact[trials - ks])
+        lik[i, : trials + 1] = np.exp(log_binom + ks * log_t + (trials - ks) * log_c)
+        lik[i, : trials + 1] /= lik[i, : trials + 1].sum()
+    return lik
+
+
 class TestCoinModel:
+    @pytest.mark.parametrize("theta", [0.1, 0.4, 0.5, 0.93])
+    def test_table_equals_per_row_build(self, monkeypatch, theta):
+        # every N up to the cap, byte for byte; the model's own construction
+        # (validation and derived tables, not under test here) is stubbed
+        # out, or the 512 builds would take about 5 s a theta
+        oracle = per_row_coin_likelihood(COIN_N_CAP, theta)
+        monkeypatch.setattr(model_module, "DiscreteJointModel", SimpleNamespace)
+        for n in range(1, COIN_N_CAP + 1):
+            got = build_coin_model(n, theta).likelihood
+            want = oracle[:n, : n + 1]
+            # bit for bit: the uint64 views tell -0.0 from 0.0
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
     def test_labels(self, coin10):
         assert coin10.hypothesis_values == tuple(range(1, 11))
         assert coin10.observation_values == tuple(range(0, 11))

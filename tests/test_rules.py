@@ -276,7 +276,43 @@ def adversarial_draws(cdf):
     ])
 
 
+def bincount_guide(cdf):
+    """The guide table as CdfGuide built it in two bincount + cumsum passes
+    over every row's ceil and floor edges, the oracle for its one-pass build."""
+    cdf = np.atleast_2d(cdf)
+    n_rows, k = cdf.shape
+    scaled = cdf * rules._GUIDE_BUCKETS
+    slots = rules._GUIDE_BUCKETS + 1
+    row_base = slots * np.arange(n_rows)[:, None]
+
+    def passed(edges):
+        keys = np.clip(edges, 0, rules._GUIDE_BUCKETS).astype(np.intp) + row_base
+        counts = np.bincount(keys.ravel(), minlength=n_rows * slots)
+        return counts.reshape(n_rows, slots).cumsum(axis=1)[:, :-1]
+
+    at_edge = passed(np.ceil(scaled))
+    ambiguous = at_edge != passed(np.floor(scaled))
+    guide = np.where(ambiguous, k, np.minimum(at_edge, k - 1))
+    return guide.astype(np.min_scalar_type(k)).ravel()
+
+
+def assert_same_table(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestCdfGuide:
+    @settings(max_examples=200, deadline=None)
+    @given(cdf=cdf_tables())
+    def test_table_equals_bincount_build(self, cdf):
+        assert_same_table(CdfGuide(cdf).guide, bincount_guide(cdf))
+        assert_same_table(CdfGuide(cdf[0]).guide, bincount_guide(cdf[0]))
+
+    @pytest.mark.parametrize("name", ["coin1", "coin2", "coin5", "coin10", "coin35", "bsc25"])
+    def test_model_tables_equal_bincount_build(self, name):
+        model = build_bsc_model(0.25) if name == "bsc25" else build_coin_model(int(name[4:]), 0.4)
+        for guide in (model.prior_guide, model.lik_guide, model.posterior_guide):
+            assert_same_table(guide.guide, bincount_guide(guide.cdf))
+
     @settings(max_examples=200, deadline=None)
     @given(
         cdf=cdf_tables(),

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from test_experiment import reference_block
 from titest import DecisionRule, TypicalityParams, build_coin_model
 from titest import experiment
-from titest.experiment import _STREAM_BYTES, _STREAM_CHUNK, _run_block, _trial_uniforms
+from titest.experiment import (
+    _STREAM_BYTES,
+    _STREAM_CHUNK,
+    _pcg64_uniforms,
+    _run_block,
+    _trial_uniforms,
+    _uint32_words,
+)
 
 
 def oracle_rows(seed, lo, hi, width):
@@ -76,6 +83,28 @@ class TestTrialStreams:
             assert got.view(np.uint64).tolist() == oracle_rows(seed, lo, lo + 4, 30).view(
                 np.uint64
             ).tolist()
+
+    @pytest.mark.parametrize(
+        "rows, width",
+        [
+            (rows, width)
+            for rows in (1, 3, 43, 436, 1000, _STREAM_CHUNK)
+            for width in (1, 2, 7, 30, 33, 300, 3001, 30_000)
+            # the chunks _trial_uniforms makes: at most 1 MiB unless one row is larger
+            if rows == 1 or 8 * rows * width <= _STREAM_BYTES
+        ],
+    )
+    @pytest.mark.parametrize("lo", [0, 2**32])
+    def test_jumps_of_many_draws_per_lane(self, rows, width, lo):
+        # a chunk of few rows steps each lane B draws at a time (B up to
+        # _STREAM_CHUNK // rows), so long rows and partial last jumps are checked
+        index = np.arange(lo, lo + rows, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _pcg64_uniforms(_uint32_words(2026), index, width)
+        want = oracle_rows(2026, lo, lo + rows, width)
+        assert got.flags.c_contiguous
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), None])
     def test_bad_seed_raises_as_seed_sequence(self, seed):
