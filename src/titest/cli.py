@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Sequence
 
@@ -66,11 +66,14 @@ class _DataError(Exception):
 
 
 def _sig10(value: Any) -> Any:
-    """Every float to 10 significant digits, recursively; inf and NaN to None, -0.0 to 0.0."""
+    """Every float to 10 significant digits, recursively; inf and NaN to None,
+    -0.0 to 0.0; a dataclass record to the dict of its fields, as ``asdict``."""
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
-        return float(f"{value:.10g}") + 0.0 if np.isfinite(value) else None
+        return float(f"{value:.10g}") + 0.0 if math.isfinite(value) else None
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, dict):
         return {k: _sig10(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -269,7 +272,7 @@ def _model(s: dict) -> tuple[DiscreteJointModel, dict]:
 
 def cmd_model(s: dict) -> int:
     model, _ = _model(s)
-    return _emit(_render_json(asdict(info_summary(model))), s["out"])
+    return _emit(_render_json(info_summary(model)), s["out"])
 
 
 def cmd_decide(s: dict) -> int:
@@ -298,12 +301,9 @@ def cmd_simulate(s: dict) -> int:
         model, s["rule"], params, s["trials"], s["seed"],
         workers=s["workers"], model_spec=spec,
     )
-    doc = report.to_json_dict()
-    doc["checks"] = {
-        "achievability": achievability_check(report).to_json_dict(),
-        "converse": converse_check(report).to_json_dict(),
-    }
-    return _emit(_render_json(doc), s["out"])
+    checks = {"achievability": achievability_check(report), "converse": converse_check(report)}
+    # the report's fields, then the checks: one walk renders them all
+    return _emit(_render_json({**vars(report), "checks": checks}), s["out"])
 
 
 def cmd_sweep(s: dict) -> int:
@@ -348,8 +348,7 @@ def cmd_enumerate(s: dict) -> int:
         return 2
     census = typical_set_census(model, params, cap)
     fano = extended_fano_check(model, s["rule"], params, cap)
-    doc = {"census": census.to_json_dict(), "fano": fano.to_json_dict()}
-    return _emit(_render_json(doc), s["out"])
+    return _emit(_render_json({"census": census, "fano": fano}), s["out"])
 
 
 # Per subcommand: its function, its help line and its settings (each also a
@@ -378,8 +377,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser, with flags for ``command`` only: no other subcommand's
-    are parsed in this run, and adding them all costs about 0.5 ms."""
+    """``command``'s own parser when argv names one: a call parses only its
+    subcommand's flags, so it builds no other parser. Otherwise the
+    top-level parser, whose subparsers carry no flags, for help and usage."""
+    if command in COMMANDS:
+        # no abbreviations: `model --m 0` must not pass as `--model-file 0`
+        p = _Parser(prog=f"titest {command}", allow_abbrev=False)
+        p.set_defaults(parser=p, command=command)
+        for setting in COMMANDS[command][2]:
+            p.add_argument(_flag(setting), **SETTINGS[setting][2])
+        p.add_argument("--config", metavar="PATH",
+                       help="flat JSON config file holding settings of this subcommand")
+        return p
     parser = _Parser(
         prog="titest",
         description=(
@@ -388,21 +397,16 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, names) in COMMANDS.items():
-        # no abbreviations: `model --m 0` must not pass as `--model-file 0`
+    for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(parser=p)
-        if name == command:
-            for setting in names:
-                p.add_argument(_flag(setting), **SETTINGS[setting][2])
-            p.add_argument("--config", metavar="PATH",
-                           help="flat JSON config file holding settings of this subcommand")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, foreign = _build_parser(argv[0] if argv else None).parse_known_args(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, foreign = _build_parser(command).parse_known_args(argv[1:] if command else argv)
     if foreign:  # named under the subcommand's usage, which lists its flags
         args.parser.error(f"unrecognized arguments: {' '.join(foreign)}")
     func, _, names = COMMANDS[args.command]

@@ -66,7 +66,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import DiscreteJointModel, build_coin_model, info_summary
+from .model import DiscreteJointModel, build_coin_model
 from .rules import DecisionRule, _symbol_law
 from .typicality import (
     SequencePair,
@@ -548,7 +548,6 @@ def _report(
     post_rate: np.ndarray,
     dec_rate: np.ndarray,
 ) -> ExperimentReport:
-    info = info_summary(model)
     s = int(success.sum())
     p_f = (trials - s) / trials
     p_f_half = Z_95 * math.sqrt(p_f * (1.0 - p_f) / trials)
@@ -559,7 +558,7 @@ def _report(
         h_hat = float(wins.mean())
         h_half = float(Z_95 * wins.std(ddof=1) / math.sqrt(s)) if s > 1 else None
         alt_h = float(dec_rate[success].mean())
-        acc = info.h_x - h_hat
+        acc = model.h_x - h_hat
     return ExperimentReport(
         model_spec=dict(model_spec) if model_spec else {
             "n_hypotheses": model.n_hypotheses,
@@ -570,8 +569,8 @@ def _report(
         epsilon=params.epsilon,
         trials=trials,
         seed=seed,
-        h_x_bits=info.h_x,
-        ti_bits=info.ti,
+        h_x_bits=model.h_x,
+        ti_bits=model.h_x - model.h_x_given_y,
         success_count=s,
         failure_count=trials - s,
         p_f_hat=p_f,
@@ -674,7 +673,7 @@ def extended_fano_check(
     """
     m, eps = params.extension, params.epsilon
     p_f, h_e, success_weighted_h = _scan_y_space(model, rule, params, cap)
-    h_x_given_y = m * info_summary(model).h_x_given_y
+    h_x_given_y = m * model.h_x_given_y
     lhs = h_e + h_x_given_y
     # (1 - P_f) H(X^M|Y^M, E=0) equals the success-weighted sum directly,
     # which stays well-defined even when P_f = 1

@@ -61,9 +61,9 @@ class DiscreteJointModel:
     threads or worker processes. The derived tables (joint, marginals, log2
     lookups, posterior matrix, per-column posterior entropies, sampling CDFs,
     the ascending hypothesis-label order, and the entropies H(X), H(Y),
-    H(X,Y)) are computed once in ``__post_init__`` because every downstream
-    consumer needs them; the sampling guides, the posterior's included, are
-    built on the first draw.
+    H(X,Y), H(X|Y)) are computed once in ``__post_init__`` because every
+    downstream consumer needs them; the sampling guides, the posterior's
+    included, are built on the first draw.
     """
 
     hypothesis_values: tuple[int, ...]
@@ -113,8 +113,6 @@ class DiscreteJointModel:
             )
 
         joint = prior[:, None] * lik
-        if abs(joint.sum() - 1.0) > DERIVED_ATOL:
-            raise InvalidDistributionError(f"joint sums to {joint.sum()!r}, not 1")
         y_marginal = joint.sum(axis=0)
 
         with np.errstate(divide="ignore"):
@@ -124,7 +122,8 @@ class DiscreteJointModel:
 
         # Posterior columns for zero-evidence observations are left as NaN;
         # posterior() guards them and nothing downstream can sample such y.
-        safe_y = np.where(y_marginal > 0, y_marginal, np.nan)
+        pos = y_marginal > 0
+        safe_y = np.where(pos, y_marginal, np.nan)
         post = joint / safe_y[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             log2_post = np.log2(post)
@@ -148,9 +147,10 @@ class DiscreteJointModel:
         object.__setattr__(self, "prior_cdf", _readonly(np.cumsum(prior)))
         object.__setattr__(self, "lik_cdf", _readonly(np.cumsum(lik, axis=1)))
         object.__setattr__(self, "label_order", label_order)
-        object.__setattr__(self, "h_x", entropy(prior))
-        object.__setattr__(self, "h_y", entropy(y_marginal))
-        object.__setattr__(self, "h_xy", entropy(joint.ravel()))
+        object.__setattr__(self, "h_x", _entropy_of(prior, log2_prior))
+        object.__setattr__(self, "h_y", _entropy_of(y_marginal, log2_y_marginal))
+        object.__setattr__(self, "h_xy", _entropy_of(joint, log2_joint))
+        object.__setattr__(self, "h_x_given_y", float((y_marginal[pos] * h_cols[pos]).sum()))
         object.__setattr__(self, "_x_index", {v: i for i, v in enumerate(x_labels)})
         object.__setattr__(self, "_y_index", {v: i for i, v in enumerate(y_labels)})
 
@@ -158,8 +158,9 @@ class DiscreteJointModel:
     # y_marginal, log2_prior, log2_y_marginal, log2_joint, posterior_matrix,
     # log2_posterior, posterior_col_entropy, prior_cdf, lik_cdf (row-wise),
     # label_order (storage indices in ascending hypothesis-label order, the
-    # order every rule reads a posterior column in), and the entropies h_x,
-    # h_y, h_xy that centre the typicality conditions.
+    # order every rule reads a posterior column in), the entropies h_x, h_y,
+    # h_xy that centre the typicality conditions, and h_x_given_y, the
+    # evidence-weighted entropy of the posterior columns.
 
     # The sampling guides are built on the first draw, so the exact engine,
     # which draws nothing, never pays for them.
@@ -270,6 +271,12 @@ class InfoSummary:
     ti: float
 
 
+def _entropy_of(p: np.ndarray, log2_p: np.ndarray) -> float:
+    """entropy(p), bit for bit, from the log table of a validated p."""
+    nz = p > 0
+    return float(0.0 - (p[nz] * log2_p[nz]).sum())
+
+
 def entropy(dist: Sequence[float] | np.ndarray) -> float:
     """Shannon entropy of a probability vector, in bits. 0*log(0) counts as 0."""
     p = np.asarray(dist, dtype=float)
@@ -373,14 +380,12 @@ def info_summary(model: DiscreteJointModel) -> InfoSummary:
     H(X|Y) is the evidence-weighted entropy of the posterior columns,
     sum_y P(y) H(X|Y=y), which is what makes ti equal the mutual information.
     """
-    pos = model.y_marginal > 0
-    h_x_given_y = float((model.y_marginal[pos] * model.posterior_col_entropy[pos]).sum())
     return InfoSummary(
         h_x=model.h_x,
         h_y=model.h_y,
         h_xy=model.h_xy,
-        h_x_given_y=h_x_given_y,
-        ti=model.h_x - h_x_given_y,
+        h_x_given_y=model.h_x_given_y,
+        ti=model.h_x - model.h_x_given_y,
     )
 
 

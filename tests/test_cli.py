@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -15,12 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from titest import (
+    DecisionRule,
+    TypicalityParams,
+    achievability_check,
     build_bsc_model,
     build_coin_model,
     build_constant_model,
     build_identity_model,
+    converse_check,
     experiment,
+    extended_fano_check,
+    info_summary,
+    run_experiment,
+    typical_set_census,
 )
+from titest import cli
 from titest.cli import main
 from titest.experiment import SWEEP_COLUMNS
 
@@ -1035,3 +1045,98 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["h_x"] == 2.0
+
+
+def old_main(argv):
+    """The reference parse: the top-level parser with all five subparsers,
+    flags on the one argv names, then main's checks of foreign flags and
+    settings; the parse every call made before it built only its own parser."""
+    parser = cli._Parser(prog="titest", description=cli._build_parser(None).description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, names) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(parser=p)
+        if argv and name == argv[0]:
+            for setting in names:
+                p.add_argument(cli._flag(setting), **cli.SETTINGS[setting][2])
+            p.add_argument("--config", metavar="PATH",
+                           help="flat JSON config file holding settings of this subcommand")
+    args, foreign = parser.parse_known_args(argv)
+    if foreign:
+        args.parser.error(f"unrecognized arguments: {' '.join(foreign)}")
+    func, _, names = cli.COMMANDS[args.command]
+    try:
+        return func(cli._resolve(args, names))
+    except cli._UsageError as e:
+        args.parser.error(str(e))
+
+
+class TestParserText:
+    @pytest.mark.parametrize("argv", [
+        *([command, *rest] for command in cli.COMMANDS for rest in (
+            ["--help"], ["-h"], ["--bogus", "1"], [], ["--he"],
+        )),
+        ["--help"], ["-h"], [], ["bogus"], ["-x", "simulate"], ["--config", "a", "simulate"],
+        ["-x", "simulate", "--help"], ["sim"],
+    ], ids=" ".join)
+    def test_help_usage_and_errors_match_the_full_parser(self, capsys, argv):
+        """Each text and exit code is the one the full parser gives; `[cmd]`
+        alone misses a required setting (a model source, or sweep's grid)."""
+        outcomes = []
+        for call in (old_main, main):
+            try:
+                code = call(argv)
+            except SystemExit as e:
+                code = e.code
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][0] in (0, 2)
+
+
+def special_variants(record):
+    """The record, then the record with each field in turn None, inf, -inf, NaN or -0.0."""
+    yield record
+    for f in dataclasses.fields(record):
+        for value in (None, math.inf, -math.inf, math.nan, -0.0):
+            yield dataclasses.replace(record, **{f.name: value})
+
+
+class TestRecordRendering:
+    """Rendering a record walks its fields; the bytes are those of its to_json_dict()."""
+
+    def records(self, bsc25):
+        params = TypicalityParams(epsilon=0.25, extension=3)
+        report = run_experiment(bsc25, DecisionRule.SAP, params, 50, 1, model_spec={"kind": "x"})
+        zero = dataclasses.replace(report, success_count=0, zero_success=True, h_hat_bits=None,
+                                   h_hat_halfwidth=None, alt_h_hat_bits=None,
+                                   accuracy_hat_bits=None)
+        census = typical_set_census(bsc25, TypicalityParams(epsilon=1000.0, extension=3))
+        return [
+            report, zero, achievability_check(report), achievability_check(zero),
+            converse_check(report), converse_check(zero), census,
+            dataclasses.replace(census, masses={"x": -0.0, "y": math.nan}, bounds=[
+                dataclasses.replace(b, lhs=v, rhs=-0.0)
+                for b, v in zip(census.bounds, [None, math.inf, math.nan, -0.0] * 9)
+            ]),
+            *census.bounds,
+            extended_fano_check(bsc25, DecisionRule.SAP, params),
+            info_summary(build_coin_model(1, 0.4)),
+        ]
+
+    def test_record_renders_as_its_json_dict(self, bsc25):
+        kinds = set()
+        for record in self.records(bsc25):
+            kinds.add(type(record).__name__)
+            for variant in special_variants(record):
+                doc = variant.to_json_dict() if hasattr(variant, "to_json_dict") \
+                    else dataclasses.asdict(variant)
+                assert cli._sig10(variant) == cli._sig10(doc)
+                assert cli._render_json(variant) == cli._render_json(doc)
+        assert kinds == {"ExperimentReport", "AchievabilityRecord", "ConverseRecord",
+                         "CensusReport", "CensusBound", "FanoRecord", "InfoSummary"}
+
+    def test_report_fields_render_as_its_json_dict(self, bsc25):
+        # simulate renders the report's own attributes, then its checks
+        for report in self.records(bsc25)[:2]:
+            for variant in special_variants(report):
+                assert cli._render_json(vars(variant)) == cli._render_json(variant.to_json_dict())

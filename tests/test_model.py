@@ -128,7 +128,7 @@ class TestConstruction:
                 np.testing.assert_array_equal(arr, getattr(coin10, name))
                 with pytest.raises(ValueError):
                     arr[0] = 0.123
-            for name in ("h_x", "h_y", "h_xy"):
+            for name in ("h_x", "h_y", "h_xy", "h_x_given_y"):
                 assert getattr(model, name) == getattr(coin10, name)
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(model, name, 0.0)
@@ -150,6 +150,16 @@ class TestConstruction:
         )
         np.testing.assert_array_equal(clone.posterior_guide.cdf, model.posterior_guide.cdf)
         assert (model.posterior_guide.cdf[1] == 1.0).all()  # parked: no trial samples it
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sums_just_inside_construct_atol(self, sign):
+        # the prior and every row off by 0.9e-12, all the same way: the joint
+        # then sums within about 2e-12 of 1, far inside DERIVED_ATOL
+        off = sign * 0.9 * model_module.CONSTRUCT_ATOL
+        prior = np.array([0.5 + off, 0.25, 0.25])
+        lik = np.array([[0.75 + off, 0.25, 0.0], [0.1, 0.2 + off, 0.7], [0.0, 0.0, 1.0 + off]])
+        model = DiscreteJointModel((0, 1, 2), (0, 1, 2), prior, lik)
+        assert abs(model.joint.sum() - 1.0) < 2.5 * model_module.CONSTRUCT_ATOL < model_module.DERIVED_ATOL
 
     def test_joint_and_marginal_consistency(self, coin10):
         assert coin10.joint.sum() == pytest.approx(1.0, abs=1e-9)
@@ -294,6 +304,47 @@ class TestInfoSummary:
         assert got.h_xy == pytest.approx(got.h_y + got.h_x_given_y, abs=1e-9)
         assert got.ti >= -1e-9
         assert got.h_x_given_y <= got.h_x + 1e-9
+
+
+def random_model(rnd) -> DiscreteJointModel:
+    """A model of 1..5 hypotheses and 1..5 observations whose prior and rows
+    hold zeros, often with an observation no hypothesis emits."""
+    n_x, n_y = rnd.randint(1, 5), rnd.randint(1, 5)
+
+    def dist(n, dead=None):
+        w = [0.0 if i == dead or rnd.random() < 0.3 else rnd.uniform(0.05, 1.0) for i in range(n)]
+        if not any(w):
+            w[next(i for i in range(n) if i != dead)] = 1.0
+        return [v / sum(w) for v in w]
+
+    dead = rnd.randrange(n_y + 1) if n_y > 1 else None  # n_y: no dead column
+    lik = [dist(n_y, dead) for _ in range(n_x)]
+    return DiscreteJointModel(tuple(range(n_x)), tuple(range(n_y)), np.array(dist(n_x)), np.array(lik))
+
+
+class TestModelConstants:
+    """The model's information constants equal entropy() of its tables and
+    the evidence-weighted sum of its posterior-column entropies, bit for bit."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_entropies_are_entropy_bit_for_bit(self, rnd):
+        model = random_model(rnd)
+        for got, dist in (
+            (model.h_x, model.prior), (model.h_y, model.y_marginal), (model.h_xy, model.joint.ravel()),
+        ):
+            assert type(got) is float
+            assert got.hex() == entropy(dist).hex()
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_h_x_given_y_is_evidence_weighted_sum(self, rnd):
+        model = random_model(rnd)
+        pos = model.y_marginal > 0
+        want = float((model.y_marginal[pos] * model.posterior_col_entropy[pos]).sum())
+        assert type(model.h_x_given_y) is float
+        assert model.h_x_given_y.hex() == want.hex()
+        assert info_summary(model).h_x_given_y.hex() == want.hex()
 
 
 class TestPosterior:
