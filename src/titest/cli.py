@@ -30,9 +30,9 @@ import numpy as np
 
 from .experiment import (
     _MAX_TRIAL_M,
+    _exact_audit,
     achievability_check,
     converse_check,
-    extended_fano_check,
     render_sweep_csv,
     run_experiment,
     sweep,
@@ -49,7 +49,6 @@ from .typicality import (
     EnumerationTooLargeError,
     TypicalityParams,
     resolve_enum_cap,
-    typical_set_census,
 )
 
 __all__ = ["main"]
@@ -346,8 +345,7 @@ def cmd_enumerate(s: dict) -> int:
     except ValueError as e:  # a bad TI_TEST_ENUM_CAP is a config error
         print(f"titest: error: {e}", file=sys.stderr)
         return 2
-    census = typical_set_census(model, params, cap)
-    fano = extended_fano_check(model, s["rule"], params, cap)
+    census, fano = _exact_audit(model, s["rule"], params, cap)
     return _emit(_render_json({"census": census, "fano": fano}), s["out"])
 
 

@@ -69,8 +69,10 @@ import numpy as np
 from .model import DiscreteJointModel, build_coin_model
 from .rules import DecisionRule, _symbol_law
 from .typicality import (
+    CensusReport,
     SequencePair,
     TypicalityParams,
+    _exact_pass,
     _joint_band,
     _pick_pair,
     _scan_y_space,
@@ -671,8 +673,30 @@ def extended_fano_check(
     up to float rounding. Its p_f is the exact failure probability, the
     oracle for Monte Carlo agreement.
     """
+    return _fano_record(model, rule, params, _scan_y_space(model, rule, params, cap))
+
+
+def _exact_audit(
+    model: DiscreteJointModel,
+    rule: DecisionRule,
+    params: TypicalityParams,
+    cap: int | None = None,
+) -> tuple[CensusReport, FanoRecord]:
+    """typical_set_census and extended_fano_check of one call, from one
+    _exact_pass: a support size's type classes are walked once for both."""
+    census, sums = _exact_pass(model, params, cap, rule=rule)
+    return census, _fano_record(model, rule, params, sums)
+
+
+def _fano_record(
+    model: DiscreteJointModel,
+    rule: DecisionRule,
+    params: TypicalityParams,
+    sums: tuple[float, float, float],
+) -> FanoRecord:
+    """extended_fano_check's record from _scan_y_space's exact sums."""
     m, eps = params.extension, params.epsilon
-    p_f, h_e, success_weighted_h = _scan_y_space(model, rule, params, cap)
+    p_f, h_e, success_weighted_h = sums
     h_x_given_y = m * model.h_x_given_y
     lhs = h_e + h_x_given_y
     # (1 - P_f) H(X^M|Y^M, E=0) equals the success-weighted sum directly,

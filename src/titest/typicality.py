@@ -9,13 +9,19 @@ sequence's membership and probability depend only on its type (the count of
 each symbol), not on the symbol order. The exact engine therefore walks type
 classes: one non-decreasing representative per class, weighted by the class
 size, the multinomial M! / prod(c_k!), kept as an exact integer. That is
-C(M+K-1, M) rows instead of K^M sequences. One walk, _law_classes, visits
-the classes of a law's positive-probability support. The census walks three
-laws (the prior, the y-marginal and the joint law, rules._symbol_law under
-SAP); the exact audits behind experiment.extended_fano_check walk the rule's
-decided-pair law once (_scan_y_space), the same walk for every rule.
-_rates is the one definition of the three surprisal rates; jointly_typical_rows
-bands them for rows of pairs and is_jointly_typical reports them for one pair.
+C(M+K-1, M) rows instead of K^M sequences. _exact_pass gathers every law a
+call needs, over each law's positive-probability support: the census's prior,
+y-marginal and joint law (rules._symbol_law under SAP), and the rule's
+decided-pair law for the audits behind experiment.extended_fano_check
+(_scan_y_space). It checks every walk against the cap before any runs, then
+walks the type classes once per support size K: each block feeds every law
+of that size, and SAP's law, shared by the census and the audit, is banded
+once. typical_set_census and _scan_y_space are thin entry points over it;
+`titest enumerate` runs it once for both.
+_rate is the one definition of a surprisal rate. _rates gives the three
+rates of rows of pairs; jointly_typical_rows bands them, is_jointly_typical
+reports them for one pair, and a walked pair law reads them from its own
+per-point tables.
 conditional_members returns the sequences themselves and still enumerates them.
 """
 
@@ -134,11 +140,23 @@ def in_band(rate: float | np.ndarray, h: float, epsilon: float) -> np.bool_ | np
     return np.abs(rate - h) < epsilon - BOUNDARY_ATOL
 
 
+def _rate(log2_prob: np.ndarray, index: np.ndarray | tuple) -> np.ndarray:
+    """The surprisal rate (bits) of (B, M) index rows into a log2 table, as a (B,) array.
+
+    The row sum over M is what .mean(axis=1) divides, bit for bit, without
+    its Python-level dispatch, which a walk would pay per block and law.
+    """
+    gathered = log2_prob[index]
+    return -(gathered.sum(axis=1) / gathered.shape[1])
+
+
 def _rates(model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray) -> tuple:
     """The x, y and joint surprisal rates (bits) of (B, M) index rows, as (B,) arrays."""
-    x = -model.log2_prior[xi].mean(axis=1)
-    y = -model.log2_y_marginal[yi].mean(axis=1)
-    return x, y, -model.log2_joint[xi, yi].mean(axis=1)
+    return (
+        _rate(model.log2_prior, xi),
+        _rate(model.log2_y_marginal, yi),
+        _rate(model.log2_joint, (xi, yi)),
+    )
 
 
 def _joint_band(
@@ -368,33 +386,87 @@ def _type_classes(
         yield _append_symbol(rows[part], sizes[part], run[part], n_symbols)[:2]
 
 
-def _law_classes(prob: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The type classes of m i.i.d. draws from a law with support
-    probabilities prob (all > 0): _type_classes' (rows, sizes) blocks over
-    len(prob) symbols, with probs, each class's member probability."""
-    log2_prob = np.log2(prob)
-    for rows, sizes in _type_classes(len(prob), m):
-        yield rows, sizes, np.exp2(log2_prob[rows].sum(axis=1))
+class _Totals:
+    """A census set's reducer: the count, mass and min/max member probability
+    of the classes its law's band keeps."""
 
+    def __init__(self) -> None:
+        self.count, self.mass, self.min_p, self.max_p = 0, 0.0, np.inf, 0.0
 
-def _census_totals(blocks: Iterator, typical: Callable) -> tuple[int, float, float, float]:
-    """(count, mass, min_prob, max_prob) of the members of the _law_classes
-    blocks' classes whose rows pass typical, which maps (B, m) rows to (B,) bools."""
-    count = 0
-    mass = 0.0
-    min_p = np.inf
-    max_p = 0.0
-    for rows, sizes, probs in blocks:
-        keep = typical(rows)
+    def add(self, rows: np.ndarray, sizes: np.ndarray, probs: np.ndarray, keep: np.ndarray) -> None:
         if not keep.any():
-            continue
+            return
         sizes, probs = sizes[keep], probs[keep]
         # an int64 block's sum can pass 2**63: add its 32-bit halves apart
-        count += (int((sizes >> 32).sum()) << 32) + int((sizes & 0xFFFFFFFF).sum())
-        mass += float(sizes.astype(float) @ probs)
-        min_p = min(min_p, float(probs.min()))
-        max_p = max(max_p, float(probs.max()))
-    return count, mass, min_p, max_p
+        self.count += (int((sizes >> 32).sum()) << 32) + int((sizes & 0xFFFFFFFF).sum())
+        self.mass += float(sizes.astype(float) @ probs)
+        self.min_p = min(self.min_p, float(probs.min()))
+        self.max_p = max(self.max_p, float(probs.max()))
+
+
+class _FanoSums:
+    """The Fano audit's reducer over a decided-pair law with y-indices y.
+
+    Each class adds its mass to its y-type's total and, when jointly typical,
+    to its typical mass; the success-weighted sum adds its typical mass times
+    H(X^M | y), the posterior entropies of its y-symbols.
+    """
+
+    def __init__(self, model: DiscreteJointModel, y: np.ndarray, m: int) -> None:
+        # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
+        # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
+        # (the combinatorial number system); binom[a, i] = C(a + i, i + 1).
+        live_rank = np.cumsum(model.y_marginal > 0) - 1
+        n_live = int(live_rank[-1]) + 1
+        self.n_types = math.comb(n_live + m - 1, m)
+        self.shift = np.arange(m)
+        self.binom = np.array([[math.comb(a + i, i + 1) for i in range(m)] for a in range(n_live)])
+        self.total, self.typical = np.zeros((2, self.n_types))
+        self.success_weighted_h = 0.0
+        # each support point's live-y rank and posterior entropy H(X | y)
+        self.rank, self.entropy = live_rank[y], model.posterior_col_entropy[y]
+
+    def add(self, rows: np.ndarray, sizes: np.ndarray, probs: np.ndarray, keep: np.ndarray) -> None:
+        mass = sizes.astype(float) * probs
+        hit = np.where(keep, mass, 0.0)
+        y_type = self.binom[np.sort(self.rank[rows], axis=1), self.shift].sum(axis=1)
+        self.total += np.bincount(y_type, mass, minlength=self.n_types)
+        self.typical += np.bincount(y_type, hit, minlength=self.n_types)
+        self.success_weighted_h += float(hit @ self.entropy[rows].sum(axis=1))
+
+    def sums(self) -> tuple[float, float, float]:
+        """(p_f, h_e_given_y, success_weighted_h), with s(y) = typical / total."""
+        # a y-type whose mass underflows to 0 weighs nothing
+        s = np.divide(self.typical, self.total, out=np.zeros(self.n_types), where=self.total > 0)
+        return (
+            float(self.total @ (1.0 - s)),
+            float(self.total @ _binary_entropy(s)),
+            self.success_weighted_h,
+        )
+
+
+def _walk(laws: Sequence[tuple], m: int) -> None:
+    """Feed each law's reducers the type classes of m i.i.d. draws from it.
+
+    A law is (prob, band, reducers): its support probabilities (all > 0), a
+    map of (B, m) rows of support indices to (B,) bools, and what it feeds.
+    _type_classes runs once per distinct support size K, and each of its
+    (rows, sizes) blocks goes to every law of that size: the law's member
+    probabilities exp2(sum of log2 prob over the row), its band, and then each
+    of its reducers' add(rows, sizes, probs, keep). A law thus sees the blocks
+    of its own walk, in its own walk's order. The caller checks every walk
+    against the cap (_check_walk) first.
+    """
+    by_size: dict[int, list] = {}
+    for prob, band, reducers in laws:
+        by_size.setdefault(len(prob), []).append((np.log2(prob), band, reducers))
+    for k, group in by_size.items():
+        for rows, sizes in _type_classes(k, m):
+            for log2_prob, band, reducers in group:
+                probs = np.exp2(log2_prob[rows].sum(axis=1))
+                keep = band(rows)
+                for reducer in reducers:
+                    reducer.add(rows, sizes, probs, keep)
 
 
 def _check_cap(what: str, base: int, m: int, cap: int | None) -> None:
@@ -410,7 +482,7 @@ def _check_cap(what: str, base: int, m: int, cap: int | None) -> None:
 
 
 def _check_walk(n_symbols: int, m: int, cap: int | None) -> None:
-    """Refuse a _law_classes walk of m draws over K = n_symbols points that
+    """Refuse a type-class walk of m draws over K = n_symbols points that
     builds more symbols than the cap: C(j+K-1, j) rows of j symbols at each
     level j <= m, K * C(m+K, m-1) in all. i = min(m-1, K+1) <= (m+K)/2 gives
     C(m+K, i) >= 2^i, so i >= the cap's bit length refuses without the count."""
@@ -428,6 +500,68 @@ def _pow2(x: float) -> float:
     return 2.0**x if x < 1024 else math.inf
 
 
+def _exact_pass(
+    model: DiscreteJointModel,
+    params: TypicalityParams,
+    cap: int | None,
+    census: bool = True,
+    rule: DecisionRule | None = None,
+) -> tuple[CensusReport | None, tuple[float, float, float] | None]:
+    """The census (if census) and the Fano sums of rule's decided pairs (if
+    rule), from one _walk of every law they need.
+
+    The census walks the prior, the y-marginal and the joint law
+    (rules._symbol_law under SAP), each over its positive-probability support;
+    the Fano sums walk the rule's law (_FanoSums). The laws are checked in that
+    order. A rule whose law is the census's joint law (SAP) shares it, so the
+    law's member probabilities and band are computed once for both reducers.
+    Returns (CensusReport or None, (p_f, h_e_given_y, success_weighted_h) or None).
+    """
+    m, eps = params.extension, params.epsilon
+    laws: list[tuple] = []  # (prob, band, reducers), for _walk
+    totals: dict[str, _Totals] = {}
+    pairs: dict[DecisionRule, tuple] = {}  # rule -> (its law's support, reducers)
+    if census:
+        for tag, p, log2_p, h in (
+            ("x", model.prior, model.log2_prior, model.h_x),
+            ("y", model.y_marginal, model.log2_y_marginal, model.h_y),
+        ):
+            (live,) = np.nonzero(p > 0)  # a zero-probability symbol's rate is infinite
+            totals[tag] = _Totals()
+            laws.append((p[live], _marginal_band(log2_p[live], h, eps), [totals[tag]]))
+        totals["joint"] = _Totals()
+        pairs[DecisionRule.SAP] = (_symbol_law(model, DecisionRule.SAP), [totals["joint"]])
+    if rule is not None:
+        rule = DecisionRule(rule)
+        if rule not in pairs:
+            pairs[rule] = (_symbol_law(model, rule), [])
+    for (x, y, prob), reducers in pairs.values():
+        laws.append((prob, _pair_band(model, x, y, eps), reducers))
+    limit = resolve_enum_cap(cap)
+    for prob, _, _ in laws:  # before any walk, or any reducer's tables, is built
+        _check_walk(len(prob), m, limit)
+    fano = None
+    if rule is not None:
+        (_, y, _), reducers = pairs[rule]
+        fano = _FanoSums(model, y, m)
+        reducers.append(fano)
+    _walk(laws, m)
+    report = _census_report(model, m, eps, totals) if census else None
+    return report, None if fano is None else fano.sums()
+
+
+def _marginal_band(log2_prob: np.ndarray, h: float, eps: float) -> Callable:
+    """A marginal law's band: its rows' surprisal rate within eps of h."""
+    return lambda rows: in_band(_rate(log2_prob, rows), h, eps)
+
+
+def _pair_band(model: DiscreteJointModel, x: np.ndarray, y: np.ndarray, eps: float) -> Callable:
+    """A pair law's band: jointly_typical_rows of its rows' (x, y) pairs, with
+    each rate read from the law's own per-point log2 table, one 1-D gather."""
+    tables = (model.log2_prior[x], model.log2_y_marginal[y], model.log2_joint[x, y])
+    return lambda rows: _joint_band(model, *(_rate(t, rows) for t in tables), eps)
+
+
 def typical_set_census(
     model: DiscreteJointModel, params: TypicalityParams, cap: int | None = None
 ) -> CensusReport:
@@ -441,25 +575,14 @@ def typical_set_census(
     The joint set gets mass and member-probability records. Lower bounds are
     generally expected to hold only for m >= m_min (reported in the record).
     """
-    m, eps = params.extension, params.epsilon
-    h_x, h_y, h_xy = model.h_x, model.h_y, model.h_xy
-    (live_x,) = np.nonzero(model.prior > 0)  # a zero-probability symbol's rate is infinite
-    (live_y,) = np.nonzero(model.y_marginal > 0)
-    x, y, prob = _symbol_law(model, DecisionRule.SAP)
-    for n_symbols in (len(live_x), len(live_y), len(prob)):
-        _check_walk(n_symbols, m, cap)
+    return _exact_pass(model, params, cap)[0]
 
-    def marginal(p: np.ndarray, live: np.ndarray, s: np.ndarray, h: float) -> tuple:
-        return _census_totals(
-            _law_classes(p[live], m), lambda rows: in_band(s[live[rows]].mean(axis=1), h, eps)
-        )
 
-    cx, mx, minpx, maxpx = marginal(model.prior, live_x, -model.log2_prior, h_x)
-    cy, my, minpy, maxpy = marginal(model.y_marginal, live_y, -model.log2_y_marginal, h_y)
-    cj, mj, minpj, maxpj = _census_totals(
-        _law_classes(prob, m), lambda rows: jointly_typical_rows(model, x[rows], y[rows], eps)
-    )
-
+def _census_report(
+    model: DiscreteJointModel, m: int, eps: float, totals: dict[str, _Totals]
+) -> CensusReport:
+    """typical_set_census's report from the x, y and joint sets' totals."""
+    h_xy = model.h_xy
     bounds: list[CensusBound] = []
 
     def strict(name: str, lhs: float, rhs: float) -> None:
@@ -468,27 +591,26 @@ def typical_set_census(
     def weak(name: str, lhs: float, rhs: float) -> None:
         bounds.append(CensusBound(name=name, lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs)))
 
-    for tag, h, count, mass, min_p, max_p in (
-        ("x", h_x, cx, mx, minpx, maxpx),
-        ("y", h_y, cy, my, minpy, maxpy),
-    ):
-        strict(f"{tag}_mass_lower", 1.0 - eps, mass)
-        if count:
-            strict(f"{tag}_member_prob_lower", _pow2(-m * (h + eps)), min_p)
-            strict(f"{tag}_member_prob_upper", max_p, _pow2(-m * (h - eps)))
-        strict(f"{tag}_count_upper", float(count), _pow2(m * (h + eps)))
-        strict(f"{tag}_count_lower", (1.0 - eps) * _pow2(m * (h - eps)), float(count))
-        strict(f"{tag}_count_lower_printed", (1.0 - eps) * _pow2(m * (h + eps)), float(count))
-    weak("joint_mass_lower", 1.0 - eps, mj)
-    if cj:
-        strict("joint_member_prob_lower", _pow2(-m * (h_xy + eps)), minpj)
-        strict("joint_member_prob_upper", maxpj, _pow2(-m * (h_xy - eps)))
+    for tag, h in (("x", model.h_x), ("y", model.h_y)):
+        t = totals[tag]
+        strict(f"{tag}_mass_lower", 1.0 - eps, t.mass)
+        if t.count:
+            strict(f"{tag}_member_prob_lower", _pow2(-m * (h + eps)), t.min_p)
+            strict(f"{tag}_member_prob_upper", t.max_p, _pow2(-m * (h - eps)))
+        strict(f"{tag}_count_upper", float(t.count), _pow2(m * (h + eps)))
+        strict(f"{tag}_count_lower", (1.0 - eps) * _pow2(m * (h - eps)), float(t.count))
+        strict(f"{tag}_count_lower_printed", (1.0 - eps) * _pow2(m * (h + eps)), float(t.count))
+    joint = totals["joint"]
+    weak("joint_mass_lower", 1.0 - eps, joint.mass)
+    if joint.count:
+        strict("joint_member_prob_lower", _pow2(-m * (h_xy + eps)), joint.min_p)
+        strict("joint_member_prob_upper", joint.max_p, _pow2(-m * (h_xy - eps)))
 
     return CensusReport(
         m=m,
         epsilon=eps,
-        sizes={"x": cx, "y": cy, "joint": cj},
-        masses={"x": mx, "y": my, "joint": mj},
+        sizes={tag: t.count for tag, t in totals.items()},
+        masses={tag: t.mass for tag, t in totals.items()},
         bounds=bounds,
     )
 
@@ -518,27 +640,4 @@ def _scan_y_space(
     exactly 0 or 1. The cap counts the symbols the walk builds
     (_check_walk), checked before it starts.
     """
-    m, eps = params.extension, params.epsilon
-    x, y, prob = _symbol_law(model, rule)
-    _check_walk(len(prob), m, cap)
-    # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
-    # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
-    # (the combinatorial number system); binom[a, i] = C(a + i, i + 1).
-    live_rank = np.cumsum(model.y_marginal > 0) - 1
-    n_live = int(live_rank[-1]) + 1
-    n_types = math.comb(n_live + m - 1, m)
-    shift = np.arange(m)
-    binom = np.array([[math.comb(a + i, i + 1) for i in shift] for a in range(n_live)])
-    total, typical = np.zeros((2, n_types))
-    success_weighted_h = 0.0
-    for rows, sizes, probs in _law_classes(prob, m):
-        xi, yi = x[rows], y[rows]
-        mass = sizes.astype(float) * probs
-        hit = np.where(jointly_typical_rows(model, xi, yi, eps), mass, 0.0)
-        y_type = binom[np.sort(live_rank[yi], axis=1), shift].sum(axis=1)
-        total += np.bincount(y_type, mass, minlength=n_types)
-        typical += np.bincount(y_type, hit, minlength=n_types)
-        success_weighted_h += float(hit @ model.posterior_col_entropy[yi].sum(axis=1))
-    # a y-type whose mass underflows to 0 weighs nothing
-    s = np.divide(typical, total, out=np.zeros(n_types), where=total > 0)
-    return float(total @ (1.0 - s)), float(total @ _binary_entropy(s)), success_weighted_h
+    return _exact_pass(model, params, cap, census=False, rule=rule)[1]

@@ -1,13 +1,14 @@
 """The type-class engine against brute-force scans of every sequence.
 
-typical_set_census and _scan_y_space sum over the type classes of one walk,
-typicality._law_classes. The references here visit all K^M sequences (and,
-for SAP, all x-sequences per y-sequence) the slow way, so sizes must agree
-exactly and floats to rounding.
+typical_set_census and _scan_y_space sum over type classes, which
+typicality._walk visits once per support size for every law of a call. The
+references here visit all K^M sequences (and, for SAP, all x-sequences per
+y-sequence) the slow way, so sizes must agree exactly and floats to rounding.
 """
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from titest import (
     posterior,
     typical_set_census,
 )
-from titest import typicality
+from titest import cli, typicality
 from titest.typicality import (
     BOUNDARY_ATOL,
     EnumerationTooLargeError,
@@ -209,11 +210,9 @@ class TestTypeClassList:
         assert sum(int(size) for size in sizes) == 6**24
 
     def test_census_count_exact_past_int64_sums(self):
-        sizes = np.full(4, 2**62, dtype=np.int64)
-        count, _, _, _ = typicality._census_totals(
-            [(None, sizes, np.ones(4))], lambda rows: np.ones(4, dtype=bool)
-        )
-        assert count == 2**64
+        totals = typicality._Totals()
+        totals.add(None, np.full(4, 2**62, dtype=np.int64), np.ones(4), np.ones(4, dtype=bool))
+        assert totals.count == 2**64
 
     def test_small_blocks_sum_the_same(self, monkeypatch):
         small = functools.partial(_type_classes, block=5)
@@ -270,7 +269,8 @@ class TestOneWalk:
 
     def test_marginal_censuses_walk_the_support_only(self, monkeypatch):
         # prior (1, 0, 0): one x symbol, two y symbols and two joint pairs
-        # carry probability, so M=4 walks 1 x-class, not C(6, 4) = 15
+        # carry probability, so M=4 walks 1 x-class, not C(6, 4) = 15, and
+        # the y-marginal and the joint law share one walk over 2 symbols
         walked = []
 
         def recording(n_symbols, m, *args):
@@ -283,7 +283,7 @@ class TestOneWalk:
             np.array([[0.25, 0.75], [1.0, 0.0], [0.0, 1.0]]),
         )
         typical_set_census(model, TypicalityParams(0.25, 4))
-        assert walked == [1, 2, 2]
+        assert walked == [1, 2]
         assert_matches_brute_force(model, 4, 0.25)
 
 
@@ -343,3 +343,102 @@ class TestWalkCap:
         with pytest.raises(EnumerationTooLargeError, match=r"= 65\*C\(70, 4\)"):
             typical_set_census(build_coin_model(10, 0.4), TypicalityParams(0.25, 5))
         assert walked == []
+
+
+BSC25_DOC = build_bsc_model(0.25).to_json_dict()
+PRIOR_100_DOC = {
+    "hypothesis_values": [0, 1, 2], "observation_values": [0, 1], "prior": [1.0, 0.0, 0.0],
+    "likelihood": [[0.25, 0.75], [1.0, 0.0], [0.0, 1.0]],
+}
+# (name, model file document or coin (N, theta), extensions)
+SHARED_CASES = [
+    ("bsc25", BSC25_DOC, [*range(1, 13), 40]),
+    ("coin3", (3, 0.4), range(1, 6)),
+    ("coin5", (5, 0.4), range(1, 4)),
+    ("prior100", PRIOR_100_DOC, range(1, 5)),
+]
+
+
+def model_argv(spec, tmp_path):
+    """The enumerate flags naming the model: --coin, or a model file written to tmp_path."""
+    if isinstance(spec, tuple):
+        return ["--coin", *map(str, spec)]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    return ["--model-file", str(path)]
+
+
+def fresh_model(spec):
+    if isinstance(spec, tuple):
+        return build_coin_model(*spec)
+    return DiscreteJointModel.from_json_dict(spec)
+
+
+def recorded_walks(monkeypatch):
+    """The support sizes of the _type_classes walks made from here on."""
+    walked = []
+
+    def recording(n_symbols, m, *args):
+        walked.append(n_symbols)
+        return _type_classes(n_symbols, m, *args)
+
+    monkeypatch.setattr(typicality, "_type_classes", recording)
+    return walked
+
+
+class TestSharedWalks:
+    """titest enumerate walks each support size's type classes once, for the
+    census and the Fano audit together, and prints what separate calls give."""
+
+    @pytest.mark.parametrize("rule", list(DecisionRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize(
+        "spec, ms", [case[1:] for case in SHARED_CASES], ids=[case[0] for case in SHARED_CASES]
+    )
+    def test_enumerate_equals_separate_calls(self, spec, ms, rule, tmp_path, capsys):
+        flags = model_argv(spec, tmp_path)
+        for m in ms:
+            argv = ["enumerate", *flags, "--m", str(m), "--epsilon", "0.25", "--rule", rule.value]
+            assert cli.main(argv) == 0
+            params = TypicalityParams(epsilon=0.25, extension=m)
+            want = cli._render_json({
+                "census": typical_set_census(fresh_model(spec), params),
+                "fano": extended_fano_check(fresh_model(spec), rule, params),
+            })
+            assert capsys.readouterr().out == want, m
+
+    @pytest.mark.parametrize("spec, rule, m, walks", [
+        (BSC25_DOC, "sap", 11, [2, 4]),
+        # the y-marginal and the MAP law both have 4 support points
+        ((3, 0.4), "map", 5, [3, 4, 9]),
+    ], ids=["bsc25-sap", "coin3-map"])
+    def test_enumerate_walks_each_support_size_once(
+        self, spec, rule, m, walks, tmp_path, monkeypatch, capsys
+    ):
+        flags = model_argv(spec, tmp_path)
+        walked = recorded_walks(monkeypatch)
+        assert cli.main(["enumerate", *flags, "--m", str(m), "--rule", rule]) == 0
+        assert walked == walks
+        capsys.readouterr()
+
+    def test_refused_enumerate_walks_nothing(self, monkeypatch, capsys):
+        monkeypatch.delenv("TI_TEST_ENUM_CAP", raising=False)
+        walked = recorded_walks(monkeypatch)
+        assert cli.main(["enumerate", "--coin", "10", "0.4", "--m", "5", "--rule", "map"]) == 3
+        assert walked == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "titest: error: K*C(M+K, M-1) = 65*C(70, 4) symbols exceed the enumeration cap "
+            "10000000; use Monte Carlo trials instead\n"
+        )
+
+    def test_lone_calls_walk_only_their_own_laws(self, monkeypatch):
+        # the census's prior and y-marginal share bsc25's 2 symbols; the audit
+        # walks only its rule's law
+        walked = recorded_walks(monkeypatch)
+        params = TypicalityParams(0.25, 6)
+        typical_set_census(build_bsc_model(0.25), params)
+        assert walked == [2, 4]
+        walked.clear()
+        extended_fano_check(build_bsc_model(0.25), DecisionRule.MAP, params)
+        assert walked == [2]
