@@ -41,8 +41,9 @@ one) or sweep call gets one block per worker, but no more blocks than its
 work pays for: the work is trials times the group's sum of k*M, the doubles
 the kernels read, and a block needs at least _BLOCK_WORK of it. A single
 block runs in this process; more go as one job each to a single process
-pool. An experiment is (model, rule, params), and a job carries a list of
-them; a model pickles as its four defining fields and rebuilds its tables
+pool, and only a call of two or more blocks imports the pool's module
+(concurrent.futures and the multiprocessing stack under it). An experiment
+is (model, rule, params), and a job carries a list of them; a model pickles as its four defining fields and rebuilds its tables
 on arrival. A job is one pickle, so experiments that share a model share it
 there too. A block reads each deterministic rule's choice of x per y from
 the decided pairs' law once per (model, rule), as one table of the three
@@ -52,14 +53,11 @@ per chunk; SAP draws by the model's posterior guide.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Iterator, Mapping, Sequence
@@ -489,9 +487,15 @@ def _map_experiments(
         raise ValueError(f"M must be <= {_MAX_TRIAL_M} for Monte Carlo trials, got {m}")
     bounds = _block_bounds(trials, sum(_widths(experiments)), workers)
     jobs = [(experiments, seed, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    pool_size = min(len(jobs), _usable_cpus())
-    with ProcessPoolExecutor(max_workers=pool_size) if len(jobs) > 1 else nullcontext() as pool:
-        parts = list(pool.map(_run_block, *zip(*jobs)) if pool else (_run_block(*j) for j in jobs))
+    if len(jobs) == 1:
+        parts = [_run_block(*jobs[0])]
+    else:
+        # the pool's stack (multiprocessing, socket, subprocess, logging, ...)
+        # loads only here, so a call of one block never imports it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
+            parts = list(pool.map(_run_block, *zip(*jobs)))
     return [tuple(np.concatenate(a) for a in zip(*blocks)) for blocks in zip(*parts)]
 
 
@@ -789,6 +793,8 @@ def _csv_cell(v) -> str:
 
 def render_sweep_csv(rows: list[dict]) -> str:
     """Sweep rows as CSV text: floats to 10 significant digits, None as ''."""
+    import csv  # only a CSV sweep report needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)

@@ -11,7 +11,7 @@ real behavior, not bugs:
   lands above the bound at any seed. The figure is the 10^6-trial reading
   0.553565 +- 0.00097 of `titest simulate --coin 10 0.4 --rule sap --m 10
   --epsilon 0.25 --trials 1000000 --seed 7 --workers 2`; the exact value
-  waits on exact SAP at M=10 (ROADMAP item 1). (0.5522 is the TI, not P_f.)
+  waits on exact SAP at M=10 (ROADMAP item 2). (0.5522 is the TI, not P_f.)
 * the rule ordering at N=5, M=10: conditioning on success biases the smallest
   alphabet's surviving trials, and MAP/MeAP accuracy there sits 0.04..0.06
   bits above SAP at ~40 standard errors.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -332,23 +333,26 @@ class TestSweepCommand:
         assert out.read_bytes() == want.encode()
 
 
+ACCEPTANCE_GRID = {
+    "n": [5, 15, 25, 35], "theta": [0.4], "m": [1, 10], "epsilon": [0.25],
+    "rules": ["map", "eap", "meap", "sap"],
+}
+
+
 @pytest.mark.parametrize("workers", ["2", "3"])
 def test_small_runs_start_no_pool(monkeypatch, tmp_path, workers):
     # the acceptance band point (6e5 doubles) and the acceptance sweep at
     # 1,000 trials per point (3.96e5 doubles) hold too little work for a pool
     pools = []
 
-    class CountingPool(experiment.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "n": [5, 15, 25, 35], "theta": [0.4], "m": [1, 10], "epsilon": [0.25],
-        "rules": ["map", "eap", "meap", "sap"],
-    }))
+    grid.write_text(json.dumps(ACCEPTANCE_GRID))
     for argv in (
         ["simulate", "--coin", "10", "0.4", "--rule", "sap", "--m", "10",
          "--epsilon", "0.25", "--trials", "20000", "--seed", "7"],
@@ -361,6 +365,52 @@ def test_small_runs_start_no_pool(monkeypatch, tmp_path, workers):
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
     assert pools == []
+
+
+# Runs in a fresh interpreter: after `import titest` and after each call of
+# cli.main, prints which of the watched modules sys.modules holds.
+_IMPORT_PROBE = """
+import json, sys
+WATCHED = ("concurrent.futures", "multiprocessing", "logging", "socket", "subprocess", "csv")
+def report(step):
+    print(json.dumps([step, [m for m in WATCHED if m in sys.modules]]))
+report("start")
+import titest
+from titest import cli
+report("import")
+grid, out = sys.argv[1:]
+for argv in (
+    ["model", "--coin", "10", "0.4"],
+    ["decide", "--coin", "10", "0.4", "--k", "4", "--seed", "7"],
+    ["enumerate", "--coin", "3", "0.4", "--m", "4", "--epsilon", "0.25", "--rule", "sap"],
+    ["simulate", "--coin", "10", "0.4", "--rule", "sap", "--m", "10", "--epsilon", "0.25",
+     "--trials", "20000", "--seed", "7", "--workers", "2"],
+    ["sweep", "--grid", grid, "--trials", "1000", "--seed", "2026", "--workers", "2"],
+):
+    assert cli.main([*argv, "--out", out]) == 0
+    report(argv[0])
+"""
+
+
+def test_one_block_calls_never_import_the_pool_stack(tmp_path):
+    # a call of one block runs in process, so neither the import nor any
+    # subcommand loads concurrent.futures and the multiprocessing stack under
+    # it; csv loads only when a sweep renders its CSV report
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(ACCEPTANCE_GRID))
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(grid), str(tmp_path / "out")],
+        check=True, capture_output=True, text=True, env=env,
+    )
+    steps = [json.loads(line) for line in done.stdout.splitlines()]
+    assert steps == [
+        ["start", []], ["import", []], ["model", []], ["decide", []], ["enumerate", []],
+        ["simulate", []], ["sweep", ["csv"]],
+    ]
+    assert (tmp_path / "out").read_text().splitlines()[0] == ",".join(SWEEP_COLUMNS)
 
 
 class TestEnumerateCommand:

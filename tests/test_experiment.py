@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -229,6 +230,24 @@ class TestBlockKernel:
             (alone,) = _run_block([one], 5, 100, 700)
             for g, w in zip(got, alone):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=small_models(),
+        eps=st.sampled_from([0.05, 0.25, 0.6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_successful_trials_sit_in_the_converse_band(self, model, eps, seed):
+        # s_post = s_xy - s_y per decided pair, so a trial whose y and joint
+        # rates are each within epsilon - BOUNDARY_ATOL of H(Y) and H(X,Y) has
+        # a decided-posterior surprisal rate within 2 epsilon of H(X|Y), for
+        # any rule and M; the 2 BOUNDARY_ATOL margin covers the rounding
+        # between the posterior table and the joint and y-marginal ones
+        experiments = [(model, rule, params(eps, m)) for rule in DecisionRule for m in (1, 3, 8, 13)]
+        ti = model.h_x - model.h_x_given_y
+        for success, _, dec_rate in _run_block(experiments, seed, 0, 300):
+            accuracy = model.h_x - dec_rate[success]
+            assert np.all((ti - 2 * eps < accuracy) & (accuracy < ti + 2 * eps))
 
     @pytest.mark.usefixtures("every_block_pays")
     def test_worker_counts_straddling_chunks(self, coin10):
@@ -619,12 +638,12 @@ class TestSweep:
     def test_one_pool_per_sweep_and_rows_in_order(self, monkeypatch, workers):
         pools = []
 
-        class CountingPool(experiment.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         rows = sweep(
             [6, 5], [0.4], [2, 1], [0.25], [DecisionRule.SAP, DecisionRule.MAP], 50, 2,
             workers=workers,
@@ -637,12 +656,12 @@ class TestSweep:
     def test_pool_gets_one_job_per_worker(self, monkeypatch, workers, trials):
         jobs = []
 
-        class CountingPool(experiment.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 jobs.append(args)
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         rows = sweep(
             [6, 5], [0.4], [2, 1], [0.25], [DecisionRule.SAP, DecisionRule.MAP], trials, 2,
             workers=workers,
@@ -669,7 +688,7 @@ class TestSweep:
                 jobs.extend(zip(*iterables))
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         model, params = build_coin_model(3, 0.4), TypicalityParams(0.25, 2)
         pooled = run_experiment(model, DecisionRule.SAP, params, 64, 5, workers=64)
         usable = (
@@ -772,10 +791,12 @@ SMALL_GRID = ([6, 5], [0.4], [2, 1], [0.25], [DecisionRule.SAP, DecisionRule.MAP
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """A real process pool that records its size and counts its jobs."""
+    """A real process pool that records its size and counts its jobs, put in
+    concurrent.futures, where the pooled branch of _map_experiments imports
+    it from when a call starts a pool."""
     log = {"pools": [], "jobs": 0}
 
-    class CountingPool(experiment.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             log["pools"].append(max_workers)
             super().__init__(max_workers)
@@ -784,7 +805,7 @@ def pool_log(monkeypatch):
             log["jobs"] += 1
             return super().submit(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return log
 
 
@@ -842,7 +863,7 @@ class TestBlockSplit:
         # their pickled fields and rebuild their guide tables
         pools = []
 
-        class SpawnPool(experiment.ProcessPoolExecutor):
+        class SpawnPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers, mp_context=multiprocessing.get_context("spawn"))
@@ -855,6 +876,6 @@ class TestBlockSplit:
             return json.dumps(rep.to_json_dict()), render_sweep_csv(rows)
 
         in_process = reports(1)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SpawnPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
         assert reports(2) == in_process
         assert len(pools) == 2
