@@ -36,19 +36,21 @@ i's row is computed once, at the widest k*M, and each experiment reads its
 leading k*M columns (common random numbers). Experiments on the same model
 object at the same M read the same x and y columns, so they share one x/y
 pick and one y and posterior-entropy rate per chunk and only decide and
-judge apart. A run_experiment (a group of
-one) or sweep call gets one block per worker, but no more blocks than its
-work pays for: the work is trials times the group's sum of k*M, the doubles
-the kernels read, and a block needs at least _BLOCK_WORK of it. A single
-block runs in this process; more go as one job each to a single process
-pool, and only a call of two or more blocks imports the pool's module
-(concurrent.futures and the multiprocessing stack under it). An experiment
-is (model, rule, params), and a job carries a list of them; a model pickles as its four defining fields and rebuilds its tables
-on arrival. A job is one pickle, so experiments that share a model share it
-there too. A block reads each deterministic rule's choice of x per y from
-the decided pairs' law once per (model, rule), as one table of the three
-surprisals a trial's rates average, so a rule at one M makes one gather
-per chunk; SAP draws by the model's posterior guide.
+judge apart. A run_experiment (a group of one) or sweep call gets one
+block per worker, but no more blocks than its work pays for: the work is
+trials times the group's sum of k*M, the doubles the kernels read, and a
+block needs at least _BLOCK_WORK of it. A single block runs in this process;
+more go as one job each to a single process pool, and only a call of two or
+more blocks imports the pool's module (concurrent.futures and the
+multiprocessing stack under it). An experiment is (model, rule, params), and
+a job carries a list of them; a model pickles as its four defining fields
+and rebuilds its tables on arrival. A job is one pickle, so experiments that
+share a model share it there too. A block builds each deterministic rule's
+decided-pair law (rules._symbol_law) once per (model, rule) and scatters its
+x, joint and posterior log2 rows by y into one table (_rule_table), so a
+rule at one M makes one gather per chunk; SAP draws by the model's posterior
+guide. run_trial also takes its deterministic choices of x per y from the
+law.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .typicality import (
     _exact_pass,
     _joint_band,
     _pick_pair,
-    _scan_y_space,
 )
 
 __all__ = [
@@ -134,29 +135,18 @@ class SequenceTrial:
     decided_surprisal_rate: float
 
 
-def _choice(model: DiscreteJointModel, rule: DecisionRule) -> np.ndarray | None:
-    """The x index a deterministic rule decides, per y index (0 for a
-    zero-evidence y, which no trial samples), from the decided pairs' law;
-    None for SAP, which draws its decisions."""
+def _rule_table(model: DiscreteJointModel, rule: DecisionRule) -> np.ndarray | None:
+    """The (3, |Y|) table of log2 P(d(y)), log2 P(d(y), y) and log2 P(d(y) | y)
+    for a deterministic rule d, scattered from its decided pairs' law
+    (rules._symbol_law), whose gather by a trial's y indices gives its x,
+    joint and decided-posterior surprisals; 0 at a zero-evidence y, which no
+    trial samples. None for SAP, which draws its decisions."""
     if rule.is_stochastic:
         return None
-    x, y, _ = _symbol_law(model, rule)
-    choice = np.zeros(model.n_observations, dtype=np.intp)
-    choice[y] = x
-    return choice
-
-
-def _rule_table(model: DiscreteJointModel, choice: np.ndarray | None) -> np.ndarray | None:
-    """The (3, |Y|) table of log2 P(d(y)), log2 P(d(y), y) and log2 P(d(y) | y)
-    for a deterministic rule's choice d (_choice), whose gather by a trial's
-    y indices gives its x, joint and decided-posterior surprisals; None for
-    SAP."""
-    if choice is None:
-        return None
-    y = np.arange(model.n_observations)
-    return np.stack(
-        [model.log2_prior[choice], model.log2_joint[choice, y], model.log2_posterior[choice, y]]
-    )
+    law = _symbol_law(model, rule)
+    table = np.zeros((3, model.n_observations))
+    table[:, law.y] = law.log2[[0, 2, 3]]
+    return table
 
 
 def _draw(
@@ -216,13 +206,13 @@ def run_trial(
     m = params.extension
     (width,) = _widths([(model, rule, params)])
     u = rng.random((1, width))
-    choice = _choice(model, rule)
     xi, yi, post_rate, y_rate = _draw(model, u, m)
     decided, success, dec_rate = _decide(
-        model, _rule_table(model, choice), yi, y_rate, u, m, params.epsilon
+        model, _rule_table(model, rule), yi, y_rate, u, m, params.epsilon
     )
     if decided is None:
-        decided = choice[yi]
+        law = _symbol_law(model, rule)
+        decided = law.x[np.searchsorted(law.y, yi)]
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
     return SequenceTrial(
@@ -421,7 +411,7 @@ def _run_block(
     """
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
     pairs = dict.fromkeys((model, rule) for model, rule, _ in experiments)
-    tables = {pair: _rule_table(pair[0], _choice(*pair)) for pair in pairs}
+    tables = {pair: _rule_table(*pair) for pair in pairs}
     groups: dict[tuple[DiscreteJointModel, int], list[int]] = {}
     for e, (model, _, params) in enumerate(experiments):
         groups.setdefault((model, params.extension), []).append(e)
@@ -677,7 +667,8 @@ def extended_fano_check(
     up to float rounding. Its p_f is the exact failure probability, the
     oracle for Monte Carlo agreement.
     """
-    return _fano_record(model, rule, params, _scan_y_space(model, rule, params, cap))
+    sums = _exact_pass(model, params, cap, census=False, rule=rule)[1]
+    return _fano_record(model, rule, params, sums)
 
 
 def _exact_audit(
@@ -698,7 +689,7 @@ def _fano_record(
     params: TypicalityParams,
     sums: tuple[float, float, float],
 ) -> FanoRecord:
-    """extended_fano_check's record from _scan_y_space's exact sums."""
+    """extended_fano_check's record from _exact_pass's exact Fano sums."""
     m, eps = params.extension, params.epsilon
     p_f, h_e, success_weighted_h = sums
     h_x_given_y = m * model.h_x_given_y

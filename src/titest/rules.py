@@ -8,15 +8,18 @@ The three deterministic rules are defined once, by decide_columns over a stack
 of posterior columns in ascending label order: first-occurrence argmax/argmin,
 row-wise sums and row-wise cumulative sums. decide is the one entry point
 for a single observation's column under any of the four rules, SAP by one
-posterior draw (sap_sample). _symbol_law gives the law of one decided pair
-(x-hat, y), which the trials' deterministic choices, error_probability and
-the exact type-class walk all read. A model's label_order gives the
-ascending label order; _ascending sorts one column.
+posterior draw (sap_sample). _symbol_law builds the law of one decided pair
+(x-hat, y) as one record: its support, the log2 prior, y-marginal, joint and
+posterior at each support point, and H(X | Y=y) there. The trials' rule
+tables and deterministic choices, error_probability and the exact
+type-class walk all read it. A model's label_order gives the ascending label
+order; _ascending sorts one column.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,23 +195,43 @@ def decide(
     return int(labels[decide_columns(rule, probs[None, :])[0]])
 
 
-def _symbol_law(model: DiscreteJointModel, rule: DecisionRule) -> tuple[np.ndarray, ...]:
-    """(x, y, prob): the support of one decided pair (x-hat, y) under rule.
+class _SymbolLaw(NamedTuple):
+    """One decided pair's law (_symbol_law): storage indices x and y of its
+    support points, their probabilities prob > 0, the (4, K) table log2 of
+    log2 P(x-hat), P(y), P(x-hat, y) and P(x-hat | y) at each point, and
+    h_post, H(X | Y=y) at each point."""
 
-    Under every rule the M decided pairs are i.i.d. x and y are storage
-    indices and prob > 0 their probabilities. SAP draws x-hat from the
+    x: np.ndarray
+    y: np.ndarray
+    prob: np.ndarray
+    log2: np.ndarray
+    h_post: np.ndarray
+
+
+def _symbol_law(model: DiscreteJointModel, rule: DecisionRule) -> _SymbolLaw:
+    """The law of one decided pair (x-hat, y) under rule.
+
+    Under every rule the M decided pairs are i.i.d. SAP draws x-hat from the
     posterior, so its pairs are the nonzero entries of model.joint, in
     np.nonzero order. A deterministic rule d gives (d(y), y) with prob P(y),
-    one pair per live y in storage order, by one decide_columns call.
+    one pair per live y in storage order, by one decide_columns call. This
+    is the one place the model's log2 tables and posterior entropies are
+    gathered at a law's support points; the last log2 row is read from
+    log2_posterior, as the trials read it, not formed as a difference.
     """
     rule = DecisionRule(rule)
     if rule.is_stochastic:
         x, y = np.nonzero(model.joint)
-        return x, y, model.joint[x, y]
-    y = np.flatnonzero(model.y_marginal > 0)
-    order = model.label_order
-    x = order[decide_columns(rule, model.posterior_matrix[order][:, y].T)]
-    return x, y, model.y_marginal[y]
+        prob = model.joint[x, y]
+    else:
+        y = np.flatnonzero(model.y_marginal > 0)
+        order = model.label_order
+        x = order[decide_columns(rule, model.posterior_matrix[order][:, y].T)]
+        prob = model.y_marginal[y]
+    log2 = np.stack([
+        model.log2_prior[x], model.log2_y_marginal[y], model.log2_joint[x, y], model.log2_posterior[x, y]
+    ])
+    return _SymbolLaw(x, y, prob, log2, model.posterior_col_entropy[y])
 
 
 def error_probability(model: DiscreteJointModel, rule: DecisionRule) -> float:
@@ -218,5 +241,5 @@ def error_probability(model: DiscreteJointModel, rule: DecisionRule) -> float:
     decided pair's law (_symbol_law): sum_y P(y) post_y[d(y)] for a
     deterministic rule d and sum_y P(y) sum_x post_y[x]^2 for SAP.
     """
-    x, y, prob = _symbol_law(model, rule)
-    return float(1.0 - prob @ model.posterior_matrix[x, y])
+    law = _symbol_law(model, rule)
+    return float(1.0 - law.prob @ model.posterior_matrix[law.x, law.y])

@@ -12,16 +12,18 @@ size, the multinomial M! / prod(c_k!), kept as an exact integer. That is
 C(M+K-1, M) rows instead of K^M sequences. _exact_pass gathers every law a
 call needs, over each law's positive-probability support: the census's prior,
 y-marginal and joint law (rules._symbol_law under SAP), and the rule's
-decided-pair law for the audits behind experiment.extended_fano_check
-(_scan_y_space). It checks every walk against the cap before any runs, then
-walks the type classes once per support size K: each block feeds every law
-of that size, and SAP's law, shared by the census and the audit, is banded
-once. typical_set_census and _scan_y_space are thin entry points over it;
+decided-pair law for the audit behind experiment.extended_fano_check. It
+checks every walk against the cap before any runs, then walks the type
+classes once per support size K: each block feeds every law of that size,
+and SAP's law, shared by the census and the audit, is banded once. A pair
+law's band reads its rates from rows of the record's log2 table, and the
+audit's _FanoSums its posterior entropies from the record's h_post.
+typical_set_census and extended_fano_check are entry points over it;
 `titest enumerate` runs it once for both.
 _rate is the one definition of a surprisal rate. _rates gives the three
 rates of rows of pairs; jointly_typical_rows bands them, is_jointly_typical
-reports them for one pair, and a walked pair law reads them from its own
-per-point tables.
+reports them for one pair, and a walked pair law reads them from its
+record's log2 rows.
 conditional_members returns the sequences themselves and still enumerates them.
 """
 
@@ -35,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .model import DiscreteJointModel
-from .rules import DecisionRule, _symbol_law
+from .rules import DecisionRule, _symbol_law, _SymbolLaw
 
 __all__ = [
     "CensusBound",
@@ -405,14 +407,17 @@ class _Totals:
 
 
 class _FanoSums:
-    """The Fano audit's reducer over a decided-pair law with y-indices y.
+    """The Fano audit's reducer over a decided-pair law (rules._symbol_law).
 
     Each class adds its mass to its y-type's total and, when jointly typical,
-    to its typical mass; the success-weighted sum adds its typical mass times
-    H(X^M | y), the posterior entropies of its y-symbols.
+    to its typical mass; s(y) = typical / total is the per-y success
+    probability, exactly 0 or 1 under a deterministic rule, which has one
+    class per y-type. The success-weighted sum, sum_y P(y) s(y) H(X^M | y),
+    adds each class's typical mass times the sum of its y-symbols' H(X | y)
+    (the law's h_post).
     """
 
-    def __init__(self, model: DiscreteJointModel, y: np.ndarray, m: int) -> None:
+    def __init__(self, model: DiscreteJointModel, law: _SymbolLaw, m: int) -> None:
         # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
         # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
         # (the combinatorial number system); binom[a, i] = C(a + i, i + 1).
@@ -424,7 +429,7 @@ class _FanoSums:
         self.total, self.typical = np.zeros((2, self.n_types))
         self.success_weighted_h = 0.0
         # each support point's live-y rank and posterior entropy H(X | y)
-        self.rank, self.entropy = live_rank[y], model.posterior_col_entropy[y]
+        self.rank, self.entropy = live_rank[law.y], law.h_post
 
     def add(self, rows: np.ndarray, sizes: np.ndarray, probs: np.ndarray, keep: np.ndarray) -> None:
         mass = sizes.astype(float) * probs
@@ -520,7 +525,7 @@ def _exact_pass(
     m, eps = params.extension, params.epsilon
     laws: list[tuple] = []  # (prob, band, reducers), for _walk
     totals: dict[str, _Totals] = {}
-    pairs: dict[DecisionRule, tuple] = {}  # rule -> (its law's support, reducers)
+    pairs: dict[DecisionRule, tuple] = {}  # rule -> (its law, reducers)
     if census:
         for tag, p, log2_p, h in (
             ("x", model.prior, model.log2_prior, model.h_x),
@@ -535,15 +540,15 @@ def _exact_pass(
         rule = DecisionRule(rule)
         if rule not in pairs:
             pairs[rule] = (_symbol_law(model, rule), [])
-    for (x, y, prob), reducers in pairs.values():
-        laws.append((prob, _pair_band(model, x, y, eps), reducers))
+    for law, reducers in pairs.values():
+        laws.append((law.prob, _pair_band(model, law, eps), reducers))
     limit = resolve_enum_cap(cap)
     for prob, _, _ in laws:  # before any walk, or any reducer's tables, is built
         _check_walk(len(prob), m, limit)
     fano = None
     if rule is not None:
-        (_, y, _), reducers = pairs[rule]
-        fano = _FanoSums(model, y, m)
+        law, reducers = pairs[rule]
+        fano = _FanoSums(model, law, m)
         reducers.append(fano)
     _walk(laws, m)
     report = _census_report(model, m, eps, totals) if census else None
@@ -555,11 +560,10 @@ def _marginal_band(log2_prob: np.ndarray, h: float, eps: float) -> Callable:
     return lambda rows: in_band(_rate(log2_prob, rows), h, eps)
 
 
-def _pair_band(model: DiscreteJointModel, x: np.ndarray, y: np.ndarray, eps: float) -> Callable:
+def _pair_band(model: DiscreteJointModel, law: _SymbolLaw, eps: float) -> Callable:
     """A pair law's band: jointly_typical_rows of its rows' (x, y) pairs, with
-    each rate read from the law's own per-point log2 table, one 1-D gather."""
-    tables = (model.log2_prior[x], model.log2_y_marginal[y], model.log2_joint[x, y])
-    return lambda rows: _joint_band(model, *(_rate(t, rows) for t in tables), eps)
+    each rate read from a row of the law's log2 table, one 1-D gather."""
+    return lambda rows: _joint_band(model, *(_rate(t, rows) for t in law.log2[:3]), eps)
 
 
 def typical_set_census(
@@ -620,24 +624,3 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
     inner = (p > 0.0) & (p < 1.0)
     q = np.where(inner, p, 0.5)
     return np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
-
-
-def _scan_y_space(
-    model: DiscreteJointModel,
-    rule: DecisionRule,
-    params: TypicalityParams,
-    cap: int | None,
-) -> tuple[float, float, float]:
-    """Exact sums over the type classes of the decided pairs' law for small M.
-
-    Returns (p_f, h_e_given_y, success_weighted_h) where success_weighted_h
-    = sum_y P(y) s(y) H(X^M | y) and s(y) is the per-y success probability.
-    The M decided pairs are i.i.d. draws from the rule's law
-    (rules._symbol_law), so one walk over the type classes of its support
-    pairs serves all four rules: each class adds its mass to its y-type's
-    total and, when jointly typical, to its typical mass; s(y) = typical /
-    total. A deterministic rule has one class per y-type, so its s(y) is
-    exactly 0 or 1. The cap counts the symbols the walk builds
-    (_check_walk), checked before it starts.
-    """
-    return _exact_pass(model, params, cap, census=False, rule=rule)[1]

@@ -33,7 +33,7 @@ from titest import (
 )
 from titest import experiment
 from titest.experiment import SWEEP_COLUMNS, Z_95, _block_bounds, _run_block, render_sweep_csv
-from titest.rules import CdfGuide, inverse_cdf_pick
+from titest.rules import CdfGuide, _symbol_law, inverse_cdf_pick
 from titest.typicality import BOUNDARY_ATOL, jointly_typical_rows
 
 
@@ -270,6 +270,13 @@ def posterior_cdf(model):
     return order, np.cumsum(model.posterior_matrix[order], axis=0).T
 
 
+def law_choices(model, rule, yi):
+    """A deterministic rule's decided x at each y index of yi, read from its
+    decided pairs' law as run_trial reads it."""
+    law = _symbol_law(model, rule)
+    return law.x[np.searchsorted(law.y, yi)]
+
+
 def compare_and_sum_kernel(model, rule, u, m, epsilon):
     """_draw and _decide with every pick comparing u against every CDF entry of
     its row (inverse_cdf_pick), as before the guide tables."""
@@ -279,7 +286,7 @@ def compare_and_sum_kernel(model, rule, u, m, epsilon):
         order, cdf = posterior_cdf(model)
         decided = order[inverse_cdf_pick(cdf[yi], u[:, 2 * m :])]
     else:
-        decided = experiment._choice(model, rule)[yi]
+        decided = law_choices(model, rule, yi)
     return (
         xi,
         yi,
@@ -316,12 +323,11 @@ class TestGuidedKernel:
         if rule.is_stochastic:
             plant_adversarial(u[:, 2 * m :], posterior_cdf(model)[1], rng)
         xi, yi, post_rate, y_rate = experiment._draw(model, u, m)
-        choice = experiment._choice(model, rule)
         decided, success, dec_rate = experiment._decide(
-            model, experiment._rule_table(model, choice), yi, y_rate, u, m, 0.25
+            model, experiment._rule_table(model, rule), yi, y_rate, u, m, 0.25
         )
         if decided is None:  # a deterministic rule reads its rates from its table
-            decided = choice[yi]
+            decided = law_choices(model, rule, yi)
         got = xi, yi, decided, success, post_rate, dec_rate
         want = compare_and_sum_kernel(model, rule, u, m, 0.25)
         for g, w in zip(got[:3], want[:3]):
@@ -757,20 +763,22 @@ class TestSweep:
             assert row["successes"] == rep.success_count
 
     def test_rule_tables_built_once_per_model_and_rule(self, monkeypatch):
-        # a block reads each (model, rule)'s choice once, whatever M and epsilon
+        # a block builds each deterministic (model, rule)'s decided-pair law
+        # once, whatever M and epsilon; SAP draws its decisions and builds none
         calls = []
 
-        def counting_choice(model, rule):
+        def counting_law(model, rule):
             calls.append((model, rule))
-            return choice(model, rule)
+            return symbol_law(model, rule)
 
-        choice = experiment._choice
-        monkeypatch.setattr(experiment, "_choice", counting_choice)
+        symbol_law = experiment._symbol_law
+        monkeypatch.setattr(experiment, "_symbol_law", counting_law)
         # the acceptance grid: 4 coin models x 2 M x 4 rules = 32 points
         rows = sweep([5, 15, 25, 35], [0.4], [1, 10], [0.25], list(DecisionRule), 2, 0)
         assert len(rows) == 32
-        assert len(calls) == 16
-        assert len({(id(model), rule) for model, rule in calls}) == 16
+        assert len(calls) == 12
+        assert len({(id(model), rule) for model, rule in calls}) == 12
+        assert DecisionRule.SAP not in {rule for _, rule in calls}
 
     def test_empty_axis_gives_empty_table(self):
         assert sweep([], [0.4], [2], [0.25], [DecisionRule.MAP], 10, 0) == []

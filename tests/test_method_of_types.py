@@ -1,9 +1,10 @@
 """The type-class engine against brute-force scans of every sequence.
 
-typical_set_census and _scan_y_space sum over type classes, which
-typicality._walk visits once per support size for every law of a call. The
-references here visit all K^M sequences (and, for SAP, all x-sequences per
-y-sequence) the slow way, so sizes must agree exactly and floats to rounding.
+typical_set_census and the Fano sums of _exact_pass sum over type classes,
+which typicality._walk visits once per support size for every law of a
+call. The references here visit all K^M sequences (and, for SAP, all
+x-sequences per y-sequence) the slow way, so sizes must agree exactly and
+floats to rounding.
 """
 
 import functools
@@ -34,7 +35,7 @@ from titest.typicality import (
     BOUNDARY_ATOL,
     EnumerationTooLargeError,
     _check_walk,
-    _scan_y_space,
+    _exact_pass,
     _type_classes,
 )
 
@@ -129,7 +130,7 @@ def assert_matches_brute_force(model, m, eps):
                 max_p, rel=1e-12, abs=0.0
             ), key
     for rule in DecisionRule:
-        got = _scan_y_space(model, rule, params, None)
+        got = _exact_pass(model, params, None, census=False, rule=rule)[1]
         want = brute_y_scan(model, rule, m, eps)
         # H(E|Y) of a y whose s(y) is 1 up to rounding is rounding noise
         # (about 1e-14), so the y-scan also gets a 1e-12 absolute floor
@@ -247,7 +248,8 @@ class TestOneWalk:
         # one class per y-type, so s(y) is typical / total = w / w or 0 / w
         for rule in (DecisionRule.MAP, DecisionRule.EAP, DecisionRule.MEAP):
             for m in ms:
-                assert _scan_y_space(model, rule, TypicalityParams(0.25, m), None)[1] == 0.0
+                params = TypicalityParams(0.25, m)
+                assert _exact_pass(model, params, None, census=False, rule=rule)[1][1] == 0.0
 
     def test_zero_probability_pairs_are_never_walked(self, monkeypatch):
         # coin10 has 65 pairs of positive probability out of 11 * 10
@@ -264,7 +266,7 @@ class TestOneWalk:
         assert walked == [10, 11, 65]
         walked.clear()
         for rule in DecisionRule:
-            _scan_y_space(model, rule, params, None)
+            _exact_pass(model, params, None, census=False, rule=rule)
         assert walked == [11, 11, 11, 65]
 
     def test_marginal_censuses_walk_the_support_only(self, monkeypatch):
@@ -314,12 +316,13 @@ class TestWalkCap:
     def test_edges_at_the_default_cap(self, model, k, m_max):
         # SAP and the census's joint walk go over the joint law's k pairs
         assert k * math.comb(m_max + k, m_max - 1) <= 10**7 < k * math.comb(m_max + 1 + k, m_max)
-        p_f, _, _ = _scan_y_space(model, DecisionRule.SAP, TypicalityParams(0.25, m_max), None)
+        sap_max = TypicalityParams(0.25, m_max)
+        p_f, _, _ = _exact_pass(model, sap_max, None, census=False, rule=DecisionRule.SAP)[1]
         assert 0.0 <= p_f < 1.0
         params = TypicalityParams(0.25, m_max + 1)
         for call in (
             lambda: typical_set_census(model, params),
-            lambda: _scan_y_space(model, DecisionRule.SAP, params, None),
+            lambda: _exact_pass(model, params, None, census=False, rule=DecisionRule.SAP),
         ):
             with pytest.raises(EnumerationTooLargeError, match=rf"= {k}\*C\({m_max + 1 + k}, "):
                 call()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import oracle_decide, oracle_posterior, oracle_y_marginal
 from titest import rules
-from titest.experiment import _choice
 from titest.rules import CdfGuide, _symbol_law
 from titest import (
     DecisionRule,
@@ -166,9 +165,9 @@ def tied_models(draw):
 
 
 def assert_rules_equal_oracle(model):
-    """decide_columns, the trials' choices (experiment._choice) and the
-    one-column wrappers against oracle_decide, for every deterministic rule
-    and every observation."""
+    """decide_columns, the trials' choices (read from the decided pairs' law,
+    rules._symbol_law) and the one-column wrappers against oracle_decide, for
+    every deterministic rule and every observation."""
     labels = model.hypothesis_values
     ascending = sorted(range(model.n_hypotheses), key=lambda i: labels[i])
     live = [j for j in range(model.n_observations) if model.y_marginal[j] > 0]
@@ -176,10 +175,9 @@ def assert_rules_equal_oracle(model):
     for rule in DETERMINISTIC_RULES:
         want = [oracle_decide(rule.value, column) for column in stack.tolist()]
         assert decide_columns(rule, stack).tolist() == want
-        choice = [0] * model.n_observations
-        for j, position in zip(live, want):
-            choice[j] = ascending[position]
-        assert _choice(model, rule).tolist() == choice
+        law = _symbol_law(model, rule)
+        assert law.y.tolist() == live
+        assert law.x[np.searchsorted(law.y, live)].tolist() == [ascending[p] for p in want]
         for j, position in zip(live, want):
             post = posterior(model, model.observation_values[j])
             assert decide(rule, post) == labels[ascending[position]]
@@ -500,17 +498,62 @@ def oracle_error_probability(model, rule):
     return 1.0 - correct
 
 
+def support_triple(model, rule):
+    """(x, y, prob), the decided pair's support as _symbol_law built it
+    before the law became a record: np.nonzero order under SAP, the live y
+    in storage order under a deterministic rule."""
+    if rule.is_stochastic:
+        x, y = np.nonzero(model.joint)
+        return x, y, model.joint[x, y]
+    y = np.flatnonzero(model.y_marginal > 0)
+    order = np.argsort(model.hypothesis_values, kind="stable")
+    x = order[decide_columns(rule, model.posterior_matrix[order][:, y].T)]
+    return x, y, model.y_marginal[y]
+
+
+def assert_law_record(model):
+    """Every rule's law record: its support is support_triple's, its log2
+    rows and h_post are the model's tables gathered at (x, y), bit for bit,
+    and three drift identities hold to 1e-12."""
+    for rule in DecisionRule:
+        law = _symbol_law(model, rule)
+        for got, want in zip(law[:3], support_triple(model, rule)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rule
+        x, y = law.x, law.y
+        tables = (
+            model.log2_prior[x], model.log2_y_marginal[y],
+            model.log2_joint[x, y], model.log2_posterior[x, y],
+        )
+        assert law.log2.shape == (4, len(x)), rule
+        for row, want in zip(law.log2, tables):
+            assert row.tobytes() == want.tobytes(), rule
+        assert law.h_post.tobytes() == model.posterior_col_entropy[y].tobytes(), rule
+        # E[s_y] = H(Y) under every rule, and s_xy = s_y + s_post at every point
+        assert -(law.prob @ law.log2[1]) == pytest.approx(model.h_y, rel=0.0, abs=1e-12), rule
+        np.testing.assert_allclose(law.log2[2], law.log2[1] + law.log2[3], rtol=0.0, atol=1e-12)
+        if rule.is_stochastic:
+            # delta_SAP = 0: SAP's mean x, y and joint surprisals are H(X), H(Y), H(X,Y)
+            np.testing.assert_allclose(
+                -(law.log2[:3] @ law.prob), [model.h_x, model.h_y, model.h_xy], rtol=0.0, atol=1e-12
+            )
+
+
 class TestSymbolLaw:
     """The decided pair's law (_symbol_law) and error_probability, which
-    reads it, on random models."""
+    reads it, on random and named models."""
+
+    @pytest.mark.parametrize("name", ["coin5", "coin10", "coin35", "coin64", "bsc25"])
+    def test_record_on_named_models(self, name):
+        assert_law_record(named_model(name))
 
     @settings(max_examples=200, deadline=None)
     @given(small_models())
     def test_law_and_error_probability(self, model):
+        assert_law_record(model)
         ascending = sorted(range(model.n_hypotheses), key=lambda i: model.hypothesis_values[i])
         live = [j for j in range(model.n_observations) if model.y_marginal[j] > 0]
         for rule in DecisionRule:
-            x, y, prob = _symbol_law(model, rule)
+            x, y, prob = _symbol_law(model, rule)[:3]
             assert (prob > 0).all(), rule
             assert prob.sum() == pytest.approx(1.0, rel=0.0, abs=1e-12), rule
             if rule.is_stochastic:
