@@ -49,8 +49,8 @@ share a model share it there too. A block builds each deterministic rule's
 decided-pair law (rules._symbol_law) once per (model, rule) and scatters its
 x, joint and posterior log2 rows by y into one table (_rule_table), so a
 rule at one M makes one gather per chunk; SAP draws by the model's posterior
-guide. run_trial also takes its deterministic choices of x per y from the
-law.
+guide. run_trial builds a deterministic rule's law once, for its table and
+for its choices of x per y.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .model import DiscreteJointModel, build_coin_model
-from .rules import DecisionRule, _symbol_law
+from .rules import DecisionRule, _symbol_law, _SymbolLaw
 from .typicality import (
     CensusReport,
     SequencePair,
     TypicalityParams,
+    _band,
     _exact_pass,
-    _joint_band,
     _pick_pair,
 )
 
@@ -135,15 +135,12 @@ class SequenceTrial:
     decided_surprisal_rate: float
 
 
-def _rule_table(model: DiscreteJointModel, rule: DecisionRule) -> np.ndarray | None:
+def _rule_table(model: DiscreteJointModel, law: _SymbolLaw) -> np.ndarray:
     """The (3, |Y|) table of log2 P(d(y)), log2 P(d(y), y) and log2 P(d(y) | y)
     for a deterministic rule d, scattered from its decided pairs' law
     (rules._symbol_law), whose gather by a trial's y indices gives its x,
     joint and decided-posterior surprisals; 0 at a zero-evidence y, which no
-    trial samples. None for SAP, which draws its decisions."""
-    if rule.is_stochastic:
-        return None
-    law = _symbol_law(model, rule)
+    trial samples."""
     table = np.zeros((3, model.n_observations))
     table[:, law.y] = law.log2[[0, 2, 3]]
     return table
@@ -187,7 +184,7 @@ def _decide(
         # their terms as a (B, M) gather's do; table[:, yi] would not
         decided = None
         x, joint, dec = -np.take(table, yi, axis=1).mean(axis=2)
-    return decided, _joint_band(model, x, y_rate, joint, epsilon), dec
+    return decided, _band((x, y_rate, joint), (model.h_x, model.h_y, model.h_xy), epsilon), dec
 
 
 def run_trial(
@@ -207,11 +204,10 @@ def run_trial(
     (width,) = _widths([(model, rule, params)])
     u = rng.random((1, width))
     xi, yi, post_rate, y_rate = _draw(model, u, m)
-    decided, success, dec_rate = _decide(
-        model, _rule_table(model, rule), yi, y_rate, u, m, params.epsilon
-    )
+    law = None if rule.is_stochastic else _symbol_law(model, rule)
+    table = None if law is None else _rule_table(model, law)
+    decided, success, dec_rate = _decide(model, table, yi, y_rate, u, m, params.epsilon)
     if decided is None:
-        law = _symbol_law(model, rule)
         decided = law.x[np.searchsorted(law.y, yi)]
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
@@ -411,7 +407,10 @@ def _run_block(
     """
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
     pairs = dict.fromkeys((model, rule) for model, rule, _ in experiments)
-    tables = {pair: _rule_table(*pair) for pair in pairs}
+    tables = {
+        (model, rule): None if rule.is_stochastic else _rule_table(model, _symbol_law(model, rule))
+        for model, rule in pairs
+    }
     groups: dict[tuple[DiscreteJointModel, int], list[int]] = {}
     for e, (model, _, params) in enumerate(experiments):
         groups.setdefault((model, params.extension), []).append(e)
@@ -667,7 +666,7 @@ def extended_fano_check(
     up to float rounding. Its p_f is the exact failure probability, the
     oracle for Monte Carlo agreement.
     """
-    sums = _exact_pass(model, params, cap, census=False, rule=rule)[1]
+    sums = _exact_pass(model, params, cap, census=False, law=_symbol_law(model, rule))[1]
     return _fano_record(model, rule, params, sums)
 
 
@@ -679,7 +678,7 @@ def _exact_audit(
 ) -> tuple[CensusReport, FanoRecord]:
     """typical_set_census and extended_fano_check of one call, from one
     _exact_pass: a support size's type classes are walked once for both."""
-    census, sums = _exact_pass(model, params, cap, rule=rule)
+    census, sums = _exact_pass(model, params, cap, law=_symbol_law(model, rule))
     return census, _fano_record(model, rule, params, sums)
 
 

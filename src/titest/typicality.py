@@ -9,21 +9,21 @@ sequence's membership and probability depend only on its type (the count of
 each symbol), not on the symbol order. The exact engine therefore walks type
 classes: one non-decreasing representative per class, weighted by the class
 size, the multinomial M! / prod(c_k!), kept as an exact integer. That is
-C(M+K-1, M) rows instead of K^M sequences. _exact_pass gathers every law a
-call needs, over each law's positive-probability support: the census's prior,
-y-marginal and joint law (rules._symbol_law under SAP), and the rule's
-decided-pair law for the audit behind experiment.extended_fano_check. It
-checks every walk against the cap before any runs, then walks the type
-classes once per support size K: each block feeds every law of that size,
-and SAP's law, shared by the census and the audit, is banded once. A pair
-law's band reads its rates from rows of the record's log2 table, and the
-audit's _FanoSums its posterior entropies from the record's h_post.
-typical_set_census and extended_fano_check are entry points over it;
-`titest enumerate` runs it once for both.
-_rate is the one definition of a surprisal rate. _rates gives the three
-rates of rows of pairs; jointly_typical_rows bands them, is_jointly_typical
-reports them for one pair, and a walked pair law reads them from its
-record's log2 rows.
+C(M+K-1, M) rows instead of K^M sequences. _walk reads laws as records:
+support probabilities, an (r, K) log2 table and r centres, and keeps a class
+when each row's rate is in the band of its centre. The census's x- and
+y-marginal laws are one row each over their positive-probability support,
+centred at H(X) and H(Y); a decided-pair law (rules._symbol_law) is its
+record's log2 rows 0-2, centred at (H(X), H(Y), H(X,Y)). _exact_pass gathers
+the laws a call needs (the census's three, its joint law being SAP's, and
+the law audited by experiment.extended_fano_check), checks every walk
+against the cap, then walks the type classes once per support size K for
+every law of that size; laws of equal content are banded once. The engine
+holds no rule logic. typical_set_census and extended_fano_check are entry
+points over it; `titest enumerate` runs it once for both.
+_rate is the one definition of a surprisal rate (is_typical rates one
+sequence as a (1, M) row) and _band the one place the conditions are
+combined (jointly_typical_rows, experiment._decide and the walk).
 conditional_members returns the sequences themselves and still enumerates them.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,22 +161,20 @@ def _rates(model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray) -> tuple:
     )
 
 
-def _joint_band(
-    model: DiscreteJointModel, x: np.ndarray, y: np.ndarray, joint: np.ndarray, epsilon: float
-) -> np.ndarray:
-    """All three joint-typicality conditions on the x, y and joint rates."""
-    return (
-        in_band(x, model.h_x, epsilon)
-        & in_band(y, model.h_y, epsilon)
-        & in_band(joint, model.h_xy, epsilon)
-    )
+def _band(rates: Sequence[np.ndarray], centres: Sequence[float], epsilon: float) -> np.ndarray:
+    """Every typicality condition of a law at once: each rate in_band of its
+    centre, ANDed in order. The one place the conditions are combined."""
+    keep = in_band(rates[0], centres[0], epsilon)
+    for rate, h in zip(rates[1:], centres[1:]):
+        keep &= in_band(rate, h, epsilon)
+    return keep
 
 
 def jointly_typical_rows(
     model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray, epsilon: float
 ) -> np.ndarray:
     """All three joint-typicality conditions for (B, M) index rows, as (B,) bools."""
-    return _joint_band(model, *_rates(model, xi, yi), epsilon)
+    return _band(_rates(model, xi, yi), (model.h_x, model.h_y, model.h_xy), epsilon)
 
 
 def _pick_pair(model: DiscreteJointModel, ux: np.ndarray, uy: np.ndarray) -> tuple:
@@ -228,13 +226,12 @@ def is_typical(
     if len(seq) != params.extension:
         raise ValueError(f"sequence length {len(seq)} != extension {params.extension}")
     if which.upper() == "X":
-        rate = float(-model.log2_prior[_x_indices(model, seq)].mean())
-        h = model.h_x
+        log2_prob, index, h = model.log2_prior, _x_indices(model, seq), model.h_x
     elif which.upper() == "Y":
-        rate = float(-model.log2_y_marginal[_y_indices(model, seq)].mean())
-        h = model.h_y
+        log2_prob, index, h = model.log2_y_marginal, _y_indices(model, seq), model.h_y
     else:
         raise ValueError(f"which must be 'X' or 'Y', got {which!r}")
+    rate = float(_rate(log2_prob, index[None])[0])  # the sequence as one (1, M) row
     return TypicalityCheck(typical=bool(in_band(rate, h, params.epsilon)), rate=rate)
 
 
@@ -450,11 +447,13 @@ class _FanoSums:
         )
 
 
-def _walk(laws: Sequence[tuple], m: int) -> None:
+def _walk(laws: Sequence[tuple], m: int, eps: float) -> None:
     """Feed each law's reducers the type classes of m i.i.d. draws from it.
 
-    A law is (prob, band, reducers): its support probabilities (all > 0), a
-    map of (B, m) rows of support indices to (B,) bools, and what it feeds.
+    A law is (prob, log2, centres, reducers): its support probabilities (all
+    > 0), an (r, K) log2 table, r centres, and what it feeds; its band
+    (_band) keeps a class whose every row's _rate is in the band of its
+    centre. Laws of equal content (prob, log2, centres) are walked as one.
     _type_classes runs once per distinct support size K, and each of its
     (rows, sizes) blocks goes to every law of that size: the law's member
     probabilities exp2(sum of log2 prob over the row), its band, and then each
@@ -462,14 +461,18 @@ def _walk(laws: Sequence[tuple], m: int) -> None:
     of its own walk, in its own walk's order. The caller checks every walk
     against the cap (_check_walk) first.
     """
+    shared: dict[tuple, tuple] = {}
+    for prob, log2, centres, reducers in laws:
+        key = (prob.tobytes(), log2.tobytes(), tuple(centres))
+        shared.setdefault(key, (np.log2(prob), log2, centres, []))[3].extend(reducers)
     by_size: dict[int, list] = {}
-    for prob, band, reducers in laws:
-        by_size.setdefault(len(prob), []).append((np.log2(prob), band, reducers))
+    for law in shared.values():
+        by_size.setdefault(len(law[0]), []).append(law)
     for k, group in by_size.items():
         for rows, sizes in _type_classes(k, m):
-            for log2_prob, band, reducers in group:
+            for log2_prob, log2, centres, reducers in group:
                 probs = np.exp2(log2_prob[rows].sum(axis=1))
-                keep = band(rows)
+                keep = _band([_rate(row, rows) for row in log2], centres, eps)
                 for reducer in reducers:
                     reducer.add(rows, sizes, probs, keep)
 
@@ -510,60 +513,55 @@ def _exact_pass(
     params: TypicalityParams,
     cap: int | None,
     census: bool = True,
-    rule: DecisionRule | None = None,
+    law: _SymbolLaw | None = None,
 ) -> tuple[CensusReport | None, tuple[float, float, float] | None]:
-    """The census (if census) and the Fano sums of rule's decided pairs (if
-    rule), from one _walk of every law they need.
+    """The census (if census) and the Fano sums of a decided-pair law's draws
+    (if law, a rules._symbol_law record), from one _walk of every law they need.
 
-    The census walks the prior, the y-marginal and the joint law
-    (rules._symbol_law under SAP), each over its positive-probability support;
-    the Fano sums walk the rule's law (_FanoSums). The laws are checked in that
-    order. A rule whose law is the census's joint law (SAP) shares it, so the
-    law's member probabilities and band are computed once for both reducers.
+    The census walks the prior, the y-marginal and its joint law
+    (_census_laws); the Fano sums (_FanoSums) walk law (_pair_entry). Every
+    walk is checked against the cap, in that order, before any runs or any
+    _FanoSums table is built. _walk bands laws of equal content once, so
+    SAP's law, which is the census's joint law, serves both reducers.
     Returns (CensusReport or None, (p_f, h_e_given_y, success_weighted_h) or None).
     """
     m, eps = params.extension, params.epsilon
-    laws: list[tuple] = []  # (prob, band, reducers), for _walk
-    totals: dict[str, _Totals] = {}
-    pairs: dict[DecisionRule, tuple] = {}  # rule -> (its law, reducers)
-    if census:
-        for tag, p, log2_p, h in (
-            ("x", model.prior, model.log2_prior, model.h_x),
-            ("y", model.y_marginal, model.log2_y_marginal, model.h_y),
-        ):
-            (live,) = np.nonzero(p > 0)  # a zero-probability symbol's rate is infinite
-            totals[tag] = _Totals()
-            laws.append((p[live], _marginal_band(log2_p[live], h, eps), [totals[tag]]))
-        totals["joint"] = _Totals()
-        pairs[DecisionRule.SAP] = (_symbol_law(model, DecisionRule.SAP), [totals["joint"]])
-    if rule is not None:
-        rule = DecisionRule(rule)
-        if rule not in pairs:
-            pairs[rule] = (_symbol_law(model, rule), [])
-    for law, reducers in pairs.values():
-        laws.append((law.prob, _pair_band(model, law, eps), reducers))
+    laws, totals = _census_laws(model) if census else ([], {})
+    if law is not None:
+        laws.append(_pair_entry(model, law, []))
     limit = resolve_enum_cap(cap)
-    for prob, _, _ in laws:  # before any walk, or any reducer's tables, is built
+    for prob, *_ in laws:  # before any walk, or any reducer's tables, is built
         _check_walk(len(prob), m, limit)
     fano = None
-    if rule is not None:
-        law, reducers = pairs[rule]
+    if law is not None:
         fano = _FanoSums(model, law, m)
-        reducers.append(fano)
-    _walk(laws, m)
+        laws[-1][3].append(fano)  # law's entry, appended above
+    _walk(laws, m, eps)
     report = _census_report(model, m, eps, totals) if census else None
     return report, None if fano is None else fano.sums()
 
 
-def _marginal_band(log2_prob: np.ndarray, h: float, eps: float) -> Callable:
-    """A marginal law's band: its rows' surprisal rate within eps of h."""
-    return lambda rows: in_band(_rate(log2_prob, rows), h, eps)
+def _pair_entry(model: DiscreteJointModel, law: _SymbolLaw, reducers: list) -> tuple:
+    """A decided-pair law as _walk takes it: its x, y and joint log2 rows,
+    centred at H(X), H(Y) and H(X,Y)."""
+    return law.prob, law.log2[:3], (model.h_x, model.h_y, model.h_xy), reducers
 
 
-def _pair_band(model: DiscreteJointModel, law: _SymbolLaw, eps: float) -> Callable:
-    """A pair law's band: jointly_typical_rows of its rows' (x, y) pairs, with
-    each rate read from a row of the law's log2 table, one 1-D gather."""
-    return lambda rows: _joint_band(model, *(_rate(t, rows) for t in law.log2[:3]), eps)
+def _census_laws(model: DiscreteJointModel) -> tuple[list[tuple], dict[str, _Totals]]:
+    """The census's laws as _walk takes them, and the _Totals each feeds: the
+    prior and the y-marginal, one row each over its positive-probability
+    support (a zero-probability symbol's rate is infinite), centred at H(X)
+    and H(Y), and the joint law, which is SAP's decided-pair law."""
+    totals = {tag: _Totals() for tag in ("x", "y", "joint")}
+    laws = []
+    for tag, p, log2_p, h in (
+        ("x", model.prior, model.log2_prior, model.h_x),
+        ("y", model.y_marginal, model.log2_y_marginal, model.h_y),
+    ):
+        live = np.flatnonzero(p > 0)
+        laws.append((p[live], log2_p[live][None], (h,), [totals[tag]]))
+    laws.append(_pair_entry(model, _symbol_law(model, DecisionRule.SAP), [totals["joint"]]))
+    return laws, totals
 
 
 def typical_set_census(

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import io
 import json
@@ -297,40 +298,60 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--trials", "10"]) == 2
 
     def test_rule_comparison_script_writes_sweep_csv(self, capsys, tmp_path):
-        grid = self.grid(tmp_path, n=[5], m=[10], rules=["map", "eap", "meap", "sap"])
+        grid = self.grid(tmp_path, n=[3, 5], m=[2], rules=["map", "eap", "meap", "sap"])
         argv = ["--trials", "50", "--seed", "2026", "--workers", "1"]
         assert run_cli(["sweep", "--grid", grid, *argv]) == 0
         want = capsys.readouterr().out
-        repo = Path(__file__).resolve().parents[1]
-        out = tmp_path / "rules.csv"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        written, lines, out = self.run_script(
+            "run_rule_comparison.py", ["--n", "3", "5", "--m", "2", *argv], tmp_path
         )
-        subprocess.run(
-            [sys.executable, str(repo / "scripts" / "run_rule_comparison.py"),
-             "--n", "5", *argv, "--out", str(out)],
-            check=True, capture_output=True, env=env,
-        )
-        assert out.read_bytes() == want.encode()
+        assert written == want.encode()
+        # a header, one line per N of each rule's accuracy and TI, then the
+        # count of CSV rows written
+        rows = list(csv.DictReader(io.StringIO(want)))
+        assert lines[0].split() == ["N", "eap", "map", "meap", "sap", "ti"]
+        for n, line in zip(("3", "5"), lines[1:3]):
+            acc = {row["rule"]: row["accuracy_bits"] for row in rows if row["N"] == n}
+            ti = next(row["ti_bits"] for row in rows if row["N"] == n)
+            assert line.split() == [
+                n, *(f"{float(acc[r]):.4f}" if acc[r] else "--" for r in ("eap", "map", "meap", "sap")),
+                f"{float(ti):.4f}",
+            ], line
+        assert lines[3:] == ["", f"wrote {len(rows)} rows to {out}"]
 
     def test_convergence_script_matches_sweep(self, capsys, tmp_path):
-        grid = self.grid(tmp_path, n=[5, 7], m=[1, 3], rules=["sap"])
-        argv = ["--trials", "60", "--seed", "2026"]
+        grid = self.grid(tmp_path, n=[3, 5], m=[1, 2], rules=["sap"])
+        argv = ["--trials", "50", "--seed", "2026"]
         assert run_cli(["sweep", "--grid", grid, *argv, "--workers", "1"]) == 0
         want = capsys.readouterr().out
+        rows = list(csv.DictReader(io.StringIO(want)))
+        for workers in ("1", "2"):
+            written, lines, out = self.run_script(
+                "run_convergence_sweep.py",
+                ["--n", "3", "5", "--m", "1", "2", *argv, "--workers", workers], tmp_path,
+            )
+            assert written == want.encode()
+            # one line per CSV row, in its order, then the count of rows written
+            assert len(lines) == len(rows) + 2
+            for row, line in zip(rows, lines):
+                assert line.startswith(f"N={int(row['N']):3d} M={int(row['M']):3d}  "), line
+                assert line.endswith(f"pf={float(row['pf_hat']):.3f}"), line
+            assert lines[len(rows):] == ["", f"wrote {len(rows)} rows to {out}"]
+
+    @staticmethod
+    def run_script(name, args, tmp_path):
+        """(CSV bytes, stdout lines, CSV path) of scripts/<name> run with args."""
         repo = Path(__file__).resolve().parents[1]
-        out = tmp_path / "convergence.csv"
+        out = tmp_path / "script.csv"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
         )
-        subprocess.run(
-            [sys.executable, str(repo / "scripts" / "run_convergence_sweep.py"),
-             "--n", "5", "7", "--m", "1", "3", *argv, "--workers", "2", "--out", str(out)],
-            check=True, capture_output=True, env=env,
+        done = subprocess.run(
+            [sys.executable, str(repo / "scripts" / name), *args, "--out", str(out)],
+            check=True, capture_output=True, env=env, text=True,
         )
-        assert out.read_bytes() == want.encode()
+        return out.read_bytes(), done.stdout.splitlines(), str(out)
 
 
 ACCEPTANCE_GRID = {

@@ -323,9 +323,9 @@ class TestGuidedKernel:
         if rule.is_stochastic:
             plant_adversarial(u[:, 2 * m :], posterior_cdf(model)[1], rng)
         xi, yi, post_rate, y_rate = experiment._draw(model, u, m)
-        decided, success, dec_rate = experiment._decide(
-            model, experiment._rule_table(model, rule), yi, y_rate, u, m, 0.25
-        )
+        law = None if rule.is_stochastic else _symbol_law(model, rule)
+        table = None if law is None else experiment._rule_table(model, law)
+        decided, success, dec_rate = experiment._decide(model, table, yi, y_rate, u, m, 0.25)
         if decided is None:  # a deterministic rule reads its rates from its table
             decided = law_choices(model, rule, yi)
         got = xi, yi, decided, success, post_rate, dec_rate
@@ -779,6 +779,10 @@ class TestSweep:
         assert len(calls) == 12
         assert len({(id(model), rule) for model, rule in calls}) == 12
         assert DecisionRule.SAP not in {rule for _, rule in calls}
+        # one trial builds its law once, for its table and for its choices
+        calls.clear()
+        run_trial(build_coin_model(5, 0.4), DecisionRule.MAP, params(0.25, 3), trial_rng(0, 0))
+        assert len(calls) == 1
 
     def test_empty_axis_gives_empty_table(self):
         assert sweep([], [0.4], [2], [0.25], [DecisionRule.MAP], 10, 0) == []

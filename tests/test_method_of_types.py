@@ -31,6 +31,7 @@ from titest import (
     typical_set_census,
 )
 from titest import cli, typicality
+from titest.rules import _symbol_law
 from titest.typicality import (
     BOUNDARY_ATOL,
     EnumerationTooLargeError,
@@ -116,10 +117,8 @@ def brute_y_scan(model, rule, m, eps):
     return p_f, h_e, weighted_h
 
 
-def assert_matches_brute_force(model, m, eps):
-    params = TypicalityParams(epsilon=eps, extension=m)
-    census = typical_set_census(model, params)
-    for key, (count, mass, min_p, max_p) in brute_census(model, m, eps).items():
+def assert_census_matches(census, want):
+    for key, (count, mass, min_p, max_p) in want.items():
         assert census.sizes[key] == count, key
         assert census.masses[key] == pytest.approx(mass, rel=1e-12, abs=0.0), key
         if count:
@@ -129,12 +128,24 @@ def assert_matches_brute_force(model, m, eps):
             assert census.bound(f"{key}_member_prob_upper").lhs == pytest.approx(
                 max_p, rel=1e-12, abs=0.0
             ), key
+
+
+def assert_matches_brute_force(model, m, eps):
+    """The lone census, each rule's lone audit, and the census with each
+    rule's audit from one combined pass, against the brute-force scans."""
+    params = TypicalityParams(epsilon=eps, extension=m)
+    want_census = brute_census(model, m, eps)
+    assert_census_matches(typical_set_census(model, params), want_census)
     for rule in DecisionRule:
-        got = _exact_pass(model, params, None, census=False, rule=rule)[1]
+        law = _symbol_law(model, rule)
         want = brute_y_scan(model, rule, m, eps)
+        lone = _exact_pass(model, params, None, census=False, law=law)[1]
+        census, combined = _exact_pass(model, params, None, law=law)
+        assert_census_matches(census, want_census)
         # H(E|Y) of a y whose s(y) is 1 up to rounding is rounding noise
         # (about 1e-14), so the y-scan also gets a 1e-12 absolute floor
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), rule
+        for got in (lone, combined):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), rule
 
 
 @st.composite
@@ -249,7 +260,8 @@ class TestOneWalk:
         for rule in (DecisionRule.MAP, DecisionRule.EAP, DecisionRule.MEAP):
             for m in ms:
                 params = TypicalityParams(0.25, m)
-                assert _exact_pass(model, params, None, census=False, rule=rule)[1][1] == 0.0
+                law = _symbol_law(model, rule)
+                assert _exact_pass(model, params, None, census=False, law=law)[1][1] == 0.0
 
     def test_zero_probability_pairs_are_never_walked(self, monkeypatch):
         # coin10 has 65 pairs of positive probability out of 11 * 10
@@ -266,7 +278,7 @@ class TestOneWalk:
         assert walked == [10, 11, 65]
         walked.clear()
         for rule in DecisionRule:
-            _exact_pass(model, params, None, census=False, rule=rule)
+            _exact_pass(model, params, None, census=False, law=_symbol_law(model, rule))
         assert walked == [11, 11, 11, 65]
 
     def test_marginal_censuses_walk_the_support_only(self, monkeypatch):
@@ -317,12 +329,13 @@ class TestWalkCap:
         # SAP and the census's joint walk go over the joint law's k pairs
         assert k * math.comb(m_max + k, m_max - 1) <= 10**7 < k * math.comb(m_max + 1 + k, m_max)
         sap_max = TypicalityParams(0.25, m_max)
-        p_f, _, _ = _exact_pass(model, sap_max, None, census=False, rule=DecisionRule.SAP)[1]
+        sap = _symbol_law(model, DecisionRule.SAP)
+        p_f, _, _ = _exact_pass(model, sap_max, None, census=False, law=sap)[1]
         assert 0.0 <= p_f < 1.0
         params = TypicalityParams(0.25, m_max + 1)
         for call in (
             lambda: typical_set_census(model, params),
-            lambda: _exact_pass(model, params, None, census=False, rule=DecisionRule.SAP),
+            lambda: _exact_pass(model, params, None, census=False, law=sap),
         ):
             with pytest.raises(EnumerationTooLargeError, match=rf"= {k}\*C\({m_max + 1 + k}, "):
                 call()
@@ -434,6 +447,47 @@ class TestSharedWalks:
             "titest: error: K*C(M+K, M-1) = 65*C(70, 4) symbols exceed the enumeration cap "
             "10000000; use Monte Carlo trials instead\n"
         )
+
+    def test_sap_audit_adds_no_band_work_to_the_census(self, monkeypatch):
+        # SAP's decided-pair law is the census's joint law, so one pass walks
+        # and bands it once for both; bsc25's prior and y-marginal are equal
+        # laws too, banded by one rate at K=2, and the joint law's three at K=4
+        rated = []
+        rate = typicality._rate
+
+        def counting(*args):
+            rated.append(args)
+            return rate(*args)
+
+        monkeypatch.setattr(typicality, "_rate", counting)
+        model, params = build_bsc_model(0.25), TypicalityParams(0.25, 11)
+        _exact_pass(model, params, None)
+        assert len(rated) == 1 + 3
+        rated.clear()
+        _exact_pass(model, params, None, law=_symbol_law(model, DecisionRule.SAP))
+        assert len(rated) == 1 + 3
+        rated.clear()
+        _exact_pass(model, params, None, law=_symbol_law(model, DecisionRule.MAP))
+        assert len(rated) == 1 + 3 + 3
+
+    def test_laws_share_a_band_only_when_their_content_is_equal(self, monkeypatch):
+        # one support and centre, two log2 rows: the surprisals of prob, and
+        # a flat log2(3) that puts every class in the band; a copy of either
+        # shares its band, and the other is banded apart
+        prob, eps, m = np.array([0.5, 0.25, 0.25]), 0.25, 4
+        skew, flat = np.log2(prob)[None], np.full((1, 3), -math.log2(3))
+        walked = recorded_walks(monkeypatch)
+        totals = [typicality._Totals() for _ in range(3)]
+        typicality._walk(
+            [(prob, skew, (1.5,), [totals[0]]), (prob, flat, (1.5,), [totals[1]]),
+             (prob.copy(), skew.copy(), (1.5,), [totals[2]])], m, eps,
+        )
+        assert walked == [3]
+        for law, got in ((skew, totals[0]), (flat, totals[1]), (skew, totals[2])):
+            alone = typicality._Totals()
+            typicality._walk([(prob, law, (1.5,), [alone])], m, eps)
+            assert vars(got) == vars(alone)
+        assert totals[1].count == 3**m > totals[0].count
 
     def test_lone_calls_walk_only_their_own_laws(self, monkeypatch):
         # the census's prior and y-marginal share bsc25's 2 symbols; the audit

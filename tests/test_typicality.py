@@ -133,6 +133,30 @@ class TestIsTypical:
         ok, rate = is_typical((0, 1, 0), model, "Y", params(5.0, 3))
         assert not ok and rate == math.inf
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rate_is_the_mean_surprisal_bit_for_bit(self, data):
+        # the rate is _rate's over the sequence as one (1, M) row, which must
+        # equal the sequence's mean surprisal, an infinite one included;
+        # M up to 300 passes numpy's 128-term pairwise summation block
+        def weights(n):
+            w = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+            return np.array(w, dtype=float) / sum(w)
+
+        n_x, n_y = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        model = DiscreteJointModel(
+            tuple(range(n_x)), tuple(range(10, 10 + n_y)), weights(n_x),
+            np.array([weights(n_y) for _ in range(n_x)]),
+        )
+        m = data.draw(st.integers(1, 300))
+        for which, table, labels in (
+            ("X", model.log2_prior, model.hypothesis_values),
+            ("Y", model.log2_y_marginal, model.observation_values),
+        ):
+            idx = np.array(data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=m, max_size=m)))
+            rate = is_typical([labels[i] for i in idx], model, which, params(0.25, m)).rate
+            assert float.hex(rate) == float.hex(float(-table[idx].mean()))
+
     def test_which_validation(self, coin10):
         with pytest.raises(ValueError):
             is_typical((1, 1), coin10, "Z", params(0.1, 2))
