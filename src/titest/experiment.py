@@ -45,12 +45,12 @@ more blocks imports the pool's module (concurrent.futures and the
 multiprocessing stack under it). An experiment is (model, rule, params), and
 a job carries a list of them; a model pickles as its four defining fields
 and rebuilds its tables on arrival. A job is one pickle, so experiments that
-share a model share it there too. A block builds each deterministic rule's
-decided-pair law (rules._symbol_law) once per (model, rule) and scatters its
-x, joint and posterior log2 rows by y into one table (_rule_table), so a
-rule at one M makes one gather per chunk; SAP draws by the model's posterior
-guide. run_trial builds a deterministic rule's law once, for its table and
-for its choices of x per y.
+share a model share it there too. A block builds each rule's decided-pair law
+(rules._symbol_law) once per (model, rule) and scatters its x, joint and
+posterior log2 rows into one table (_rule_table), by y for a deterministic
+rule and by x-hat |Y| + y for SAP, which draws x-hat by the model's posterior
+guide; every rate of a trial is typicality._rate's gather from a log2 table.
+run_trial builds one law, for its table and a deterministic rule's choices.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ from .typicality import (
     TypicalityParams,
     _band,
     _exact_pass,
+    _integer,
     _pick_pair,
+    _rate,
 )
 
 __all__ = [
@@ -135,14 +137,15 @@ class SequenceTrial:
     decided_surprisal_rate: float
 
 
-def _rule_table(model: DiscreteJointModel, law: _SymbolLaw) -> np.ndarray:
-    """The (3, |Y|) table of log2 P(d(y)), log2 P(d(y), y) and log2 P(d(y) | y)
-    for a deterministic rule d, scattered from its decided pairs' law
-    (rules._symbol_law), whose gather by a trial's y indices gives its x,
-    joint and decided-posterior surprisals; 0 at a zero-evidence y, which no
-    trial samples."""
-    table = np.zeros((3, model.n_observations))
-    table[:, law.y] = law.log2[[0, 2, 3]]
+def _rule_table(model: DiscreteJointModel, law: _SymbolLaw, rule: DecisionRule) -> np.ndarray:
+    """The (3, n) log2 P(x-hat), P(x-hat, y) and P(x-hat | y) of rule's decided
+    pairs, scattered from their law (rules._symbol_law) by y for a
+    deterministic rule (n = |Y|), by x-hat |Y| + y for SAP (n = |X| |Y|), and
+    -inf off its support, so a SAP pick of a zero-posterior x-hat fails."""
+    n = model.n_observations
+    at = law.x * n + law.y if rule.is_stochastic else law.y
+    table = np.full((3, n * model.n_hypotheses if rule.is_stochastic else n), -np.inf)
+    table[:, at] = law.log2[[0, 2, 3]]
     return table
 
 
@@ -154,12 +157,13 @@ def _draw(
     rule at one (model, M) reads these same columns and rates."""
     xi, yi = _pick_pair(model, u[:, :m], u[:, m : 2 * m])
     post_rate = model.posterior_col_entropy[yi].mean(axis=1)
-    return xi, yi, post_rate, -model.log2_y_marginal[yi].mean(axis=1)
+    return xi, yi, post_rate, _rate(model.log2_y_marginal, yi)
 
 
 def _decide(
     model: DiscreteJointModel,
-    table: np.ndarray | None,
+    rule: DecisionRule,
+    table: np.ndarray,
     yi: np.ndarray,
     y_rate: np.ndarray,
     u: np.ndarray,
@@ -167,23 +171,18 @@ def _decide(
     epsilon: float,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(decided_xi, success, decided_surprisal_rate) of the trials whose y
-    indices are yi and y rates y_rate. A deterministic rule reads its x,
-    joint and decided-posterior rates from one gather of its table
-    (_rule_table) and returns decided_xi None; SAP (table None) draws
-    decided_xi from the posterior with u's columns 2M to 3M and gathers its
-    joint and posterior surprisals by one flat index."""
-    if table is None:
+    indices are yi and y rates y_rate; the x, joint and decided-posterior
+    rates are _rate's of rule's table (_rule_table). A deterministic rule
+    gathers it by yi at once and returns decided_xi None; SAP draws
+    decided_xi with u's columns 2M to 3M and gathers a row at a time."""
+    if rule.is_stochastic:
         decided = model.label_order[model.posterior_guide.pick(u[:, 2 * m : 3 * m], yi)]
-        flat = decided * model.n_observations
-        flat += yi  # in place: one (B, M) index array fewer at the peak
-        x = -model.log2_prior[decided].mean(axis=1)
-        joint = -model.log2_joint.ravel()[flat].mean(axis=1)
-        dec = -model.log2_posterior.ravel()[flat].mean(axis=1)
+        at = decided * model.n_observations
+        at += yi  # in place: one (B, M) index array fewer at the peak
+        x, joint, dec = (_rate(row, at) for row in table)
     else:
-        # np.take makes a C-ordered (3, B, M) array, whose row means add
-        # their terms as a (B, M) gather's do; table[:, yi] would not
         decided = None
-        x, joint, dec = -np.take(table, yi, axis=1).mean(axis=2)
+        x, joint, dec = _rate(table, yi)
     return decided, _band((x, y_rate, joint), (model.h_x, model.h_y, model.h_xy), epsilon), dec
 
 
@@ -204,9 +203,9 @@ def run_trial(
     (width,) = _widths([(model, rule, params)])
     u = rng.random((1, width))
     xi, yi, post_rate, y_rate = _draw(model, u, m)
-    law = None if rule.is_stochastic else _symbol_law(model, rule)
-    table = None if law is None else _rule_table(model, law)
-    decided, success, dec_rate = _decide(model, table, yi, y_rate, u, m, params.epsilon)
+    law = _symbol_law(model, rule)
+    table = _rule_table(model, law, rule)
+    decided, success, dec_rate = _decide(model, rule, table, yi, y_rate, u, m, params.epsilon)
     if decided is None:
         decided = law.x[np.searchsorted(law.y, yi)]
     x_labels = np.asarray(model.hypothesis_values)
@@ -398,18 +397,15 @@ def _run_block(
     trials' random(w). Experiments that share a model (by identity) and M
     read the same x and y columns, so per chunk the x/y picks, the y rate
     and the posterior-entropy rate run once per (model, M). Per experiment,
-    a deterministic rule then makes one gather by y of its (3, |Y|) table
-    (_rule_table, built once per (model, rule)) for its x, joint and
-    decided-posterior rates; SAP draws its decisions and gathers its joint
-    and posterior surprisals by one flat index. Each step runs over the
-    chunk whole: the guide-table picks make (chunk, M) temporaries, not
-    (chunk, M, K) ones.
+    _decide then gathers the rule's x, joint and decided-posterior rates
+    from its table (_rule_table, built once per (model, rule)). Each step
+    runs over the chunk whole: the guide-table picks make (chunk, M)
+    temporaries, not (chunk, M, K) ones.
     """
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
     pairs = dict.fromkeys((model, rule) for model, rule, _ in experiments)
     tables = {
-        (model, rule): None if rule.is_stochastic else _rule_table(model, _symbol_law(model, rule))
-        for model, rule in pairs
+        (model, rule): _rule_table(model, _symbol_law(model, rule), rule) for model, rule in pairs
     }
     groups: dict[tuple[DiscreteJointModel, int], list[int]] = {}
     for e, (model, _, params) in enumerate(experiments):
@@ -423,8 +419,9 @@ def _run_block(
                 _, rule, params = experiments[e]
                 success, post, dec = out[e]
                 post[at] = post_rate
-                table = tables[model, rule]
-                _, success[at], dec[at] = _decide(model, table, yi, y_rate, u, m, params.epsilon)
+                _, success[at], dec[at] = _decide(
+                    model, rule, tables[model, rule], yi, y_rate, u, m, params.epsilon
+                )
         done += len(u)
         del u  # free this chunk before the next one is computed
     return out
@@ -527,7 +524,9 @@ def run_experiment(
     h_hat averages posterior entropy rate over successful trials only and is
     None (with zero_success set) when nothing succeeds. Half-widths are 95%
     normal intervals: binomial for p_f_hat, sample-std CLT for h_hat.
+    trials and seed are integers, not bools, and the report holds them as ints.
     """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     (arrays,) = _map_experiments([(model, DecisionRule(rule), params)], trials, seed, workers)
     return _report(model, rule, params, trials, seed, model_spec, *arrays)
 
@@ -814,8 +813,10 @@ def sweep(
     whole grid is one call of _map_experiments: it shares one trial stream
     per block, and a grid whose work pays for more than one block shares
     one process pool. models may hold coin models the caller has already
-    built, keyed (n, theta); the others are built here.
+    built, keyed (n, theta); the others are built here. trials and seed are
+    integers, not bools, as for run_experiment.
     """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     models = models or {}
     coins = [
         (n, theta, models[n, theta] if (n, theta) in models else build_coin_model(n, theta))
@@ -837,8 +838,8 @@ def sweep(
             "M": int(m),
             "epsilon": float(eps),
             "rule": rule.value,
-            "R": int(trials),
-            "seed": int(seed),
+            "R": trials,
+            "seed": seed,
             "ti_bits": rep.ti_bits,
             "accuracy_bits": rep.accuracy_hat_bits,
             "h_hat_bits": rep.h_hat_bits,

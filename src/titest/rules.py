@@ -10,10 +10,10 @@ row-wise sums and row-wise cumulative sums. decide is the one entry point
 for a single observation's column under any of the four rules, SAP by one
 posterior draw (sap_sample). _symbol_law builds the law of one decided pair
 (x-hat, y) as one record: its support, the log2 prior, y-marginal, joint and
-posterior at each support point, and H(X | Y=y) there. The trials' rule
-tables and deterministic choices, error_probability and the exact
-type-class walk all read it. A model's label_order gives the ascending label
-order; _ascending sorts one column.
+posterior at each support point, and H(X | Y=y) there. Every rule's trial
+table (experiment._rule_table, SAP's too), the deterministic choices,
+error_probability and the exact type-class walk all read it. A model's
+label_order gives the ascending label order; _ascending sorts one column.
 """
 
 from __future__ import annotations

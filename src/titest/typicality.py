@@ -21,15 +21,19 @@ against the cap, then walks the type classes once per support size K for
 every law of that size; laws of equal content are banded once. The engine
 holds no rule logic. typical_set_census and extended_fano_check are entry
 points over it; `titest enumerate` runs it once for both.
-_rate is the one definition of a surprisal rate (is_typical rates one
-sequence as a (1, M) row) and _band the one place the conditions are
-combined (jointly_typical_rows, experiment._decide and the walk).
+_rate is the one definition of a surprisal rate, a gather along a log2
+table's last axis and one row sum: the walk's, _rates', is_typical's (one
+sequence as a (1, M) row) and every rate of the trials (experiment._draw and
+experiment._decide). _band is the one place the conditions are combined
+(jointly_typical_rows, experiment._decide and the walk).
 conditional_members returns the sequences themselves and still enumerates them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple, Sequence
@@ -90,16 +94,31 @@ def resolve_enum_cap(cap: int | None = None) -> int:
     return int(env)
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int (operator.index); a bool or a non-integer
+    raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class TypicalityParams:
     epsilon: float
     extension: int
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if not isinstance(self.extension, (int, np.integer)) or self.extension < 1:
-            raise ValueError(f"extension must be a positive integer, got {self.extension!r}")
+        # held as a float and an int, so no bool or numpy scalar reaches a report
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not (
+            eps > 0 and math.isfinite(eps)
+        ):
+            raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
+        m = _integer("extension", self.extension)
+        if m < 1:
+            raise ValueError(f"extension must be a positive integer, got {m}")
+        object.__setattr__(self, "epsilon", float(eps))
+        object.__setattr__(self, "extension", m)
 
 
 @dataclass(frozen=True)
@@ -142,14 +161,14 @@ def in_band(rate: float | np.ndarray, h: float, epsilon: float) -> np.bool_ | np
     return np.abs(rate - h) < epsilon - BOUNDARY_ATOL
 
 
-def _rate(log2_prob: np.ndarray, index: np.ndarray | tuple) -> np.ndarray:
-    """The surprisal rate (bits) of (B, M) index rows into a log2 table, as a (B,) array.
-
-    The row sum over M is what .mean(axis=1) divides, bit for bit, without
-    its Python-level dispatch, which a walk would pay per block and law.
+def _rate(log2: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Surprisal rates (bits) of (B, M) index rows along a log2 table's last
+    axis: (B,) from a (K,) table, (r, B) from an (r, K) one. The row sum over
+    M is what .mean(axis=-1) divides, bit for bit, without its Python-level
+    dispatch, which a walk would pay per block and law.
     """
-    gathered = log2_prob[index]
-    return -(gathered.sum(axis=1) / gathered.shape[1])
+    gathered = np.take(log2, index, axis=-1)
+    return -(gathered.sum(axis=-1) / index.shape[-1])
 
 
 def _rates(model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray) -> tuple:
@@ -157,7 +176,7 @@ def _rates(model: DiscreteJointModel, xi: np.ndarray, yi: np.ndarray) -> tuple:
     return (
         _rate(model.log2_prior, xi),
         _rate(model.log2_y_marginal, yi),
-        _rate(model.log2_joint, (xi, yi)),
+        _rate(model.log2_joint.ravel(), np.ravel_multi_index((xi, yi), model.log2_joint.shape)),
     )
 
 

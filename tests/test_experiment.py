@@ -323,9 +323,9 @@ class TestGuidedKernel:
         if rule.is_stochastic:
             plant_adversarial(u[:, 2 * m :], posterior_cdf(model)[1], rng)
         xi, yi, post_rate, y_rate = experiment._draw(model, u, m)
-        law = None if rule.is_stochastic else _symbol_law(model, rule)
-        table = None if law is None else experiment._rule_table(model, law)
-        decided, success, dec_rate = experiment._decide(model, table, yi, y_rate, u, m, 0.25)
+        law = _symbol_law(model, rule)
+        table = experiment._rule_table(model, law, rule)
+        decided, success, dec_rate = experiment._decide(model, rule, table, yi, y_rate, u, m, 0.25)
         if decided is None:  # a deterministic rule reads its rates from its table
             decided = law_choices(model, rule, yi)
         got = xi, yi, decided, success, post_rate, dec_rate
@@ -334,6 +334,19 @@ class TestGuidedKernel:
             np.testing.assert_array_equal(g, w)
         for g, w in zip(got[3:], want[3:]):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=small_models())
+    def test_sap_table_is_the_models_on_the_joint_support(self, model):
+        # indexed by x-hat |Y| + y: the model's x, joint and posterior log2
+        # tables where the joint is positive and -inf everywhere else, so a
+        # pick on a zero-posterior x-hat fails as its joint surprisal did
+        sap = DecisionRule.SAP
+        table = experiment._rule_table(model, _symbol_law(model, sap), sap)
+        x, _ = np.indices(model.joint.shape)
+        tables = [model.log2_prior[x], model.log2_joint, model.log2_posterior]
+        want = np.where(model.joint > 0, tables, -np.inf).reshape(3, -1)
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
 
     def test_guides_are_built_by_draws_only(self, monkeypatch):
         def refuse(self, cdf):
@@ -393,6 +406,30 @@ class TestRunExperiment:
         for trials in (2**63, 10**400):
             with pytest.raises(ValueError, match="trials must be <= 9223372036854775807"):
                 run_experiment(coin10, DecisionRule.SAP, params(0.25, 4), trials, 0)
+
+    def test_numpy_integers_give_plain_reports(self, coin10):
+        # numpy counts run as the ints they equal, and the report, the exact
+        # records and the sweep rows stay json-serialisable
+        p = TypicalityParams(0.25, np.int64(3))
+        got = run_experiment(coin10, DecisionRule.SAP, p, np.int64(50), np.uint32(4))
+        want = run_experiment(coin10, DecisionRule.SAP, params(0.25, 3), 50, 4)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        model = build_coin_model(3, 0.4)
+        for rule in DecisionRule:
+            assert json.dumps(extended_fano_check(model, rule, p).to_json_dict()) == json.dumps(
+                extended_fano_check(model, rule, params(0.25, 3)).to_json_dict()
+            )
+        rows = sweep(
+            [np.int64(5)], [0.4], [np.int64(3)], [0.25], [DecisionRule.MAP], np.int64(20), np.int64(1)
+        )
+        assert json.dumps(rows) == json.dumps(sweep([5], [0.4], [3], [0.25], [DecisionRule.MAP], 20, 1))
+
+    @pytest.mark.parametrize("trials, seed", [(True, 0), (10, True), (2.0, 0), (10, 1.5)])
+    def test_counts_must_be_integers(self, coin10, trials, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_experiment(coin10, DecisionRule.SAP, params(0.25, 3), trials, seed)
+        with pytest.raises(ValueError, match="must be an integer"):
+            sweep([5], [0.4], [3], [0.25], [DecisionRule.MAP], trials, seed)
 
     def test_m_bounded_by_one_row(self, coin10, monkeypatch):
         # a SAP row of 3M doubles fills 1 GiB at the bound; nothing runs here
@@ -763,8 +800,8 @@ class TestSweep:
             assert row["successes"] == rep.success_count
 
     def test_rule_tables_built_once_per_model_and_rule(self, monkeypatch):
-        # a block builds each deterministic (model, rule)'s decided-pair law
-        # once, whatever M and epsilon; SAP draws its decisions and builds none
+        # a block builds each (model, rule)'s decided-pair law once, whatever
+        # M and epsilon; SAP's too, whose table its drawn decisions gather from
         calls = []
 
         def counting_law(model, rule):
@@ -776,9 +813,8 @@ class TestSweep:
         # the acceptance grid: 4 coin models x 2 M x 4 rules = 32 points
         rows = sweep([5, 15, 25, 35], [0.4], [1, 10], [0.25], list(DecisionRule), 2, 0)
         assert len(rows) == 32
-        assert len(calls) == 12
-        assert len({(id(model), rule) for model, rule in calls}) == 12
-        assert DecisionRule.SAP not in {rule for _, rule in calls}
+        assert len(calls) == 16
+        assert len({(id(model), rule) for model, rule in calls}) == 16
         # one trial builds its law once, for its table and for its choices
         calls.clear()
         run_trial(build_coin_model(5, 0.4), DecisionRule.MAP, params(0.25, 3), trial_rng(0, 0))

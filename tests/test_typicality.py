@@ -34,7 +34,7 @@ from titest import (
     sample_extension,
     typical_set_census,
 )
-from titest.typicality import _check_cap, jointly_typical_rows, resolve_enum_cap
+from titest.typicality import _check_cap, _rate, jointly_typical_rows, resolve_enum_cap
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,24 @@ class TestTypes:
             TypicalityParams(epsilon=0.1, extension=0)
         with pytest.raises(ValueError):
             TypicalityParams(epsilon=0.1, extension=2.5)
+
+    @pytest.mark.parametrize("eps, m", [
+        (0.25, True), (True, 2), (0.25, np.True_), (np.True_, 2), ("0.25", 2), (0.25, "3"),
+    ])
+    def test_params_refuse_bools_and_strings(self, eps, m):
+        with pytest.raises(ValueError):
+            TypicalityParams(eps, m)
+
+    def test_params_hold_python_numbers(self):
+        # a numpy scalar is stored as the float or int it equals, so reports
+        # and records built from params stay json-serialisable
+        p = TypicalityParams(np.float32(0.25), np.int64(3))
+        assert type(p.epsilon) is float and type(p.extension) is int
+        assert p == TypicalityParams(0.25, 3)
+        census = typical_set_census(build_coin_model(3, 0.4), p)
+        assert json.dumps(census.to_json_dict()) == json.dumps(
+            typical_set_census(build_coin_model(3, 0.4), params(0.25, 3)).to_json_dict()
+        )
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
     def test_params_reject_non_finite_epsilon(self, eps):
@@ -173,6 +191,28 @@ class TestIsTypical:
         # within the documented 1e-12 band: still a boundary hit
         assert not is_typical(seq, skew_binary, "X", params(dev + 5e-13, 10)).typical
         assert is_typical(seq, skew_binary, "X", params(dev + 1e-9, 10)).typical
+
+
+class TestRate:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_table_rows_equal_one_row_at_a_time_bit_for_bit(self, data):
+        # an (r, K) table's (r, B) rates are each row's (B,) rates, and each
+        # is the mean surprisal a fancy index gives, -inf entries included,
+        # for the guides' uint8/uint16 indices and intp ones; M up to 300
+        # passes numpy's 128-term pairwise summation block
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        r, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 256))
+        b, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 300))
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.intp]))
+        table = -rng.exponential(4.0, (r, k))
+        table[rng.random((r, k)) < data.draw(st.sampled_from([0.0, 0.05, 0.5]))] = -np.inf
+        index = rng.integers(0, k, (b, m)).astype(dtype)
+        got = _rate(table, index)
+        assert got.shape == (r, b)
+        for row, rates in zip(table, got):
+            assert rates.tobytes() == _rate(row, index).tobytes()
+            assert rates.tobytes() == (-row[index].mean(axis=-1)).tobytes()
 
 
 class TestIsJointlyTypical:
