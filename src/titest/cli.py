@@ -321,18 +321,17 @@ def cmd_sweep(s: dict) -> int:
 
     n_values = [_as_int("grid n", v, 1) for v in grid["n"]]
     theta_values = [_as_float("grid theta", v) for v in grid["theta"]]
-    try:  # reject a bad coin point before any experiment runs
-        models = {(n, theta): build_coin_model(n, theta) for n in n_values for theta in theta_values}
-    except ValueError as e:
-        raise _UsageError(f"grid file {grid_path}: {e}") from None
     m_values = [_as_trial_m("grid m", _as_int("grid m", v, 1)) for v in grid["m"]]
     eps_values = [_as_epsilon("grid epsilon", v) for v in grid["epsilon"]]
     rule_values = [_as_rule("grid rules", r) for r in grid["rules"]]
 
-    rows = sweep(
-        n_values, theta_values, m_values, eps_values, rule_values,
-        s["trials"], s["seed"], workers=s["workers"], models=models,
-    )
+    try:  # sweep builds every coin model, and refuses a bad one, before any trial
+        rows = sweep(
+            n_values, theta_values, m_values, eps_values, rule_values,
+            s["trials"], s["seed"], workers=s["workers"],
+        )
+    except ValueError as e:
+        raise _UsageError(f"grid file {grid_path}: {e}") from None
     text = _render_json(rows) if s["format"] == "json" else render_sweep_csv(rows)
     return _emit(text, s["out"])
 

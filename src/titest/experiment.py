@@ -62,7 +62,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -464,7 +464,7 @@ def _map_experiments(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if trials > sys.maxsize:
         raise ValueError(f"trials must be <= {sys.maxsize}, got {trials}")
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not experiments:
         return []
@@ -524,7 +524,8 @@ def run_experiment(
     h_hat averages posterior entropy rate over successful trials only and is
     None (with zero_success set) when nothing succeeds. Half-widths are 95%
     normal intervals: binomial for p_f_hat, sample-std CLT for h_hat.
-    trials and seed are integers, not bools, and the report holds them as ints.
+    trials, seed and workers are integers, not bools; the report holds
+    trials and seed as ints.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     (arrays,) = _map_experiments([(model, DecisionRule(rule), params)], trials, seed, workers)
@@ -800,7 +801,6 @@ def sweep(
     trials: int,
     seed: int,
     workers: int = 1,
-    models: Mapping[tuple[int, float], DiscreteJointModel] | None = None,
 ) -> list[dict]:
     """Coin-model grid of experiments, one row dict per point.
 
@@ -812,16 +812,13 @@ def sweep(
     Undefined-accuracy rows carry None in the h_hat-derived columns. The
     whole grid is one call of _map_experiments: it shares one trial stream
     per block, and a grid whose work pays for more than one block shares
-    one process pool. models may hold coin models the caller has already
-    built, keyed (n, theta); the others are built here. trials and seed are
-    integers, not bools, as for run_experiment.
+    one process pool. Every coin model is built before any trial runs, so a
+    bad (n, theta) raises ValueError with nothing run. trials, seed and
+    workers are integers, not bools, as for run_experiment.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
-    models = models or {}
-    coins = [
-        (n, theta, models[n, theta] if (n, theta) in models else build_coin_model(n, theta))
-        for n in sorted(set(n_values)) for theta in sorted(set(theta_values))
-    ]
+    coins = [(n, theta, build_coin_model(n, theta)) for n in sorted(set(n_values))
+             for theta in sorted(set(theta_values))]
     rules = sorted(set(map(DecisionRule, rules)), key=lambda r: r.value)
     grid = list(product(coins, sorted(set(m_values)), sorted(set(epsilon_values)), rules))
     experiments = [

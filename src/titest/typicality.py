@@ -110,9 +110,12 @@ class TypicalityParams:
     def __post_init__(self) -> None:
         # held as a float and an int, so no bool or numpy scalar reaches a report
         eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not (
-            eps > 0 and math.isfinite(eps)
-        ):
+        ok = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+        try:  # an int past the float range overflows float(): refused as inf is
+            ok = ok and 0 < float(eps) < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
             raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
         m = _integer("extension", self.extension)
         if m < 1:
@@ -285,12 +288,13 @@ def is_jointly_typical(
 
 
 def _index_blocks(n_symbols: int, m: int, block: int = 1 << 16) -> Iterator[np.ndarray]:
-    """Yield (B, m) arrays covering all n_symbols**m index tuples in order."""
+    """Yield (B, m) arrays covering all n_symbols**m index tuples in order:
+    digit k of row i is i // n_symbols**(m-1-k) % n_symbols, for any m."""
     total = n_symbols**m
-    shape = (n_symbols,) * m
+    powers = np.array([n_symbols ** (m - 1 - k) for k in range(m)], dtype=np.intp)
     for lo in range(0, total, block):
-        flat = np.arange(lo, min(lo + block, total))
-        yield np.stack(np.unravel_index(flat, shape), axis=1)
+        flat = np.arange(lo, min(lo + block, total), dtype=np.intp)
+        yield flat[:, None] // powers % n_symbols
 
 
 def conditional_members(
@@ -303,7 +307,7 @@ def conditional_members(
 
     Returns label tuples in lexicographic index order. The set is empty
     whenever y_seq itself fails its marginal condition, since that condition
-    does not depend on x. Candidate count |X|^m or 2^m beyond the cap raises
+    does not depend on x. Candidate count |X|^m beyond the cap raises
     EnumerationTooLargeError; Monte Carlo trials are the fallback at scale.
     """
     m = params.extension
@@ -311,7 +315,6 @@ def conditional_members(
         raise ValueError(f"sequence length {len(y_seq)} != extension {m}")
     n_x = model.n_hypotheses
     _check_cap("|X|^M", n_x, m, cap)
-    _check_cap("2^M", 2, m, cap)
     if not is_typical(y_seq, model, "Y", params).typical:
         return []
     yi = _y_indices(model, y_seq)

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -297,61 +298,21 @@ class TestSweepCommand:
     def test_grid_required(self):
         assert run_cli(["sweep", "--trials", "10"]) == 2
 
-    def test_rule_comparison_script_writes_sweep_csv(self, capsys, tmp_path):
-        grid = self.grid(tmp_path, n=[3, 5], m=[2], rules=["map", "eap", "meap", "sap"])
-        argv = ["--trials", "50", "--seed", "2026", "--workers", "1"]
-        assert run_cli(["sweep", "--grid", grid, *argv]) == 0
-        want = capsys.readouterr().out
-        written, lines, out = self.run_script(
-            "run_rule_comparison.py", ["--n", "3", "5", "--m", "2", *argv], tmp_path
-        )
-        assert written == want.encode()
-        # a header, one line per N of each rule's accuracy and TI, then the
-        # count of CSV rows written
-        rows = list(csv.DictReader(io.StringIO(want)))
-        assert lines[0].split() == ["N", "eap", "map", "meap", "sap", "ti"]
-        for n, line in zip(("3", "5"), lines[1:3]):
-            acc = {row["rule"]: row["accuracy_bits"] for row in rows if row["N"] == n}
-            ti = next(row["ti_bits"] for row in rows if row["N"] == n)
-            assert line.split() == [
-                n, *(f"{float(acc[r]):.4f}" if acc[r] else "--" for r in ("eap", "map", "meap", "sap")),
-                f"{float(ti):.4f}",
-            ], line
-        assert lines[3:] == ["", f"wrote {len(rows)} rows to {out}"]
-
-    def test_convergence_script_matches_sweep(self, capsys, tmp_path):
-        grid = self.grid(tmp_path, n=[3, 5], m=[1, 2], rules=["sap"])
-        argv = ["--trials", "50", "--seed", "2026"]
-        assert run_cli(["sweep", "--grid", grid, *argv, "--workers", "1"]) == 0
-        want = capsys.readouterr().out
-        rows = list(csv.DictReader(io.StringIO(want)))
-        for workers in ("1", "2"):
-            written, lines, out = self.run_script(
-                "run_convergence_sweep.py",
-                ["--n", "3", "5", "--m", "1", "2", *argv, "--workers", workers], tmp_path,
-            )
-            assert written == want.encode()
-            # one line per CSV row, in its order, then the count of rows written
-            assert len(lines) == len(rows) + 2
-            for row, line in zip(rows, lines):
-                assert line.startswith(f"N={int(row['N']):3d} M={int(row['M']):3d}  "), line
-                assert line.endswith(f"pf={float(row['pf_hat']):.3f}"), line
-            assert lines[len(rows):] == ["", f"wrote {len(rows)} rows to {out}"]
-
-    @staticmethod
-    def run_script(name, args, tmp_path):
-        """(CSV bytes, stdout lines, CSV path) of scripts/<name> run with args."""
-        repo = Path(__file__).resolve().parents[1]
-        out = tmp_path / "script.csv"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, str(repo / "scripts" / name), *args, "--out", str(out)],
-            check=True, capture_output=True, env=env, text=True,
-        )
-        return out.read_bytes(), done.stdout.splitlines(), str(out)
+    @pytest.mark.parametrize("name", ["convergence", "rule_comparison"])
+    def test_committed_grid_runs(self, capsys, name):
+        path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.json"
+        grid = json.loads(path.read_text())
+        argv = ["sweep", "--grid", str(path), "--trials", "50", "--seed", "2026"]
+        assert run_cli(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        rows = [(int(r["N"]), int(r["M"]), r["rule"]) for r in csv.DictReader(lines)]
+        assert rows == list(itertools.product(sorted(grid["n"]), sorted(grid["m"]), sorted(grid["rules"])))
+        assert run_cli([*argv, "--format", "json"]) == 0
+        # the README reads each point's gap to the ceiling as ti_bits - accuracy_bits
+        docs = json.loads(capsys.readouterr().out)
+        assert len(docs) == len(rows)
+        assert all({"ti_bits", "accuracy_bits", "pf_hat"} <= set(doc) for doc in docs)
 
 
 ACCEPTANCE_GRID = {
@@ -620,20 +581,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "--epsilon" in err
 
-    @pytest.mark.parametrize("axes", [
-        {"n": [513]},
-        {"n": [0]},
-        {"theta": [1.5]},
-        {"theta": [0.0]},
-        {"n": 5},
-        {"n": [1e400]},
-        {"theta": [10**400]},
-        {"m": [2, 10**9]},
+    # coin: a point the grid's own checks pass and the coin model refuses,
+    # which sweep builds before any trial runs
+    @pytest.mark.parametrize("axes, coin", [
+        ({"n": [513]}, True),
+        ({"n": [0]}, False),
+        ({"theta": [1.5]}, True),
+        ({"theta": [0.0]}, True),
+        ({"n": 5}, False),
+        ({"n": [1e400]}, False),
+        ({"theta": [10**400]}, False),
+        ({"m": [2, 10**9]}, False),
     ], ids=[
         "n-above-cap", "n-zero", "theta-above-one", "theta-zero", "n-not-list", "n-huge",
         "theta-huge", "m-above-trial-bound",
     ])
-    def test_bad_sweep_grid_value(self, capsys, monkeypatch, tmp_path, axes):
+    def test_bad_sweep_grid_value(self, capsys, monkeypatch, tmp_path, axes, coin):
         runs = []
         monkeypatch.setattr(experiment, "_map_experiments", lambda *args: runs.append(args))
         grid = {"n": [5], "theta": [0.4], "m": [1], "epsilon": [0.25], "rules": ["sap"]}
@@ -644,7 +607,10 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == ""
         assert "Traceback" not in err
-        assert sum(line.startswith("titest: error:") for line in err.splitlines()) == 1
+        errors = [line for line in err.splitlines() if line.startswith("titest: error:")]
+        assert len(errors) == 1
+        if coin:
+            assert errors[0].startswith("titest: error: grid file"), errors[0]
         assert runs == []  # no experiment ran
 
     @pytest.mark.parametrize("m", [experiment._MAX_TRIAL_M + 1, 10**9])

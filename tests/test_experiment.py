@@ -424,12 +424,15 @@ class TestRunExperiment:
         )
         assert json.dumps(rows) == json.dumps(sweep([5], [0.4], [3], [0.25], [DecisionRule.MAP], 20, 1))
 
-    @pytest.mark.parametrize("trials, seed", [(True, 0), (10, True), (2.0, 0), (10, 1.5)])
-    def test_counts_must_be_integers(self, coin10, trials, seed):
+    @pytest.mark.parametrize("trials, seed, workers", [
+        (True, 0, 1), (10, True, 1), (2.0, 0, 1), (10, 1.5, 1),
+        (10, 0, 2.5), (10, 0, True), (10, 0, "2"),
+    ], ids=["True-0", "10-True", "2.0-0", "10-1.5", "workers-2.5", "workers-True", "workers-str"])
+    def test_counts_must_be_integers(self, coin10, trials, seed, workers):
         with pytest.raises(ValueError, match="must be an integer"):
-            run_experiment(coin10, DecisionRule.SAP, params(0.25, 3), trials, seed)
+            run_experiment(coin10, DecisionRule.SAP, params(0.25, 3), trials, seed, workers)
         with pytest.raises(ValueError, match="must be an integer"):
-            sweep([5], [0.4], [3], [0.25], [DecisionRule.MAP], trials, seed)
+            sweep([5], [0.4], [3], [0.25], [DecisionRule.MAP], trials, seed, workers)
 
     def test_m_bounded_by_one_row(self, coin10, monkeypatch):
         # a SAP row of 3M doubles fills 1 GiB at the bound; nothing runs here
