@@ -73,10 +73,13 @@ from .typicality import (
     SequencePair,
     TypicalityParams,
     _band,
-    _exact_pass,
+    _census_report,
+    _census_totals,
+    _FanoSums,
     _integer,
     _pick_pair,
     _rate,
+    _walk,
 )
 
 __all__ = [
@@ -380,7 +383,11 @@ def _widths(
     experiments: list[tuple[DiscreteJointModel, DecisionRule, TypicalityParams]],
 ) -> list[int]:
     """Each experiment's k*M: the uniforms one of its trials reads, with k 3
-    for SAP and 2 for the deterministic rules."""
+    for SAP and 2 for the deterministic rules. An M whose row would pass
+    _ROW_BYTES is refused, before any row is drawn."""
+    m = max(params.extension for _, _, params in experiments)
+    if m > _MAX_TRIAL_M:
+        raise ValueError(f"M must be <= {_MAX_TRIAL_M} for Monte Carlo trials, got {m}")
     return [(3 if rule.is_stochastic else 2) * params.extension for _, rule, params in experiments]
 
 
@@ -468,9 +475,6 @@ def _map_experiments(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not experiments:
         return []
-    m = max(params.extension for _, _, params in experiments)
-    if m > _MAX_TRIAL_M:
-        raise ValueError(f"M must be <= {_MAX_TRIAL_M} for Monte Carlo trials, got {m}")
     bounds = _block_bounds(trials, sum(_widths(experiments)), workers)
     jobs = [(experiments, seed, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if len(jobs) == 1:
@@ -666,8 +670,9 @@ def extended_fano_check(
     up to float rounding. Its p_f is the exact failure probability, the
     oracle for Monte Carlo agreement.
     """
-    sums = _exact_pass(model, params, cap, census=False, law=_symbol_law(model, rule))[1]
-    return _fano_record(model, rule, params, sums)
+    fano = _FanoSums(model, _symbol_law(model, rule), params.extension, cap)
+    _walk([fano], params.extension, params.epsilon)
+    return _fano_record(model, rule, params, fano.sums())
 
 
 def _exact_audit(
@@ -677,9 +682,14 @@ def _exact_audit(
     cap: int | None = None,
 ) -> tuple[CensusReport, FanoRecord]:
     """typical_set_census and extended_fano_check of one call, from one
-    _exact_pass: a support size's type classes are walked once for both."""
-    census, sums = _exact_pass(model, params, cap, law=_symbol_law(model, rule))
-    return census, _fano_record(model, rule, params, sums)
+    _walk: a support size's type classes are walked once for both. The
+    census's reducers are built first, so a census walk over the cap is
+    refused before the audited law's."""
+    m, eps = params.extension, params.epsilon
+    totals = _census_totals(model, m, cap)
+    fano = _FanoSums(model, _symbol_law(model, rule), m, cap)
+    _walk([*totals.values(), fano], m, eps)
+    return _census_report(model, m, eps, totals), _fano_record(model, rule, params, fano.sums())
 
 
 def _fano_record(
@@ -688,7 +698,7 @@ def _fano_record(
     params: TypicalityParams,
     sums: tuple[float, float, float],
 ) -> FanoRecord:
-    """extended_fano_check's record from _exact_pass's exact Fano sums."""
+    """extended_fano_check's record from the exact Fano sums (_FanoSums.sums)."""
     m, eps = params.extension, params.epsilon
     p_f, h_e, success_weighted_h = sums
     h_x_given_y = m * model.h_x_given_y

@@ -14,13 +14,15 @@ support probabilities, an (r, K) log2 table and r centres, and keeps a class
 when each row's rate is in the band of its centre. The census's x- and
 y-marginal laws are one row each over their positive-probability support,
 centred at H(X) and H(Y); a decided-pair law (rules._symbol_law) is its
-record's log2 rows 0-2, centred at (H(X), H(Y), H(X,Y)). _exact_pass gathers
-the laws a call needs (the census's three, its joint law being SAP's, and
-the law audited by experiment.extended_fano_check), checks every walk
-against the cap, then walks the type classes once per support size K for
-every law of that size; laws of equal content are banded once. The engine
-holds no rule logic. typical_set_census and extended_fano_check are entry
-points over it; `titest enumerate` runs it once for both.
+record's log2 rows 0-2, centred at (H(X), H(Y), H(X,Y)). A reducer holds
+its law and checks its walk against the cap when it is built: _Totals, a
+census set's (_census_totals builds the census's three, its joint law being
+SAP's), and _FanoSums, the law audited by experiment.extended_fano_check.
+_walk then walks the type classes once per support size K for every
+reducer's law of that size; laws of equal content are banded once. The
+engine holds no rule logic. typical_set_census and extended_fano_check each
+compose their reducers with one _walk; `titest enumerate` walks both sets
+of reducers at once.
 _rate is the one definition of a surprisal rate, a gather along a log2
 table's last axis and one row sum: the walk's, _rates', is_typical's (one
 sequence as a (1, M) row) and every rate of the trials (experiment._draw and
@@ -36,7 +38,7 @@ import numbers
 import operator
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,11 +83,14 @@ class EnumerationTooLargeError(RuntimeError):
 def resolve_enum_cap(cap: int | None = None) -> int:
     """Explicit cap, else the TI_TEST_ENUM_CAP env var, else the default.
 
-    An env value that is not a positive integer raises ValueError naming the
-    variable.
+    A cap or env value that is not a positive integer raises ValueError
+    naming the argument or the variable.
     """
     if cap is not None:
-        return int(cap)
+        limit = _integer("cap", cap)
+        if limit < 1:
+            raise ValueError(f"cap must be a positive integer, got {limit}")
+        return limit
     env = os.environ.get(ENUM_CAP_ENV)
     if not env:
         return DEFAULT_ENUM_CAP
@@ -408,10 +413,13 @@ def _type_classes(
 
 
 class _Totals:
-    """A census set's reducer: the count, mass and min/max member probability
-    of the classes its law's band keeps."""
+    """A census set's reducer over m draws of law, a (prob, log2, centres)
+    entry as _walk reads it: the count, mass and min/max member probability
+    of the classes its band keeps. A walk over the cap is refused here."""
 
-    def __init__(self) -> None:
+    def __init__(self, law: tuple, m: int, cap: int | None) -> None:
+        _check_walk(len(law[0]), m, cap)
+        self.law = law
         self.count, self.mass, self.min_p, self.max_p = 0, 0.0, np.inf, 0.0
 
     def add(self, rows: np.ndarray, sizes: np.ndarray, probs: np.ndarray, keep: np.ndarray) -> None:
@@ -426,7 +434,9 @@ class _Totals:
 
 
 class _FanoSums:
-    """The Fano audit's reducer over a decided-pair law (rules._symbol_law).
+    """The Fano audit's reducer over m draws of a decided-pair law
+    (rules._symbol_law), walked as _pair_law reads it; a walk over the cap is
+    refused here.
 
     Each class adds its mass to its y-type's total and, when jointly typical,
     to its typical mass; s(y) = typical / total is the per-y success
@@ -436,7 +446,11 @@ class _FanoSums:
     (the law's h_post).
     """
 
-    def __init__(self, model: DiscreteJointModel, law: _SymbolLaw, m: int) -> None:
+    def __init__(
+        self, model: DiscreteJointModel, law: _SymbolLaw, m: int, cap: int | None
+    ) -> None:
+        _check_walk(len(law.prob), m, cap)  # before any table is built
+        self.law = _pair_law(model, law)
         # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
         # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
         # (the combinatorial number system); binom[a, i] = C(a + i, i + 1).
@@ -469,33 +483,34 @@ class _FanoSums:
         )
 
 
-def _walk(laws: Sequence[tuple], m: int, eps: float) -> None:
-    """Feed each law's reducers the type classes of m i.i.d. draws from it.
+def _walk(reducers: Iterable, m: int, eps: float) -> None:
+    """Feed each reducer the type classes of m i.i.d. draws from its law.
 
-    A law is (prob, log2, centres, reducers): its support probabilities (all
-    > 0), an (r, K) log2 table, r centres, and what it feeds; its band
-    (_band) keeps a class whose every row's _rate is in the band of its
-    centre. Laws of equal content (prob, log2, centres) are walked as one.
-    _type_classes runs once per distinct support size K, and each of its
-    (rows, sizes) blocks goes to every law of that size: the law's member
-    probabilities exp2(sum of log2 prob over the row), its band, and then each
-    of its reducers' add(rows, sizes, probs, keep). A law thus sees the blocks
-    of its own walk, in its own walk's order. The caller checks every walk
-    against the cap (_check_walk) first.
+    A reducer's law is (prob, log2, centres): its support probabilities (all
+    > 0), an (r, K) log2 table and r centres; its band (_band) keeps a class
+    whose every row's _rate is in the band of its centre. Reducers whose laws
+    have equal content are banded as one. _type_classes runs once per
+    distinct support size K, and each of its (rows, sizes) blocks goes to
+    every law of that size: the law's member probabilities exp2(sum of log2
+    prob over the row), its band, and then each of its reducers' add(rows,
+    sizes, probs, keep). A reducer thus sees the blocks of its own law's walk,
+    in that walk's order. Every reducer checked its walk against the cap
+    (_check_walk) when it was built, so no walk here is over it.
     """
     shared: dict[tuple, tuple] = {}
-    for prob, log2, centres, reducers in laws:
+    for reducer in reducers:
+        prob, log2, centres = reducer.law
         key = (prob.tobytes(), log2.tobytes(), tuple(centres))
-        shared.setdefault(key, (np.log2(prob), log2, centres, []))[3].extend(reducers)
+        shared.setdefault(key, (np.log2(prob), log2, centres, []))[3].append(reducer)
     by_size: dict[int, list] = {}
     for law in shared.values():
         by_size.setdefault(len(law[0]), []).append(law)
     for k, group in by_size.items():
         for rows, sizes in _type_classes(k, m):
-            for log2_prob, log2, centres, reducers in group:
+            for log2_prob, log2, centres, members in group:
                 probs = np.exp2(log2_prob[rows].sum(axis=1))
                 keep = _band([_rate(row, rows) for row in log2], centres, eps)
-                for reducer in reducers:
+                for reducer in members:
                     reducer.add(rows, sizes, probs, keep)
 
 
@@ -530,60 +545,28 @@ def _pow2(x: float) -> float:
     return 2.0**x if x < 1024 else math.inf
 
 
-def _exact_pass(
-    model: DiscreteJointModel,
-    params: TypicalityParams,
-    cap: int | None,
-    census: bool = True,
-    law: _SymbolLaw | None = None,
-) -> tuple[CensusReport | None, tuple[float, float, float] | None]:
-    """The census (if census) and the Fano sums of a decided-pair law's draws
-    (if law, a rules._symbol_law record), from one _walk of every law they need.
-
-    The census walks the prior, the y-marginal and its joint law
-    (_census_laws); the Fano sums (_FanoSums) walk law (_pair_entry). Every
-    walk is checked against the cap, in that order, before any runs or any
-    _FanoSums table is built. _walk bands laws of equal content once, so
-    SAP's law, which is the census's joint law, serves both reducers.
-    Returns (CensusReport or None, (p_f, h_e_given_y, success_weighted_h) or None).
-    """
-    m, eps = params.extension, params.epsilon
-    laws, totals = _census_laws(model) if census else ([], {})
-    if law is not None:
-        laws.append(_pair_entry(model, law, []))
-    limit = resolve_enum_cap(cap)
-    for prob, *_ in laws:  # before any walk, or any reducer's tables, is built
-        _check_walk(len(prob), m, limit)
-    fano = None
-    if law is not None:
-        fano = _FanoSums(model, law, m)
-        laws[-1][3].append(fano)  # law's entry, appended above
-    _walk(laws, m, eps)
-    report = _census_report(model, m, eps, totals) if census else None
-    return report, None if fano is None else fano.sums()
-
-
-def _pair_entry(model: DiscreteJointModel, law: _SymbolLaw, reducers: list) -> tuple:
-    """A decided-pair law as _walk takes it: its x, y and joint log2 rows,
+def _pair_law(model: DiscreteJointModel, law: _SymbolLaw) -> tuple:
+    """A decided-pair law as _walk reads it: its x, y and joint log2 rows,
     centred at H(X), H(Y) and H(X,Y)."""
-    return law.prob, law.log2[:3], (model.h_x, model.h_y, model.h_xy), reducers
+    return law.prob, law.log2[:3], (model.h_x, model.h_y, model.h_xy)
 
 
-def _census_laws(model: DiscreteJointModel) -> tuple[list[tuple], dict[str, _Totals]]:
-    """The census's laws as _walk takes them, and the _Totals each feeds: the
-    prior and the y-marginal, one row each over its positive-probability
-    support (a zero-probability symbol's rate is infinite), centred at H(X)
-    and H(Y), and the joint law, which is SAP's decided-pair law."""
-    totals = {tag: _Totals() for tag in ("x", "y", "joint")}
-    laws = []
-    for tag, p, log2_p, h in (
-        ("x", model.prior, model.log2_prior, model.h_x),
-        ("y", model.y_marginal, model.log2_y_marginal, model.h_y),
-    ):
+def _census_totals(model: DiscreteJointModel, m: int, cap: int | None) -> dict[str, _Totals]:
+    """The census's x, y and joint _Totals, built in that order: the prior
+    and the y-marginal, one row each over its positive-probability support (a
+    zero-probability symbol's rate is infinite), centred at H(X) and H(Y),
+    and the joint law, which is SAP's decided-pair law."""
+
+    def marginal(p: np.ndarray, log2_p: np.ndarray, h: float) -> _Totals:
         live = np.flatnonzero(p > 0)
-        laws.append((p[live], log2_p[live][None], (h,), [totals[tag]]))
-    laws.append(_pair_entry(model, _symbol_law(model, DecisionRule.SAP), [totals["joint"]]))
-    return laws, totals
+        return _Totals((p[live], log2_p[live][None], (h,)), m, cap)
+
+    joint = _pair_law(model, _symbol_law(model, DecisionRule.SAP))
+    return {
+        "x": marginal(model.prior, model.log2_prior, model.h_x),
+        "y": marginal(model.y_marginal, model.log2_y_marginal, model.h_y),
+        "joint": _Totals(joint, m, cap),
+    }
 
 
 def typical_set_census(
@@ -599,7 +582,10 @@ def typical_set_census(
     The joint set gets mass and member-probability records. Lower bounds are
     generally expected to hold only for m >= m_min (reported in the record).
     """
-    return _exact_pass(model, params, cap)[0]
+    m, eps = params.extension, params.epsilon
+    totals = _census_totals(model, m, cap)
+    _walk(totals.values(), m, eps)
+    return _census_report(model, m, eps, totals)
 
 
 def _census_report(

@@ -450,6 +450,17 @@ class TestRunExperiment:
             run_experiment(coin10, DecisionRule.SAP, params(0.25, bound + 1), 1, 0)
         assert blocks == [bound]
 
+    def test_run_trial_m_bounded_by_one_row(self, coin10):
+        # refused before any uniform is drawn: the row at M = bound + 1 is 1 GiB
+        class NoDraws:
+            def random(self, *args, **kwargs):
+                raise AssertionError("random() called")
+
+        bound = experiment._MAX_TRIAL_M
+        for rule in (DecisionRule.SAP, DecisionRule.MAP):
+            with pytest.raises(ValueError, match=f"M must be <= {bound}"):
+                run_trial(coin10, rule, params(0.25, bound + 1), NoDraws())
+
     def test_seed_reproducible(self, coin10):
         a = run_experiment(coin10, DecisionRule.SAP, params(0.25, 6), 400, 77)
         b = run_experiment(coin10, DecisionRule.SAP, params(0.25, 6), 400, 77)

@@ -1,10 +1,10 @@
 """The type-class engine against brute-force scans of every sequence.
 
-typical_set_census and the Fano sums of _exact_pass sum over type classes,
-which typicality._walk visits once per support size for every law of a
-call. The references here visit all K^M sequences (and, for SAP, all
-x-sequences per y-sequence) the slow way, so sizes must agree exactly and
-floats to rounding.
+typical_set_census and the Fano sums (typicality._FanoSums) sum over type
+classes, which typicality._walk visits once per support size for every
+reducer's law of a call. The references here visit all K^M sequences (and,
+for SAP, all x-sequences per y-sequence) the slow way, so sizes must agree
+exactly and floats to rounding.
 """
 
 import functools
@@ -36,7 +36,6 @@ from titest.typicality import (
     BOUNDARY_ATOL,
     EnumerationTooLargeError,
     _check_walk,
-    _exact_pass,
     _type_classes,
 )
 
@@ -117,6 +116,16 @@ def brute_y_scan(model, rule, m, eps):
     return p_f, h_e, weighted_h
 
 
+def fano_sums(model, params, law, census=False):
+    """(census or None, law's raw Fano sums) from one _walk, with the census's
+    reducers first when census is set, as experiment._exact_audit composes them."""
+    m, eps = params.extension, params.epsilon
+    totals = typicality._census_totals(model, m, None) if census else {}
+    fano = typicality._FanoSums(model, law, m, None)
+    typicality._walk([*totals.values(), fano], m, eps)
+    return typicality._census_report(model, m, eps, totals) if census else None, fano.sums()
+
+
 def assert_census_matches(census, want):
     for key, (count, mass, min_p, max_p) in want.items():
         assert census.sizes[key] == count, key
@@ -139,8 +148,8 @@ def assert_matches_brute_force(model, m, eps):
     for rule in DecisionRule:
         law = _symbol_law(model, rule)
         want = brute_y_scan(model, rule, m, eps)
-        lone = _exact_pass(model, params, None, census=False, law=law)[1]
-        census, combined = _exact_pass(model, params, None, law=law)
+        lone = fano_sums(model, params, law)[1]
+        census, combined = fano_sums(model, params, law, census=True)
         assert_census_matches(census, want_census)
         # H(E|Y) of a y whose s(y) is 1 up to rounding is rounding noise
         # (about 1e-14), so the y-scan also gets a 1e-12 absolute floor
@@ -222,7 +231,7 @@ class TestTypeClassList:
         assert sum(int(size) for size in sizes) == 6**24
 
     def test_census_count_exact_past_int64_sums(self):
-        totals = typicality._Totals()
+        totals = typicality._Totals((np.ones(1), np.zeros((1, 1)), (0.0,)), 1, None)
         totals.add(None, np.full(4, 2**62, dtype=np.int64), np.ones(4), np.ones(4, dtype=bool))
         assert totals.count == 2**64
 
@@ -261,7 +270,7 @@ class TestOneWalk:
             for m in ms:
                 params = TypicalityParams(0.25, m)
                 law = _symbol_law(model, rule)
-                assert _exact_pass(model, params, None, census=False, law=law)[1][1] == 0.0
+                assert fano_sums(model, params, law)[1][1] == 0.0
 
     def test_zero_probability_pairs_are_never_walked(self, monkeypatch):
         # coin10 has 65 pairs of positive probability out of 11 * 10
@@ -278,7 +287,7 @@ class TestOneWalk:
         assert walked == [10, 11, 65]
         walked.clear()
         for rule in DecisionRule:
-            _exact_pass(model, params, None, census=False, law=_symbol_law(model, rule))
+            fano_sums(model, params, _symbol_law(model, rule))
         assert walked == [11, 11, 11, 65]
 
     def test_marginal_censuses_walk_the_support_only(self, monkeypatch):
@@ -330,12 +339,12 @@ class TestWalkCap:
         assert k * math.comb(m_max + k, m_max - 1) <= 10**7 < k * math.comb(m_max + 1 + k, m_max)
         sap_max = TypicalityParams(0.25, m_max)
         sap = _symbol_law(model, DecisionRule.SAP)
-        p_f, _, _ = _exact_pass(model, sap_max, None, census=False, law=sap)[1]
+        p_f, _, _ = fano_sums(model, sap_max, sap)[1]
         assert 0.0 <= p_f < 1.0
         params = TypicalityParams(0.25, m_max + 1)
         for call in (
             lambda: typical_set_census(model, params),
-            lambda: _exact_pass(model, params, None, census=False, law=sap),
+            lambda: fano_sums(model, params, sap),
         ):
             with pytest.raises(EnumerationTooLargeError, match=rf"= {k}\*C\({m_max + 1 + k}, "):
                 call()
@@ -461,13 +470,13 @@ class TestSharedWalks:
 
         monkeypatch.setattr(typicality, "_rate", counting)
         model, params = build_bsc_model(0.25), TypicalityParams(0.25, 11)
-        _exact_pass(model, params, None)
+        typical_set_census(model, params)
         assert len(rated) == 1 + 3
         rated.clear()
-        _exact_pass(model, params, None, law=_symbol_law(model, DecisionRule.SAP))
+        fano_sums(model, params, _symbol_law(model, DecisionRule.SAP), census=True)
         assert len(rated) == 1 + 3
         rated.clear()
-        _exact_pass(model, params, None, law=_symbol_law(model, DecisionRule.MAP))
+        fano_sums(model, params, _symbol_law(model, DecisionRule.MAP), census=True)
         assert len(rated) == 1 + 3 + 3
 
     def test_laws_share_a_band_only_when_their_content_is_equal(self, monkeypatch):
@@ -477,16 +486,18 @@ class TestSharedWalks:
         prob, eps, m = np.array([0.5, 0.25, 0.25]), 0.25, 4
         skew, flat = np.log2(prob)[None], np.full((1, 3), -math.log2(3))
         walked = recorded_walks(monkeypatch)
-        totals = [typicality._Totals() for _ in range(3)]
-        typicality._walk(
-            [(prob, skew, (1.5,), [totals[0]]), (prob, flat, (1.5,), [totals[1]]),
-             (prob.copy(), skew.copy(), (1.5,), [totals[2]])], m, eps,
-        )
+        laws = [(prob, skew), (prob, flat), (prob.copy(), skew.copy())]
+        totals = [typicality._Totals((p, law, (1.5,)), m, None) for p, law in laws]
+        typicality._walk(totals, m, eps)
         assert walked == [3]
+
+        def reduced(t):
+            return t.count, t.mass, t.min_p, t.max_p
+
         for law, got in ((skew, totals[0]), (flat, totals[1]), (skew, totals[2])):
-            alone = typicality._Totals()
-            typicality._walk([(prob, law, (1.5,), [alone])], m, eps)
-            assert vars(got) == vars(alone)
+            alone = typicality._Totals((prob, law, (1.5,)), m, None)
+            typicality._walk([alone], m, eps)
+            assert reduced(got) == reduced(alone)
         assert totals[1].count == 3**m > totals[0].count
 
     def test_lone_calls_walk_only_their_own_laws(self, monkeypatch):

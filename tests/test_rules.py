@@ -350,6 +350,12 @@ class TestCdfGuide:
         assert CdfGuide(np.linspace(0.01, 1.0, 255)).guide.dtype == np.uint8
         assert CdfGuide(np.linspace(0.01, 1.0, 256)).guide.dtype == np.uint16
 
+    @pytest.mark.parametrize("k", [255, 256], ids=["uint8", "uint16"])
+    def test_picks_are_intp(self, k):
+        # the table stays small; what the callers gather by is intp
+        picks = CdfGuide(np.linspace(0.01, 1.0, k)).pick(np.array([0.0, 0.5, 0.999]))
+        assert picks.dtype == np.intp
+
 
 class TestSap:
     def test_point_mass_any_u(self):

@@ -394,6 +394,17 @@ class TestConditionalMembers:
         with pytest.raises(EnumerationTooLargeError):
             conditional_members((0,) * 8, bsc25, params(0.25, 8), cap=100)
 
+    @pytest.mark.parametrize("cap", ["100", 2.7, True, 0, -5])
+    @pytest.mark.parametrize("entry", [
+        lambda model, cap: typical_set_census(model, params(0.25, 2), cap=cap),
+        lambda model, cap: extended_fano_check(model, DecisionRule.MAP, params(0.25, 2), cap=cap),
+        lambda model, cap: conditional_members((0, 1), model, params(0.25, 2), cap=cap),
+    ], ids=["census", "fano", "members"])
+    def test_explicit_cap_must_be_positive_integer(self, bsc25, entry, cap):
+        # checked as TI_TEST_ENUM_CAP is: never truncated, never read as a limit below 1
+        with pytest.raises(ValueError, match=r"^cap must be a"):
+            entry(bsc25, cap)
+
 
 class TestCensus:
     def test_uniform_binary_identity(self):
