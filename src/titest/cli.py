@@ -339,12 +339,12 @@ def cmd_sweep(s: dict) -> int:
 def cmd_enumerate(s: dict) -> int:
     model, _ = _model(s)
     params = TypicalityParams(epsilon=s["epsilon"], extension=s["m"])
-    try:
-        cap = resolve_enum_cap()
-    except ValueError as e:  # a bad TI_TEST_ENUM_CAP is a config error
+    try:  # checked before any walk: a bad TI_TEST_ENUM_CAP is a config error
+        resolve_enum_cap()
+    except ValueError as e:
         print(f"titest: error: {e}", file=sys.stderr)
         return 2
-    census, fano = _exact_audit(model, s["rule"], params, cap)
+    census, fano = _exact_audit(model, s["rule"], params)
     return _emit(_render_json({"census": census, "fano": fano}), s["out"])
 
 

@@ -175,17 +175,16 @@ def _decide(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(decided_xi, success, decided_surprisal_rate) of the trials whose y
     indices are yi and y rates y_rate; the x, joint and decided-posterior
-    rates are _rate's of rule's table (_rule_table). A deterministic rule
-    gathers it by yi at once and returns decided_xi None; SAP draws
-    decided_xi with u's columns 2M to 3M and gathers a row at a time."""
+    rates are one _rate gather of rule's table (_rule_table), by yi for a
+    deterministic rule, which returns decided_xi None, and by decided_xi |Y|
+    + yi for SAP, which draws decided_xi with u's columns 2M to 3M."""
     if rule.is_stochastic:
         decided = model.label_order[model.posterior_guide.pick(u[:, 2 * m : 3 * m], yi)]
-        at = decided * model.n_observations
-        at += yi  # in place: one (B, M) index array fewer at the peak
-        x, joint, dec = (_rate(row, at) for row in table)
+        index = decided * model.n_observations
+        index += yi  # in place: one (B, M) index array fewer at the peak
     else:
-        decided = None
-        x, joint, dec = _rate(table, yi)
+        decided, index = None, yi
+    x, joint, dec = _rate(table, index)
     return decided, _band((x, y_rate, joint), (model.h_x, model.h_y, model.h_xy), epsilon), dec
 
 
@@ -657,10 +656,7 @@ class FanoRecord:
 
 
 def extended_fano_check(
-    model: DiscreteJointModel,
-    rule: DecisionRule,
-    params: TypicalityParams,
-    cap: int | None = None,
+    model: DiscreteJointModel, rule: DecisionRule, params: TypicalityParams
 ) -> FanoRecord:
     """Exact small-M inequality audit over the full (X^M, X-hat^M, E, Y^M) law.
 
@@ -670,24 +666,21 @@ def extended_fano_check(
     up to float rounding. Its p_f is the exact failure probability, the
     oracle for Monte Carlo agreement.
     """
-    fano = _FanoSums(model, _symbol_law(model, rule), params.extension, cap)
+    fano = _FanoSums(model, _symbol_law(model, rule), params.extension)
     _walk([fano], params.extension, params.epsilon)
     return _fano_record(model, rule, params, fano.sums())
 
 
 def _exact_audit(
-    model: DiscreteJointModel,
-    rule: DecisionRule,
-    params: TypicalityParams,
-    cap: int | None = None,
+    model: DiscreteJointModel, rule: DecisionRule, params: TypicalityParams
 ) -> tuple[CensusReport, FanoRecord]:
     """typical_set_census and extended_fano_check of one call, from one
     _walk: a support size's type classes are walked once for both. The
     census's reducers are built first, so a census walk over the cap is
     refused before the audited law's."""
     m, eps = params.extension, params.epsilon
-    totals = _census_totals(model, m, cap)
-    fano = _FanoSums(model, _symbol_law(model, rule), m, cap)
+    totals = _census_totals(model, m)
+    fano = _FanoSums(model, _symbol_law(model, rule), m)
     _walk([*totals.values(), fano], m, eps)
     return _census_report(model, m, eps, totals), _fano_record(model, rule, params, fano.sums())
 

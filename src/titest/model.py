@@ -47,6 +47,17 @@ class ZeroEvidenceError(ValueError):
     """The requested observation has zero marginal probability."""
 
 
+def _label(v) -> int:
+    """v as a Python int, the check a model's alphabets and a sequence pair's
+    labels share; a non-integer (1.5, inf, None, "a") raises ValueError."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (OverflowError, TypeError, ValueError):  # int(inf) (JSON 1e400), int([1]), int("a")
+        pass
+    raise ValueError(f"labels must be integers, got {v!r}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -72,15 +83,8 @@ class DiscreteJointModel:
     likelihood: np.ndarray
 
     def __post_init__(self) -> None:
-        for v in (*self.hypothesis_values, *self.observation_values):
-            try:
-                is_int = int(v) == v
-            except (OverflowError, TypeError):  # int(inf) (JSON 1e400), int([1])
-                is_int = False
-            if not is_int:
-                raise ValueError(f"labels must be integers, got {v!r}")
-        x_labels = tuple(int(v) for v in self.hypothesis_values)
-        y_labels = tuple(int(v) for v in self.observation_values)
+        x_labels = tuple(map(_label, self.hypothesis_values))
+        y_labels = tuple(map(_label, self.observation_values))
         if len(set(x_labels)) != len(x_labels) or len(set(y_labels)) != len(y_labels):
             raise ValueError("alphabet labels must be distinct")
         prior = np.asarray(self.prior, dtype=float)
@@ -280,6 +284,9 @@ def _entropy_of(p: np.ndarray, log2_p: np.ndarray) -> float:
 def entropy(dist: Sequence[float] | np.ndarray) -> float:
     """Shannon entropy of a probability vector, in bits. 0*log(0) counts as 0."""
     p = np.asarray(dist, dtype=float)
+    # NaN slips through both comparisons below, so reject it (and inf) first
+    if not np.isfinite(p).all():
+        raise InvalidDistributionError("distribution has non-finite entries")
     if (p < 0).any():
         raise InvalidDistributionError("distribution has negative entries")
     if abs(p.sum() - 1.0) > DERIVED_ATOL:

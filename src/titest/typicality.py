@@ -15,9 +15,9 @@ when each row's rate is in the band of its centre. The census's x- and
 y-marginal laws are one row each over their positive-probability support,
 centred at H(X) and H(Y); a decided-pair law (rules._symbol_law) is its
 record's log2 rows 0-2, centred at (H(X), H(Y), H(X,Y)). A reducer holds
-its law and checks its walk against the cap when it is built: _Totals, a
-census set's (_census_totals builds the census's three, its joint law being
-SAP's), and _FanoSums, the law audited by experiment.extended_fano_check.
+its law and checks its walk against the cap (TI_TEST_ENUM_CAP) when built:
+_Totals, a census set's (_census_totals builds the census's three, its joint
+law being SAP's), and _FanoSums, the law audited by extended_fano_check.
 _walk then walks the type classes once per support size K for every
 reducer's law of that size; laws of equal content are banded once. The
 engine holds no rule logic. typical_set_census and extended_fano_check each
@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import DiscreteJointModel
+from .model import DiscreteJointModel, _label
 from .rules import DecisionRule, _symbol_law, _SymbolLaw
 
 __all__ = [
@@ -80,17 +80,11 @@ class EnumerationTooLargeError(RuntimeError):
     sequences (conditional_members) exceed the cap; use Monte Carlo instead."""
 
 
-def resolve_enum_cap(cap: int | None = None) -> int:
-    """Explicit cap, else the TI_TEST_ENUM_CAP env var, else the default.
+def resolve_enum_cap() -> int:
+    """The enumeration cap: TI_TEST_ENUM_CAP, its one source, else the default.
 
-    A cap or env value that is not a positive integer raises ValueError
-    naming the argument or the variable.
+    A value that is not a positive integer raises ValueError naming it.
     """
-    if cap is not None:
-        limit = _integer("cap", cap)
-        if limit < 1:
-            raise ValueError(f"cap must be a positive integer, got {limit}")
-        return limit
     env = os.environ.get(ENUM_CAP_ENV)
     if not env:
         return DEFAULT_ENUM_CAP
@@ -135,8 +129,8 @@ class SequencePair:
     y_seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x_seq", tuple(int(v) for v in self.x_seq))
-        object.__setattr__(self, "y_seq", tuple(int(v) for v in self.y_seq))
+        object.__setattr__(self, "x_seq", tuple(map(_label, self.x_seq)))
+        object.__setattr__(self, "y_seq", tuple(map(_label, self.y_seq)))
         if len(self.x_seq) != len(self.y_seq):
             raise ValueError(
                 f"sequence lengths differ: {len(self.x_seq)} vs {len(self.y_seq)}"
@@ -222,6 +216,7 @@ def sample_extension(
     hypothesis symbols first, then m uniforms for the observations, each
     mapped through an inverse CDF in the model's storage order.
     """
+    m = _integer("extension", m)
     if m < 1:
         raise ValueError(f"extension must be >= 1, got {m}")
     xi, yi = _pick_pair(model, rng.random(m), rng.random(m))
@@ -252,9 +247,10 @@ def is_typical(
     """
     if len(seq) != params.extension:
         raise ValueError(f"sequence length {len(seq)} != extension {params.extension}")
-    if which.upper() == "X":
+    key = which.upper() if isinstance(which, str) else None
+    if key == "X":
         log2_prob, index, h = model.log2_prior, _x_indices(model, seq), model.h_x
-    elif which.upper() == "Y":
+    elif key == "Y":
         log2_prob, index, h = model.log2_y_marginal, _y_indices(model, seq), model.h_y
     else:
         raise ValueError(f"which must be 'X' or 'Y', got {which!r}")
@@ -292,10 +288,10 @@ def is_jointly_typical(
     )
 
 
-def _index_blocks(n_symbols: int, m: int, block: int = 1 << 16) -> Iterator[np.ndarray]:
+def _index_blocks(n_symbols: int, m: int) -> Iterator[np.ndarray]:
     """Yield (B, m) arrays covering all n_symbols**m index tuples in order:
     digit k of row i is i // n_symbols**(m-1-k) % n_symbols, for any m."""
-    total = n_symbols**m
+    total, block = n_symbols**m, 1 << 16
     powers = np.array([n_symbols ** (m - 1 - k) for k in range(m)], dtype=np.intp)
     for lo in range(0, total, block):
         flat = np.arange(lo, min(lo + block, total), dtype=np.intp)
@@ -303,23 +299,20 @@ def _index_blocks(n_symbols: int, m: int, block: int = 1 << 16) -> Iterator[np.n
 
 
 def conditional_members(
-    y_seq: Sequence[int],
-    model: DiscreteJointModel,
-    params: TypicalityParams,
-    cap: int | None = None,
+    y_seq: Sequence[int], model: DiscreteJointModel, params: TypicalityParams
 ) -> list[tuple[int, ...]]:
     """All x-sequences jointly typical with y_seq, by exhaustive enumeration.
 
     Returns label tuples in lexicographic index order. The set is empty
     whenever y_seq itself fails its marginal condition, since that condition
-    does not depend on x. Candidate count |X|^m beyond the cap raises
-    EnumerationTooLargeError; Monte Carlo trials are the fallback at scale.
+    does not depend on x. Candidate count |X|^m beyond the cap (_check_cap)
+    raises EnumerationTooLargeError; Monte Carlo trials are the fallback.
     """
     m = params.extension
     if len(y_seq) != m:
         raise ValueError(f"sequence length {len(y_seq)} != extension {m}")
     n_x = model.n_hypotheses
-    _check_cap("|X|^M", n_x, m, cap)
+    _check_cap("|X|^M", n_x, m)
     if not is_typical(y_seq, model, "Y", params).typical:
         return []
     yi = _y_indices(model, y_seq)
@@ -415,10 +408,10 @@ def _type_classes(
 class _Totals:
     """A census set's reducer over m draws of law, a (prob, log2, centres)
     entry as _walk reads it: the count, mass and min/max member probability
-    of the classes its band keeps. A walk over the cap is refused here."""
+    of the classes its band keeps. _check_walk refuses a walk over the cap."""
 
-    def __init__(self, law: tuple, m: int, cap: int | None) -> None:
-        _check_walk(len(law[0]), m, cap)
+    def __init__(self, law: tuple, m: int) -> None:
+        _check_walk(len(law[0]), m)
         self.law = law
         self.count, self.mass, self.min_p, self.max_p = 0, 0.0, np.inf, 0.0
 
@@ -435,8 +428,8 @@ class _Totals:
 
 class _FanoSums:
     """The Fano audit's reducer over m draws of a decided-pair law
-    (rules._symbol_law), walked as _pair_law reads it; a walk over the cap is
-    refused here.
+    (rules._symbol_law), walked as _pair_law reads it; _check_walk refuses a
+    walk over the cap.
 
     Each class adds its mass to its y-type's total and, when jointly typical,
     to its typical mass; s(y) = typical / total is the per-y success
@@ -446,10 +439,8 @@ class _FanoSums:
     (the law's h_post).
     """
 
-    def __init__(
-        self, model: DiscreteJointModel, law: _SymbolLaw, m: int, cap: int | None
-    ) -> None:
-        _check_walk(len(law.prob), m, cap)  # before any table is built
+    def __init__(self, model: DiscreteJointModel, law: _SymbolLaw, m: int) -> None:
+        _check_walk(len(law.prob), m)  # before any table is built
         self.law = _pair_law(model, law)
         # A y-type with sorted live-y ranks a_0 <= ... <= a_{M-1} is indexed by
         # sum_i C(a_i + i, i + 1), a bijection onto [0, C(n_live + M - 1, M))
@@ -514,11 +505,11 @@ def _walk(reducers: Iterable, m: int, eps: float) -> None:
                     reducer.add(rows, sizes, probs, keep)
 
 
-def _check_cap(what: str, base: int, m: int, cap: int | None) -> None:
-    """Refuse base^m candidates above the cap, without forming the power
-    where it must exceed the cap: base >= 2 and m >= the cap's bit length
-    give base^m >= 2^m > cap."""
-    limit = resolve_enum_cap(cap)
+def _check_cap(what: str, base: int, m: int) -> None:
+    """Refuse base^m candidates above the cap (resolve_enum_cap), without
+    forming the power where it must exceed the cap: base >= 2 and m >= the
+    cap's bit length give base^m >= 2^m > cap."""
+    limit = resolve_enum_cap()
     if base >= 2 and m >= limit.bit_length() or base**m > limit:
         raise EnumerationTooLargeError(
             f"{what} = {base}^{m} exceeds the enumeration cap {limit}; "
@@ -526,12 +517,12 @@ def _check_cap(what: str, base: int, m: int, cap: int | None) -> None:
         )
 
 
-def _check_walk(n_symbols: int, m: int, cap: int | None) -> None:
+def _check_walk(n_symbols: int, m: int) -> None:
     """Refuse a type-class walk of m draws over K = n_symbols points that
-    builds more symbols than the cap: C(j+K-1, j) rows of j symbols at each
-    level j <= m, K * C(m+K, m-1) in all. i = min(m-1, K+1) <= (m+K)/2 gives
-    C(m+K, i) >= 2^i, so i >= the cap's bit length refuses without the count."""
-    limit = resolve_enum_cap(cap)
+    builds more symbols than the cap (resolve_enum_cap): C(j+K-1, j) rows of
+    j symbols at level j <= m, K * C(m+K, m-1) in all. i = min(m-1, K+1) <=
+    (m+K)/2 gives C(m+K, i) >= 2^i, so i >= the cap's bit length is over it."""
+    limit = resolve_enum_cap()
     k, i = n_symbols, min(m - 1, n_symbols + 1)
     if i >= limit.bit_length() or k * math.comb(m + k, i) > limit:
         raise EnumerationTooLargeError(
@@ -551,7 +542,7 @@ def _pair_law(model: DiscreteJointModel, law: _SymbolLaw) -> tuple:
     return law.prob, law.log2[:3], (model.h_x, model.h_y, model.h_xy)
 
 
-def _census_totals(model: DiscreteJointModel, m: int, cap: int | None) -> dict[str, _Totals]:
+def _census_totals(model: DiscreteJointModel, m: int) -> dict[str, _Totals]:
     """The census's x, y and joint _Totals, built in that order: the prior
     and the y-marginal, one row each over its positive-probability support (a
     zero-probability symbol's rate is infinite), centred at H(X) and H(Y),
@@ -559,19 +550,17 @@ def _census_totals(model: DiscreteJointModel, m: int, cap: int | None) -> dict[s
 
     def marginal(p: np.ndarray, log2_p: np.ndarray, h: float) -> _Totals:
         live = np.flatnonzero(p > 0)
-        return _Totals((p[live], log2_p[live][None], (h,)), m, cap)
+        return _Totals((p[live], log2_p[live][None], (h,)), m)
 
     joint = _pair_law(model, _symbol_law(model, DecisionRule.SAP))
     return {
         "x": marginal(model.prior, model.log2_prior, model.h_x),
         "y": marginal(model.y_marginal, model.log2_y_marginal, model.h_y),
-        "joint": _Totals(joint, m, cap),
+        "joint": _Totals(joint, m),
     }
 
 
-def typical_set_census(
-    model: DiscreteJointModel, params: TypicalityParams, cap: int | None = None
-) -> CensusReport:
+def typical_set_census(model: DiscreteJointModel, params: TypicalityParams) -> CensusReport:
     """Exact sizes, masses, and bound records for the three typical sets.
 
     Bound records per marginal set: mass above 1 - eps, member probabilities
@@ -583,7 +572,7 @@ def typical_set_census(
     generally expected to hold only for m >= m_min (reported in the record).
     """
     m, eps = params.extension, params.epsilon
-    totals = _census_totals(model, m, cap)
+    totals = _census_totals(model, m)
     _walk(totals.values(), m, eps)
     return _census_report(model, m, eps, totals)
 

@@ -120,8 +120,8 @@ def fano_sums(model, params, law, census=False):
     """(census or None, law's raw Fano sums) from one _walk, with the census's
     reducers first when census is set, as experiment._exact_audit composes them."""
     m, eps = params.extension, params.epsilon
-    totals = typicality._census_totals(model, m, None) if census else {}
-    fano = typicality._FanoSums(model, law, m, None)
+    totals = typicality._census_totals(model, m) if census else {}
+    fano = typicality._FanoSums(model, law, m)
     typicality._walk([*totals.values(), fano], m, eps)
     return typicality._census_report(model, m, eps, totals) if census else None, fano.sums()
 
@@ -200,12 +200,13 @@ class TestTypeClassesMatchBruteForce:
     def test_edge_models(self, model, eps, m):
         assert_matches_brute_force(model, m, eps)
 
-    def test_class_sizes_exact_beyond_int64(self):
+    def test_class_sizes_exact_beyond_int64(self, monkeypatch):
         # 2^70 sequences: the count must stay an exact integer
         model = DiscreteJointModel(
             (0, 1), (0,), np.array([0.5, 0.5]), np.array([[1.0], [1.0]])
         )
-        census = typical_set_census(model, TypicalityParams(0.25, 70), cap=2**140)
+        monkeypatch.setenv("TI_TEST_ENUM_CAP", str(2**140))
+        census = typical_set_census(model, TypicalityParams(0.25, 70))
         assert census.sizes == {"x": 2**70, "y": 1, "joint": 2**70}
         assert census.masses["x"] == pytest.approx(1.0, rel=1e-12)
 
@@ -231,7 +232,7 @@ class TestTypeClassList:
         assert sum(int(size) for size in sizes) == 6**24
 
     def test_census_count_exact_past_int64_sums(self):
-        totals = typicality._Totals((np.ones(1), np.zeros((1, 1)), (0.0,)), 1, None)
+        totals = typicality._Totals((np.ones(1), np.zeros((1, 1)), (0.0,)), 1)
         totals.add(None, np.full(4, 2**62, dtype=np.int64), np.ones(4), np.ones(4, dtype=bool))
         assert totals.count == 2**64
 
@@ -353,7 +354,7 @@ class TestWalkCap:
         # C(10^9 + 10^6, 10^6 + 1) would take hours; min(M-1, K+1) >= 24 refuses at once
         huge = r"= 1000000\*C\(1001000000, 999999999\)"
         with pytest.raises(EnumerationTooLargeError, match=huge):
-            _check_walk(10**6, 10**9, None)
+            _check_walk(10**6, 10**9)
 
     def test_census_checks_every_walk_before_walking(self, monkeypatch):
         # coin10 at M=5: the prior's walk builds 13,650 symbols and the
@@ -487,7 +488,7 @@ class TestSharedWalks:
         skew, flat = np.log2(prob)[None], np.full((1, 3), -math.log2(3))
         walked = recorded_walks(monkeypatch)
         laws = [(prob, skew), (prob, flat), (prob.copy(), skew.copy())]
-        totals = [typicality._Totals((p, law, (1.5,)), m, None) for p, law in laws]
+        totals = [typicality._Totals((p, law, (1.5,)), m) for p, law in laws]
         typicality._walk(totals, m, eps)
         assert walked == [3]
 
@@ -495,7 +496,7 @@ class TestSharedWalks:
             return t.count, t.mass, t.min_p, t.max_p
 
         for law, got in ((skew, totals[0]), (flat, totals[1]), (skew, totals[2])):
-            alone = typicality._Totals((prob, law, (1.5,)), m, None)
+            alone = typicality._Totals((prob, law, (1.5,)), m)
             typicality._walk([alone], m, eps)
             assert reduced(got) == reduced(alone)
         assert totals[1].count == 3**m > totals[0].count

@@ -50,6 +50,14 @@ class TestEntropy:
         with pytest.raises(InvalidDistributionError):
             entropy([0.5, 0.4])
 
+    @pytest.mark.parametrize("dist", [
+        [math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 1.0], [-math.inf, 1.0],
+    ], ids=["nan-first", "nan-middle", "inf", "minus-inf"])
+    def test_non_finite_entry_rejected(self, dist):
+        # NaN passes both the sign and the sum checks; p > 0 would then drop it
+        with pytest.raises(InvalidDistributionError, match="non-finite"):
+            entropy(dist)
+
     @given(st.lists(st.floats(0.001, 1.0), min_size=2, max_size=8))
     def test_matches_oracle_and_bounds(self, weights):
         p = [w / sum(weights) for w in weights]

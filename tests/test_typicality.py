@@ -49,6 +49,14 @@ def params(eps, m):
     return TypicalityParams(epsilon=eps, extension=m)
 
 
+# The public entry points that walk or list under the enumeration cap, at M=8
+CAPPED_ENTRIES = (
+    lambda model, **kw: typical_set_census(model, params(0.25, 8), **kw),
+    lambda model, **kw: extended_fano_check(model, DecisionRule.MAP, params(0.25, 8), **kw),
+    lambda model, **kw: conditional_members((0,) * 8, model, params(0.25, 8), **kw),
+)
+
+
 class TestTypes:
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -93,6 +101,17 @@ class TestTypes:
         pair = SequencePair([np.int64(1), 2], [0, np.int64(3)])
         assert pair.x_seq == (1, 2) and pair.y_seq == (0, 3)
 
+    @pytest.mark.parametrize(
+        "label", [1.5, math.inf, None, "a"], ids=["fraction", "inf", "none", "string"]
+    )
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_pair_refuses_what_a_model_refuses(self, label, side):
+        x, y = ((label,), (0,)) if side == "x" else ((0,), (label,))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            SequencePair(x, y)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            DiscreteJointModel(x, y, np.array([1.0]), np.array([[1.0]]))
+
 
 class TestSampleExtension:
     def test_identity_copies_x(self, identity4):
@@ -115,6 +134,11 @@ class TestSampleExtension:
     def test_rejects_empty(self, coin35):
         with pytest.raises(ValueError):
             sample_extension(coin35, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [2.5, True, "2"], ids=["fraction", "bool", "str"])
+    def test_extension_must_be_an_integer(self, coin35, m):
+        with pytest.raises(ValueError, match="extension must be an integer"):
+            sample_extension(coin35, m, np.random.default_rng(0))
 
     def test_symbol_frequencies_match_model(self, coin10):
         # 10^4 pairs of length 10 = 10^5 symbols per margin
@@ -178,8 +202,9 @@ class TestIsTypical:
             assert float.hex(rate) == float.hex(float(-table[idx].mean()))
 
     def test_which_validation(self, coin10):
-        with pytest.raises(ValueError):
-            is_typical((1, 1), coin10, "Z", params(0.1, 2))
+        for which in ("Z", 3, None):  # not a string is the same ValueError
+            with pytest.raises(ValueError, match="which must be 'X' or 'Y'"):
+                is_typical((1, 1), coin10, which, params(0.1, 2))
 
     def test_length_validation(self, coin10):
         with pytest.raises(ValueError):
@@ -380,9 +405,12 @@ class TestConditionalMembers:
         assert time.perf_counter() - t0 < 1.0
 
     def test_cap_env_override(self, bsc25, monkeypatch):
+        # every public entry point reads the variable: at M=8, bsc25 lists 2^8
+        # candidates and walks at least 2*C(10, 7) symbols, both over 10
         monkeypatch.setenv("TI_TEST_ENUM_CAP", "10")
-        with pytest.raises(EnumerationTooLargeError):
-            conditional_members((0,) * 8, bsc25, params(0.25, 8))
+        for entry in CAPPED_ENTRIES:
+            with pytest.raises(EnumerationTooLargeError, match="enumeration cap 10;"):
+                entry(bsc25)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     def test_cap_env_must_be_positive_integer(self, monkeypatch, value):
@@ -391,19 +419,10 @@ class TestConditionalMembers:
             resolve_enum_cap()
 
     def test_explicit_cap_argument(self, bsc25):
-        with pytest.raises(EnumerationTooLargeError):
-            conditional_members((0,) * 8, bsc25, params(0.25, 8), cap=100)
-
-    @pytest.mark.parametrize("cap", ["100", 2.7, True, 0, -5])
-    @pytest.mark.parametrize("entry", [
-        lambda model, cap: typical_set_census(model, params(0.25, 2), cap=cap),
-        lambda model, cap: extended_fano_check(model, DecisionRule.MAP, params(0.25, 2), cap=cap),
-        lambda model, cap: conditional_members((0, 1), model, params(0.25, 2), cap=cap),
-    ], ids=["census", "fano", "members"])
-    def test_explicit_cap_must_be_positive_integer(self, bsc25, entry, cap):
-        # checked as TI_TEST_ENUM_CAP is: never truncated, never read as a limit below 1
-        with pytest.raises(ValueError, match=r"^cap must be a"):
-            entry(bsc25, cap)
+        # TI_TEST_ENUM_CAP is the one source of the cap: no entry point takes one
+        for entry in CAPPED_ENTRIES:
+            with pytest.raises(TypeError, match="cap"):
+                entry(bsc25, cap=100)
 
 
 class TestCensus:
@@ -518,13 +537,14 @@ class TestCensus:
         (1, 10**9, 1, False), (3, 24, 10**7, True), (262_656, 1, 10**7, False),
         (262_656, 2, 10**7, True),
     ])
-    def test_cap_edges(self, base, m, cap, over):
+    def test_cap_edges(self, base, m, cap, over, monkeypatch):
         # base^m > cap exactly, whichever way it is decided
+        monkeypatch.setenv("TI_TEST_ENUM_CAP", str(cap))
         if over:
             with pytest.raises(EnumerationTooLargeError, match=rf"X = {base}\^{m} exceeds"):
-                _check_cap("X", base, m, cap)
+                _check_cap("X", base, m)
         else:
-            _check_cap("X", base, m, cap)
+            _check_cap("X", base, m)
 
     @pytest.mark.parametrize("call", ["census", "exact_pf", "fano"])
     def test_one_pair_model_refuses_two_to_the_m_over_cap(self, call):
