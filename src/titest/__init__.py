@@ -5,109 +5,18 @@ summaries in bits), rules (posterior decision rules and exact error
 probabilities), typicality (M-extension sampling, typical-set predicates,
 exact censuses), experiment (seeded Monte Carlo trials, achievability and
 converse audits, sweeps), and cli (the titest command).
+
+Each of the four library modules' ``__all__`` is its public API and the only
+list of it: the package republishes the four lists, in that order, plus
+``__version__``.
 """
 
-from .experiment import (
-    SWEEP_COLUMNS,
-    AchievabilityRecord,
-    ConverseRecord,
-    ExperimentReport,
-    FanoRecord,
-    SequenceTrial,
-    achievability_check,
-    converse_check,
-    extended_fano_check,
-    run_experiment,
-    run_trial,
-    sweep,
-)
-from .model import (
-    COIN_N_CAP,
-    DiscreteJointModel,
-    InfoSummary,
-    InvalidDistributionError,
-    PosteriorColumn,
-    ZeroEvidenceError,
-    build_bsc_model,
-    build_coin_model,
-    build_constant_model,
-    build_identity_model,
-    entropy,
-    info_summary,
-    posterior,
-    surprisal,
-)
-from .rules import (
-    DecisionRule,
-    decide,
-    decide_columns,
-    error_probability,
-    inverse_cdf_pick,
-    sap_sample,
-)
-from .typicality import (
-    DEFAULT_ENUM_CAP,
-    CensusBound,
-    CensusReport,
-    EnumerationTooLargeError,
-    SequencePair,
-    TypicalityCheck,
-    TypicalityParams,
-    TypicalityVerdict,
-    conditional_members,
-    is_jointly_typical,
-    is_typical,
-    sample_extension,
-    typical_set_census,
-)
+from . import experiment, model, rules, typicality
+from .model import *
+from .rules import *
+from .typicality import *
+from .experiment import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COIN_N_CAP",
-    "DEFAULT_ENUM_CAP",
-    "SWEEP_COLUMNS",
-    "AchievabilityRecord",
-    "CensusBound",
-    "CensusReport",
-    "ConverseRecord",
-    "DecisionRule",
-    "DiscreteJointModel",
-    "EnumerationTooLargeError",
-    "ExperimentReport",
-    "FanoRecord",
-    "InfoSummary",
-    "InvalidDistributionError",
-    "PosteriorColumn",
-    "SequencePair",
-    "SequenceTrial",
-    "TypicalityCheck",
-    "TypicalityParams",
-    "TypicalityVerdict",
-    "ZeroEvidenceError",
-    "achievability_check",
-    "build_bsc_model",
-    "build_coin_model",
-    "build_constant_model",
-    "build_identity_model",
-    "conditional_members",
-    "converse_check",
-    "decide",
-    "decide_columns",
-    "entropy",
-    "error_probability",
-    "extended_fano_check",
-    "info_summary",
-    "inverse_cdf_pick",
-    "is_jointly_typical",
-    "is_typical",
-    "posterior",
-    "run_experiment",
-    "run_trial",
-    "sample_extension",
-    "sap_sample",
-    "surprisal",
-    "sweep",
-    "typical_set_census",
-    "__version__",
-]
+__all__ = [*model.__all__, *rules.__all__, *typicality.__all__, *experiment.__all__, "__version__"]

@@ -66,7 +66,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import DiscreteJointModel, build_coin_model
+from .model import DiscreteJointModel, _integer, build_coin_model
 from .rules import DecisionRule, _symbol_law, _SymbolLaw
 from .typicality import (
     CensusReport,
@@ -76,7 +76,6 @@ from .typicality import (
     _census_report,
     _census_totals,
     _FanoSums,
-    _integer,
     _pick_pair,
     _rate,
     _walk,
@@ -92,7 +91,6 @@ __all__ = [
     "achievability_check",
     "converse_check",
     "extended_fano_check",
-    "render_sweep_csv",
     "run_experiment",
     "run_trial",
     "sweep",

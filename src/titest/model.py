@@ -8,6 +8,7 @@ posteriors, surprisals and the test information are all derived from it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -15,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "COIN_N_CAP",
     "DiscreteJointModel",
     "InfoSummary",
     "InvalidDistributionError",
@@ -56,6 +58,14 @@ def _label(v) -> int:
     except (OverflowError, TypeError, ValueError):  # int(inf) (JSON 1e400), int([1]), int("a")
         pass
     raise ValueError(f"labels must be integers, got {v!r}")
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int (operator.index); a bool or a non-integer
+    raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -306,8 +316,7 @@ def build_coin_model(n: int, theta: float) -> DiscreteJointModel:
     row is then divided by the sum of its first n+1 entries, the same
     pairwise sum a row of n+1 terms gets (trailing zeros would regroup it).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"N must be an integer, got {n!r}")
+    n = _integer("N", n)
     if n < 1 or n > COIN_N_CAP:
         raise ValueError(f"N must be in 1..{COIN_N_CAP}, got {n}")
     if not 0.0 < theta < 1.0:
@@ -334,6 +343,7 @@ def build_coin_model(n: int, theta: float) -> DiscreteJointModel:
 
 def build_identity_model(n: int, labels: Iterable[int] | None = None) -> DiscreteJointModel:
     """Noiseless channel: y = x with probability 1, uniform prior over n labels."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("need at least one symbol")
     labs = tuple(labels) if labels is not None else tuple(range(n))
@@ -347,6 +357,7 @@ def build_identity_model(n: int, labels: Iterable[int] | None = None) -> Discret
 
 def build_constant_model(n: int, y_dist: Sequence[float] | None = None) -> DiscreteJointModel:
     """Channel whose output ignores the input; TI is exactly zero."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("need at least one hypothesis")
     row = np.asarray(y_dist, dtype=float) if y_dist is not None else np.array([0.5, 0.5])
@@ -403,12 +414,10 @@ def surprisal(model: DiscreteJointModel, kind: str, symbol) -> float:
     "y-marginal" (observation label), or "joint" (symbol is an (x, y) pair).
     """
     if kind == "prior":
-        p = model.prior[model.x_index(symbol)]
-    elif kind == "y-marginal":
-        p = model.y_marginal[model.y_index(symbol)]
-    elif kind == "joint":
+        return float(-model.log2_prior[model.x_index(symbol)])
+    if kind == "y-marginal":
+        return float(-model.log2_y_marginal[model.y_index(symbol)])
+    if kind == "joint":
         x, y = symbol
-        p = model.joint[model.x_index(x), model.y_index(y)]
-    else:
-        raise ValueError(f"kind must be 'prior', 'y-marginal' or 'joint', got {kind!r}")
-    return float(-np.log2(p)) if p > 0 else float("inf")
+        return float(-model.log2_joint[model.x_index(x), model.y_index(y)])
+    raise ValueError(f"kind must be 'prior', 'y-marginal' or 'joint', got {kind!r}")

@@ -26,7 +26,6 @@ import numpy as np
 from .model import DiscreteJointModel, PosteriorColumn
 
 __all__ = [
-    "CdfGuide",
     "DecisionRule",
     "decide",
     "decide_columns",

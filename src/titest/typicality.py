@@ -35,17 +35,17 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import DiscreteJointModel, _label
+from .model import DiscreteJointModel, _integer, _label
 from .rules import DecisionRule, _symbol_law, _SymbolLaw
 
 __all__ = [
+    "DEFAULT_ENUM_CAP",
     "CensusBound",
     "CensusReport",
     "EnumerationTooLargeError",
@@ -54,11 +54,8 @@ __all__ = [
     "TypicalityParams",
     "TypicalityVerdict",
     "conditional_members",
-    "in_band",
     "is_jointly_typical",
     "is_typical",
-    "jointly_typical_rows",
-    "resolve_enum_cap",
     "sample_extension",
     "typical_set_census",
 ]
@@ -91,14 +88,6 @@ def resolve_enum_cap() -> int:
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer, got {env!r}")
     return int(env)
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int (operator.index); a bool or a non-integer
-    raises ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)

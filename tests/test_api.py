@@ -29,8 +29,16 @@ def test_package_names_are_pinned():
     assert set(titest.__all__) == PUBLIC
 
 
+def test_package_names_are_the_modules_lists():
+    # each public name is declared once, in its module's __all__
+    modules = [titest.model, titest.rules, titest.typicality, titest.experiment]
+    want = [name for mod in modules for name in mod.__all__] + ["__version__"]
+    assert titest.__all__ == want
+    assert len(set(want)) == len(want)
+
+
 @pytest.mark.parametrize(
-    "module", ["titest", "titest.rules", "titest.experiment", "titest.typicality"]
+    "module", ["titest", "titest.model", "titest.rules", "titest.experiment", "titest.typicality"]
 )
 def test_every_listed_name_resolves(module):
     mod = importlib.import_module(module)

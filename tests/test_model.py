@@ -95,6 +95,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    @pytest.mark.parametrize("build", [build_identity_model, build_constant_model])
+    def test_builder_size_must_be_an_integer(self, build, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            build(n)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_prior_rejected(self, bad):
         with pytest.raises(InvalidDistributionError, match="non-finite"):
@@ -390,6 +396,19 @@ class TestSurprisal:
     def test_zero_probability_is_inf(self, coin10):
         # k=5 heads from n=1 coin is impossible
         assert surprisal(coin10, "joint", (1, 5)) == math.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 35, 100])
+    def test_is_the_negated_table_entry_bit_for_bit(self, bsc25, n):
+        # every kind and symbol, zero-probability entries (+inf) included
+        for model in (build_coin_model(n, 0.4), bsc25):
+            xs, ys = model.hypothesis_values, model.observation_values
+            for kind, table, symbols in (
+                ("prior", model.log2_prior, xs),
+                ("y-marginal", model.log2_y_marginal, ys),
+                ("joint", model.log2_joint.ravel(), [(x, y) for x in xs for y in ys]),
+            ):
+                got = np.array([surprisal(model, kind, s) for s in symbols])
+                assert np.array_equal(got.view(np.uint64), (-table).view(np.uint64)), kind
 
     def test_bad_kind(self, coin10):
         with pytest.raises(ValueError):
