@@ -40,6 +40,7 @@ from .experiment import (
 from .model import (
     DiscreteJointModel,
     InvalidDistributionError,
+    _integer,
     build_coin_model,
     info_summary,
     posterior,
@@ -118,8 +119,9 @@ def _load_model_file(path: str) -> DiscreteJointModel:
         raise _DataError(f"model file {path}: {e}") from None
 
 
-def _as_int(name: str, value: Any, minimum: int | None) -> int:
-    """value as an int, refused below minimum (None: any integer)."""
+def _as_int(name: str, value: Any, lo: int | None = None, hi: int | None = None) -> int:
+    """A flag's text or a config number as an int, through the library's one
+    range check (model._integer) on the inclusive bounds lo and hi."""
     try:
         n = int(value)
         # int(True) == 1, but a JSON boolean is not a count
@@ -127,9 +129,10 @@ def _as_int(name: str, value: Any, minimum: int | None) -> int:
             raise ValueError
     except (TypeError, ValueError, OverflowError):  # JSON 1e400 parses to inf
         raise _UsageError(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and n < minimum:
-        raise _UsageError(f"{name} must be >= {minimum}, got {n}")
-    return n
+    try:
+        return _integer(name, n, lo, hi)
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
 
 
 def _as_float(name: str, value: Any) -> float:
@@ -139,21 +142,6 @@ def _as_float(name: str, value: Any) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer
         raise _UsageError(f"{name} must be a number, got {value!r}") from None
-
-
-def _as_trial_m(name: str, m: int) -> int:
-    """A Monte Carlo M: one trial's row of uniforms must fit in memory."""
-    if m > _MAX_TRIAL_M:
-        raise _UsageError(f"{name} must be <= {_MAX_TRIAL_M} for Monte Carlo trials, got {m}")
-    return m
-
-
-def _as_trials(name: str, value: Any) -> int:
-    """A trial count: each trial takes a slot in arrays indexed by a C ssize_t."""
-    n = _as_int(name, value, 1)
-    if n > sys.maxsize:
-        raise _UsageError(f"{name} must be <= {sys.maxsize}, got {n}")
-    return n
 
 
 def _as_epsilon(name: str, value: Any) -> float:
@@ -214,9 +202,9 @@ SETTINGS: dict[str, tuple[Any, Callable[[str, Any], Any], dict]] = {
     "m": (8, lambda name, v: _as_int(name, v, 1), {"metavar": "INT",
                                                    "help": "extension length M"}),
     "epsilon": (0.25, _as_epsilon, {"metavar": "FLOAT"}),
-    "k": (None, lambda name, v: _as_int(name, v, None),
-          {"metavar": "INT", "help": "observation label"}),
-    "trials": (1000, _as_trials, {"metavar": "INT"}),
+    "k": (None, _as_int, {"metavar": "INT", "help": "observation label"}),
+    # each trial takes a slot in arrays indexed by a C ssize_t
+    "trials": (1000, lambda name, v: _as_int(name, v, 1, sys.maxsize), {"metavar": "INT"}),
     "seed": (0, lambda name, v: _as_int(name, v, 0), {"metavar": "INT"}),
     "workers": (1, lambda name, v: _as_int(name, v, 1), {"metavar": "INT"}),
     "format": (None, _as_format, {"metavar": "{json,csv}",
@@ -295,7 +283,8 @@ def cmd_decide(s: dict) -> int:
 
 def cmd_simulate(s: dict) -> int:
     model, spec = _model(s)
-    params = TypicalityParams(epsilon=s["epsilon"], extension=_as_trial_m("--m", s["m"]))
+    # a Monte Carlo M: one trial's row of uniforms must fit in memory
+    params = TypicalityParams(s["epsilon"], _as_int("--m", s["m"], 1, _MAX_TRIAL_M))
     report = run_experiment(
         model, s["rule"], params, s["trials"], s["seed"],
         workers=s["workers"], model_spec=spec,
@@ -321,7 +310,7 @@ def cmd_sweep(s: dict) -> int:
 
     n_values = [_as_int("grid n", v, 1) for v in grid["n"]]
     theta_values = [_as_float("grid theta", v) for v in grid["theta"]]
-    m_values = [_as_trial_m("grid m", _as_int("grid m", v, 1)) for v in grid["m"]]
+    m_values = [_as_int("grid m", v, 1, _MAX_TRIAL_M) for v in grid["m"]]
     eps_values = [_as_epsilon("grid epsilon", v) for v in grid["epsilon"]]
     rule_values = [_as_rule("grid rules", r) for r in grid["rules"]]
 

@@ -382,9 +382,7 @@ def _widths(
     """Each experiment's k*M: the uniforms one of its trials reads, with k 3
     for SAP and 2 for the deterministic rules. An M whose row would pass
     _ROW_BYTES is refused, before any row is drawn."""
-    m = max(params.extension for _, _, params in experiments)
-    if m > _MAX_TRIAL_M:
-        raise ValueError(f"M must be <= {_MAX_TRIAL_M} for Monte Carlo trials, got {m}")
+    _integer("Monte Carlo M", max(p.extension for _, _, p in experiments), hi=_MAX_TRIAL_M)
     return [(3 if rule.is_stochastic else 2) * params.extension for _, rule, params in experiments]
 
 
@@ -462,14 +460,9 @@ def _map_experiments(
     which pickles the shared models once, on a pool of at most
     as many processes as the host has usable CPUs. All experiments' arrays
     are held until the last block is back: 17 bytes per trial per
-    experiment.
+    experiment. The callers check trials and seed; workers is checked here.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials > sys.maxsize:
-        raise ValueError(f"trials must be <= {sys.maxsize}, got {trials}")
-    if _integer("workers", workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _integer("workers", workers, 1)
     if not experiments:
         return []
     bounds = _block_bounds(trials, sum(_widths(experiments)), workers)
@@ -525,10 +518,10 @@ def run_experiment(
     h_hat averages posterior entropy rate over successful trials only and is
     None (with zero_success set) when nothing succeeds. Half-widths are 95%
     normal intervals: binomial for p_f_hat, sample-std CLT for h_hat.
-    trials, seed and workers are integers, not bools; the report holds
-    trials and seed as ints.
+    trials (1..sys.maxsize), seed (>= 0) and workers (>= 1) are integers,
+    not bools; the report holds trials and seed as ints.
     """
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    trials, seed = _integer("trials", trials, 1, sys.maxsize), _integer("seed", seed, 0)
     (arrays,) = _map_experiments([(model, DecisionRule(rule), params)], trials, seed, workers)
     return _report(model, rule, params, trials, seed, model_spec, *arrays)
 
@@ -817,7 +810,7 @@ def sweep(
     bad (n, theta) raises ValueError with nothing run. trials, seed and
     workers are integers, not bools, as for run_experiment.
     """
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    trials, seed = _integer("trials", trials, 1, sys.maxsize), _integer("seed", seed, 0)
     coins = [(n, theta, build_coin_model(n, theta)) for n in sorted(set(n_values))
              for theta in sorted(set(theta_values))]
     rules = sorted(set(map(DecisionRule, rules)), key=lambda r: r.value)

@@ -8,6 +8,7 @@ posteriors, surprisals and the test information are all derived from it.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,12 +61,29 @@ def _label(v) -> int:
     raise ValueError(f"labels must be integers, got {v!r}")
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int (operator.index); a bool or a non-integer
-    raises ValueError naming it."""
+def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value as a Python int (operator.index), the one range check of every
+    count; a bool, a non-integer or a value outside the inclusive bounds lo
+    and hi (None: unbounded) raises ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    n = operator.index(value)
+    if lo is not None and n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {n}")
+    return n
+
+
+def _real(name: str, value) -> float:
+    """value as a float, _integer's twin; a bool or a non-real raises
+    ValueError naming it, and an int past the float range is +-inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -316,13 +334,12 @@ def build_coin_model(n: int, theta: float) -> DiscreteJointModel:
     row is then divided by the sum of its first n+1 entries, the same
     pairwise sum a row of n+1 terms gets (trailing zeros would regroup it).
     """
-    n = _integer("N", n)
-    if n < 1 or n > COIN_N_CAP:
-        raise ValueError(f"N must be in 1..{COIN_N_CAP}, got {n}")
-    if not 0.0 < theta < 1.0:
+    n = _integer("N", n, 1, COIN_N_CAP)
+    t = _real("theta", theta)
+    if not 0.0 < t < 1.0:
         raise ValueError(f"theta must lie strictly inside (0, 1), got {theta!r}")
-    log_t = math.log(theta)
-    log_c = math.log1p(-theta)
+    log_t = math.log(t)
+    log_c = math.log1p(-t)
     # lgamma(k + 1) = ln k!, for k = 0..n
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     trials = np.arange(1, n + 1)[:, None]
@@ -343,9 +360,7 @@ def build_coin_model(n: int, theta: float) -> DiscreteJointModel:
 
 def build_identity_model(n: int, labels: Iterable[int] | None = None) -> DiscreteJointModel:
     """Noiseless channel: y = x with probability 1, uniform prior over n labels."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("need at least one symbol")
+    n = _integer("n", n, 1)
     labs = tuple(labels) if labels is not None else tuple(range(n))
     return DiscreteJointModel(
         hypothesis_values=labs,
@@ -357,9 +372,7 @@ def build_identity_model(n: int, labels: Iterable[int] | None = None) -> Discret
 
 def build_constant_model(n: int, y_dist: Sequence[float] | None = None) -> DiscreteJointModel:
     """Channel whose output ignores the input; TI is exactly zero."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("need at least one hypothesis")
+    n = _integer("n", n, 1)
     row = np.asarray(y_dist, dtype=float) if y_dist is not None else np.array([0.5, 0.5])
     return DiscreteJointModel(
         hypothesis_values=tuple(range(n)),
@@ -371,9 +384,9 @@ def build_constant_model(n: int, y_dist: Sequence[float] | None = None) -> Discr
 
 def build_bsc_model(crossover: float) -> DiscreteJointModel:
     """Binary symmetric channel with uniform prior."""
-    if not 0.0 <= crossover <= 1.0:
+    p = _real("crossover", crossover)
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {crossover!r}")
-    p = float(crossover)
     return DiscreteJointModel(
         hypothesis_values=(0, 1),
         observation_values=(0, 1),
@@ -418,6 +431,9 @@ def surprisal(model: DiscreteJointModel, kind: str, symbol) -> float:
     if kind == "y-marginal":
         return float(-model.log2_y_marginal[model.y_index(symbol)])
     if kind == "joint":
-        x, y = symbol
+        try:
+            x, y = symbol
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ValueError(f"symbol must be an (x, y) pair, got {symbol!r}") from None
         return float(-model.log2_joint[model.x_index(x), model.y_index(y)])
     raise ValueError(f"kind must be 'prior', 'y-marginal' or 'joint', got {kind!r}")

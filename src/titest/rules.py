@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DiscreteJointModel, PosteriorColumn
+from .model import DiscreteJointModel, PosteriorColumn, _integer
 
 __all__ = [
     "DecisionRule",
@@ -175,7 +175,7 @@ def sap_sample(post: PosteriorColumn, rng: np.random.Generator, size: int) -> np
     """size independent posterior draws (labels), via inverse-CDF sampling."""
     labels, probs = _ascending(post)
     cdf = np.cumsum(probs)
-    return labels[inverse_cdf_pick(cdf, rng.random(size))]
+    return labels[inverse_cdf_pick(cdf, rng.random(_integer("size", size, 0)))]
 
 
 def decide(

@@ -34,14 +34,13 @@ conditional_members returns the sequences themselves and still enumerates them.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import DiscreteJointModel, _integer, _label
+from .model import DiscreteJointModel, _integer, _label, _real
 from .rules import DecisionRule, _symbol_law, _SymbolLaw
 
 __all__ = [
@@ -97,19 +96,11 @@ class TypicalityParams:
 
     def __post_init__(self) -> None:
         # held as a float and an int, so no bool or numpy scalar reaches a report
-        eps = self.epsilon
-        ok = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
-        try:  # an int past the float range overflows float(): refused as inf is
-            ok = ok and 0 < float(eps) < math.inf
-        except OverflowError:
-            ok = False
-        if not ok:
-            raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
-        m = _integer("extension", self.extension)
-        if m < 1:
-            raise ValueError(f"extension must be a positive integer, got {m}")
-        object.__setattr__(self, "epsilon", float(eps))
-        object.__setattr__(self, "extension", m)
+        eps = _real("epsilon", self.epsilon)
+        if not 0 < eps < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "extension", _integer("extension", self.extension, 1))
 
 
 @dataclass(frozen=True)
@@ -205,9 +196,7 @@ def sample_extension(
     hypothesis symbols first, then m uniforms for the observations, each
     mapped through an inverse CDF in the model's storage order.
     """
-    m = _integer("extension", m)
-    if m < 1:
-        raise ValueError(f"extension must be >= 1, got {m}")
+    m = _integer("extension", m, 1)
     xi, yi = _pick_pair(model, rng.random(m), rng.random(m))
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import pickle
+import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +15,10 @@ from oracles import oracle_coin_likelihood, oracle_entropy, oracle_info, oracle_
 from titest import model as model_module
 from titest import (
     COIN_N_CAP,
+    DecisionRule,
     DiscreteJointModel,
     InvalidDistributionError,
+    TypicalityParams,
     ZeroEvidenceError,
     build_bsc_model,
     build_coin_model,
@@ -23,7 +27,11 @@ from titest import (
     entropy,
     info_summary,
     posterior,
+    run_experiment,
+    sample_extension,
+    sap_sample,
     surprisal,
+    sweep,
 )
 
 
@@ -502,3 +510,95 @@ class TestJsonFuzz:
         doc["hypothesis_values"] = [label]
         with pytest.raises(ValueError, match="labels must be integers"):
             DiscreteJointModel.from_json_dict(doc)
+
+
+COIN3 = build_coin_model(3, 0.4)
+P = TypicalityParams(0.25, 2)
+
+# Per public entry point: a bad count or real value, and the name of the
+# argument its ValueError must start with.
+REFUSALS = {
+    "run_experiment-seed--1": ("seed", lambda: run_experiment(COIN3, "sap", P, 10, -1)),
+    "sweep-seed--1": ("seed", lambda: sweep([3], [0.4], [2], [0.25], ["sap"], 10, -1)),
+    "trials-0": ("trials", lambda: run_experiment(COIN3, "sap", P, 0, 0)),
+    "trials-2^63": ("trials", lambda: run_experiment(COIN3, "sap", P, 2**63, 0)),
+    "sweep-trials-0": ("trials", lambda: sweep([3], [0.4], [2], [0.25], ["sap"], 0, 0)),
+    "workers-0": ("workers", lambda: run_experiment(COIN3, "sap", P, 10, 0, workers=0)),
+    "extension-0": ("extension", lambda: TypicalityParams(0.25, 0)),
+    "sample_extension-0": (
+        "extension", lambda: sample_extension(COIN3, 0, np.random.default_rng(0))
+    ),
+    "N-0": ("N", lambda: build_coin_model(0, 0.4)),
+    "N-513": ("N", lambda: build_coin_model(COIN_N_CAP + 1, 0.4)),
+    "identity-n-0": ("n", lambda: build_identity_model(0)),
+    "constant-n-0": ("n", lambda: build_constant_model(0)),
+    "size--1": ("size", lambda: sap_sample(posterior(COIN3, 1), np.random.default_rng(0), -1)),
+    "size-2.5": ("size", lambda: sap_sample(posterior(COIN3, 1), np.random.default_rng(0), 2.5)),
+    "size-True": (
+        "size", lambda: sap_sample(posterior(COIN3, 1), np.random.default_rng(0), True)
+    ),
+    "epsilon-0": ("epsilon", lambda: TypicalityParams(0, 2)),
+    "epsilon-inf": ("epsilon", lambda: TypicalityParams(math.inf, 2)),
+    "epsilon-True": ("epsilon", lambda: TypicalityParams(True, 2)),
+    "theta-str": ("theta", lambda: build_coin_model(3, "0.4")),
+    "theta-1.5": ("theta", lambda: build_coin_model(3, 1.5)),
+    "crossover-True": ("crossover", lambda: build_bsc_model(True)),
+    "crossover-str": ("crossover", lambda: build_bsc_model("0.4")),
+    "surprisal-joint-1": ("symbol", lambda: surprisal(COIN3, "joint", 1)),
+}
+
+
+class TestInputChecks:
+    """Every count and real value an entry point takes passes one check,
+    model._integer or model._real, whose ValueError names the argument."""
+
+    @pytest.mark.parametrize("name, call", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_refusal_names_the_argument(self, name, call):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} "):
+            call()
+
+    def test_seed_message(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run_experiment(COIN3, DecisionRule.SAP, P, 10, -1)
+
+    def test_integer_bounds_are_inclusive(self):
+        assert model_module._integer("n", 1, 1, 3) == 1
+        assert model_module._integer("n", 3, 1, 3) == 3
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            model_module._integer("n", 0, 1, 3)
+        with pytest.raises(ValueError, match=r"^n must be <= 3, got 4$"):
+            model_module._integer("n", 4, 1, 3)
+        assert model_module._integer("k", -(10**30)) == -(10**30)  # no bounds
+
+    def test_integer_takes_numpy_integers_as_ints(self):
+        n = model_module._integer("n", np.int64(5), 1, 10)
+        assert n == 5 and type(n) is int
+        assert type(model_module._integer("n", np.uint32(7), 0)) is int
+
+    @pytest.mark.parametrize(
+        "value", [True, False, np.bool_(True), 2.0, np.float64(3), "3"],
+        ids=["True", "False", "np.bool_", "2.0", "np.float64", "str"],
+    )
+    def test_integer_refuses_bools_and_non_integers(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            model_module._integer("n", value, 0)
+
+    def test_integer_past_int64_refused_without_overflow(self):
+        with pytest.raises(ValueError, match=rf"^trials must be <= {sys.maxsize}, got 1000"):
+            model_module._integer("trials", 10**400, 1, sys.maxsize)
+
+    def test_real_returns_floats(self):
+        for value, want in [(np.float32(0.25), 0.25), (3, 3.0), (np.int64(2), 2.0)]:
+            got = model_module._real("x", value)
+            assert got == want and type(got) is float
+        assert model_module._real("x", 10**400) == math.inf
+        assert model_module._real("x", -(10**400)) == -math.inf
+        assert math.isnan(model_module._real("x", math.nan))
+
+    @pytest.mark.parametrize(
+        "value", [True, np.bool_(False), "0.4", None, 1j],
+        ids=["True", "np.bool_", "str", "None", "complex"],
+    )
+    def test_real_refuses_bools_and_non_reals(self, value):
+        with pytest.raises(ValueError, match=r"^x must be a real number, got "):
+            model_module._real("x", value)
