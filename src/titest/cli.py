@@ -18,6 +18,7 @@ numeric output is rendered to 10 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -41,6 +42,7 @@ from .model import (
     DiscreteJointModel,
     InvalidDistributionError,
     _integer,
+    _real,
     build_coin_model,
     info_summary,
     posterior,
@@ -49,6 +51,7 @@ from .rules import DecisionRule, decide
 from .typicality import (
     EnumerationTooLargeError,
     TypicalityParams,
+    _epsilon,
     resolve_enum_cap,
 )
 
@@ -119,36 +122,27 @@ def _load_model_file(path: str) -> DiscreteJointModel:
         raise _DataError(f"model file {path}: {e}") from None
 
 
-def _as_int(name: str, value: Any, lo: int | None = None, hi: int | None = None) -> int:
-    """A flag's text or a config number as an int, through the library's one
-    range check (model._integer) on the inclusive bounds lo and hi."""
-    try:
-        n = int(value)
-        # int(True) == 1, but a JSON boolean is not a count
-        if isinstance(value, bool) or isinstance(value, float) and value != n:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):  # JSON 1e400 parses to inf
-        raise _UsageError(f"{name} must be an integer, got {value!r}") from None
-    try:
-        return _integer(name, n, lo, hi)
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+def _number(check: Callable, *bounds: int) -> Callable[[str, Any], Any]:
+    """A setting's check through one of the library's own: model._integer
+    (on the inclusive bounds), model._real or typicality._epsilon, under the
+    setting's name. A flag's text is parsed by int() for _integer, else by
+    float(), and text that does not parse is left for the check to refuse;
+    an integral JSON float (5.0) counts as an int. The check's ValueError is
+    a usage error."""
+    parse = int if check is _integer else float
 
+    def as_number(name: str, value: Any) -> Any:
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                value = parse(value)
+        elif parse is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        try:
+            return check(name, value, *bounds)
+        except ValueError as e:
+            raise _UsageError(str(e)) from None
 
-def _as_float(name: str, value: Any) -> float:
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer
-        raise _UsageError(f"{name} must be a number, got {value!r}") from None
-
-
-def _as_epsilon(name: str, value: Any) -> float:
-    eps = _as_float(name, value)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise _UsageError(f"{name} must be positive and finite, got {eps}")
-    return eps
+    return as_number
 
 
 def _as_rule(name: str, value: Any) -> DecisionRule:
@@ -159,9 +153,10 @@ def _as_rule(name: str, value: Any) -> DecisionRule:
 
 
 def _as_coin(name: str, value: Any) -> tuple[int, float]:
+    """N and THETA as numbers; their ranges are build_coin_model's."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise _UsageError(f"{name} takes exactly two values: N THETA")
-    return _as_int("coin N", value[0], 1), _as_float("coin THETA", value[1])
+    return _number(_integer)("coin N", value[0]), _number(_real)("coin THETA", value[1])
 
 
 def _as_path(name: str, value: Any) -> str:
@@ -199,14 +194,13 @@ SETTINGS: dict[str, tuple[Any, Callable[[str, Any], Any], dict]] = {
     "grid": (None, _as_path, {"metavar": "PATH",
                               "help": "JSON grid: n, theta, m, epsilon, rules"}),
     "rule": ("sap", _as_rule, {"metavar": "{map,eap,meap,sap}"}),
-    "m": (8, lambda name, v: _as_int(name, v, 1), {"metavar": "INT",
-                                                   "help": "extension length M"}),
-    "epsilon": (0.25, _as_epsilon, {"metavar": "FLOAT"}),
-    "k": (None, _as_int, {"metavar": "INT", "help": "observation label"}),
+    "m": (8, _number(_integer, 1), {"metavar": "INT", "help": "extension length M"}),
+    "epsilon": (0.25, _number(_epsilon), {"metavar": "FLOAT"}),
+    "k": (None, _number(_integer), {"metavar": "INT", "help": "observation label"}),
     # each trial takes a slot in arrays indexed by a C ssize_t
-    "trials": (1000, lambda name, v: _as_int(name, v, 1, sys.maxsize), {"metavar": "INT"}),
-    "seed": (0, lambda name, v: _as_int(name, v, 0), {"metavar": "INT"}),
-    "workers": (1, lambda name, v: _as_int(name, v, 1), {"metavar": "INT"}),
+    "trials": (1000, _number(_integer, 1, sys.maxsize), {"metavar": "INT"}),
+    "seed": (0, _number(_integer, 0), {"metavar": "INT"}),
+    "workers": (1, _number(_integer, 1), {"metavar": "INT"}),
     "format": (None, _as_format, {"metavar": "{json,csv}",
                                   "help": "sweep output format (default csv)"}),
     "out": (None, _as_out, {"metavar": "PATH",
@@ -271,20 +265,15 @@ def cmd_decide(s: dict) -> int:
     except ValueError as e:
         raise _DataError(str(e)) from None
     rng = np.random.default_rng(s["seed"])
-    doc = {
-        "k": s["k"],
-        "map": decide(DecisionRule.MAP, post),
-        "eap": decide(DecisionRule.EAP, post),
-        "meap": decide(DecisionRule.MEAP, post),
-        "sap": decide(DecisionRule.SAP, post, rng),
-    }
+    # in DecisionRule's order: SAP, the one rule that draws from rng, is last
+    doc = {"k": s["k"], **{rule.value: decide(rule, post, rng) for rule in DecisionRule}}
     return _emit(_render_json(doc), s["out"])
 
 
 def cmd_simulate(s: dict) -> int:
     model, spec = _model(s)
     # a Monte Carlo M: one trial's row of uniforms must fit in memory
-    params = TypicalityParams(s["epsilon"], _as_int("--m", s["m"], 1, _MAX_TRIAL_M))
+    params = TypicalityParams(s["epsilon"], _number(_integer, 1, _MAX_TRIAL_M)("--m", s["m"]))
     report = run_experiment(
         model, s["rule"], params, s["trials"], s["seed"],
         workers=s["workers"], model_spec=spec,
@@ -294,6 +283,17 @@ def cmd_simulate(s: dict) -> int:
     return _emit(_render_json({**vars(report), "checks": checks}), s["out"])
 
 
+# Per grid axis, in sweep's argument order: the check of each of its values.
+# A coin's (n, theta) range is build_coin_model's, which sweep calls first.
+GRID_AXES: dict[str, Callable[[str, Any], Any]] = {
+    "n": _number(_integer),
+    "theta": _number(_real),
+    "m": _number(_integer, 1, _MAX_TRIAL_M),  # a Monte Carlo M
+    "epsilon": _number(_epsilon),
+    "rules": _as_rule,
+}
+
+
 def cmd_sweep(s: dict) -> int:
     grid_path = s["grid"]
     if grid_path is None:
@@ -301,24 +301,16 @@ def cmd_sweep(s: dict) -> int:
     grid = _read_json(grid_path, "grid", _UsageError)
     if not isinstance(grid, dict):
         raise _UsageError(f"grid file {grid_path}: expected a JSON object")
-    missing = {"n", "theta", "m", "epsilon", "rules"} - set(grid)
+    missing = set(GRID_AXES) - set(grid)
     if missing:
         raise _UsageError(f"grid file {grid_path}: missing axes {sorted(missing)}")
-    for axis in ("n", "theta", "m", "epsilon", "rules"):
+    for axis in GRID_AXES:
         if not isinstance(grid[axis], list):
             raise _UsageError(f"grid file {grid_path}: axis {axis!r} must be a list")
-
-    n_values = [_as_int("grid n", v, 1) for v in grid["n"]]
-    theta_values = [_as_float("grid theta", v) for v in grid["theta"]]
-    m_values = [_as_int("grid m", v, 1, _MAX_TRIAL_M) for v in grid["m"]]
-    eps_values = [_as_epsilon("grid epsilon", v) for v in grid["epsilon"]]
-    rule_values = [_as_rule("grid rules", r) for r in grid["rules"]]
+    axes = [[check(f"grid {axis}", v) for v in grid[axis]] for axis, check in GRID_AXES.items()]
 
     try:  # sweep builds every coin model, and refuses a bad one, before any trial
-        rows = sweep(
-            n_values, theta_values, m_values, eps_values, rule_values,
-            s["trials"], s["seed"], workers=s["workers"],
-        )
+        rows = sweep(*axes, s["trials"], s["seed"], workers=s["workers"])
     except ValueError as e:
         raise _UsageError(f"grid file {grid_path}: {e}") from None
     text = _render_json(rows) if s["format"] == "json" else render_sweep_csv(rows)

@@ -559,7 +559,7 @@ def _report(
         trials=trials,
         seed=seed,
         h_x_bits=model.h_x,
-        ti_bits=model.h_x - model.h_x_given_y,
+        ti_bits=model.ti,
         success_count=s,
         failure_count=trials - s,
         p_f_hat=p_f,
@@ -823,20 +823,9 @@ def sweep(
     arrays = _map_experiments(experiments, trials, seed, workers)
     for ((n, theta, model), m, eps, rule), (_, _, params), arrs in zip(grid, experiments, arrays):
         rep = _report(model, rule, params, trials, seed, None, *arrs)
-        rows.append({
-            "N": int(n),
-            "theta": float(theta),
-            "M": int(m),
-            "epsilon": float(eps),
-            "rule": rule.value,
-            "R": trials,
-            "seed": seed,
-            "ti_bits": rep.ti_bits,
-            "accuracy_bits": rep.accuracy_hat_bits,
-            "h_hat_bits": rep.h_hat_bits,
-            "alt_h_hat_bits": rep.alt_h_hat_bits,
-            "pf_hat": rep.p_f_hat,
-            "pf_halfwidth": rep.p_f_halfwidth,
-            "successes": rep.success_count,
-        })
+        rows.append(dict(zip(SWEEP_COLUMNS, (
+            int(n), float(theta), int(m), float(eps), rule.value, trials, seed, rep.ti_bits,
+            rep.accuracy_hat_bits, rep.h_hat_bits, rep.alt_h_hat_bits, rep.p_f_hat,
+            rep.p_f_halfwidth, rep.success_count,
+        ))))
     return rows

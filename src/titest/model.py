@@ -99,10 +99,10 @@ class DiscreteJointModel:
     Instances are immutable after construction and safe to share across
     threads or worker processes. The derived tables (joint, marginals, log2
     lookups, posterior matrix, per-column posterior entropies, sampling CDFs,
-    the ascending hypothesis-label order, and the entropies H(X), H(Y),
-    H(X,Y), H(X|Y)) are computed once in ``__post_init__`` because every
-    downstream consumer needs them; the sampling guides, the posterior's
-    included, are built on the first draw.
+    the ascending hypothesis-label order, the entropies H(X), H(Y), H(X,Y),
+    H(X|Y) and the test information TI = H(X) - H(X|Y)) are computed once in
+    ``__post_init__`` because every downstream consumer needs them; the
+    sampling guides, the posterior's included, are built on the first draw.
     """
 
     hypothesis_values: tuple[int, ...]
@@ -183,6 +183,7 @@ class DiscreteJointModel:
         object.__setattr__(self, "h_y", _entropy_of(y_marginal, log2_y_marginal))
         object.__setattr__(self, "h_xy", _entropy_of(joint, log2_joint))
         object.__setattr__(self, "h_x_given_y", float((y_marginal[pos] * h_cols[pos]).sum()))
+        object.__setattr__(self, "ti", self.h_x - self.h_x_given_y)
         object.__setattr__(self, "_x_index", {v: i for i, v in enumerate(x_labels)})
         object.__setattr__(self, "_y_index", {v: i for i, v in enumerate(y_labels)})
 
@@ -191,8 +192,8 @@ class DiscreteJointModel:
     # log2_posterior, posterior_col_entropy, prior_cdf, lik_cdf (row-wise),
     # label_order (storage indices in ascending hypothesis-label order, the
     # order every rule reads a posterior column in), the entropies h_x, h_y,
-    # h_xy that centre the typicality conditions, and h_x_given_y, the
-    # evidence-weighted entropy of the posterior columns.
+    # h_xy that centre the typicality conditions, h_x_given_y, the
+    # evidence-weighted posterior entropy, and ti = h_x - h_x_given_y.
 
     # The sampling guides are built on the first draw, so the exact engine,
     # which draws nothing, never pays for them.
@@ -416,7 +417,7 @@ def info_summary(model: DiscreteJointModel) -> InfoSummary:
         h_y=model.h_y,
         h_xy=model.h_xy,
         h_x_given_y=model.h_x_given_y,
-        ti=model.h_x - model.h_x_given_y,
+        ti=model.ti,
     )
 
 

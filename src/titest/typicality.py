@@ -27,7 +27,7 @@ _rate is the one definition of a surprisal rate, a gather along a log2
 table's last axis and one row sum: the walk's, _rates', is_typical's (one
 sequence as a (1, M) row) and every rate of the trials (experiment._draw and
 experiment._decide). _band is the one place the conditions are combined
-(jointly_typical_rows, experiment._decide and the walk).
+(is_jointly_typical, jointly_typical_rows, experiment._decide and the walk).
 conditional_members returns the sequences themselves and still enumerates them.
 """
 
@@ -70,6 +70,9 @@ M_MIN_LOWER_BOUNDS = 8
 # classify as non-typical, so fp noise cannot flip a strict inequality.
 BOUNDARY_ATOL = 1e-12
 
+# _type_classes yields its classes in blocks of at most about this many rows.
+CLASS_BLOCK = 1 << 16
+
 
 class EnumerationTooLargeError(RuntimeError):
     """A type-class walk's symbols (_check_walk) or a listing's candidate
@@ -89,6 +92,15 @@ def resolve_enum_cap() -> int:
     return int(env)
 
 
+def _epsilon(name: str, value) -> float:
+    """value as a typicality tolerance, the one check of every epsilon: a
+    real number (model._real) with 0 < epsilon < inf, else ValueError naming it."""
+    eps = _real(name, value)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return eps
+
+
 @dataclass(frozen=True)
 class TypicalityParams:
     epsilon: float
@@ -96,10 +108,7 @@ class TypicalityParams:
 
     def __post_init__(self) -> None:
         # held as a float and an int, so no bool or numpy scalar reaches a report
-        eps = _real("epsilon", self.epsilon)
-        if not 0 < eps < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", _epsilon("epsilon", self.epsilon))
         object.__setattr__(self, "extension", _integer("extension", self.extension, 1))
 
 
@@ -244,19 +253,18 @@ def is_jointly_typical(
     The x-marginal condition measures the x-sequence against the prior, the
     y condition against the output marginal, and the joint condition against
     the joint table; jointly_typical requires all three deviations strictly
-    inside epsilon. The rates are _rates' for the pair as one row.
+    inside epsilon (_band). The rates are _rates' for the pair as one row.
     """
     if len(pair.x_seq) != params.extension:
         raise ValueError(f"pair length {len(pair.x_seq)} != extension {params.extension}")
     xi, yi = _x_indices(model, pair.x_seq), _y_indices(model, pair.y_seq)
-    x_rate, y_rate, joint_rate = (float(r[0]) for r in _rates(model, xi[None], yi[None]))
-    x_ok = bool(in_band(x_rate, model.h_x, params.epsilon))
-    y_ok = bool(in_band(y_rate, model.h_y, params.epsilon))
-    j_ok = bool(in_band(joint_rate, model.h_xy, params.epsilon))
+    rates = _rates(model, xi[None], yi[None])
+    x_rate, y_rate, joint_rate = (float(r[0]) for r in rates)
+    eps = params.epsilon
     return TypicalityVerdict(
-        x_typical=x_ok,
-        y_typical=y_ok,
-        jointly_typical=x_ok and y_ok and j_ok,
+        x_typical=bool(in_band(x_rate, model.h_x, eps)),
+        y_typical=bool(in_band(y_rate, model.h_y, eps)),
+        jointly_typical=bool(_band(rates, (model.h_x, model.h_y, model.h_xy), eps)[0]),
         x_rate=x_rate,
         y_rate=y_rate,
         joint_rate=joint_rate,
@@ -306,7 +314,8 @@ def conditional_members(
 
 @dataclass(frozen=True)
 class CensusBound:
-    """One inequality record: holds iff lhs < rhs (or <= for *_ge_* names)."""
+    """One inequality record: holds iff lhs < rhs (lhs <= rhs for
+    joint_mass_lower, the one weak record)."""
 
     name: str
     lhs: float
@@ -352,12 +361,10 @@ def _append_symbol(
     return np.column_stack([rows[parent], new]), sizes, run
 
 
-def _type_classes(
-    n_symbols: int, m: int, block: int = 1 << 16
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _type_classes(n_symbols: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every type class of length-m sequences over n_symbols symbols, in blocks.
 
-    Yields (rows, sizes) blocks of at most about `block` classes, in
+    Yields (rows, sizes) blocks of at most about CLASS_BLOCK classes, in
     lexicographic order; C(m + n_symbols - 1, m) classes in all. A row is
     the class's non-decreasing index sequence and its size the number of
     sequences in the class, the multinomial m! / prod(c_k!), exact (int64
@@ -377,7 +384,7 @@ def _type_classes(
     run = np.ones(n_symbols, dtype=np.int64)
     for _ in range(m - 2):
         rows, sizes, run = _append_symbol(rows, sizes, run, n_symbols)
-    step = max(1, block // n_symbols)  # a prefix fans out to at most n_symbols rows
+    step = max(1, CLASS_BLOCK // n_symbols)  # a prefix fans out to at most n_symbols rows
     for lo in range(0, len(rows), step):
         part = slice(lo, lo + step)
         yield _append_symbol(rows[part], sizes[part], run[part], n_symbols)[:2]

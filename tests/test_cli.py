@@ -61,6 +61,11 @@ def with_grid(tmp_path, argv):
     return [str(path) if token == "GRID" else token for token in argv]
 
 
+# Every setting and sweep grid axis checked by a library number check (cli._number).
+NUMERIC_SETTINGS = ["m", "epsilon", "k", "trials", "seed", "workers"]
+NUMERIC_AXES = ["n", "theta", "m", "epsilon"]
+
+
 def single_error_line(capsys):
     """Assert an empty stdout and one `titest: error:` line on stderr; return it."""
     out, err = capsys.readouterr()
@@ -575,28 +580,57 @@ class TestErrorPaths:
         assert out == ""
         assert err.count("\n") == 1 and "non-finite" in err
 
-    @pytest.mark.parametrize("eps", ["inf", "nan", "-inf"])
-    def test_non_finite_epsilon(self, capsys, eps):
-        assert run_cli(["simulate", "--coin", "6", "0.4", "--epsilon", eps]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and "--epsilon" in err
+    # A refused --epsilon or --coin value, from the flag or the config file
+    # (JSON text), is one line that starts with the library check's message
+    # under the setting's name; a coin's N and theta ranges are the model's.
+    @pytest.mark.parametrize("argv, cfg, want", [
+        (["--coin", "6", "0.4", "--epsilon", "inf"], None, "--epsilon must be positive"),
+        (["--coin", "6", "0.4", "--epsilon", "nan"], None, "--epsilon must be positive"),
+        # as two words argparse takes -inf for a flag
+        (["--coin", "6", "0.4", "--epsilon=-inf"], None, "--epsilon must be positive"),
+        (["--coin", "6", "0.4", "--epsilon", "abc"], None, "--epsilon must be a real number"),
+        (["--coin", "6", "0.4", "--epsilon", "0"], None, "--epsilon must be positive"),
+        (["--coin", "6", "0.4"], '{"epsilon": true}', "--epsilon must be a real number"),
+        (["--coin", "6", "0.4"], '{"epsilon": 1e400}', "--epsilon must be positive"),
+        (["--coin", "6", "0.4"], '{"epsilon": 0}', "--epsilon must be positive"),
+        (["--coin", "3", "abc"], None, "coin THETA must be a real number, got 'abc'"),
+        (["--coin", "0", "0.4"], None, "N must be >= 1, got 0"),
+        (["--coin", "513", "0.4"], None, "N must be <= 512, got 513"),
+    ], ids=[
+        "inf", "nan", "-inf", "abc", "zero", "config-true", "config-1e400", "config-zero",
+        "coin-theta-abc", "coin-n-zero", "coin-n-above-cap",
+    ])
+    def test_non_finite_epsilon(self, capsys, tmp_path, argv, cfg, want):
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(cfg)
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        assert run_cli(["simulate", *argv]) == 2
+        line = single_error_line(capsys)
+        assert line.startswith(f"titest: error: {want}"), line
 
-    # coin: a point the grid's own checks pass and the coin model refuses,
-    # which sweep builds before any trial runs
-    @pytest.mark.parametrize("axes, coin", [
-        ({"n": [513]}, True),
-        ({"n": [0]}, False),
-        ({"theta": [1.5]}, True),
-        ({"theta": [0.0]}, True),
-        ({"n": 5}, False),
-        ({"n": [1e400]}, False),
-        ({"theta": [10**400]}, False),
-        ({"m": [2, 10**9]}, False),
+    # want: the one error line's message; a "grid file" one is a point the
+    # grid's own checks pass and the coin model refuses, which sweep builds
+    # before any trial runs
+    @pytest.mark.parametrize("axes, want", [
+        ({"n": [513]}, "grid file GRID: N must be <= 512, got 513"),
+        ({"n": [0]}, "grid file GRID: N must be >= 1, got 0"),
+        ({"theta": [1.5]}, "grid file GRID: theta must lie strictly inside (0, 1)"),
+        ({"theta": [0.0]}, "grid file GRID: theta must lie strictly inside (0, 1)"),
+        ({"n": 5}, "grid file GRID: axis 'n' must be a list"),
+        ({"n": [1e400]}, "grid n must be an integer, got inf"),
+        ({"theta": [10**400]}, "grid file GRID: theta must lie strictly inside (0, 1), got inf"),
+        ({"m": [2, 10**9]}, "grid m must be <= 44739242, got 1000000000"),
+        ({"n": [True]}, "grid n must be an integer, got True"),
+        ({"theta": ["abc"]}, "grid theta must be a real number, got 'abc'"),
+        ({"epsilon": [True]}, "grid epsilon must be a real number, got True"),
+        ({"epsilon": [0]}, "grid epsilon must be positive and finite, got 0"),
+        ({"epsilon": [1e400]}, "grid epsilon must be positive and finite, got inf"),
     ], ids=[
         "n-above-cap", "n-zero", "theta-above-one", "theta-zero", "n-not-list", "n-huge",
-        "theta-huge", "m-above-trial-bound",
+        "theta-huge", "m-above-trial-bound", "n-true", "theta-text", "epsilon-true",
+        "epsilon-zero", "epsilon-huge",
     ])
-    def test_bad_sweep_grid_value(self, capsys, monkeypatch, tmp_path, axes, coin):
+    def test_bad_sweep_grid_value(self, capsys, monkeypatch, tmp_path, axes, want):
         runs = []
         monkeypatch.setattr(experiment, "_map_experiments", lambda *args: runs.append(args))
         grid = {"n": [5], "theta": [0.4], "m": [1], "epsilon": [0.25], "rules": ["sap"]}
@@ -604,14 +638,36 @@ class TestErrorPaths:
         # json.dumps writes the float 1e400 (inf) as Infinity; spell it as a number
         path.write_text(json.dumps({**grid, **axes}).replace("Infinity", "1e400"))
         assert run_cli(["sweep", "--grid", str(path), "--trials", "10"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "Traceback" not in err
-        errors = [line for line in err.splitlines() if line.startswith("titest: error:")]
-        assert len(errors) == 1
-        if coin:
-            assert errors[0].startswith("titest: error: grid file"), errors[0]
+        line = single_error_line(capsys)
+        assert line.startswith("titest: error: " + want.replace("GRID", str(path))), line
         assert runs == []  # no experiment ran
+
+    # cli._number, the adapter of every numeric setting and grid axis: a
+    # JSON 5.0 is a count, the text 5.0 is not, and a JSON true is no number
+    @pytest.mark.parametrize("check, value, want", [
+        (cli.SETTINGS["seed"][1], 5.0, 5),
+        (cli.SETTINGS["seed"][1], "5", 5),
+        (cli.SETTINGS["seed"][1], "5.0", "must be an integer, got '5.0'"),
+        (cli.SETTINGS["seed"][1], 5.5, "must be an integer, got 5.5"),
+        (cli.SETTINGS["epsilon"][1], "0.5", 0.5),
+        (cli.SETTINGS["epsilon"][1], 1, 1.0),
+        *((cli.SETTINGS[name][1], True, "must be ") for name in NUMERIC_SETTINGS),
+        *((cli.GRID_AXES[axis], True, "must be ") for axis in NUMERIC_AXES),
+        (cli.SETTINGS["coin"][1], [True, 0.4], "must be an integer, got True"),
+        (cli.SETTINGS["coin"][1], [3, True], "must be a real number, got True"),
+    ], ids=[
+        "seed-json-5.0", "seed-text-5", "seed-text-5.0", "seed-json-5.5", "epsilon-text",
+        "epsilon-json-int", *(f"{name}-true" for name in NUMERIC_SETTINGS),
+        *(f"grid-{axis}-true" for axis in NUMERIC_AXES), "coin-n-true", "coin-theta-true",
+    ])
+    def test_number_adapter(self, check, value, want):
+        if not isinstance(want, str):
+            got = check("--setting", value)
+            assert got == want and type(got) is type(want)
+            return
+        with pytest.raises(cli._UsageError) as info:
+            check("--setting", value)
+        assert want in str(info.value)
 
     @pytest.mark.parametrize("m", [experiment._MAX_TRIAL_M + 1, 10**9])
     def test_trial_m_above_the_row_bound(self, capsys, monkeypatch, m):
@@ -879,7 +935,7 @@ class TestSweepGridFuzz:
             assert sum(line.startswith("titest: error:") for line in lines) == 1
 
 
-# Non-numeric text only: a digit string is a valid count to _as_int.
+# Non-numeric text only: a digit string is a valid count to cli._number.
 WORD = st.text(alphabet="abxyz ", max_size=3)
 CONFIG_JUNK = st.one_of(
     st.none(), st.booleans(), WORD, st.sampled_from([math.nan, math.inf, -math.inf]),

@@ -7,7 +7,6 @@ for SAP, all x-sequences per y-sequence) the slow way, so sizes must agree
 exactly and floats to rounding.
 """
 
-import functools
 import itertools
 import json
 import math
@@ -214,8 +213,9 @@ class TestTypeClassesMatchBruteForce:
 class TestTypeClassList:
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (3, 1), (2, 6), (4, 3), (5, 4)])
-    def test_every_class_once_with_its_size(self, n, m, block):
-        rows, sizes = map(np.concatenate, zip(*_type_classes(n, m, block)))
+    def test_every_class_once_with_its_size(self, monkeypatch, n, m, block):
+        monkeypatch.setattr(typicality, "CLASS_BLOCK", block)
+        rows, sizes = map(np.concatenate, zip(*_type_classes(n, m)))
         classes = list(itertools.combinations_with_replacement(range(n), m))
         assert [tuple(row) for row in rows] == classes
         assert [int(size) for size in sizes] == [
@@ -237,8 +237,7 @@ class TestTypeClassList:
         assert totals.count == 2**64
 
     def test_small_blocks_sum_the_same(self, monkeypatch):
-        small = functools.partial(_type_classes, block=5)
-        monkeypatch.setattr(typicality, "_type_classes", small)
+        monkeypatch.setattr(typicality, "CLASS_BLOCK", 5)
         assert_matches_brute_force(build_coin_model(3, 0.4), 3, 0.25)
 
 
@@ -277,9 +276,9 @@ class TestOneWalk:
         # coin10 has 65 pairs of positive probability out of 11 * 10
         walked = []
 
-        def recording(n_symbols, m, *args):
+        def recording(n_symbols, m):
             walked.append(n_symbols)
-            return _type_classes(n_symbols, m, *args)
+            return _type_classes(n_symbols, m)
 
         monkeypatch.setattr(typicality, "_type_classes", recording)
         model = build_coin_model(10, 0.4)
@@ -297,9 +296,9 @@ class TestOneWalk:
         # the y-marginal and the joint law share one walk over 2 symbols
         walked = []
 
-        def recording(n_symbols, m, *args):
+        def recording(n_symbols, m):
             walked.append(n_symbols)
-            return _type_classes(n_symbols, m, *args)
+            return _type_classes(n_symbols, m)
 
         monkeypatch.setattr(typicality, "_type_classes", recording)
         model = DiscreteJointModel(
@@ -327,7 +326,8 @@ class TestWalkCap:
             return out
 
         monkeypatch.setattr(typicality, "_append_symbol", counting)
-        for _ in _type_classes(n, m, block):
+        monkeypatch.setattr(typicality, "CLASS_BLOCK", block)
+        for _ in _type_classes(n, m):
             pass
         assert built[0] == n * math.comb(m + n, m - 1)
 
@@ -361,9 +361,9 @@ class TestWalkCap:
         # y-marginal's 20,020, but the joint law's 65 pairs build 59,598,175
         walked = []
 
-        def recording(n_symbols, m, *args):
+        def recording(n_symbols, m):
             walked.append(n_symbols)
-            return _type_classes(n_symbols, m, *args)
+            return _type_classes(n_symbols, m)
 
         monkeypatch.setattr(typicality, "_type_classes", recording)
         with pytest.raises(EnumerationTooLargeError, match=r"= 65\*C\(70, 4\)"):
@@ -404,9 +404,9 @@ def recorded_walks(monkeypatch):
     """The support sizes of the _type_classes walks made from here on."""
     walked = []
 
-    def recording(n_symbols, m, *args):
+    def recording(n_symbols, m):
         walked.append(n_symbols)
-        return _type_classes(n_symbols, m, *args)
+        return _type_classes(n_symbols, m)
 
     monkeypatch.setattr(typicality, "_type_classes", recording)
     return walked

@@ -368,6 +368,17 @@ class TestModelConstants:
         assert model.h_x_given_y.hex() == want.hex()
         assert info_summary(model).h_x_given_y.hex() == want.hex()
 
+    @pytest.mark.parametrize("model", [
+        build_coin_model(1, 0.4), build_coin_model(10, 0.4), build_coin_model(35, 0.4),
+        build_bsc_model(0.25), build_identity_model(4), build_constant_model(3),
+    ], ids=["coin1", "coin10", "coin35", "bsc25", "identity4", "constant3"])
+    def test_ti_is_one_constant(self, model):
+        want = model.h_x - model.h_x_given_y
+        report = run_experiment(model, DecisionRule.SAP, TypicalityParams(0.25, 2), 5, 0)
+        assert type(model.ti) is float
+        for got in (model.ti, info_summary(model).ti, report.ti_bits):
+            assert got.hex() == want.hex()
+
 
 class TestPosterior:
     def test_sums_to_one(self, coin35):
