@@ -125,14 +125,15 @@ def _load_model_file(path: str) -> DiscreteJointModel:
 def _number(check: Callable, *bounds: int) -> Callable[[str, Any], Any]:
     """A setting's check through one of the library's own: model._integer
     (on the inclusive bounds), model._real or typicality._epsilon, under the
-    setting's name. A flag's text is parsed by int() for _integer, else by
-    float(), and text that does not parse is left for the check to refuse;
-    an integral JSON float (5.0) counts as an int. The check's ValueError is
-    a usage error."""
+    setting's name. A flag's text, stripped (_mark_numbers), is parsed by
+    int() for _integer, else by float(), and text that does not parse is
+    left for the check to refuse; an integral JSON float (5.0) counts as an
+    int. The check's ValueError is a usage error."""
     parse = int if check is _integer else float
 
     def as_number(name: str, value: Any) -> Any:
         if isinstance(value, str):
+            value = value.strip()
             with contextlib.suppress(ValueError):
                 value = parse(value)
         elif parse is int and isinstance(value, float) and value.is_integer():
@@ -208,8 +209,29 @@ SETTINGS: dict[str, tuple[Any, Callable[[str, Any], Any], dict]] = {
 }
 
 
+# The settings whose flags take numbers (_mark_numbers).
+NUMBER_SETTINGS = ("coin", "m", "epsilon", "k", "trials", "seed", "workers")
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+def _mark_numbers(command: str, argv: Sequence[str]) -> list[str]:
+    """argv with a space before each value of command's NUMBER_SETTINGS flags
+    that starts with "-" and float() parses: argparse takes -inf or -1e3 for
+    a flag (only -2 or -0.5 read as numbers), but " -inf" for a value."""
+    own = [s for s in NUMBER_SETTINGS if s in COMMANDS[command][2]]
+    nargs = {_flag(s): SETTINGS[s][2].get("nargs", 1) for s in own}
+    out, wanted = [], 0
+    for word in argv:
+        if wanted and word.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(word)
+                word = " " + word
+        wanted = wanted - 1 if wanted else nargs.get(word, 0)
+        out.append(word)
+    return out
 
 
 def _resolve(args: argparse.Namespace, names: Sequence[str]) -> dict[str, Any]:
@@ -384,7 +406,9 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args, foreign = _build_parser(command).parse_known_args(argv[1:] if command else argv)
+    args, foreign = _build_parser(command).parse_known_args(
+        _mark_numbers(command, argv[1:]) if command else argv
+    )
     if foreign:  # named under the subcommand's usage, which lists its flags
         args.parser.error(f"unrecognized arguments: {' '.join(foreign)}")
     func, _, names = COMMANDS[args.command]

@@ -12,45 +12,33 @@ i])).random(k*M), where k is 3 for SAP and 2 for the deterministic rules.
 The row's first M uniforms sample x, the next M sample y and the last M (SAP
 only) the decisions; for PCG64 one random(k*M) draw equals k sequential
 random(M) draws, so this is the same stream a trial-at-a-time loop consumes.
-No generator is built per trial: the rows of a chunk of trials (at most
-_STREAM_CHUNK rows and, unless one row is larger, 1 MiB) are computed
-together by numpy array arithmetic that reproduces SeedSequence's
-hash and PCG64's seeding and output bit for bit (_trial_uniforms; tested
-against numpy's own generators). Sampling, decisions, the three-condition
-judgement and both rate estimators then run over each chunk of rows whole:
-the inverse-CDF picks look each draw up in a guide table (rules.CdfGuide),
-so the common path makes no temporary that grows with the alphabet size.
-A chunk of few long rows (large M) steps each PCG64 lane many draws at a
-time by jump-ahead, so its stream takes about rows * k*M / _STREAM_CHUNK
-numpy passes instead of k*M. A trial is two steps: _draw samples x and y and
-takes the y and posterior-entropy rates, and _decide decides and judges.
+No generator is built per trial: the rows of a chunk of trials are computed
+together by numpy array arithmetic that reproduces SeedSequence's hash and
+PCG64's seeding and output bit for bit, jumping ahead where rows are few and
+long (_trial_uniforms, _pcg64_uniforms; tested against numpy's own
+generators). Sampling, decisions, the three-condition judgement and both
+rate estimators then run over each chunk of rows whole: the inverse-CDF
+picks look each draw up in a guide table (rules.CdfGuide), so the common
+path makes no temporary that grows with the alphabet size. A trial is two
+steps: _draw samples x and y and takes the y and posterior-entropy rates,
+and _decide decides and judges.
 _run_block composes them over each chunk, and run_trial over one row.
 
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
 report is byte-for-byte identical for any worker count.
 
-Every experiment of a call runs trials [0, R) on the master seed, so the
-trials split into contiguous blocks and a block runs the whole group: trial
-i's row is computed once, at the widest k*M, and each experiment reads its
-leading k*M columns (common random numbers). Experiments on the same model
-object at the same M read the same x and y columns, so they share one x/y
-pick and one y and posterior-entropy rate per chunk and only decide and
-judge apart. A run_experiment (a group of one) or sweep call gets one
-block per worker, but no more blocks than its work pays for: the work is
-trials times the group's sum of k*M, the doubles the kernels read, and a
-block needs at least _BLOCK_WORK of it. A single block runs in this process;
-more go as one job each to a single process pool, and only a call of two or
-more blocks imports the pool's module (concurrent.futures and the
-multiprocessing stack under it). An experiment is (model, rule, params), and
-a job carries a list of them; a model pickles as its four defining fields
-and rebuilds its tables on arrival. A job is one pickle, so experiments that
-share a model share it there too. A block builds each rule's decided-pair law
-(rules._symbol_law) once per (model, rule) and scatters its x, joint and
-posterior log2 rows into one table (_rule_table), by y for a deterministic
-rule and by x-hat |Y| + y for SAP, which draws x-hat by the model's posterior
-guide; every rate of a trial is typicality._rate's gather from a log2 table.
-run_trial builds one law, for its table and a deterministic rule's choices.
+Every experiment (model, rule, params) of a call runs trials [0, R) on the
+master seed (common random numbers): trial i's row is computed once, at the
+widest k*M, and each experiment reads its leading k*M columns. The trials
+split into contiguous blocks, no more than the call's work pays for
+(_map_experiments); one block runs in this process, and only a call of more
+imports the process pool's modules. A block (_run_block) shares the x/y
+picks and rates of the experiments on one model object and M, and builds
+each rule's table (_rule_table) once per (model, rule) from its decided-pair
+law (rules._symbol_law); every rate of a trial is typicality._rate's gather
+from a log2 table. run_trial builds one law, for its table and a
+deterministic rule's choices.
 """
 
 from __future__ import annotations
@@ -604,11 +592,7 @@ def achievability_check(report: ExperimentReport) -> AchievabilityRecord:
     delta = report.h_hat_halfwidth or 0.0
     lo = report.ti_bits - 2 * eps - delta
     hi = report.ti_bits + 2 * eps + delta
-    acc_ok: bool | None
-    if report.zero_success:
-        acc_ok = None
-    else:
-        acc_ok = bool(lo < report.accuracy_hat_bits < hi)
+    acc_ok = None if report.zero_success else bool(lo < report.accuracy_hat_bits < hi)
     sigma = report.p_f_halfwidth / Z_95
     bound = 2 * eps + 3 * sigma
     p_ok = bool(report.p_f_hat <= bound)
@@ -666,7 +650,7 @@ def _exact_audit(
     model: DiscreteJointModel, rule: DecisionRule, params: TypicalityParams
 ) -> tuple[CensusReport, FanoRecord]:
     """typical_set_census and extended_fano_check of one call, from one
-    _walk: a support size's type classes are walked once for both. The
+    _walk: the type classes are walked once for both. The
     census's reducers are built first, so a census walk over the cap is
     refused before the audited law's."""
     m, eps = params.extension, params.epsilon

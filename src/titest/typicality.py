@@ -9,20 +9,13 @@ sequence's membership and probability depend only on its type (the count of
 each symbol), not on the symbol order. The exact engine therefore walks type
 classes: one non-decreasing representative per class, weighted by the class
 size, the multinomial M! / prod(c_k!), kept as an exact integer. That is
-C(M+K-1, M) rows instead of K^M sequences. _walk reads laws as records:
-support probabilities, an (r, K) log2 table and r centres, and keeps a class
-when each row's rate is in the band of its centre. The census's x- and
-y-marginal laws are one row each over their positive-probability support,
-centred at H(X) and H(Y); a decided-pair law (rules._symbol_law) is its
-record's log2 rows 0-2, centred at (H(X), H(Y), H(X,Y)). A reducer holds
-its law and checks its walk against the cap (TI_TEST_ENUM_CAP) when built:
-_Totals, a census set's (_census_totals builds the census's three, its joint
-law being SAP's), and _FanoSums, the law audited by extended_fano_check.
-_walk then walks the type classes once per support size K for every
-reducer's law of that size; laws of equal content are banded once. The
-engine holds no rule logic. typical_set_census and extended_fano_check each
-compose their reducers with one _walk; `titest enumerate` walks both sets
-of reducers at once.
+C(M+K-1, M) rows instead of K^M sequences. A reducer holds a law as a
+record, support probabilities, an (r, K) log2 table and r centres, and
+checks its walk against the cap (TI_TEST_ENUM_CAP) when built: _Totals for
+a census set (_census_totals) and _FanoSums for the law extended_fano_check
+audits. One _walk feeds all reducers of a call from one walk of the type
+classes, at the largest law's support size; `titest enumerate` walks the
+census's and the audit's reducers at once. The engine holds no rule logic.
 _rate is the one definition of a surprisal rate, a gather along a log2
 table's last axis and one row sum: the walk's, _rates', is_typical's (one
 sequence as a (1, M) row) and every rate of the trials (experiment._draw and
@@ -212,12 +205,9 @@ def sample_extension(
     return SequencePair(x_seq=tuple(x_labels[xi]), y_seq=tuple(y_labels[yi]))
 
 
-def _x_indices(model: DiscreteJointModel, seq: Sequence[int]) -> np.ndarray:
-    return np.array([model.x_index(v) for v in seq], dtype=np.intp)
-
-
-def _y_indices(model: DiscreteJointModel, seq: Sequence[int]) -> np.ndarray:
-    return np.array([model.y_index(v) for v in seq], dtype=np.intp)
+def _indices(index, seq: Sequence[int]) -> np.ndarray:
+    """seq's labels as storage indices by index (a model's x_index or y_index)."""
+    return np.array([index(v) for v in seq], dtype=np.intp)
 
 
 def is_typical(
@@ -236,9 +226,9 @@ def is_typical(
         raise ValueError(f"sequence length {len(seq)} != extension {params.extension}")
     key = which.upper() if isinstance(which, str) else None
     if key == "X":
-        log2_prob, index, h = model.log2_prior, _x_indices(model, seq), model.h_x
+        log2_prob, index, h = model.log2_prior, _indices(model.x_index, seq), model.h_x
     elif key == "Y":
-        log2_prob, index, h = model.log2_y_marginal, _y_indices(model, seq), model.h_y
+        log2_prob, index, h = model.log2_y_marginal, _indices(model.y_index, seq), model.h_y
     else:
         raise ValueError(f"which must be 'X' or 'Y', got {which!r}")
     rate = float(_rate(log2_prob, index[None])[0])  # the sequence as one (1, M) row
@@ -257,7 +247,7 @@ def is_jointly_typical(
     """
     if len(pair.x_seq) != params.extension:
         raise ValueError(f"pair length {len(pair.x_seq)} != extension {params.extension}")
-    xi, yi = _x_indices(model, pair.x_seq), _y_indices(model, pair.y_seq)
+    xi, yi = _indices(model.x_index, pair.x_seq), _indices(model.y_index, pair.y_seq)
     rates = _rates(model, xi[None], yi[None])
     x_rate, y_rate, joint_rate = (float(r[0]) for r in rates)
     eps = params.epsilon
@@ -301,7 +291,7 @@ def conditional_members(
     _check_cap("|X|^M", n_x, m)
     if not is_typical(y_seq, model, "Y", params).typical:
         return []
-    yi = _y_indices(model, y_seq)
+    yi = _indices(model.y_index, y_seq)
     x_labels = np.asarray(model.hypothesis_values)
     out: list[tuple[int, ...]] = []
     for combos in _index_blocks(n_x, m):
@@ -465,29 +455,34 @@ def _walk(reducers: Iterable, m: int, eps: float) -> None:
     A reducer's law is (prob, log2, centres): its support probabilities (all
     > 0), an (r, K) log2 table and r centres; its band (_band) keeps a class
     whose every row's _rate is in the band of its centre. Reducers whose laws
-    have equal content are banded as one. _type_classes runs once per
-    distinct support size K, and each of its (rows, sizes) blocks goes to
-    every law of that size: the law's member probabilities exp2(sum of log2
-    prob over the row), its band, and then each of its reducers' add(rows,
-    sizes, probs, keep). A reducer thus sees the blocks of its own law's walk,
-    in that walk's order. Every reducer checked its walk against the cap
-    (_check_walk) when it was built, so no walk here is over it.
+    have equal content are banded as one. _type_classes runs once, at the
+    largest support size K_max; a law over K points reads the rows of each
+    block whose last (largest) symbol is below K, which are its own type
+    classes, sizes and order. Per block, each law with rows there takes its
+    member probabilities exp2(sum of log2 prob over the row) and the band of
+    one _rate gather over its (r, K) table, and its reducers add(rows, sizes,
+    probs, keep). Every reducer checked its own walk against the cap
+    (_check_walk) when built, the largest law's among them.
     """
     shared: dict[tuple, tuple] = {}
     for reducer in reducers:
         prob, log2, centres = reducer.law
         key = (prob.tobytes(), log2.tobytes(), tuple(centres))
         shared.setdefault(key, (np.log2(prob), log2, centres, []))[3].append(reducer)
-    by_size: dict[int, list] = {}
-    for law in shared.values():
-        by_size.setdefault(len(law[0]), []).append(law)
-    for k, group in by_size.items():
-        for rows, sizes in _type_classes(k, m):
-            for log2_prob, log2, centres, members in group:
-                probs = np.exp2(log2_prob[rows].sum(axis=1))
-                keep = _band([_rate(row, rows) for row in log2], centres, eps)
+    k_max = max(len(law[0]) for law in shared.values())
+    smaller = {len(law[0]) for law in shared.values()} - {k_max}
+    for rows, sizes in _type_classes(k_max, m):
+        own = {k_max: (rows, sizes)}
+        for k in smaller:
+            pick = np.flatnonzero(rows[:, -1] < k)
+            own[k] = rows[pick], sizes[pick]
+        for log2_prob, log2, centres, members in shared.values():
+            k_rows, k_sizes = own[len(log2_prob)]
+            if len(k_rows):
+                probs = np.exp2(log2_prob[k_rows].sum(axis=1))
+                keep = _band(_rate(log2, k_rows), centres, eps)
                 for reducer in members:
-                    reducer.add(rows, sizes, probs, keep)
+                    reducer.add(k_rows, k_sizes, probs, keep)
 
 
 def _check_cap(what: str, base: int, m: int) -> None:
@@ -572,9 +567,6 @@ def _census_report(
     def strict(name: str, lhs: float, rhs: float) -> None:
         bounds.append(CensusBound(name=name, lhs=lhs, rhs=rhs, holds=bool(lhs < rhs)))
 
-    def weak(name: str, lhs: float, rhs: float) -> None:
-        bounds.append(CensusBound(name=name, lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs)))
-
     for tag, h in (("x", model.h_x), ("y", model.h_y)):
         t = totals[tag]
         strict(f"{tag}_mass_lower", 1.0 - eps, t.mass)
@@ -585,7 +577,7 @@ def _census_report(
         strict(f"{tag}_count_lower", (1.0 - eps) * _pow2(m * (h - eps)), float(t.count))
         strict(f"{tag}_count_lower_printed", (1.0 - eps) * _pow2(m * (h + eps)), float(t.count))
     joint = totals["joint"]
-    weak("joint_mass_lower", 1.0 - eps, joint.mass)
+    bounds.append(CensusBound("joint_mass_lower", 1.0 - eps, joint.mass, 1.0 - eps <= joint.mass))
     if joint.count:
         strict("joint_member_prob_lower", _pow2(-m * (h_xy + eps)), joint.min_p)
         strict("joint_member_prob_upper", joint.max_p, _pow2(-m * (h_xy - eps)))

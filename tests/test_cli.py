@@ -586,8 +586,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, cfg, want", [
         (["--coin", "6", "0.4", "--epsilon", "inf"], None, "--epsilon must be positive"),
         (["--coin", "6", "0.4", "--epsilon", "nan"], None, "--epsilon must be positive"),
-        # as two words argparse takes -inf for a flag
         (["--coin", "6", "0.4", "--epsilon=-inf"], None, "--epsilon must be positive"),
+        # two words that argparse alone would take for a flag and its value
+        (["--coin", "6", "0.4", "--epsilon", "-inf"], None, "--epsilon must be positive"),
+        (["--coin", "6", "0.4", "--epsilon", "-1e3"], None, "--epsilon must be positive"),
+        (["--coin", "3", "-inf"], None, "theta must lie strictly inside (0, 1), got -inf"),
         (["--coin", "6", "0.4", "--epsilon", "abc"], None, "--epsilon must be a real number"),
         (["--coin", "6", "0.4", "--epsilon", "0"], None, "--epsilon must be positive"),
         (["--coin", "6", "0.4"], '{"epsilon": true}', "--epsilon must be a real number"),
@@ -597,8 +600,9 @@ class TestErrorPaths:
         (["--coin", "0", "0.4"], None, "N must be >= 1, got 0"),
         (["--coin", "513", "0.4"], None, "N must be <= 512, got 513"),
     ], ids=[
-        "inf", "nan", "-inf", "abc", "zero", "config-true", "config-1e400", "config-zero",
-        "coin-theta-abc", "coin-n-zero", "coin-n-above-cap",
+        "inf", "nan", "-inf", "-inf-word", "-1e3-word", "coin-theta--inf-word", "abc", "zero",
+        "config-true", "config-1e400", "config-zero", "coin-theta-abc", "coin-n-zero",
+        "coin-n-above-cap",
     ])
     def test_non_finite_epsilon(self, capsys, tmp_path, argv, cfg, want):
         if cfg is not None:
@@ -962,10 +966,10 @@ def run_flag_values(max_m):
     "GRID" stands for a one-point grid file."""
     return {
         "--rule": (RULE_NAMES, st.sampled_from(["bogus", ""])),
-        "--m": (st.integers(1, max_m).map(str), st.sampled_from(["0", "-3", "1.5", "abc"])),
+        "--m": (st.integers(1, max_m).map(str), st.sampled_from(["0", "-3", "1.5", "-1e3", "abc"])),
         "--epsilon": (
             st.sampled_from(["0.1", "0.25", "1.0"]),
-            st.sampled_from(["0", "-0.25", "nan", "inf", "1e400", "x"]),
+            st.sampled_from(["0", "-0.25", "nan", "inf", "-inf", "1e400", "x"]),
         ),
         "--seed": (
             st.integers(0, 2**70).map(str), st.sampled_from(["-1", "2.5", "x"])

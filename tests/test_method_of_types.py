@@ -1,8 +1,9 @@
 """The type-class engine against brute-force scans of every sequence.
 
 typical_set_census and the Fano sums (typicality._FanoSums) sum over type
-classes, which typicality._walk visits once per support size for every
-reducer's law of a call. The references here visit all K^M sequences (and,
+classes, which typicality._walk visits once per call, at the largest
+support size among its reducers' laws; a smaller law reads the rows of that
+walk whose symbols are all below its own size. The references here visit all K^M sequences (and,
 for SAP, all x-sequences per y-sequence) the slow way, so sizes must agree
 exactly and floats to rounding.
 """
@@ -176,6 +177,20 @@ def models_and_extensions(draw):
     return model, draw(st.integers(1, max_m))
 
 
+# Many sequences of these models sit exactly on a band edge or exactly at the
+# entropy: identity and uniform models put every rate at H, and the dyadic
+# prior (1/2, 1/4, 1/4) puts the M=4 rates at H +/- 0.25 exactly.
+EDGE_MODELS = [
+    build_identity_model(3, labels=(7, 2, 5)),
+    build_constant_model(3, [1 / 3, 1 / 3, 1 / 3]),
+    DiscreteJointModel(
+        (0, 1, 2), (0, 1), np.array([0.5, 0.25, 0.25]),
+        np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]),
+    ),
+]
+EDGE_IDS = ["identity3", "uniform3", "dyadic"]
+
+
 class TestTypeClassesMatchBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(case=models_and_extensions(), eps=st.sampled_from([0.05, 0.1, 0.25, 0.5]))
@@ -183,19 +198,9 @@ class TestTypeClassesMatchBruteForce:
         model, m = case
         assert_matches_brute_force(model, m, eps)
 
-    # Many sequences of these models sit exactly on a band edge or exactly at
-    # the entropy: identity and uniform models put every rate at H, and the
-    # dyadic prior (1/2, 1/4, 1/4) puts the M=4 rates at H +/- 0.25 exactly.
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("eps", [0.25, 0.5])
-    @pytest.mark.parametrize("model", [
-        build_identity_model(3, labels=(7, 2, 5)),
-        build_constant_model(3, [1 / 3, 1 / 3, 1 / 3]),
-        DiscreteJointModel(
-            (0, 1, 2), (0, 1), np.array([0.5, 0.25, 0.25]),
-            np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]),
-        ),
-    ], ids=["identity3", "uniform3", "dyadic"])
+    @pytest.mark.parametrize("model", EDGE_MODELS, ids=EDGE_IDS)
     def test_edge_models(self, model, eps, m):
         assert_matches_brute_force(model, m, eps)
 
@@ -239,6 +244,15 @@ class TestTypeClassList:
     def test_small_blocks_sum_the_same(self, monkeypatch):
         monkeypatch.setattr(typicality, "CLASS_BLOCK", 5)
         assert_matches_brute_force(build_coin_model(3, 0.4), 3, 0.25)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("model", EDGE_MODELS, ids=EDGE_IDS)
+    def test_small_blocks_feed_smaller_laws(self, monkeypatch, model, m):
+        # uniform3's marginals (3 symbols) and dyadic's (3 and 2) are read off
+        # the joint law's walk (9 and 4 pairs), whose blocks of about 5 rows
+        # often hold none of a smaller law's rows
+        monkeypatch.setattr(typicality, "CLASS_BLOCK", 5)
+        assert_matches_brute_force(model, m, 0.25)
 
 
 class TestSapIdentity:
@@ -284,7 +298,7 @@ class TestOneWalk:
         model = build_coin_model(10, 0.4)
         params = TypicalityParams(0.25, 2)
         typical_set_census(model, params)
-        assert walked == [10, 11, 65]
+        assert walked == [65]
         walked.clear()
         for rule in DecisionRule:
             fano_sums(model, params, _symbol_law(model, rule))
@@ -292,8 +306,8 @@ class TestOneWalk:
 
     def test_marginal_censuses_walk_the_support_only(self, monkeypatch):
         # prior (1, 0, 0): one x symbol, two y symbols and two joint pairs
-        # carry probability, so M=4 walks 1 x-class, not C(6, 4) = 15, and
-        # the y-marginal and the joint law share one walk over 2 symbols
+        # carry probability, so M=4 walks 2 symbols, not 3: the x-marginal
+        # reads its 1 class, not C(6, 4) = 15, off the joint law's walk
         walked = []
 
         def recording(n_symbols, m):
@@ -306,7 +320,7 @@ class TestOneWalk:
             np.array([[0.25, 0.75], [1.0, 0.0], [0.0, 1.0]]),
         )
         typical_set_census(model, TypicalityParams(0.25, 4))
-        assert walked == [1, 2]
+        assert walked == [2]
         assert_matches_brute_force(model, 4, 0.25)
 
 
@@ -413,8 +427,9 @@ def recorded_walks(monkeypatch):
 
 
 class TestSharedWalks:
-    """titest enumerate walks each support size's type classes once, for the
-    census and the Fano audit together, and prints what separate calls give."""
+    """titest enumerate walks the type classes once, at its largest law's
+    support size, for the census and the Fano audit together, and prints
+    what separate calls give."""
 
     @pytest.mark.parametrize("rule", list(DecisionRule), ids=lambda r: r.value)
     @pytest.mark.parametrize(
@@ -433,11 +448,12 @@ class TestSharedWalks:
             assert capsys.readouterr().out == want, m
 
     @pytest.mark.parametrize("spec, rule, m, walks", [
-        (BSC25_DOC, "sap", 11, [2, 4]),
-        # the y-marginal and the MAP law both have 4 support points
-        ((3, 0.4), "map", 5, [3, 4, 9]),
+        (BSC25_DOC, "sap", 11, [4]),
+        # the prior (3 points), the y-marginal and the MAP law (4 each) read
+        # the joint law's walk over 9 pairs
+        ((3, 0.4), "map", 5, [9]),
     ], ids=["bsc25-sap", "coin3-map"])
-    def test_enumerate_walks_each_support_size_once(
+    def test_enumerate_walks_the_largest_law_once(
         self, spec, rule, m, walks, tmp_path, monkeypatch, capsys
     ):
         flags = model_argv(spec, tmp_path)
@@ -459,9 +475,9 @@ class TestSharedWalks:
         )
 
     def test_sap_audit_adds_no_band_work_to_the_census(self, monkeypatch):
-        # SAP's decided-pair law is the census's joint law, so one pass walks
-        # and bands it once for both; bsc25's prior and y-marginal are equal
-        # laws too, banded by one rate at K=2, and the joint law's three at K=4
+        # one _rate gather per law of distinct content: SAP's decided-pair law
+        # is the census's joint law, so one pass bands it once for both, and
+        # bsc25's prior and y-marginal are equal laws too, one gather at K=2
         rated = []
         rate = typicality._rate
 
@@ -472,13 +488,13 @@ class TestSharedWalks:
         monkeypatch.setattr(typicality, "_rate", counting)
         model, params = build_bsc_model(0.25), TypicalityParams(0.25, 11)
         typical_set_census(model, params)
-        assert len(rated) == 1 + 3
+        assert [args[0].shape for args in rated] == [(1, 2), (3, 4)]
         rated.clear()
         fano_sums(model, params, _symbol_law(model, DecisionRule.SAP), census=True)
-        assert len(rated) == 1 + 3
+        assert [args[0].shape for args in rated] == [(1, 2), (3, 4)]
         rated.clear()
         fano_sums(model, params, _symbol_law(model, DecisionRule.MAP), census=True)
-        assert len(rated) == 1 + 3 + 3
+        assert [args[0].shape for args in rated] == [(1, 2), (3, 4), (3, 2)]
 
     def test_laws_share_a_band_only_when_their_content_is_equal(self, monkeypatch):
         # one support and centre, two log2 rows: the surprisals of prob, and
@@ -502,12 +518,12 @@ class TestSharedWalks:
         assert totals[1].count == 3**m > totals[0].count
 
     def test_lone_calls_walk_only_their_own_laws(self, monkeypatch):
-        # the census's prior and y-marginal share bsc25's 2 symbols; the audit
-        # walks only its rule's law
+        # the census's prior and y-marginal (2 symbols) read its joint law's
+        # walk (4 pairs); the audit walks only its rule's law
         walked = recorded_walks(monkeypatch)
         params = TypicalityParams(0.25, 6)
         typical_set_census(build_bsc_model(0.25), params)
-        assert walked == [2, 4]
+        assert walked == [4]
         walked.clear()
         extended_fano_check(build_bsc_model(0.25), DecisionRule.MAP, params)
         assert walked == [2]
