@@ -6,19 +6,21 @@ comes from its flag, else from the ``--config`` file (flat JSON whose keys are
 the subcommand's setting names, ``model_file`` for ``--model-file``), else
 from its default, and passes the same check whichever source gave it.
 
-Exit codes: 0 success; 2 usage or config error (a Monte Carlo M above the
-bound that one trial's row of uniforms sets included); 3 model/data error
-(bad model file, impossible observation, enumeration cap exceeded) or a run
-out of memory. Every error is one ``titest: error: ...`` line on stderr. A
-failed inequality check is report content, not a process failure: an
-experiment that falsifies a bound is valid output and still exits 0. All
-numeric output is rendered to 10 significant digits.
+Exit codes: 0 success; 2 usage or config error, which is a ValueError from
+any check, the library's included (a Monte Carlo M above the bound that one
+trial's row of uniforms sets among them); 3 model/data error (bad model file,
+impossible observation, enumeration cap exceeded) or a run out of memory.
+Every error is one ``titest: error: ...`` line on stderr. A failed inequality
+check is report content, not a process failure: an experiment that falsifies
+a bound is valid output and still exits 0. All numeric output is rendered to
+10 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -30,11 +32,11 @@ from typing import Any, Callable, NoReturn, Sequence
 import numpy as np
 
 from .experiment import (
+    SWEEP_COLUMNS,
     _MAX_TRIAL_M,
     _exact_audit,
     achievability_check,
     converse_check,
-    render_sweep_csv,
     run_experiment,
     sweep,
 )
@@ -44,7 +46,6 @@ from .model import (
     _integer,
     _real,
     build_coin_model,
-    info_summary,
     posterior,
 )
 from .rules import DecisionRule, decide
@@ -58,10 +59,6 @@ from .typicality import (
 __all__ = ["main"]
 
 FORMATS = ("json", "csv")
-
-
-class _UsageError(Exception):
-    """Bad flag, config or grid value: maps to exit code 2."""
 
 
 class _DataError(Exception):
@@ -86,6 +83,23 @@ def _sig10(value: Any) -> Any:
 
 def _render_json(doc: Any) -> str:
     return json.dumps(_sig10(doc), indent=2, allow_nan=False) + "\n"
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
+
+
+def render_sweep_csv(rows: list[dict]) -> str:
+    """Sweep rows as CSV text: floats to 10 significant digits, None as ''."""
+    import csv  # only a CSV sweep report needs it
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows([_csv_cell(row[col]) for col in SWEEP_COLUMNS] for row in rows)
+    return buf.getvalue()
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -128,7 +142,7 @@ def _number(check: Callable, *bounds: int) -> Callable[[str, Any], Any]:
     setting's name. A flag's text, stripped (_mark_numbers), is parsed by
     int() for _integer, else by float(), and text that does not parse is
     left for the check to refuse; an integral JSON float (5.0) counts as an
-    int. The check's ValueError is a usage error."""
+    int."""
     parse = int if check is _integer else float
 
     def as_number(name: str, value: Any) -> Any:
@@ -138,38 +152,32 @@ def _number(check: Callable, *bounds: int) -> Callable[[str, Any], Any]:
                 value = parse(value)
         elif parse is int and isinstance(value, float) and value.is_integer():
             value = int(value)
-        try:
-            return check(name, value, *bounds)
-        except ValueError as e:
-            raise _UsageError(str(e)) from None
+        return check(name, value, *bounds)
 
     return as_number
 
 
 def _as_rule(name: str, value: Any) -> DecisionRule:
-    try:
-        return DecisionRule(str(value))
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    return DecisionRule(str(value))
 
 
 def _as_coin(name: str, value: Any) -> tuple[int, float]:
     """N and THETA as numbers; their ranges are build_coin_model's."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise _UsageError(f"{name} takes exactly two values: N THETA")
+        raise ValueError(f"{name} takes exactly two values: N THETA")
     return _number(_integer)("coin N", value[0]), _number(_real)("coin THETA", value[1])
 
 
 def _as_path(name: str, value: Any) -> str:
     """A config file's path value must be a string, as on the command line."""
     if not isinstance(value, str):
-        raise _UsageError(f"{name} must be a path, got {value!r}")
+        raise ValueError(f"{name} must be a path, got {value!r}")
     return value
 
 
 def _as_format(name: str, value: Any) -> str:
     if value not in FORMATS:
-        raise _UsageError(f"{name} must be one of {', '.join(FORMATS)}, got {value!r}")
+        raise ValueError(f"{name} must be one of {', '.join(FORMATS)}, got {value!r}")
     return value
 
 
@@ -182,7 +190,7 @@ def _as_out(name: str, value: Any) -> Any:
     except (TypeError, OSError):  # a non-string config value, a name too long
         ok = False
     if not ok:
-        raise _UsageError(f"{name} {value!r}: not a writable file path")
+        raise ValueError(f"{name} {value!r}: not a writable file path")
     return value
 
 
@@ -239,12 +247,12 @@ def _resolve(args: argparse.Namespace, names: Sequence[str]) -> dict[str, Any]:
     default, through the setting's check; None when it is unset."""
     cfg: Any = {}
     if args.config is not None:
-        cfg = _read_json(args.config, "config", _UsageError)
+        cfg = _read_json(args.config, "config", ValueError)
         if not isinstance(cfg, dict):
-            raise _UsageError(f"config file {args.config}: expected a JSON object")
+            raise ValueError(f"config file {args.config}: expected a JSON object")
         unknown = set(cfg) - set(names)
         if unknown:
-            raise _UsageError(
+            raise ValueError(
                 f"config file {args.config}: unknown keys for {args.command} {sorted(unknown)}"
             )
     settings = {}
@@ -262,26 +270,23 @@ def _resolve(args: argparse.Namespace, names: Sequence[str]) -> dict[str, Any]:
 
 def _model(s: dict) -> tuple[DiscreteJointModel, dict]:
     if (s["coin"] is None) == (s["model_file"] is None):
-        raise _UsageError("exactly one of --coin N THETA or --model-file PATH is required")
+        raise ValueError("exactly one of --coin N THETA or --model-file PATH is required")
     if s["coin"] is None:
         return _load_model_file(s["model_file"]), {"kind": "file", "path": s["model_file"]}
     n, theta = s["coin"]
-    try:
-        model = build_coin_model(n, theta)
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
-    return model, {"kind": "coin", "n": n, "theta": theta}
+    return build_coin_model(n, theta), {"kind": "coin", "n": n, "theta": theta}
 
 
 def cmd_model(s: dict) -> int:
     model, _ = _model(s)
-    return _emit(_render_json(info_summary(model)), s["out"])
+    doc = {name: getattr(model, name) for name in ("h_x", "h_y", "h_xy", "h_x_given_y", "ti")}
+    return _emit(_render_json(doc), s["out"])
 
 
 def cmd_decide(s: dict) -> int:
     model, _ = _model(s)
     if s["k"] is None:
-        raise _UsageError("--k OBSERVATION is required for decide")
+        raise ValueError("--k OBSERVATION is required for decide")
     try:
         post = posterior(model, s["k"])
     except ValueError as e:
@@ -319,22 +324,22 @@ GRID_AXES: dict[str, Callable[[str, Any], Any]] = {
 def cmd_sweep(s: dict) -> int:
     grid_path = s["grid"]
     if grid_path is None:
-        raise _UsageError("--grid PATH is required for sweep")
-    grid = _read_json(grid_path, "grid", _UsageError)
+        raise ValueError("--grid PATH is required for sweep")
+    grid = _read_json(grid_path, "grid", ValueError)
     if not isinstance(grid, dict):
-        raise _UsageError(f"grid file {grid_path}: expected a JSON object")
+        raise ValueError(f"grid file {grid_path}: expected a JSON object")
     missing = set(GRID_AXES) - set(grid)
     if missing:
-        raise _UsageError(f"grid file {grid_path}: missing axes {sorted(missing)}")
+        raise ValueError(f"grid file {grid_path}: missing axes {sorted(missing)}")
     for axis in GRID_AXES:
         if not isinstance(grid[axis], list):
-            raise _UsageError(f"grid file {grid_path}: axis {axis!r} must be a list")
+            raise ValueError(f"grid file {grid_path}: axis {axis!r} must be a list")
     axes = [[check(f"grid {axis}", v) for v in grid[axis]] for axis, check in GRID_AXES.items()]
 
     try:  # sweep builds every coin model, and refuses a bad one, before any trial
         rows = sweep(*axes, s["trials"], s["seed"], workers=s["workers"])
     except ValueError as e:
-        raise _UsageError(f"grid file {grid_path}: {e}") from None
+        raise ValueError(f"grid file {grid_path}: {e}") from None
     text = _render_json(rows) if s["format"] == "json" else render_sweep_csv(rows)
     return _emit(text, s["out"])
 
@@ -414,11 +419,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     func, _, names = COMMANDS[args.command]
     try:
         return func(_resolve(args, names))
-    except _UsageError as e:
-        args.parser.error(str(e))
+    # before ValueError: an InvalidDistributionError is one
     except (_DataError, InvalidDistributionError, EnumerationTooLargeError) as e:
         print(f"titest: error: {e}", file=sys.stderr)
         return 3
+    except ValueError as e:
+        args.parser.error(str(e))
     except MemoryError as e:  # numpy names the allocation that failed
         print(f"titest: error: out of memory: {e or 'an allocation failed'}", file=sys.stderr)
         return 3

@@ -43,7 +43,6 @@ deterministic rule's choices.
 
 from __future__ import annotations
 
-import io
 import math
 import operator
 import os
@@ -751,23 +750,6 @@ SWEEP_COLUMNS = (
     "pf_halfwidth",
     "successes",
 )
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    return f"{v:.10g}" if isinstance(v, float) else str(v)
-
-
-def render_sweep_csv(rows: list[dict]) -> str:
-    """Sweep rows as CSV text: floats to 10 significant digits, None as ''."""
-    import csv  # only a CSV sweep report needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    writer.writerows([_csv_cell(row[col]) for col in SWEEP_COLUMNS] for row in rows)
-    return buf.getvalue()
 
 
 def sweep(

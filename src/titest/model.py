@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "COIN_N_CAP",
     "DiscreteJointModel",
-    "InfoSummary",
     "InvalidDistributionError",
     "PosteriorColumn",
     "ZeroEvidenceError",
@@ -28,7 +27,6 @@ __all__ = [
     "build_constant_model",
     "build_identity_model",
     "entropy",
-    "info_summary",
     "posterior",
     "surprisal",
 ]
@@ -295,15 +293,6 @@ class PosteriorColumn:
         object.__setattr__(self, "probs", _readonly(self.probs))
 
 
-@dataclass(frozen=True)
-class InfoSummary:
-    h_x: float
-    h_y: float
-    h_xy: float
-    h_x_given_y: float
-    ti: float
-
-
 def _entropy_of(p: np.ndarray, log2_p: np.ndarray) -> float:
     """entropy(p), bit for bit, from the log table of a validated p."""
     nz = p > 0
@@ -403,21 +392,6 @@ def posterior(model: DiscreteJointModel, y: int) -> PosteriorColumn:
         raise ZeroEvidenceError(f"observation {y!r} has zero probability under the model")
     return PosteriorColumn(
         y=y, labels=model.hypothesis_values, probs=model.posterior_matrix[:, j].copy()
-    )
-
-
-def info_summary(model: DiscreteJointModel) -> InfoSummary:
-    """All five information measures in bits; ti = h_x - h_x_given_y.
-
-    H(X|Y) is the evidence-weighted entropy of the posterior columns,
-    sum_y P(y) H(X|Y=y), which is what makes ti equal the mutual information.
-    """
-    return InfoSummary(
-        h_x=model.h_x,
-        h_y=model.h_y,
-        h_xy=model.h_xy,
-        h_x_given_y=model.h_x_given_y,
-        ti=model.ti,
     )
 
 

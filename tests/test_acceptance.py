@@ -37,7 +37,6 @@ from titest import (
     decide,
     error_probability,
     extended_fano_check,
-    info_summary,
     is_jointly_typical,
     posterior,
     run_experiment,
@@ -225,12 +224,11 @@ def test_typicality_predicate_matches_oracle_exhaustively():
     params = TypicalityParams(EPS, 8)
     prior = model.prior.tolist()
     lik = model.likelihood.tolist()
-    info = info_summary(model)
 
     # exhaustive classification of every length-8 pair against the oracle,
     # accumulating per-member probability and per-y membership counts
-    prob_lo = 2.0 ** (-8 * (info.h_xy + EPS))
-    prob_hi = 2.0 ** (-8 * (info.h_xy - EPS))
+    prob_lo = 2.0 ** (-8 * (model.h_xy + EPS))
+    prob_hi = 2.0 ** (-8 * (model.h_xy - EPS))
     seqs = list(itertools.product((0, 1), repeat=8))
     per_y_counts = {ys: 0 for ys in seqs}
     n_members = 0
@@ -253,8 +251,8 @@ def test_typicality_predicate_matches_oracle_exhaustively():
 
     # conditional membership per observed sequence: counts agree with the
     # enumeration API and sit inside the (1-eps) * 2^(M(H(X|Y)-2eps)) window
-    count_lo = (1 - EPS) * 2.0 ** (8 * (info.h_x_given_y - 2 * EPS))
-    count_hi = 2.0 ** (8 * (info.h_x_given_y + 2 * EPS))
+    count_lo = (1 - EPS) * 2.0 ** (8 * (model.h_x_given_y - 2 * EPS))
+    count_hi = 2.0 ** (8 * (model.h_x_given_y + 2 * EPS))
     for ys in seqs:
         members = conditional_members(ys, model, params)
         assert len(members) == per_y_counts[ys] == 92

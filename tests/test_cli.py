@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from titest import (
     DecisionRule,
+    InvalidDistributionError,
     TypicalityParams,
     achievability_check,
     build_bsc_model,
@@ -29,7 +30,6 @@ from titest import (
     converse_check,
     experiment,
     extended_fano_check,
-    info_summary,
     run_experiment,
     typical_set_census,
 )
@@ -104,6 +104,18 @@ class TestModelCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ti"] == pytest.approx(0.1887218755, abs=1e-9)
         assert doc["h_x_given_y"] == pytest.approx(0.8112781245, abs=1e-9)
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--coin", "10", "0.4"], (3.321928095, 2.637124832, 5.406894075, 2.769769243,
+                                   0.5521588517)),
+        (["--model-file", "BSC"], (1.0, 1.0, 1.811278124, 0.8112781245, 0.1887218755)),
+    ], ids=["coin10", "bsc25"])
+    def test_prints_the_five_model_fields(self, capsys, bsc_file, argv, want):
+        assert run_cli(["model", *(bsc_file if a == "BSC" else a for a in argv)]) == 0
+        names = ("h_x", "h_y", "h_xy", "h_x_given_y", "ti")
+        assert capsys.readouterr().out == "{\n" + ",\n".join(
+            f'  "{name}": {value!r}' for name, value in zip(names, want)
+        ) + "\n}\n"
 
     def test_out_file_instead_of_stdout(self, capsys, tmp_path):
         out = tmp_path / "info.json"
@@ -669,7 +681,7 @@ class TestErrorPaths:
             got = check("--setting", value)
             assert got == want and type(got) is type(want)
             return
-        with pytest.raises(cli._UsageError) as info:
+        with pytest.raises(ValueError) as info:
             check("--setting", value)
         assert want in str(info.value)
 
@@ -711,6 +723,19 @@ class TestErrorPaths:
         assert single_error_line(capsys) == (
             "titest: error: out of memory: Unable to allocate 931. GiB for an array"
         )
+
+    @pytest.mark.parametrize("error, code", [
+        (ValueError("boom"), 2), (InvalidDistributionError("boom"), 3),
+    ], ids=["value-error", "invalid-distribution"])
+    def test_library_refusal_exit_code(self, capsys, monkeypatch, error, code):
+        # any check's ValueError is a usage error, but an InvalidDistributionError,
+        # although a ValueError, is a data error
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(experiment, "_map_experiments", refuse)
+        assert run_cli(["simulate", "--coin", "3", "0.4", "--m", "1", "--trials", "2"]) == code
+        assert single_error_line(capsys) == "titest: error: boom"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
     def test_trials_that_cannot_fit_exit_3(self, tmp_path):
@@ -1164,7 +1189,7 @@ def old_main(argv):
     func, _, names = cli.COMMANDS[args.command]
     try:
         return func(cli._resolve(args, names))
-    except cli._UsageError as e:
+    except ValueError as e:
         args.parser.error(str(e))
 
 
@@ -1217,7 +1242,6 @@ class TestRecordRendering:
             ]),
             *census.bounds,
             extended_fano_check(bsc25, DecisionRule.SAP, params),
-            info_summary(build_coin_model(1, 0.4)),
         ]
 
     def test_record_renders_as_its_json_dict(self, bsc25):
@@ -1230,7 +1254,7 @@ class TestRecordRendering:
                 assert cli._sig10(variant) == cli._sig10(doc)
                 assert cli._render_json(variant) == cli._render_json(doc)
         assert kinds == {"ExperimentReport", "AchievabilityRecord", "ConverseRecord",
-                         "CensusReport", "CensusBound", "FanoRecord", "InfoSummary"}
+                         "CensusReport", "CensusBound", "FanoRecord"}
 
     def test_report_fields_render_as_its_json_dict(self, bsc25):
         # simulate renders the report's own attributes, then its checks

@@ -24,7 +24,6 @@ from titest import (
     converse_check,
     entropy,
     extended_fano_check,
-    info_summary,
     is_jointly_typical,
     run_experiment,
     run_trial,
@@ -32,7 +31,8 @@ from titest import (
     typical_set_census,
 )
 from titest import experiment
-from titest.experiment import SWEEP_COLUMNS, Z_95, _block_bounds, _run_block, render_sweep_csv
+from titest.cli import render_sweep_csv
+from titest.experiment import SWEEP_COLUMNS, Z_95, _block_bounds, _run_block
 from titest.rules import CdfGuide, _symbol_law, inverse_cdf_pick
 from titest.typicality import BOUNDARY_ATOL, jointly_typical_rows
 
@@ -65,13 +65,12 @@ class TestRunTrial:
         # MAP picks posterior modes, so its surprisal rate sits well below
         # H(X|Y); the decided sequence cannot be conditionally typical
         p = params(0.05, 64)
-        info = info_summary(coin35)
         rates = []
         for i in range(60):
             t = run_trial(coin35, DecisionRule.MAP, p, trial_rng(9, i))
             assert not t.success
             rates.append(t.decided_surprisal_rate)
-        assert np.mean(rates) < info.h_x_given_y - 2 * 0.05
+        assert np.mean(rates) < coin35.h_x_given_y - 2 * 0.05
 
     def test_success_matches_predicate(self, coin10):
         p = params(0.25, 12)
@@ -484,14 +483,13 @@ class TestRunExperiment:
 
     def test_sap_alt_estimator_consistency(self, coin10):
         # unconditional mean decided surprisal estimates H(X|Y) for SAP
-        info = info_summary(coin10)
         p = params(0.25, 4)
         rates = [
             run_trial(coin10, DecisionRule.SAP, p, trial_rng(13, i)).decided_surprisal_rate
             for i in range(3000)
         ]
         half = Z_95 * np.std(rates, ddof=1) / math.sqrt(len(rates))
-        assert abs(np.mean(rates) - info.h_x_given_y) < 2 * half
+        assert abs(np.mean(rates) - coin10.h_x_given_y) < 2 * half
 
     def test_sap_decided_joint_matches_true_joint(self):
         # empirical law of (decided, observed) symbols under SAP vs P(x, y)
@@ -583,7 +581,7 @@ class TestExtendedFano:
     def test_h_term_is_m_times_conditional_entropy(self, bsc25):
         rec = extended_fano_check(bsc25, DecisionRule.SAP, params(0.25, 3))
         assert rec.h_x_given_y == pytest.approx(
-            3 * info_summary(bsc25).h_x_given_y, abs=1e-9
+            3 * bsc25.h_x_given_y, abs=1e-9
         )
 
     def test_cap_enforced(self, coin10):
@@ -610,7 +608,7 @@ class TestExtendedFano:
     def test_deterministic_rules_at_the_acceptance_point(self, n, coin10, coin10_fano_m10):
         model = coin10 if n == 10 else build_coin_model(n, 0.4)
         ti, want = self.ACCEPTANCE_POINT[n]
-        assert info_summary(model).ti == pytest.approx(ti, abs=5e-7)
+        assert model.ti == pytest.approx(ti, abs=5e-7)
         records = coin10_fano_m10 if n == 10 else {
             rule: extended_fano_check(model, rule, params(0.25, 10)) for rule in want
         }

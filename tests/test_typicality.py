@@ -27,7 +27,6 @@ from titest import (
     conditional_members,
     entropy,
     extended_fano_check,
-    info_summary,
     is_jointly_typical,
     is_typical,
     posterior,
@@ -352,7 +351,7 @@ class TestConditionalMembers:
         assert [tuple(m) for m in members] == want
         assert len(members) == 92
         # cardinality window: (1-eps) 2^{M(H(X|Y)-2eps)} .. 2^{M(H(X|Y)+2eps)}
-        h_xgy = info_summary(bsc25).h_x_given_y
+        h_xgy = bsc25.h_x_given_y
         assert (1 - 0.25) * 2 ** (8 * (h_xgy - 0.5)) < len(members)
         assert len(members) < 2 ** (8 * (h_xgy + 0.5))
 
@@ -370,7 +369,7 @@ class TestConditionalMembers:
         # each member's conditional probability sits inside 2^{-M(H(X|Y)+-2eps)}
         p = params(0.25, 8)
         y = (0, 1, 0, 0, 1, 1, 0, 1)
-        h_xgy = info_summary(bsc25).h_x_given_y
+        h_xgy = bsc25.h_x_given_y
         members = conditional_members(y, bsc25, p)
         assert members
         for x_seq in members:
