@@ -16,13 +16,13 @@ No generator is built per trial: the rows of a chunk of trials are computed
 together by numpy array arithmetic that reproduces SeedSequence's hash and
 PCG64's seeding and output bit for bit, jumping ahead where rows are few and
 long (_trial_uniforms, _pcg64_uniforms; tested against numpy's own
-generators). Sampling, decisions, the three-condition judgement and both
-rate estimators then run over each chunk of rows whole: the inverse-CDF
-picks look each draw up in a guide table (rules.CdfGuide), so the common
-path makes no temporary that grows with the alphabet size. A trial is two
-steps: _draw samples x and y and takes the y and posterior-entropy rates,
-and _decide decides and judges.
-_run_block composes them over each chunk, and run_trial over one row.
+generators), held draw-major. Sampling, decisions, the judgement and both
+rate estimators run over each chunk whole: the inverse-CDF picks read a
+C-contiguous copy of their (rows, M) block, so every row sum over them has
+one order, and look each draw up in a guide table (rules.CdfGuide), so no
+temporary grows with the alphabet size. A trial is two steps: _draw samples
+x and y and takes the y and posterior-entropy rates, and _decide decides
+and judges; _run_block composes them per chunk, and run_trial for one row.
 
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
@@ -305,9 +305,8 @@ def _pcg64_uniforms(seed_words: list[int], index: np.ndarray, width: int) -> np.
     where B is the largest power of two with rows * B <= _STREAM_CHUNK (and
     no wider than the row needs): a full chunk steps one draw at a time,
     and a chunk of a few long rows takes width / B numpy passes, not width.
-    The first B states come from doubling steps off the seeded state.
-    C-ordered, so the kernel's row means add their terms in the same order
-    as for a single trial's row.
+    The first B states come from doubling steps off the seeded state. A pass
+    writes B whole draw rows of a (width, rows) buffer, returned transposed.
     """
     u64 = np.uint64
     rows = len(index)
@@ -318,19 +317,19 @@ def _pcg64_uniforms(seed_words: list[int], index: np.ndarray, width: int) -> np.
         s_hi, s_lo = _pcg64_mul_add(s_hi, s_lo, _u128_limbs(_PCG_MULT), inc_hi, inc_lo)
     # double the states held per lane to B: with b held, s -> s * A_b + c
     # steps b draws, where c = G_b * inc, and G_2b = G_b + A_b * G_b
-    s_hi, s_lo = s_hi[:, None], s_lo[:, None]
+    s_hi, s_lo = s_hi[None], s_lo[None]
     a, c_hi, c_lo = _PCG_MULT, inc_hi, inc_lo
-    while s_hi.shape[1] < lanes:
+    while len(s_hi) < lanes:
         limbs = _u128_limbs(a)
-        t_hi, t_lo = _pcg64_mul_add(s_hi, s_lo, limbs, c_hi[:, None], c_lo[:, None])
-        s_hi, s_lo = np.hstack([s_hi, t_hi]), np.hstack([s_lo, t_lo])
+        t_hi, t_lo = _pcg64_mul_add(s_hi, s_lo, limbs, c_hi, c_lo)
+        s_hi, s_lo = np.concatenate([s_hi, t_hi]), np.concatenate([s_lo, t_lo])
         c_hi, c_lo = _pcg64_mul_add(c_hi, c_lo, limbs, c_hi, c_lo)
         a = a * a & _M128
-    # then jump B draws at a time, on flat row-major lanes
+    # then jump B draws at a time, on flat draw-major lanes
     s_hi, s_lo = s_hi.ravel(), s_lo.ravel()
-    c_hi, c_lo = np.repeat(c_hi, lanes), np.repeat(c_lo, lanes)
+    c_hi, c_lo = np.tile(c_hi, lanes), np.tile(c_lo, lanes)
     limbs = _u128_limbs(a)
-    out = np.empty((rows, width))
+    out = np.empty((width, rows))
     for k in range(0, width, lanes):
         if k:
             s_hi, s_lo = _pcg64_mul_add(s_hi, s_lo, limbs, c_hi, c_lo)
@@ -338,13 +337,13 @@ def _pcg64_uniforms(seed_words: list[int], index: np.ndarray, width: int) -> np.
         x = s_hi ^ s_lo
         rot = s_hi >> u64(58)
         bits = (x >> rot | x << ((u64(64) - rot) & u64(63))) >> u64(11)
-        out[:, k : k + lanes] = bits.reshape(rows, lanes)[:, : width - k]
+        out[k : k + lanes] = bits.reshape(lanes, rows)[: width - k]
     out *= 2.0**-53
-    return out
+    return out.T
 
 
 def _trial_uniforms(seed: int, lo: int, hi: int, width: int) -> Iterator[np.ndarray]:
-    """Uniform rows of trials [lo, hi), in order, a chunk of rows at a time.
+    """Draw-major uniform rows of trials [lo, hi), in order, a chunk at a time.
 
     Trial i's row holds exactly the doubles of default_rng(SeedSequence(
     [seed, i])).random(width), computed for the whole chunk at once: the

@@ -151,9 +151,10 @@ class CdfGuide:
         self.guide[rows * _GUIDE_BUCKETS + floor[inside].astype(np.intp)] = k
 
     def pick(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """inverse_cdf_pick(self.cdf[rows], u) for an array u, as intp
-        indices, so a gather by them converts nothing; rows, of u's shape,
-        defaults to row 0 everywhere."""
+        """inverse_cdf_pick(self.cdf[rows], u) for an array u, as C-ordered
+        intp indices for any layout of u, so gathers convert nothing and row
+        sums add in one order; rows, of u's shape, defaults to row 0."""
+        u = np.ascontiguousarray(u)
         inside = (u >= 0) & (u < 1)
         bucket = ((u if inside.all() else np.where(inside, u, 0)) * _GUIDE_BUCKETS).astype(np.intp)
         if rows is not None:

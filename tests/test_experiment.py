@@ -310,10 +310,18 @@ def plant_adversarial(u, cdf, rng):
 
 
 class TestGuidedKernel:
-    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "m, layout",
+        # a C-ordered case keeps its id, an F-ordered one gains "-F"
+        [
+            pytest.param(m, order, id=f"{m}{tag}")
+            for order, tag in [("C", ""), ("F", "-F")]
+            for m in (1, 3, 10)
+        ],
+    )
     @pytest.mark.parametrize("rule", list(DecisionRule))
     @pytest.mark.parametrize("name", ["coin1", "coin2", "coin5", "coin10", "coin35", "bsc25"])
-    def test_equals_compare_and_sum_kernel(self, name, rule, m):
+    def test_equals_compare_and_sum_kernel(self, name, rule, m, layout):
         model = build_bsc_model(0.25) if name == "bsc25" else build_coin_model(int(name[4:]), 0.4)
         rng = np.random.default_rng([*name.encode(), m, list(DecisionRule).index(rule)])
         u = rng.random((2048, (3 if rule.is_stochastic else 2) * m))
@@ -321,10 +329,15 @@ class TestGuidedKernel:
         plant_adversarial(u[:, m : 2 * m], model.lik_cdf, rng)
         if rule.is_stochastic:
             plant_adversarial(u[:, 2 * m :], posterior_cdf(model)[1], rng)
-        xi, yi, post_rate, y_rate = experiment._draw(model, u, m)
+        # the kernel gives the same bits on draw-major (F-ordered) uniforms,
+        # the layout the trial streams hold, as on C-ordered ones
+        u_kernel = np.asfortranarray(u) if layout == "F" else u
+        xi, yi, post_rate, y_rate = experiment._draw(model, u_kernel, m)
         law = _symbol_law(model, rule)
         table = experiment._rule_table(model, law, rule)
-        decided, success, dec_rate = experiment._decide(model, rule, table, yi, y_rate, u, m, 0.25)
+        decided, success, dec_rate = experiment._decide(
+            model, rule, table, yi, y_rate, u_kernel, m, 0.25
+        )
         if decided is None:  # a deterministic rule reads its rates from its table
             decided = law_choices(model, rule, yi)
         got = xi, yi, decided, success, post_rate, dec_rate

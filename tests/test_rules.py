@@ -323,11 +323,13 @@ class TestCdfGuide:
         want = inverse_cdf_pick(cdf[rows], u_all)
         guide = CdfGuide(cdf)
         np.testing.assert_array_equal(guide.pick(u_all, rows), want)
-        # draws and rows keep their (B, M) shape, as in the trial kernel
-        np.testing.assert_array_equal(
-            guide.pick(u_all.reshape(len(cdf), -1), rows.reshape(len(cdf), -1)),
-            want.reshape(len(cdf), -1),
-        )
+        # draws and rows keep their (B, M) shape, as in the trial kernel, and
+        # draw-major (F-ordered) draws give the same C-ordered picks
+        u_rows, rows_bm = u_all.reshape(len(cdf), -1), rows.reshape(len(cdf), -1)
+        for draws in (u_rows, np.asfortranarray(u_rows)):
+            got = guide.pick(draws, rows_bm)
+            np.testing.assert_array_equal(got, want.reshape(len(cdf), -1))
+            assert got.flags.c_contiguous
         # a one-row table needs no rows
         np.testing.assert_array_equal(
             CdfGuide(cdf[0]).pick(u), inverse_cdf_pick(cdf[0], u)

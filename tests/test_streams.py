@@ -103,7 +103,7 @@ class TestTrialStreams:
             warnings.simplefilter("error")
             got = _pcg64_uniforms(_uint32_words(2026), index, width)
         want = oracle_rows(2026, lo, lo + rows, width)
-        assert got.flags.c_contiguous
+        assert got.T.flags.c_contiguous  # draw-major: one draw of every row is contiguous
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), None])
