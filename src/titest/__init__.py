@@ -2,9 +2,10 @@
 
 The package is organized bottom-up: model (joint distributions and entropy
 summaries in bits), rules (posterior decision rules and exact error
-probabilities), typicality (M-extension sampling, typical-set predicates,
-exact censuses), experiment (seeded Monte Carlo trials, achievability and
-converse audits, sweeps), and cli (the titest command).
+probabilities), typicality (typical-set predicates and the exact engine:
+censuses and the extended Fano audit), experiment (M-extension sampling,
+seeded Monte Carlo trials, achievability and converse audits, sweeps), and
+cli (the titest command).
 
 Each of the four library modules' ``__all__`` is its public API and the only
 list of it: the package republishes the four lists, in that order, plus

@@ -34,7 +34,6 @@ import numpy as np
 from .experiment import (
     SWEEP_COLUMNS,
     _MAX_TRIAL_M,
-    _exact_audit,
     achievability_check,
     converse_check,
     run_experiment,
@@ -53,6 +52,7 @@ from .typicality import (
     EnumerationTooLargeError,
     TypicalityParams,
     _epsilon,
+    _exact_audit,
     resolve_enum_cap,
 )
 

@@ -1,4 +1,4 @@
-"""Monte Carlo trials over M-extensions, exact small-M audits, and sweeps.
+"""Monte Carlo over M-extensions: sampling, trials, their audits, and sweeps.
 
 A trial draws an i.i.d. (x, y) sequence pair, decides a hypothesis sequence
 symbol by symbol from the per-observation posterior, and succeeds exactly when
@@ -23,6 +23,7 @@ one order, and look each draw up in a guide table (rules.CdfGuide), so no
 temporary grows with the alphabet size. A trial is two steps: _draw samples
 x and y and takes the y and posterior-entropy rates, and _decide decides
 and judges; _run_block composes them per chunk, and run_trial for one row.
+_pick_pair is the one map from uniforms to (x, y), for _draw and sample_extension.
 
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
@@ -55,31 +56,20 @@ import numpy as np
 
 from .model import DiscreteJointModel, _integer, build_coin_model
 from .rules import DecisionRule, _symbol_law, _SymbolLaw
-from .typicality import (
-    CensusReport,
-    SequencePair,
-    TypicalityParams,
-    _band,
-    _census_report,
-    _census_totals,
-    _FanoSums,
-    _pick_pair,
-    _rate,
-    _walk,
-)
+from .typicality import SequencePair, TypicalityParams, _band, _rate
+from .typicality import extended_fano_check  # re-exported for bench/record_reference.py
 
 __all__ = [
     "SWEEP_COLUMNS",
     "AchievabilityRecord",
     "ConverseRecord",
     "ExperimentReport",
-    "FanoRecord",
     "SequenceTrial",
     "achievability_check",
     "converse_check",
-    "extended_fano_check",
     "run_experiment",
     "run_trial",
+    "sample_extension",
     "sweep",
 ]
 
@@ -123,6 +113,31 @@ class SequenceTrial:
     success: bool
     posterior_entropy_rate: float
     decided_surprisal_rate: float
+
+
+def _pick_pair(model: DiscreteJointModel, ux: np.ndarray, uy: np.ndarray) -> tuple:
+    """Storage indices (xi, yi): xi from ux by the prior CDF, yi from uy by row xi's.
+
+    The picks are inverse_cdf_pick's, made through the model's guide tables.
+    """
+    xi = model.prior_guide.pick(ux)
+    return xi, model.lik_guide.pick(uy, xi)
+
+
+def sample_extension(
+    model: DiscreteJointModel, m: int, rng: np.random.Generator
+) -> SequencePair:
+    """Draw an i.i.d. pair of length-m label sequences from the model.
+
+    Draw order is part of the determinism contract: m uniforms for the
+    hypothesis symbols first, then m uniforms for the observations, each
+    mapped through an inverse CDF in the model's storage order.
+    """
+    m = _integer("extension", m, 1)
+    xi, yi = _pick_pair(model, rng.random(m), rng.random(m))
+    x_labels = np.asarray(model.hypothesis_values)
+    y_labels = np.asarray(model.observation_values)
+    return SequencePair(x_seq=tuple(x_labels[xi]), y_seq=tuple(y_labels[yi]))
 
 
 def _rule_table(model: DiscreteJointModel, law: _SymbolLaw, rule: DecisionRule) -> np.ndarray:
@@ -606,84 +621,6 @@ def achievability_check(report: ExperimentReport) -> AchievabilityRecord:
         p_f_bound=bound,
         p_f_ok=p_ok,
         holds=bool(acc_ok) and p_ok,
-    )
-
-
-@dataclass(frozen=True)
-class FanoRecord:
-    """Exact audit of H(X^M, E | Y^M) against the extended Fano bound."""
-
-    rule: str
-    m: int
-    epsilon: float
-    p_f: float
-    h_e_given_y: float
-    h_x_given_y: float
-    h_success: float | None
-    lhs: float
-    rhs: float
-    holds: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def extended_fano_check(
-    model: DiscreteJointModel, rule: DecisionRule, params: TypicalityParams
-) -> FanoRecord:
-    """Exact small-M inequality audit over the full (X^M, X-hat^M, E, Y^M) law.
-
-    The decision (and hence E) never sees X given Y, so H(X^M, E | Y^M)
-    splits as H(E | Y^M) + H(X^M | Y^M); the bound is 1 + (1 - P_f)
-    H(X^M | Y^M, E = 0) + P_f M (H(X) + epsilon), all in exact arithmetic
-    up to float rounding. Its p_f is the exact failure probability, the
-    oracle for Monte Carlo agreement.
-    """
-    fano = _FanoSums(model, _symbol_law(model, rule), params.extension)
-    _walk([fano], params.extension, params.epsilon)
-    return _fano_record(model, rule, params, fano.sums())
-
-
-def _exact_audit(
-    model: DiscreteJointModel, rule: DecisionRule, params: TypicalityParams
-) -> tuple[CensusReport, FanoRecord]:
-    """typical_set_census and extended_fano_check of one call, from one
-    _walk: the type classes are walked once for both. The
-    census's reducers are built first, so a census walk over the cap is
-    refused before the audited law's."""
-    m, eps = params.extension, params.epsilon
-    totals = _census_totals(model, m)
-    fano = _FanoSums(model, _symbol_law(model, rule), m)
-    _walk([*totals.values(), fano], m, eps)
-    return _census_report(model, m, eps, totals), _fano_record(model, rule, params, fano.sums())
-
-
-def _fano_record(
-    model: DiscreteJointModel,
-    rule: DecisionRule,
-    params: TypicalityParams,
-    sums: tuple[float, float, float],
-) -> FanoRecord:
-    """extended_fano_check's record from the exact Fano sums (_FanoSums.sums)."""
-    m, eps = params.extension, params.epsilon
-    p_f, h_e, success_weighted_h = sums
-    h_x_given_y = m * model.h_x_given_y
-    lhs = h_e + h_x_given_y
-    # (1 - P_f) H(X^M|Y^M, E=0) equals the success-weighted sum directly,
-    # which stays well-defined even when P_f = 1
-    rhs = 1.0 + success_weighted_h + p_f * m * (model.h_x + eps)
-    h_success = success_weighted_h / (1.0 - p_f) if p_f < 1.0 else None
-    return FanoRecord(
-        rule=DecisionRule(rule).value,
-        m=m,
-        epsilon=eps,
-        p_f=p_f,
-        h_e_given_y=h_e,
-        h_x_given_y=h_x_given_y,
-        h_success=h_success,
-        lhs=lhs,
-        rhs=rhs,
-        holds=bool(lhs <= rhs + 1e-9),
     )
 
 

@@ -294,8 +294,9 @@ class PosteriorColumn:
 
 
 def _entropy_of(p: np.ndarray, log2_p: np.ndarray) -> float:
-    """entropy(p), bit for bit, from the log table of a validated p."""
+    """The Shannon sum of a validated p from its log table, skipping p = 0."""
     nz = p > 0
+    # 0.0 - s is -s for every s != 0, and +0.0, not -0.0, for a point mass
     return float(0.0 - (p[nz] * log2_p[nz]).sum())
 
 
@@ -309,9 +310,8 @@ def entropy(dist: Sequence[float] | np.ndarray) -> float:
         raise InvalidDistributionError("distribution has negative entries")
     if abs(p.sum() - 1.0) > DERIVED_ATOL:
         raise InvalidDistributionError(f"distribution sums to {p.sum()!r}, not 1")
-    nz = p[p > 0]
-    # 0.0 - s is -s for every s != 0, and +0.0, not -0.0, for a point mass
-    return float(0.0 - (nz * np.log2(nz)).sum())
+    with np.errstate(divide="ignore"):  # log2(0) = -inf, which the sum skips
+        return _entropy_of(p, np.log2(p))
 
 
 def build_coin_model(n: int, theta: float) -> DiscreteJointModel:

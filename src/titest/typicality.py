@@ -1,4 +1,6 @@
-"""M-extension sampling, weak-typicality predicates, and the exact engine.
+"""Weak-typicality predicates and the exact engine: the typical-set census
+and the extended Fano audit. Nothing here draws a random number; sampling
+(sample_extension and the trials) is the experiment module's.
 
 Sequence probabilities are never multiplied out directly: every predicate works
 on per-symbol surprisals (bits) summed in log space, so membership stays exact
@@ -14,8 +16,8 @@ record, support probabilities, an (r, K) log2 table and r centres, and
 checks its walk against the cap (TI_TEST_ENUM_CAP) when built: _Totals for
 a census set (_census_totals) and _FanoSums for the law extended_fano_check
 audits. One _walk feeds all reducers of a call from one walk of the type
-classes, at the largest law's support size; `titest enumerate` walks the
-census's and the audit's reducers at once. The engine holds no rule logic.
+classes, at the largest law's support size; _exact_audit (`titest enumerate`)
+walks the census's and the audit's reducers at once. The engine holds no rule logic.
 _rate is the one definition of a surprisal rate, a gather along a log2
 table's last axis and one row sum: the walk's, _rates', is_typical's (one
 sequence as a (1, M) row) and every rate of the trials (experiment._draw and
@@ -41,14 +43,15 @@ __all__ = [
     "CensusBound",
     "CensusReport",
     "EnumerationTooLargeError",
+    "FanoRecord",
     "SequencePair",
     "TypicalityCheck",
     "TypicalityParams",
     "TypicalityVerdict",
     "conditional_members",
+    "extended_fano_check",
     "is_jointly_typical",
     "is_typical",
-    "sample_extension",
     "typical_set_census",
 ]
 
@@ -63,7 +66,8 @@ M_MIN_LOWER_BOUNDS = 8
 # classify as non-typical, so fp noise cannot flip a strict inequality.
 BOUNDARY_ATOL = 1e-12
 
-# _type_classes yields its classes in blocks of at most about this many rows.
+# Both enumerations yield blocks of at most about this many rows: _type_classes
+# its type classes, _index_blocks (conditional_members) its index tuples.
 CLASS_BLOCK = 1 << 16
 
 
@@ -180,31 +184,6 @@ def jointly_typical_rows(
     return _band(_rates(model, xi, yi), (model.h_x, model.h_y, model.h_xy), epsilon)
 
 
-def _pick_pair(model: DiscreteJointModel, ux: np.ndarray, uy: np.ndarray) -> tuple:
-    """Storage indices (xi, yi): xi from ux by the prior CDF, yi from uy by row xi's.
-
-    The picks are inverse_cdf_pick's, made through the model's guide tables.
-    """
-    xi = model.prior_guide.pick(ux)
-    return xi, model.lik_guide.pick(uy, xi)
-
-
-def sample_extension(
-    model: DiscreteJointModel, m: int, rng: np.random.Generator
-) -> SequencePair:
-    """Draw an i.i.d. pair of length-m label sequences from the model.
-
-    Draw order is part of the determinism contract: m uniforms for the
-    hypothesis symbols first, then m uniforms for the observations, each
-    mapped through an inverse CDF in the model's storage order.
-    """
-    m = _integer("extension", m, 1)
-    xi, yi = _pick_pair(model, rng.random(m), rng.random(m))
-    x_labels = np.asarray(model.hypothesis_values)
-    y_labels = np.asarray(model.observation_values)
-    return SequencePair(x_seq=tuple(x_labels[xi]), y_seq=tuple(y_labels[yi]))
-
-
 def _indices(index, seq: Sequence[int]) -> np.ndarray:
     """seq's labels as storage indices by index (a model's x_index or y_index)."""
     return np.array([index(v) for v in seq], dtype=np.intp)
@@ -267,10 +246,10 @@ def is_jointly_typical(
 def _index_blocks(n_symbols: int, m: int) -> Iterator[np.ndarray]:
     """Yield (B, m) arrays covering all n_symbols**m index tuples in order:
     digit k of row i is i // n_symbols**(m-1-k) % n_symbols, for any m."""
-    total, block = n_symbols**m, 1 << 16
+    total = n_symbols**m
     powers = np.array([n_symbols ** (m - 1 - k) for k in range(m)], dtype=np.intp)
-    for lo in range(0, total, block):
-        flat = np.arange(lo, min(lo + block, total), dtype=np.intp)
+    for lo in range(0, total, CLASS_BLOCK):
+        flat = np.arange(lo, min(lo + CLASS_BLOCK, total), dtype=np.intp)
         yield flat[:, None] // powers % n_symbols
 
 
@@ -522,21 +501,21 @@ def _pair_law(model: DiscreteJointModel, law: _SymbolLaw) -> tuple:
     return law.prob, law.log2[:3], (model.h_x, model.h_y, model.h_xy)
 
 
-def _census_totals(model: DiscreteJointModel, m: int) -> dict[str, _Totals]:
+def _census_totals(model: DiscreteJointModel, m: int, sap: _SymbolLaw) -> dict[str, _Totals]:
     """The census's x, y and joint _Totals, built in that order: the prior
     and the y-marginal, one row each over its positive-probability support (a
     zero-probability symbol's rate is infinite), centred at H(X) and H(Y),
-    and the joint law, which is SAP's decided-pair law."""
+    and the joint law, which is sap, SAP's decided-pair law as the caller
+    built it (rules._symbol_law)."""
 
     def marginal(p: np.ndarray, log2_p: np.ndarray, h: float) -> _Totals:
         live = np.flatnonzero(p > 0)
         return _Totals((p[live], log2_p[live][None], (h,)), m)
 
-    joint = _pair_law(model, _symbol_law(model, DecisionRule.SAP))
     return {
         "x": marginal(model.prior, model.log2_prior, model.h_x),
         "y": marginal(model.y_marginal, model.log2_y_marginal, model.h_y),
-        "joint": _Totals(joint, m),
+        "joint": _Totals(_pair_law(model, sap), m),
     }
 
 
@@ -552,7 +531,7 @@ def typical_set_census(model: DiscreteJointModel, params: TypicalityParams) -> C
     generally expected to hold only for m >= m_min (reported in the record).
     """
     m, eps = params.extension, params.epsilon
-    totals = _census_totals(model, m)
+    totals = _census_totals(model, m, _symbol_law(model, DecisionRule.SAP))
     _walk(totals.values(), m, eps)
     return _census_report(model, m, eps, totals)
 
@@ -588,6 +567,86 @@ def _census_report(
         sizes={tag: t.count for tag, t in totals.items()},
         masses={tag: t.mass for tag, t in totals.items()},
         bounds=bounds,
+    )
+
+
+@dataclass(frozen=True)
+class FanoRecord:
+    """Exact audit of H(X^M, E | Y^M) against the extended Fano bound."""
+
+    rule: str
+    m: int
+    epsilon: float
+    p_f: float
+    h_e_given_y: float
+    h_x_given_y: float
+    h_success: float | None
+    lhs: float
+    rhs: float
+    holds: bool
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
+def extended_fano_check(
+    model: DiscreteJointModel, rule: DecisionRule, params: TypicalityParams
+) -> FanoRecord:
+    """Exact small-M inequality audit over the full (X^M, X-hat^M, E, Y^M) law.
+
+    The decision (and hence E) never sees X given Y, so H(X^M, E | Y^M)
+    splits as H(E | Y^M) + H(X^M | Y^M); the bound is 1 + (1 - P_f)
+    H(X^M | Y^M, E = 0) + P_f M (H(X) + epsilon), all in exact arithmetic
+    up to float rounding. Its p_f is the exact failure probability, the
+    oracle for Monte Carlo agreement.
+    """
+    fano = _FanoSums(model, _symbol_law(model, rule), params.extension)
+    _walk([fano], params.extension, params.epsilon)
+    return _fano_record(model, rule, params, fano.sums())
+
+
+def _exact_audit(
+    model: DiscreteJointModel, rule: DecisionRule, params: TypicalityParams
+) -> tuple[CensusReport, FanoRecord]:
+    """typical_set_census and extended_fano_check of one call, from one
+    _walk: the type classes are walked once for both, and SAP's law is built
+    once, for the census and, under SAP, for the audit. The census's
+    reducers are built first, so a census walk over the cap is refused
+    before the audited law's."""
+    m, eps = params.extension, params.epsilon
+    sap = _symbol_law(model, DecisionRule.SAP)
+    totals = _census_totals(model, m, sap)
+    fano = _FanoSums(model, sap if DecisionRule(rule).is_stochastic else _symbol_law(model, rule), m)
+    _walk([*totals.values(), fano], m, eps)
+    return _census_report(model, m, eps, totals), _fano_record(model, rule, params, fano.sums())
+
+
+def _fano_record(
+    model: DiscreteJointModel,
+    rule: DecisionRule,
+    params: TypicalityParams,
+    sums: tuple[float, float, float],
+) -> FanoRecord:
+    """extended_fano_check's record from the exact Fano sums (_FanoSums.sums)."""
+    m, eps = params.extension, params.epsilon
+    p_f, h_e, success_weighted_h = sums
+    h_x_given_y = m * model.h_x_given_y
+    lhs = h_e + h_x_given_y
+    # (1 - P_f) H(X^M|Y^M, E=0) equals the success-weighted sum directly,
+    # which stays well-defined even when P_f = 1
+    rhs = 1.0 + success_weighted_h + p_f * m * (model.h_x + eps)
+    h_success = success_weighted_h / (1.0 - p_f) if p_f < 1.0 else None
+    return FanoRecord(
+        rule=DecisionRule(rule).value,
+        m=m,
+        epsilon=eps,
+        p_f=p_f,
+        h_e_given_y=h_e,
+        h_x_given_y=h_x_given_y,
+        h_success=h_success,
+        lhs=lhs,
+        rhs=rhs,
+        holds=bool(lhs <= rhs + 1e-9),
     )
 
 

@@ -11,6 +11,7 @@ exactly and floats to rounding.
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -118,9 +119,9 @@ def brute_y_scan(model, rule, m, eps):
 
 def fano_sums(model, params, law, census=False):
     """(census or None, law's raw Fano sums) from one _walk, with the census's
-    reducers first when census is set, as experiment._exact_audit composes them."""
+    reducers first when census is set, as typicality._exact_audit composes them."""
     m, eps = params.extension, params.epsilon
-    totals = typicality._census_totals(model, m) if census else {}
+    totals = typicality._census_totals(model, m, _symbol_law(model, DecisionRule.SAP)) if census else {}
     fano = typicality._FanoSums(model, law, m)
     typicality._walk([*totals.values(), fano], m, eps)
     return typicality._census_report(model, m, eps, totals) if census else None, fano.sums()
@@ -495,6 +496,23 @@ class TestSharedWalks:
         rated.clear()
         fano_sums(model, params, _symbol_law(model, DecisionRule.MAP), census=True)
         assert [args[0].shape for args in rated] == [(1, 2), (3, 4), (3, 2)]
+
+    def test_sap_audit_builds_its_law_once(self, monkeypatch):
+        # the census's joint set and the SAP audit hold one built law, not two
+        # equal ones; _walk is patched where _exact_audit is defined
+        home = sys.modules[cli._exact_audit.__module__]
+        walk, walked = home._walk, []
+
+        def recording(reducers, m, eps):
+            reducers = list(reducers)
+            walked.extend(reducers)
+            return walk(reducers, m, eps)
+
+        monkeypatch.setattr(home, "_walk", recording)
+        cli._exact_audit(build_coin_model(3, 0.4), DecisionRule.SAP, TypicalityParams(0.25, 3))
+        joint = [r for r in walked if isinstance(r, typicality._Totals)][-1]
+        (fano,) = [r for r in walked if isinstance(r, typicality._FanoSums)]
+        assert joint.law[0] is fano.law[0]
 
     def test_laws_share_a_band_only_when_their_content_is_equal(self, monkeypatch):
         # one support and centre, two log2 rows: the surprisals of prob, and

@@ -33,6 +33,7 @@ from titest import (
     sample_extension,
     typical_set_census,
 )
+from titest import typicality
 from titest.typicality import _check_cap, _rate, jointly_typical_rows, resolve_enum_cap
 
 
@@ -333,6 +334,15 @@ class TestConditionalMembers:
         assert members
         assert all(type(v) is int for member in members for v in member)
         assert json.loads(json.dumps(members)) == [list(member) for member in members]
+
+    def test_small_blocks_list_the_same(self, monkeypatch, coin10):
+        # 10^3 candidates: one block at the default CLASS_BLOCK, 200 at 5
+        y, p = (3, 4, 4), params(0.5, 3)
+        want = conditional_members(y, coin10, p)
+        monkeypatch.setattr(typicality, "CLASS_BLOCK", 5)
+        assert len(list(typicality._index_blocks(coin10.n_hypotheses, 3))) == 200
+        assert conditional_members(y, coin10, p) == want
+        assert len(want) == 192
 
     def test_length_validation(self, coin10):
         with pytest.raises(ValueError, match="sequence length 2 != extension 3"):
