@@ -8,10 +8,10 @@ successful trials, the diagnostic one averages the decided label's surprisal.
 
 Trials run in a block kernel: trial i's uniforms are one row of a (trials,
 k*M) matrix, holding exactly the doubles of default_rng(SeedSequence([seed,
-i])).random(k*M), where k is 3 for SAP and 2 for the deterministic rules.
-The row's first M uniforms sample x, the next M sample y and the last M (SAP
-only) the decisions; for PCG64 one random(k*M) draw equals k sequential
-random(M) draws, so this is the same stream a trial-at-a-time loop consumes.
+i])).random(k*M), where k is 3 for SAP's law, which draws x-hat, and 2 for
+the others. The row's first M uniforms sample x, the next M sample y and the
+last M (k = 3) the decisions; for PCG64 one random(k*M) draw equals k
+sequential random(M) draws: the stream a trial-at-a-time loop consumes.
 No generator is built per trial: the rows of a chunk of trials are computed
 together by numpy array arithmetic that reproduces SeedSequence's hash and
 PCG64's seeding and output bit for bit, jumping ahead where rows are few and
@@ -29,17 +29,17 @@ Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
 i])), and every aggregate is computed from the trial-ordered arrays, so a
 report is byte-for-byte identical for any worker count.
 
-Every experiment (model, rule, params) of a call runs trials [0, R) on the
-master seed (common random numbers): trial i's row is computed once, at the
-widest k*M, and each experiment reads its leading k*M columns. The trials
-split into contiguous blocks, no more than the call's work pays for
-(_map_experiments); one block runs in this process, and only a call of more
-imports the process pool's modules. A block (_run_block) shares the x/y
-picks and rates of the experiments on one model object and M, and builds
-each rule's table (_rule_table) once per (model, rule) from its decided-pair
-law (rules._symbol_law); every rate of a trial is typicality._rate's gather
-from a log2 table. run_trial builds one law, for its table and a
-deterministic rule's choices.
+An experiment is its (model, law, params), law the decided pair's law
+(rules._symbol_law), which run_experiment, sweep and run_trial build from
+the rule; the kernel reads no rule. Every experiment of a call runs trials
+[0, R) on the master seed (common random numbers): trial i's row is
+computed once, at the widest k*M, and each experiment reads its leading k*M
+columns. The trials split into contiguous blocks, no more than the call's
+work pays for (_map_experiments); one block runs in this process, and only
+a call of more imports the process pool's modules. A block (_run_block)
+shares the x/y picks and rates of the experiments on one model object and
+M, and builds each distinct law's table and guide once (_rule_table);
+every rate of a trial is typicality._rate's gather from a log2 table.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .model import DiscreteJointModel, _integer, build_coin_model
-from .rules import DecisionRule, _symbol_law, _SymbolLaw
+from .rules import CdfGuide, DecisionRule, _symbol_law, _SymbolLaw
 from .typicality import SequencePair, TypicalityParams, _band, _rate
 from .typicality import extended_fano_check  # re-exported for bench/record_reference.py
 
@@ -140,16 +140,17 @@ def sample_extension(
     return SequencePair(x_seq=tuple(x_labels[xi]), y_seq=tuple(y_labels[yi]))
 
 
-def _rule_table(model: DiscreteJointModel, law: _SymbolLaw, rule: DecisionRule) -> np.ndarray:
-    """The (3, n) log2 P(x-hat), P(x-hat, y) and P(x-hat | y) of rule's decided
-    pairs, scattered from their law (rules._symbol_law) by y for a
-    deterministic rule (n = |Y|), by x-hat |Y| + y for SAP (n = |X| |Y|), and
-    -inf off its support, so a SAP pick of a zero-posterior x-hat fails."""
+def _rule_table(model: DiscreteJointModel, law: _SymbolLaw) -> tuple[np.ndarray, CdfGuide | None]:
+    """(table, guide) of a decided-pair law: the (3, n) log2 P(x-hat), P(x-hat,
+    y) and P(x-hat | y) at its support points, scattered by x-hat |Y| + y (n
+    = |X| |Y|) if law.cdf is set, else by y (n = |Y|), and -inf off the
+    support, so a draw of a zero-posterior x-hat fails; the guide over
+    law.cdf that draws x-hat, or None."""
     n = model.n_observations
-    at = law.x * n + law.y if rule.is_stochastic else law.y
-    table = np.full((3, n * model.n_hypotheses if rule.is_stochastic else n), -np.inf)
-    table[:, at] = law.log2[[0, 2, 3]]
-    return table
+    drawn = law.cdf is not None
+    table = np.full((3, n * model.n_hypotheses if drawn else n), -np.inf)
+    table[:, law.x * n + law.y if drawn else law.y] = law.log2[[0, 2, 3]]
+    return table, CdfGuide(law.cdf) if drawn else None
 
 
 def _draw(
@@ -165,8 +166,8 @@ def _draw(
 
 def _decide(
     model: DiscreteJointModel,
-    rule: DecisionRule,
     table: np.ndarray,
+    guide: CdfGuide | None,
     yi: np.ndarray,
     y_rate: np.ndarray,
     u: np.ndarray,
@@ -175,11 +176,11 @@ def _decide(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(decided_xi, success, decided_surprisal_rate) of the trials whose y
     indices are yi and y rates y_rate; the x, joint and decided-posterior
-    rates are one _rate gather of rule's table (_rule_table), by yi for a
-    deterministic rule, which returns decided_xi None, and by decided_xi |Y|
-    + yi for SAP, which draws decided_xi with u's columns 2M to 3M."""
-    if rule.is_stochastic:
-        decided = model.label_order[model.posterior_guide.pick(u[:, 2 * m : 3 * m], yi)]
+    rates are one _rate gather of a law's table (_rule_table), by yi without
+    a guide, which returns decided_xi None, and by decided_xi |Y| + yi with
+    one, which draws decided_xi with u's columns 2M to 3M."""
+    if guide is not None:
+        decided = model.label_order[guide.pick(u[:, 2 * m : 3 * m], yi)]
         index = decided * model.n_observations
         index += yi  # in place: one (B, M) index array fewer at the peak
     else:
@@ -197,17 +198,16 @@ def run_trial(
     """One M-extension trial: sample, decide per symbol, judge typicality.
 
     Draw order within the trial's stream: M uniforms for x, M for y, then
-    (stochastic rules only) M for the decisions, taken as one draw. A block
-    of one through the steps _run_block runs.
+    (SAP only) M for the decisions, taken as one draw. A block of one
+    through the steps _run_block runs, on rule's decided-pair law.
     """
-    rule = DecisionRule(rule)
     m = params.extension
-    (width,) = _widths([(model, rule, params)])
+    law = _symbol_law(model, rule)
+    (width,) = _widths([(model, law, params)])
     u = rng.random((1, width))
     xi, yi, post_rate, y_rate = _draw(model, u, m)
-    law = _symbol_law(model, rule)
-    table = _rule_table(model, law, rule)
-    decided, success, dec_rate = _decide(model, rule, table, yi, y_rate, u, m, params.epsilon)
+    table, guide = _rule_table(model, law)
+    decided, success, dec_rate = _decide(model, table, guide, yi, y_rate, u, m, params.epsilon)
     if decided is None:
         decided = law.x[np.searchsorted(law.y, yi)]
     x_labels = np.asarray(model.hypothesis_values)
@@ -378,17 +378,17 @@ def _trial_uniforms(seed: int, lo: int, hi: int, width: int) -> Iterator[np.ndar
 
 
 def _widths(
-    experiments: list[tuple[DiscreteJointModel, DecisionRule, TypicalityParams]],
+    experiments: list[tuple[DiscreteJointModel, _SymbolLaw, TypicalityParams]],
 ) -> list[int]:
     """Each experiment's k*M: the uniforms one of its trials reads, with k 3
-    for SAP and 2 for the deterministic rules. An M whose row would pass
+    where law.cdf is set (SAP) and 2 where not. An M whose row would pass
     _ROW_BYTES is refused, before any row is drawn."""
     _integer("Monte Carlo M", max(p.extension for _, _, p in experiments), hi=_MAX_TRIAL_M)
-    return [(3 if rule.is_stochastic else 2) * params.extension for _, rule, params in experiments]
+    return [(2 if law.cdf is None else 3) * params.extension for _, law, params in experiments]
 
 
 def _run_block(
-    experiments: list[tuple[DiscreteJointModel, DecisionRule, TypicalityParams]],
+    experiments: list[tuple[DiscreteJointModel, _SymbolLaw, TypicalityParams]],
     seed: int,
     lo: int,
     hi: int,
@@ -400,16 +400,14 @@ def _run_block(
     trials' random(w). Experiments that share a model (by identity) and M
     read the same x and y columns, so per chunk the x/y picks, the y rate
     and the posterior-entropy rate run once per (model, M). Per experiment,
-    _decide then gathers the rule's x, joint and decided-posterior rates
-    from its table (_rule_table, built once per (model, rule)). Each step
-    runs over the chunk whole: the guide-table picks make (chunk, M)
-    temporaries, not (chunk, M, K) ones.
+    _decide then gathers the x, joint and decided-posterior rates from its
+    law's table and guide (_rule_table, built once per law, by identity).
+    Each step runs over the chunk whole: the guide-table picks make (chunk,
+    M) temporaries, not (chunk, M, K) ones.
     """
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
-    pairs = dict.fromkeys((model, rule) for model, rule, _ in experiments)
-    tables = {
-        (model, rule): _rule_table(model, _symbol_law(model, rule), rule) for model, rule in pairs
-    }
+    laws = {id(law): (model, law) for model, law, _ in experiments}
+    tables = {key: _rule_table(model, law) for key, (model, law) in laws.items()}
     groups: dict[tuple[DiscreteJointModel, int], list[int]] = {}
     for e, (model, _, params) in enumerate(experiments):
         groups.setdefault((model, params.extension), []).append(e)
@@ -419,11 +417,11 @@ def _run_block(
         for (model, m), members in groups.items():
             _, yi, post_rate, y_rate = _draw(model, u, m)
             for e in members:
-                _, rule, params = experiments[e]
+                _, law, params = experiments[e]
                 success, post, dec = out[e]
                 post[at] = post_rate
                 _, success[at], dec[at] = _decide(
-                    model, rule, tables[model, rule], yi, y_rate, u, m, params.epsilon
+                    model, *tables[id(law)], yi, y_rate, u, m, params.epsilon
                 )
         done += len(u)
         del u  # free this chunk before the next one is computed
@@ -446,7 +444,7 @@ def _usable_cpus() -> int:
 
 
 def _map_experiments(
-    experiments: list[tuple[DiscreteJointModel, DecisionRule, TypicalityParams]],
+    experiments: list[tuple[DiscreteJointModel, _SymbolLaw, TypicalityParams]],
     trials: int,
     seed: int,
     workers: int,
@@ -458,7 +456,7 @@ def _map_experiments(
     group on one stream. There are min(workers, trials, ceil(work /
     _BLOCK_WORK)) blocks, where work is trials times the group's sum of
     k*M. One block runs in this process; more are one pool job each,
-    which pickles the shared models once, on a pool of at most
+    which pickles the shared models and laws once, on a pool of at most
     as many processes as the host has usable CPUs. All experiments' arrays
     are held until the last block is back: 17 bytes per trial per
     experiment. The callers check trials and seed; workers is checked here.
@@ -523,7 +521,7 @@ def run_experiment(
     not bools; the report holds trials and seed as ints.
     """
     trials, seed = _integer("trials", trials, 1, sys.maxsize), _integer("seed", seed, 0)
-    (arrays,) = _map_experiments([(model, DecisionRule(rule), params)], trials, seed, workers)
+    (arrays,) = _map_experiments([(model, _symbol_law(model, rule), params)], trials, seed, workers)
     return _report(model, rule, params, trials, seed, model_spec, *arrays)
 
 
@@ -707,19 +705,21 @@ def sweep(
     trial streams. An empty axis yields an empty table, not an error.
     Undefined-accuracy rows carry None in the h_hat-derived columns. The
     whole grid is one call of _map_experiments: it shares one trial stream
-    per block, and a grid whose work pays for more than one block shares
-    one process pool. Every coin model is built before any trial runs, so a
-    bad (n, theta) raises ValueError with nothing run. trials, seed and
-    workers are integers, not bools, as for run_experiment.
+    per block and one decided-pair law per (model, rule), and a grid whose
+    work pays for more than one block shares one process pool. Every coin
+    model is built before any trial runs, so a bad (n, theta) raises
+    ValueError with nothing run. trials, seed and workers are integers, not
+    bools, as for run_experiment.
     """
     trials, seed = _integer("trials", trials, 1, sys.maxsize), _integer("seed", seed, 0)
     coins = [(n, theta, build_coin_model(n, theta)) for n in sorted(set(n_values))
              for theta in sorted(set(theta_values))]
     rules = sorted(set(map(DecisionRule, rules)), key=lambda r: r.value)
     grid = list(product(coins, sorted(set(m_values)), sorted(set(epsilon_values)), rules))
+    laws = {(n, theta, rule): _symbol_law(model, rule) for n, theta, model in coins for rule in rules}
     experiments = [
-        (model, rule, TypicalityParams(epsilon=eps, extension=m))
-        for (_, _, model), m, eps, rule in grid
+        (model, laws[n, theta, rule], TypicalityParams(epsilon=eps, extension=m))
+        for (n, theta, model), m, eps, rule in grid
     ]
     rows: list[dict] = []
     arrays = _map_experiments(experiments, trials, seed, workers)

@@ -2,7 +2,8 @@
 
 Everything here works in bits (base-2 logs). A model couples a prior over
 integer hypothesis labels with a row-stochastic likelihood matrix; entropies,
-posteriors, surprisals and the test information are all derived from it.
+posteriors, surprisals and the test information are all derived from it; its
+sampling guides draw x and y, and how a rule decides is the rules module's.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class DiscreteJointModel:
     the ascending hypothesis-label order, the entropies H(X), H(Y), H(X,Y),
     H(X|Y) and the test information TI = H(X) - H(X|Y)) are computed once in
     ``__post_init__`` because every downstream consumer needs them; the
-    sampling guides, the posterior's included, are built on the first draw.
+    sampling guides prior_guide and lik_guide are built on the first draw.
     """
 
     hypothesis_values: tuple[int, ...]
@@ -207,17 +208,6 @@ class DiscreteJointModel:
 
         return CdfGuide(self.lik_cdf)
 
-    @cached_property
-    def posterior_guide(self):
-        """Row j: the guide over P(x | y_j)'s CDF in label_order, which SAP
-        draws by; a zero-evidence column, which no trial samples, is parked
-        at 1."""
-        from .rules import CdfGuide
-
-        cdf = np.cumsum(self.posterior_matrix[self.label_order], axis=0).T.copy()
-        cdf[~np.isfinite(cdf)] = 1.0
-        return CdfGuide(cdf)
-
     def __reduce__(self):
         # pickle the four defining fields; unpickling rebuilds (and so
         # validates and freezes) the derived tables through __post_init__
@@ -283,14 +273,25 @@ class DiscreteJointModel:
 
 @dataclass(frozen=True)
 class PosteriorColumn:
-    """P(x | y) for one observation label, over the hypothesis alphabet."""
+    """P(x | y) for one observation label, over the hypothesis alphabet:
+    integer y and labels, the labels distinct, and probs a distribution over
+    them, one entry per label; else ValueError (InvalidDistributionError for
+    probs)."""
 
     y: int
     labels: tuple[int, ...]
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _readonly(self.probs))
+        labels = tuple(map(_label, self.labels))
+        if len(set(labels)) != len(labels):
+            raise ValueError("posterior labels must be distinct")
+        probs = _distribution(self.probs)
+        if probs.shape != (len(labels),):
+            raise InvalidDistributionError(f"probs has shape {probs.shape}, expected ({len(labels)},)")
+        object.__setattr__(self, "y", _label(self.y))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "probs", _readonly(probs))
 
 
 def _entropy_of(p: np.ndarray, log2_p: np.ndarray) -> float:
@@ -300,8 +301,10 @@ def _entropy_of(p: np.ndarray, log2_p: np.ndarray) -> float:
     return float(0.0 - (p[nz] * log2_p[nz]).sum())
 
 
-def entropy(dist: Sequence[float] | np.ndarray) -> float:
-    """Shannon entropy of a probability vector, in bits. 0*log(0) counts as 0."""
+def _distribution(dist: Sequence[float] | np.ndarray) -> np.ndarray:
+    """dist as a float array, which must be finite, non-negative and sum to 1
+    within DERIVED_ATOL; else InvalidDistributionError. entropy's check and
+    PosteriorColumn's."""
     p = np.asarray(dist, dtype=float)
     # NaN slips through both comparisons below, so reject it (and inf) first
     if not np.isfinite(p).all():
@@ -310,6 +313,12 @@ def entropy(dist: Sequence[float] | np.ndarray) -> float:
         raise InvalidDistributionError("distribution has negative entries")
     if abs(p.sum() - 1.0) > DERIVED_ATOL:
         raise InvalidDistributionError(f"distribution sums to {p.sum()!r}, not 1")
+    return p
+
+
+def entropy(dist: Sequence[float] | np.ndarray) -> float:
+    """Shannon entropy of a probability vector, in bits. 0*log(0) counts as 0."""
+    p = _distribution(dist)
     with np.errstate(divide="ignore"):  # log2(0) = -inf, which the sum skips
         return _entropy_of(p, np.log2(p))
 

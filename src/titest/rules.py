@@ -10,10 +10,10 @@ row-wise sums and row-wise cumulative sums. decide is the one entry point
 for a single observation's column under any of the four rules, SAP by one
 posterior draw (sap_sample). _symbol_law builds the law of one decided pair
 (x-hat, y) as one record: its support, the log2 prior, y-marginal, joint and
-posterior at each support point, and H(X | Y=y) there. Every rule's trial
-table (experiment._rule_table, SAP's too), the deterministic choices,
-error_probability and the exact type-class walk all read it. A model's
-label_order gives the ascending label order; _ascending sorts one column.
+posterior at each support point, H(X | Y=y) there and, for SAP, the CDF its
+trials draw x-hat by. The trials (experiment._rule_table), the deterministic
+choices, error_probability and the exact type-class walk read it, not the
+rule. label_order gives the ascending label order; _ascending sorts one column.
 """
 
 from __future__ import annotations
@@ -199,14 +199,17 @@ def decide(
 class _SymbolLaw(NamedTuple):
     """One decided pair's law (_symbol_law): storage indices x and y of its
     support points, their probabilities prob > 0, the (4, K) table log2 of
-    log2 P(x-hat), P(y), P(x-hat, y) and P(x-hat | y) at each point, and
-    h_post, H(X | Y=y) at each point."""
+    log2 P(x-hat), P(y), P(x-hat, y) and P(x-hat | y) at each point, h_post,
+    H(X | Y=y) there, and cdf: for SAP, which draws x-hat, the (|Y|, |X|)
+    CDF of x-hat given each y in label order, a zero-evidence row parked at
+    1; None for a law that decides one x-hat per y."""
 
     x: np.ndarray
     y: np.ndarray
     prob: np.ndarray
     log2: np.ndarray
     h_post: np.ndarray
+    cdf: np.ndarray | None
 
 
 def _symbol_law(model: DiscreteJointModel, rule: DecisionRule) -> _SymbolLaw:
@@ -214,25 +217,28 @@ def _symbol_law(model: DiscreteJointModel, rule: DecisionRule) -> _SymbolLaw:
 
     Under every rule the M decided pairs are i.i.d. SAP draws x-hat from the
     posterior, so its pairs are the nonzero entries of model.joint, in
-    np.nonzero order. A deterministic rule d gives (d(y), y) with prob P(y),
-    one pair per live y in storage order, by one decide_columns call. This
-    is the one place the model's log2 tables and posterior entropies are
-    gathered at a law's support points; the last log2 row is read from
-    log2_posterior, as the trials read it, not formed as a difference.
+    np.nonzero order, and its cdf is the posterior's. A deterministic rule d
+    gives (d(y), y) with prob P(y), one pair per live y in storage order, by
+    one decide_columns call. This is the one place the model's log2 tables
+    and posterior entropies are gathered at a law's support points; the last
+    log2 row is read from log2_posterior, as the trials read it, not formed
+    as a difference.
     """
     rule = DecisionRule(rule)
+    order = model.label_order
     if rule.is_stochastic:
         x, y = np.nonzero(model.joint)
         prob = model.joint[x, y]
+        cdf = np.cumsum(model.posterior_matrix[order], axis=0).T.copy()
+        cdf[~np.isfinite(cdf)] = 1.0
     else:
         y = np.flatnonzero(model.y_marginal > 0)
-        order = model.label_order
         x = order[decide_columns(rule, model.posterior_matrix[order][:, y].T)]
-        prob = model.y_marginal[y]
+        prob, cdf = model.y_marginal[y], None
     log2 = np.stack([
         model.log2_prior[x], model.log2_y_marginal[y], model.log2_joint[x, y], model.log2_posterior[x, y]
     ])
-    return _SymbolLaw(x, y, prob, log2, model.posterior_col_entropy[y])
+    return _SymbolLaw(x, y, prob, log2, model.posterior_col_entropy[y], cdf)
 
 
 def error_probability(model: DiscreteJointModel, rule: DecisionRule) -> float:

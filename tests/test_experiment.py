@@ -101,6 +101,14 @@ class TestRunTrial:
         t_sap = run_trial(coin10, DecisionRule.SAP, p, trial_rng(4, 7))
         assert t_map.pair == t_sap.pair
 
+    @pytest.mark.parametrize("rule", list(DecisionRule))
+    def test_draws_k_m_uniforms(self, coin10, rule):
+        # 3M uniforms for SAP, whose law draws its decisions, 2M otherwise
+        rng, after = trial_rng(4, 7), trial_rng(4, 7)
+        run_trial(coin10, rule, params(0.25, 10), rng)
+        after.random(30 if rule is DecisionRule.SAP else 20)
+        assert rng.bit_generator.state == after.bit_generator.state
+
     def test_epsilon_monotone_success_per_trial(self, coin10):
         for i in range(40):
             lo = run_trial(coin10, DecisionRule.SAP, params(0.15, 8), trial_rng(6, i))
@@ -200,7 +208,7 @@ class TestBlockKernel:
     )
     def test_block_equals_trial_at_a_time_reference(self, group, seed, lo, n):
         experiments = [
-            (model, rule, params(eps, m))
+            (model, _symbol_law(model, rule), params(eps, m))
             for model, rule, m, eps in group
         ]
         blocks = _run_block(experiments, seed, lo, lo + n)
@@ -220,8 +228,9 @@ class TestBlockKernel:
         # experiments on one model object at one M share their x/y picks;
         # each must equal the same experiment in a block of its own
         model = build_coin_model(7, 0.3)
+        laws = {rule: _symbol_law(model, rule) for rule in DecisionRule}
         experiments = [
-            (model, rule, params(eps, m))
+            (model, laws[rule], params(eps, m))
             for m in (1, 4) for rule in DecisionRule for eps in (0.1, 0.4)
         ]
         shared = _run_block(experiments, 5, 100, 700)
@@ -242,11 +251,36 @@ class TestBlockKernel:
         # a decided-posterior surprisal rate within 2 epsilon of H(X|Y), for
         # any rule and M; the 2 BOUNDARY_ATOL margin covers the rounding
         # between the posterior table and the joint and y-marginal ones
-        experiments = [(model, rule, params(eps, m)) for rule in DecisionRule for m in (1, 3, 8, 13)]
+        experiments = [
+            (model, _symbol_law(model, rule), params(eps, m))
+            for rule in DecisionRule for m in (1, 3, 8, 13)
+        ]
         ti = model.h_x - model.h_x_given_y
         for success, _, dec_rate in _run_block(experiments, seed, 0, 300):
             accuracy = model.h_x - dec_rate[success]
             assert np.all((ti - 2 * eps < accuracy) & (accuracy < ti + 2 * eps))
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("name", ["coin5", "coin10", "bsc25"])
+    def test_kernel_reads_the_law_not_the_rule(self, name, m):
+        # MAP's, EAP's and MeAP's laws, each given a one-hot cdf (every y's
+        # own decision as a step CDF in label order), run 3M wide through
+        # the guide path, and must give the named laws' arrays bit for bit
+        model = build_bsc_model(0.25) if name == "bsc25" else build_coin_model(int(name[4:]), 0.4)
+        rules = [DecisionRule.MAP, DecisionRule.EAP, DecisionRule.MEAP]
+        named = [_symbol_law(model, rule) for rule in rules]
+        position = np.argsort(model.label_order)  # a storage index's place in label order
+        drawn = []
+        for law in named:
+            cdf = np.ones((model.n_observations, model.n_hypotheses))
+            cdf[law.y] = np.arange(model.n_hypotheses) >= position[law.x][:, None]
+            drawn.append(law._replace(cdf=cdf))
+        experiments = [(model, law, params(0.25, m)) for law in named + drawn]
+        assert experiment._widths(experiments) == [2 * m] * 3 + [3 * m] * 3
+        blocks = _run_block(experiments, 11, 0, 700)
+        for want, got in zip(blocks[:3], blocks[3:]):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     @pytest.mark.usefixtures("every_block_pays")
     def test_worker_counts_straddling_chunks(self, coin10):
@@ -264,7 +298,7 @@ class TestBlockKernel:
 def posterior_cdf(model):
     """(order, cdf): the storage indices in ascending label order, and row j
     the CDF of P(x | y_j) in that order, built from posterior_matrix rather
-    than read from the model's posterior_guide."""
+    than read from SAP's decided-pair law."""
     order = np.argsort(model.hypothesis_values, kind="stable")
     return order, np.cumsum(model.posterior_matrix[order], axis=0).T
 
@@ -334,9 +368,9 @@ class TestGuidedKernel:
         u_kernel = np.asfortranarray(u) if layout == "F" else u
         xi, yi, post_rate, y_rate = experiment._draw(model, u_kernel, m)
         law = _symbol_law(model, rule)
-        table = experiment._rule_table(model, law, rule)
+        table, guide = experiment._rule_table(model, law)
         decided, success, dec_rate = experiment._decide(
-            model, rule, table, yi, y_rate, u_kernel, m, 0.25
+            model, table, guide, yi, y_rate, u_kernel, m, 0.25
         )
         if decided is None:  # a deterministic rule reads its rates from its table
             decided = law_choices(model, rule, yi)
@@ -353,8 +387,7 @@ class TestGuidedKernel:
         # indexed by x-hat |Y| + y: the model's x, joint and posterior log2
         # tables where the joint is positive and -inf everywhere else, so a
         # pick on a zero-posterior x-hat fails as its joint surprisal did
-        sap = DecisionRule.SAP
-        table = experiment._rule_table(model, _symbol_law(model, sap), sap)
+        table, _ = experiment._rule_table(model, _symbol_law(model, DecisionRule.SAP))
         x, _ = np.indices(model.joint.shape)
         tables = [model.log2_prior[x], model.log2_joint, model.log2_posterior]
         want = np.where(model.joint > 0, tables, -np.inf).reshape(3, -1)
@@ -371,12 +404,22 @@ class TestGuidedKernel:
             extended_fano_check(model, rule, params(0.25, 3))
         with pytest.raises(AssertionError, match="guide built"):
             run_trial(model, DecisionRule.MAP, params(0.25, 3), trial_rng(0, 0))
-        # only a SAP draw builds the posterior guide
+        # only a SAP draw builds a guide over a decided-pair law, its law's cdf
         monkeypatch.undo()
+        built = []
+        init = CdfGuide.__init__
+
+        def recording(self, cdf):
+            built.append(cdf)
+            init(self, cdf)
+
+        monkeypatch.setattr(CdfGuide, "__init__", recording)
         run_trial(model, DecisionRule.MAP, params(0.25, 3), trial_rng(0, 0))
         assert "prior_guide" in vars(model) and "posterior_guide" not in vars(model)
+        assert len(built) == 2 and built[0] is model.prior_cdf and built[1] is model.lik_cdf
         run_trial(model, DecisionRule.SAP, params(0.25, 3), trial_rng(0, 0))
-        assert "posterior_guide" in vars(model)
+        assert len(built) == 3
+        np.testing.assert_array_equal(built[2], _symbol_law(model, DecisionRule.SAP).cdf)
 
 
 class TestRunExperiment:
@@ -825,21 +868,27 @@ class TestSweep:
             assert row["successes"] == rep.success_count
 
     def test_rule_tables_built_once_per_model_and_rule(self, monkeypatch):
-        # a block builds each (model, rule)'s decided-pair law once, whatever
-        # M and epsilon; SAP's too, whose table its drawn decisions gather from
-        calls = []
+        # a sweep builds each (model, rule)'s decided-pair law once, whatever
+        # M and epsilon, and a block each law's table (and SAP's guide) once
+        calls, tables = [], []
 
         def counting_law(model, rule):
             calls.append((model, rule))
             return symbol_law(model, rule)
 
-        symbol_law = experiment._symbol_law
+        def counting_table(model, law):
+            tables.append(id(law))
+            return rule_table(model, law)
+
+        symbol_law, rule_table = experiment._symbol_law, experiment._rule_table
         monkeypatch.setattr(experiment, "_symbol_law", counting_law)
+        monkeypatch.setattr(experiment, "_rule_table", counting_table)
         # the acceptance grid: 4 coin models x 2 M x 4 rules = 32 points
         rows = sweep([5, 15, 25, 35], [0.4], [1, 10], [0.25], list(DecisionRule), 2, 0)
         assert len(rows) == 32
         assert len(calls) == 16
         assert len({(id(model), rule) for model, rule in calls}) == 16
+        assert len(tables) == len(set(tables)) == 16
         # one trial builds its law once, for its table and for its choices
         calls.clear()
         run_trial(build_coin_model(5, 0.4), DecisionRule.MAP, params(0.25, 3), trial_rng(0, 0))

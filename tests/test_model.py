@@ -18,12 +18,14 @@ from titest import (
     DecisionRule,
     DiscreteJointModel,
     InvalidDistributionError,
+    PosteriorColumn,
     TypicalityParams,
     ZeroEvidenceError,
     build_bsc_model,
     build_coin_model,
     build_constant_model,
     build_identity_model,
+    decide,
     entropy,
     posterior,
     run_experiment,
@@ -32,6 +34,7 @@ from titest import (
     surprisal,
     sweep,
 )
+from titest.rules import CdfGuide, _symbol_law
 
 
 class TestEntropy:
@@ -160,17 +163,22 @@ class TestConstruction:
             (5, -2, 7), (0, 9, 1), np.array([0.2, 0.5, 0.3]),
             np.array([[0.6, 0.0, 0.4], [0.1, 0.0, 0.9], [0.5, 0.0, 0.5]]),
         )
+        model.prior_guide  # a guide the model has built is not pickled
         clone = pickle.loads(pickle.dumps(model))
-        assert "posterior_guide" not in vars(clone)
+        assert "prior_guide" not in vars(clone) and "posterior_guide" not in vars(clone)
         np.testing.assert_array_equal(clone.label_order, [1, 0, 2])
         np.testing.assert_array_equal(clone.label_order, model.label_order)
         u = np.random.default_rng(3).random((50, 3))
         rows = np.tile([0, 1, 2], (50, 1))
+        # SAP draws by its decided-pair law's cdf, which a pool job pickles
+        sap = _symbol_law(model, DecisionRule.SAP)
+        clone_sap = _symbol_law(clone, DecisionRule.SAP)
         np.testing.assert_array_equal(
-            clone.posterior_guide.pick(u, rows), model.posterior_guide.pick(u, rows)
+            CdfGuide(clone_sap.cdf).pick(u, rows), CdfGuide(sap.cdf).pick(u, rows)
         )
-        np.testing.assert_array_equal(clone.posterior_guide.cdf, model.posterior_guide.cdf)
-        assert (model.posterior_guide.cdf[1] == 1.0).all()  # parked: no trial samples it
+        np.testing.assert_array_equal(clone_sap.cdf, sap.cdf)
+        np.testing.assert_array_equal(pickle.loads(pickle.dumps(sap)).cdf, sap.cdf)
+        assert (sap.cdf[1] == 1.0).all()  # parked: no trial samples it
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_sums_just_inside_construct_atol(self, sign):
@@ -386,6 +394,53 @@ class TestPosterior:
     def test_matches_bayes_by_hand(self, bsc25):
         p = posterior(bsc25, 0)
         np.testing.assert_allclose(p.probs, [0.75, 0.25], atol=1e-12)
+
+
+class TestPosteriorColumn:
+    """A column is checked when built, so no rule decides from garbage."""
+
+    @pytest.mark.parametrize("y, labels, probs, error, message", [
+        (0, (1, 2), [0.2, 0.2], InvalidDistributionError, "distribution sums to .*0.4.*, not 1"),
+        (0, (1, 2), [-0.5, 1.5], InvalidDistributionError, "distribution has negative entries"),
+        (0, (1, 2), [np.nan, 1.0], InvalidDistributionError, "distribution has non-finite entries"),
+        (0, (1, 2), [np.inf, 0.0], InvalidDistributionError, "distribution has non-finite entries"),
+        (0, (1.5, 2), [0.5, 0.5], ValueError, "labels must be integers, got 1.5"),
+        (0, (1, None), [0.5, 0.5], ValueError, "labels must be integers, got None"),
+        (1.5, (1, 2), [0.5, 0.5], ValueError, "labels must be integers, got 1.5"),
+        (0, (1, 1), [0.5, 0.5], ValueError, "posterior labels must be distinct"),
+        (0, (1, 2, 3), [0.5, 0.5], InvalidDistributionError, r"probs has shape \(2,\), expected \(3,\)"),
+        (0, (1, 2), [[0.5, 0.5]], InvalidDistributionError, r"probs has shape \(1, 2\), expected"),
+    ], ids=[
+        "sums-to-0.4", "negative", "nan", "inf", "float-label", "none-label", "float-y",
+        "repeated-label", "too-few-probs", "two-dimensional",
+    ])
+    def test_malformed_column_is_refused(self, y, labels, probs, error, message):
+        with pytest.raises(error, match=message):
+            PosteriorColumn(y, labels, probs)
+
+    def test_rules_never_see_a_malformed_column(self):
+        # before the checks, SAP decided 2 from a column summing to 0.4, MAP
+        # decided 2 from [-0.5, 1.5] and label 1 from the labels (1.5, 2)
+        with pytest.raises(InvalidDistributionError):
+            decide("sap", PosteriorColumn(0, (1, 2), [0.2, 0.2]), np.random.default_rng(0))
+        with pytest.raises(InvalidDistributionError):
+            decide("map", PosteriorColumn(0, (1, 2), [-0.5, 1.5]))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            decide("map", PosteriorColumn(0, (1.5, 2), [0.6, 0.4]))
+
+    def test_labels_are_stored_as_ints(self):
+        post = PosteriorColumn(np.int64(3), (np.int32(2), 1.0), [0.25, 0.75])
+        assert post.y == 3 and type(post.y) is int
+        assert post.labels == (2, 1) and all(type(v) is int for v in post.labels)
+
+    @pytest.mark.parametrize("name", ["coin1", "coin10", "coin35", "bsc25"])
+    def test_posterior_builds_every_live_column(self, name):
+        model = build_bsc_model(0.25) if name == "bsc25" else build_coin_model(int(name[4:]), 0.4)
+        live = [y for y, p in zip(model.observation_values, model.y_marginal) if p > 0]
+        assert live == list(model.observation_values)
+        for y in live:
+            post = posterior(model, y)
+            assert post.y == y and post.labels == model.hypothesis_values
 
 
 class TestSurprisal:

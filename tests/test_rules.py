@@ -308,7 +308,8 @@ class TestCdfGuide:
     @pytest.mark.parametrize("name", ["coin1", "coin2", "coin5", "coin10", "coin35", "bsc25"])
     def test_model_tables_equal_bincount_build(self, name):
         model = build_bsc_model(0.25) if name == "bsc25" else build_coin_model(int(name[4:]), 0.4)
-        for guide in (model.prior_guide, model.lik_guide, model.posterior_guide):
+        sap_guide = CdfGuide(_symbol_law(model, DecisionRule.SAP).cdf)
+        for guide in (model.prior_guide, model.lik_guide, sap_guide):
             assert_same_table(guide.guide, bincount_guide(guide.cdf))
 
     @settings(max_examples=200, deadline=None)
@@ -562,6 +563,7 @@ class TestSymbolLaw:
         live = [j for j in range(model.n_observations) if model.y_marginal[j] > 0]
         for rule in DecisionRule:
             x, y, prob = _symbol_law(model, rule)[:3]
+            cdf = _symbol_law(model, rule).cdf
             assert (prob > 0).all(), rule
             assert prob.sum() == pytest.approx(1.0, rel=0.0, abs=1e-12), rule
             if rule.is_stochastic:
@@ -570,7 +572,15 @@ class TestSymbolLaw:
                     if model.joint[i, j] > 0
                 ]
                 assert prob.tolist() == model.joint[x, y].tolist()
+                # row j: P(x | y_j)'s running sum in label order, or 1s where P(y_j) = 0
+                assert cdf.shape == (model.n_observations, model.n_hypotheses)
+                assert cdf.tolist() == [
+                    np.cumsum([model.posterior_matrix[i, j] for i in ascending]).tolist()
+                    if j in live else [1.0] * model.n_hypotheses
+                    for j in range(model.n_observations)
+                ]
             else:
+                assert cdf is None, rule
                 assert y.tolist() == live, rule
                 assert x.tolist() == [
                     ascending[oracle_decide(

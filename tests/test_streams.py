@@ -25,6 +25,7 @@ from titest.experiment import (
     _trial_uniforms,
     _uint32_words,
 )
+from titest.rules import _symbol_law
 
 
 def oracle_rows(seed, lo, hi, width):
@@ -123,7 +124,7 @@ class TestTrialStreams:
     def test_block_past_the_stream_chunk(self, rule, lo, n):
         model = build_coin_model(4, 0.4)
         params = TypicalityParams(epsilon=0.25, extension=3)
-        (got,) = _run_block([(model, rule, params)], 2026, lo, lo + n)
+        (got,) = _run_block([(model, _symbol_law(model, rule), params)], 2026, lo, lo + n)
         want = reference_block(model, rule, 0.25, 3, 2026, lo, lo + n)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -160,7 +161,8 @@ class TestChunkBytes:
         # chunk, where a 4,096-row chunk would take 983 MB
         model = build_coin_model(10, 0.4)
         params = TypicalityParams(epsilon=0.25, extension=10_000)
-        ((success, _, _),) = _run_block([(model, DecisionRule.SAP, params)], 7, 0, 10)
+        sap = _symbol_law(model, DecisionRule.SAP)
+        ((success, _, _),) = _run_block([(model, sap, params)], 7, 0, 10)
         assert len(success) == 10
         assert chunk_log == [(0, 4, 30_000), (4, 4, 30_000), (8, 2, 30_000)]
 
