@@ -17,12 +17,14 @@ together by numpy array arithmetic that reproduces SeedSequence's hash and
 PCG64's seeding and output bit for bit, jumping ahead where rows are few and
 long (_trial_uniforms, _pcg64_uniforms; tested against numpy's own
 generators), held draw-major. Sampling, decisions, the judgement and both
-rate estimators run over each chunk whole: the inverse-CDF picks read a
-C-contiguous copy of their (rows, M) block, so every row sum over them has
-one order, and look each draw up in a guide table (rules.CdfGuide), so no
-temporary grows with the alphabet size. A trial is two steps: _draw samples
-x and y and takes the y and posterior-entropy rates, and _decide decides
-and judges; _run_block composes them per chunk, and run_trial for one row.
+rate estimators run over each chunk whole: the inverse-CDF picks scale
+their (rows, M) block of draws straight into C-ordered bucket indices, so
+every row sum over the picks has one order, and look each draw up in a
+guide table (rules.CdfGuide), so no temporary grows with the alphabet size.
+A trial is two steps: _draw samples x and y and takes the y and
+posterior-entropy rates, and _decide decides and judges, SAP's pick turned
+into its law-table index in place; _run_block composes them per chunk, and
+run_trial for one row.
 _pick_pair is the one map from uniforms to (x, y), for _draw and sample_extension.
 
 Determinism contract: trial i always runs on default_rng(SeedSequence([seed,
@@ -39,7 +41,10 @@ work pays for (_map_experiments); one block runs in this process, and only
 a call of more imports the process pool's modules. A block (_run_block)
 shares the x/y picks and rates of the experiments on one model object and
 M, and builds each distinct law's table and guide once (_rule_table);
-every rate of a trial is typicality._rate's gather from a log2 table.
+every rate of a trial is typicality._rate's gather from one 1-D log2 table
+row, one row at a time, so a step holds at most one gathered (rows, M)
+array besides its inputs: a SAP chunk peaks at about 55 traced bytes per
+drawn symbol (coin10, M=10), its 24 bytes of uniforms included.
 """
 
 from __future__ import annotations
@@ -92,8 +97,10 @@ _BLOCK_WORK = 1_000_000
 
 # A trial's row of uniforms is computed whole (a chunk never holds less than
 # one row), so Monte Carlo M is bounded by the row: the widest, a SAP row of
-# 3M doubles, must fit in _ROW_BYTES. One SAP trial at M holds about 46 M
-# bytes at its peak, so the bound, M = 44,739,242, takes about 2 GB.
+# 3M doubles, must fit in _ROW_BYTES. One SAP trial at M holds about 49 M
+# bytes at its traced peak (coin10, M=10^5: its 24 M bytes of uniforms, its
+# y picks and one pick's temporaries), so the bound, M = 44,739,242, takes
+# about 2.2 GB.
 _ROW_BYTES = 1 << 30
 _MAX_TRIAL_M = _ROW_BYTES // (3 * 8)
 
@@ -173,20 +180,22 @@ def _decide(
     u: np.ndarray,
     m: int,
     epsilon: float,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """(decided_xi, success, decided_surprisal_rate) of the trials whose y
-    indices are yi and y rates y_rate; the x, joint and decided-posterior
-    rates are one _rate gather of a law's table (_rule_table), by yi without
-    a guide, which returns decided_xi None, and by decided_xi |Y| + yi with
-    one, which draws decided_xi with u's columns 2M to 3M."""
-    if guide is not None:
-        decided = model.label_order[guide.pick(u[:, 2 * m : 3 * m], yi)]
-        index = decided * model.n_observations
-        index += yi  # in place: one (B, M) index array fewer at the peak
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, success, decided_surprisal_rate) of the trials whose y
+    indices are yi and y rates y_rate, index their draws' columns of a law's
+    table (_rule_table): yi without a guide, and with one decided_xi |Y| +
+    yi, decided_xi drawn with u's columns 2M to 3M (so decided_xi is index
+    // |Y|). The x, joint and decided-posterior rates are one _rate gather
+    per table row, so one gathered (B, M) array is held at a time."""
+    if guide is None:
+        index = yi
     else:
-        decided, index = None, yi
-    x, joint, dec = _rate(table, index)
-    return decided, _band((x, y_rate, joint), (model.h_x, model.h_y, model.h_xy), epsilon), dec
+        # the pick becomes the table index in place: no (B, M) copy of it
+        index = model.label_order[guide.pick(u[:, 2 * m : 3 * m], yi)]
+        index *= model.n_observations
+        index += yi
+    x, joint, dec = (_rate(row, index) for row in table)
+    return index, _band((x, y_rate, joint), (model.h_x, model.h_y, model.h_xy), epsilon), dec
 
 
 def run_trial(
@@ -207,9 +216,11 @@ def run_trial(
     u = rng.random((1, width))
     xi, yi, post_rate, y_rate = _draw(model, u, m)
     table, guide = _rule_table(model, law)
-    decided, success, dec_rate = _decide(model, table, guide, yi, y_rate, u, m, params.epsilon)
-    if decided is None:
+    index, success, dec_rate = _decide(model, table, guide, yi, y_rate, u, m, params.epsilon)
+    if guide is None:
         decided = law.x[np.searchsorted(law.y, yi)]
+    else:
+        decided = index // model.n_observations
     x_labels = np.asarray(model.hypothesis_values)
     y_labels = np.asarray(model.observation_values)
     return SequenceTrial(
@@ -403,7 +414,8 @@ def _run_block(
     _decide then gathers the x, joint and decided-posterior rates from its
     law's table and guide (_rule_table, built once per law, by identity).
     Each step runs over the chunk whole: the guide-table picks make (chunk,
-    M) temporaries, not (chunk, M, K) ones.
+    M) temporaries, not (chunk, M, K) ones, and a group's picks are freed
+    before the next group, or the next chunk, draws its own.
     """
     out = [(np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo), np.zeros(hi - lo)) for _ in experiments]
     laws = {id(law): (model, law) for model, law, _ in experiments}
@@ -420,9 +432,10 @@ def _run_block(
                 _, law, params = experiments[e]
                 success, post, dec = out[e]
                 post[at] = post_rate
-                _, success[at], dec[at] = _decide(
+                success[at], dec[at] = _decide(
                     model, *tables[id(law)], yi, y_rate, u, m, params.epsilon
-                )
+                )[1:]
+            del yi  # free these picks before the next (model, M) draws its own
         done += len(u)
         del u  # free this chunk before the next one is computed
     return out
@@ -459,7 +472,8 @@ def _map_experiments(
     which pickles the shared models and laws once, on a pool of at most
     as many processes as the host has usable CPUs. All experiments' arrays
     are held until the last block is back: 17 bytes per trial per
-    experiment. The callers check trials and seed; workers is checked here.
+    experiment; a lone block's are returned as it made them, uncopied. The
+    callers check trials and seed; workers is checked here.
     """
     workers = _integer("workers", workers, 1)
     if not experiments:
@@ -475,6 +489,8 @@ def _map_experiments(
 
         with ProcessPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
             parts = list(pool.map(_run_block, *zip(*jobs)))
+    if len(parts) == 1:  # a lone block's arrays are the call's, not copied
+        return parts[0]
     return [tuple(np.concatenate(a) for a in zip(*blocks)) for blocks in zip(*parts)]
 
 

@@ -153,13 +153,20 @@ class CdfGuide:
     def pick(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """inverse_cdf_pick(self.cdf[rows], u) for an array u, as C-ordered
         intp indices for any layout of u, so gathers convert nothing and row
-        sums add in one order; rows, of u's shape, defaults to row 0."""
-        u = np.ascontiguousarray(u)
+        sums add in one order; rows, of u's shape, defaults to row 0. The
+        draws are scaled straight into a C-ordered intp array of buckets (the
+        cast truncates, as astype does), with no copy of u first, and each
+        temporary of u's shape is dropped once its successor exists."""
         inside = (u >= 0) & (u < 1)
-        bucket = ((u if inside.all() else np.where(inside, u, 0)) * _GUIDE_BUCKETS).astype(np.intp)
+        bucket = np.multiply(
+            u if inside.all() else np.where(inside, u, 0), _GUIDE_BUCKETS,
+            out=np.empty(u.shape, dtype=np.intp), casting="unsafe",
+        )
         if rows is not None:
             bucket += np.multiply(rows, _GUIDE_BUCKETS, dtype=np.intp)
-        out = self.guide[bucket].astype(np.intp)
+        out = self.guide[bucket]
+        del bucket
+        out = out.astype(np.intp)
         slow = (out == self.cdf.shape[1]) | ~inside
         if slow.any():
             u_slow = u[slow]

@@ -18,11 +18,12 @@ a census set (_census_totals) and _FanoSums for the law extended_fano_check
 audits. One _walk feeds all reducers of a call from one walk of the type
 classes, at the largest law's support size; _exact_audit (`titest enumerate`)
 walks the census's and the audit's reducers at once. The engine holds no rule logic.
-_rate is the one definition of a surprisal rate, a gather along a log2
-table's last axis and one row sum: the walk's, _rates', is_typical's (one
-sequence as a (1, M) row) and every rate of the trials (experiment._draw and
-experiment._decide). _band is the one place the conditions are combined
-(is_jointly_typical, jointly_typical_rows, experiment._decide and the walk).
+_rate is the one definition of a surprisal rate, a gather from one 1-D
+log2 table and one row sum: the walk's, one row of a law at a time,
+_rates', is_typical's (one sequence as a (1, M) row) and every rate of the
+trials (experiment._draw and experiment._decide). _band is the one place
+the conditions are combined (is_jointly_typical, jointly_typical_rows,
+experiment._decide and the walk).
 conditional_members returns the sequences themselves and still enumerates them.
 """
 
@@ -150,10 +151,12 @@ def in_band(rate: float | np.ndarray, h: float, epsilon: float) -> np.bool_ | np
 
 
 def _rate(log2: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Surprisal rates (bits) of (B, M) index rows along a log2 table's last
-    axis: (B,) from a (K,) table, (r, B) from an (r, K) one. The row sum over
-    M is what .mean(axis=-1) divides, bit for bit, without its Python-level
-    dispatch, which a walk would pay per block and law.
+    """Surprisal rates (bits) of (B, M) index rows in a log2 table, as (B,)
+    from a (K,) table. Every caller passes one 1-D table row, so the gather
+    holds one (B, M) array; an (r, K) table would give (r, B), row by row the
+    same bits, but r gathered arrays at once. The row sum over M is what
+    .mean(axis=-1) divides, bit for bit, without its Python-level dispatch,
+    which a walk would pay per block and law row.
     """
     gathered = np.take(log2, index, axis=-1)
     return -(gathered.sum(axis=-1) / index.shape[-1])
@@ -439,8 +442,9 @@ def _walk(reducers: Iterable, m: int, eps: float) -> None:
     block whose last (largest) symbol is below K, which are its own type
     classes, sizes and order. Per block, each law with rows there takes its
     member probabilities exp2(sum of log2 prob over the row) and the band of
-    one _rate gather over its (r, K) table, and its reducers add(rows, sizes,
-    probs, keep). Every reducer checked its own walk against the cap
+    its r rates, one _rate gather per row of its (r, K) table, so a block
+    holds one gathered (B, M) array at a time, and its reducers add(rows,
+    sizes, probs, keep). Every reducer checked its own walk against the cap
     (_check_walk) when built, the largest law's among them.
     """
     shared: dict[tuple, tuple] = {}
@@ -459,7 +463,7 @@ def _walk(reducers: Iterable, m: int, eps: float) -> None:
             k_rows, k_sizes = own[len(log2_prob)]
             if len(k_rows):
                 probs = np.exp2(log2_prob[k_rows].sum(axis=1))
-                keep = _band(_rate(log2, k_rows), centres, eps)
+                keep = _band([_rate(row, k_rows) for row in log2], centres, eps)
                 for reducer in members:
                     reducer.add(k_rows, k_sizes, probs, keep)
 

@@ -369,11 +369,14 @@ class TestGuidedKernel:
         xi, yi, post_rate, y_rate = experiment._draw(model, u_kernel, m)
         law = _symbol_law(model, rule)
         table, guide = experiment._rule_table(model, law)
-        decided, success, dec_rate = experiment._decide(
+        index, success, dec_rate = experiment._decide(
             model, table, guide, yi, y_rate, u_kernel, m, 0.25
         )
-        if decided is None:  # a deterministic rule reads its rates from its table
+        if guide is None:  # a deterministic rule reads its rates from its table by y
+            np.testing.assert_array_equal(index, yi)
             decided = law_choices(model, rule, yi)
+        else:  # a drawn x-hat is the table index x-hat |Y| + y's quotient
+            decided = index // model.n_observations
         got = xi, yi, decided, success, post_rate, dec_rate
         want = compare_and_sum_kernel(model, rule, u, m, 0.25)
         for g, w in zip(got[:3], want[:3]):
@@ -966,6 +969,24 @@ class TestBlockSplit:
         pooled = sweep(*SMALL_GRID, trials, 2, workers=workers)
         assert pool_log == {"pools": [min(jobs, experiment._usable_cpus())], "jobs": jobs}
         assert render_sweep_csv(pooled) == render_sweep_csv(sweep(*SMALL_GRID, trials, 2))
+
+    def test_a_lone_block_returns_its_own_arrays(self, monkeypatch):
+        # one block is the whole call: its arrays are returned as _run_block
+        # made them, with no concatenated copy
+        blocks = []
+
+        def recording(*job):
+            blocks.append(_run_block(*job))
+            return blocks[-1]
+
+        monkeypatch.setattr(experiment, "_run_block", recording)
+        model, p = build_coin_model(10, 0.4), params(0.25, 10)
+        laws = [_symbol_law(model, rule) for rule in (DecisionRule.SAP, DecisionRule.MAP)]
+        got = experiment._map_experiments([(model, law, p) for law in laws], 300, 7, 2)
+        (block,) = blocks
+        assert len(got) == len(block) == 2
+        for arrays, own in zip(got, block):
+            assert all(a is b for a, b in zip(arrays, own))
 
     def test_split_is_bounded_by_the_work(self):
         # no list or array as long as trials or workers is built; no trial

@@ -476,9 +476,10 @@ class TestSharedWalks:
         )
 
     def test_sap_audit_adds_no_band_work_to_the_census(self, monkeypatch):
-        # one _rate gather per law of distinct content: SAP's decided-pair law
-        # is the census's joint law, so one pass bands it once for both, and
-        # bsc25's prior and y-marginal are equal laws too, one gather at K=2
+        # one 1-D _rate gather per row of each law of distinct content: SAP's
+        # decided-pair law is the census's joint law, so one pass bands its
+        # three rows once for both, and bsc25's prior and y-marginal are equal
+        # laws too, one row at K=2
         rated = []
         rate = typicality._rate
 
@@ -489,13 +490,13 @@ class TestSharedWalks:
         monkeypatch.setattr(typicality, "_rate", counting)
         model, params = build_bsc_model(0.25), TypicalityParams(0.25, 11)
         typical_set_census(model, params)
-        assert [args[0].shape for args in rated] == [(1, 2), (3, 4)]
+        assert [args[0].shape for args in rated] == [(2,)] + [(4,)] * 3
         rated.clear()
         fano_sums(model, params, _symbol_law(model, DecisionRule.SAP), census=True)
-        assert [args[0].shape for args in rated] == [(1, 2), (3, 4)]
+        assert [args[0].shape for args in rated] == [(2,)] + [(4,)] * 3
         rated.clear()
         fano_sums(model, params, _symbol_law(model, DecisionRule.MAP), census=True)
-        assert [args[0].shape for args in rated] == [(1, 2), (3, 4), (3, 2)]
+        assert [args[0].shape for args in rated] == [(2,)] + [(4,)] * 3 + [(2,)] * 3
 
     def test_sap_audit_builds_its_law_once(self, monkeypatch):
         # the census's joint set and the SAP audit hold one built law, not two
